@@ -8,11 +8,8 @@ Commands::
     quatmhd solve     --config run.json [--out DIR] [--seed N]
 
 Exit codes: 0 success / converged, 1 verification failure or bad input,
-2 condition-violation refusal, 3 divergence abort.
-
-The environment variable QUATMHD_WORKERS sets the worker count for
-operator-level parallelism; outputs are deterministic for a fixed seed
-regardless of its value (partial sums combine in fixed partition order).
+2 condition-violation refusal, 3 divergence abort or other numerical
+failure.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -95,13 +91,6 @@ def _read_state_file(path, domain) -> QField:
     if str(path).endswith(".vtk"):
         return read_vtk(path)
     return read_csv(path, domain)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("QUATMHD_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +252,6 @@ def cmd_solve(cfg, out_dir: Path) -> int:
         "exponent_mode": params.exponent_mode,
         "method": solver_cfg.method, "tol": solver_cfg.tol,
         "n": domain.n[0], "h": domain.h, "seed": cfg["seed"],
-        "workers": _workers(),
         "iterations": report.iterations, "converged": converged,
         "res_mom": res[0], "res_ind": res[1],
         "divu": res[2], "divB": res[3],
@@ -313,6 +301,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # numerical failures outside the solver's own ConditionViolation
+        # and DivergenceError handling, e.g. pressure recovery or ||TQT||
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -253,15 +253,10 @@ def boundary_B_term(params: MHDParams, ops: OperatorSet) -> QField:
 def harmonic_extension(g: BoundaryData, ops: OperatorSet) -> QField:
     """Componentwise discrete harmonic extension of boundary values g:
     solve the cell-centered Laplace problem with Dirichlet face data."""
-    from scipy.sparse.linalg import splu
-    from scipy import sparse
-    from .operators import _poisson_matrix_faces
     dom = ops.domain
-    if ops._lu_faces is None:
-        ops._lu_faces = splu(sparse.csc_matrix(_poisson_matrix_faces(dom)))
     rhs = np.zeros((dom.num_cells, 4))
     flat = np.ravel_multi_index(tuple(dom.face_cell.T), dom.n)
     # ghost anti-reflection: a face with value g contributes 2g/h^2
     np.add.at(rhs, flat, 2.0 * g.values / dom.h**2)
-    out = np.stack([ops._lu_faces.solve(rhs[:, c]) for c in range(4)], axis=-1)
+    out = np.stack([ops.poisson_faces(rhs[:, c]) for c in range(4)], axis=-1)
     return QField(dom, out.reshape(dom.shape + (4,)))

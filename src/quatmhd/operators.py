@@ -15,9 +15,13 @@ sparse factorizations per domain)
     cauchy           : boundary potential F over the voxel faces, sign
         calibrated so that F reproduces constants
     bergman_Q / bergman_P : orthogonal projection onto the range of D+ on
-        zero-collar fields, and its complement
-    poisson_dirichlet : SPD cell-centered Poisson solve with homogeneous
-        Dirichlet faces (ghost anti-reflection)
+        zero-collar fields, and its complement. The Gram of D+ is factored
+        in complex 2x2 form (quaternion.chi): exact, because each of its
+        4x4 blocks is a left quaternion multiplication
+    poisson_dirichlet : SPD cell-centered Poisson solve with a zero
+        boundary collar
+    poisson_faces    : Poisson solve with homogeneous Dirichlet faces
+        (ghost anti-reflection)
     lambda_min       : smallest Dirichlet eigenvalue, inverse power iteration
     op_norm_TQT      : operator norm of the self-adjoint composition T Q T
 """
@@ -29,7 +33,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .grid import QField, VoxelDomain, l2_norm, sc_inner
-from .quaternion import LEFT_MUL, qmul_arr
+from .quaternion import LEFT_MUL, chi, from_cpair, qmul_arr, to_cpair
 
 __all__ = [
     "dirac_fwd",
@@ -196,14 +200,17 @@ def _axis_op(domain: VoxelDomain, axis: int, kind: str) -> sparse.csr_matrix:
     return sparse.csr_matrix(sparse.kron(sparse.kron(mats[0], mats[1]), mats[2]))
 
 
+def _dirac_kron(domain: VoxelDomain, units) -> sparse.csr_matrix:
+    """sum_i d_i^+ (x) units[i] on cell-major flattened fields, with the
+    components acted on by the unit blocks innermost."""
+    return sparse.csr_matrix(sum(
+        sparse.kron(_axis_op(domain, i, "fwd"), sparse.csr_matrix(units[i]))
+        for i in range(3)))
+
+
 def dirac_fwd_matrix(domain: VoxelDomain) -> sparse.csr_matrix:
     """Sparse matrix of dirac_fwd on cell-major flattened quaternion fields."""
-    n4 = 4 * domain.num_cells
-    out = sparse.csr_matrix((n4, n4))
-    for i in range(3):
-        out = out + sparse.kron(_axis_op(domain, i, "fwd"),
-                                sparse.csr_matrix(LEFT_MUL[i + 1]))
-    return sparse.csr_matrix(out)
+    return _dirac_kron(domain, LEFT_MUL[1:])
 
 
 def _poisson_matrix_faces(domain: VoxelDomain) -> sparse.csr_matrix:
@@ -275,8 +282,9 @@ class OperatorSet:
         self._lu_faces = None      # ghost-Dirichlet Poisson factorization
         self._lu_collar = None     # collar-Dirichlet Poisson factorization
         self._collar_idx = None
-        self._lu_gram = None       # Bergman Gram factorization
-        self._phi = None           # D+ restricted to zero-collar columns
+        self._lu_gram = None       # Bergman Gram factorization (complex)
+        self._phi = None           # D+ on zero-collar columns, complex pairs
+        self._phi_h = None         # its conjugate transpose
 
     # -- Teodorescu -------------------------------------------------------
 
@@ -357,19 +365,24 @@ class OperatorSet:
             [self.poisson_scalar(rhs.values[..., c]) for c in range(4)], axis=-1)
         return QField(self.domain, out)
 
+    def poisson_faces(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the cell-centered -Lap w = rhs with zero Dirichlet data on
+        the box faces (ghost anti-reflection); flat cell-major arrays."""
+        if self._lu_faces is None:
+            self._lu_faces = splu(sparse.csc_matrix(
+                _poisson_matrix_faces(self.domain)))
+        return self._lu_faces.solve(rhs)
+
     def lambda_min(self, tol: float = 1e-10, maxit: int = 500) -> float:
         """Smallest eigenvalue of the cell-centered Dirichlet Laplacian
         (zero values on the box faces, ghost anti-reflection), by inverse
         power iteration; the continuum limit is 3*pi^2 on the unit cube."""
-        if self._lu_faces is None:
-            self._lu_faces = splu(sparse.csc_matrix(
-                _poisson_matrix_faces(self.domain)))
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.domain.num_cells)
         v /= np.linalg.norm(v)
         lam = 0.0
         for _ in range(maxit):
-            w = self._lu_faces.solve(v)
+            w = self.poisson_faces(v)
             nw = np.linalg.norm(w)
             lam_new = 1.0 / nw
             v = w / nw
@@ -383,25 +396,27 @@ class OperatorSet:
     # -- Bergman projection -------------------------------------------------
 
     def _gram(self):
-        if self._lu_gram is not None:
-            return self._phi, self._lu_gram
-        dom = self.domain
-        D = dirac_fwd_matrix(dom)
-        keep = np.repeat(~dom.collar_mask(1).ravel(), 4)
-        phi = sparse.csc_matrix(D[:, keep])
-        gram = sparse.csc_matrix(phi.T @ phi)
-        self._phi = phi
-        self._lu_gram = splu(gram)
-        return self._phi, self._lu_gram
+        """D+ on zero-collar columns in complex pair form (phi), its
+        adjoint, and the LU of the Hermitian Gram phi^H phi. The real Gram
+        has left quaternion multiplications as 4x4 blocks, so this complex
+        form is exact with half the unknowns."""
+        if self._lu_gram is None:
+            dom = self.domain
+            keep = np.repeat(~dom.collar_mask(1).ravel(), 2)
+            phi = sparse.csc_matrix(_dirac_kron(dom, chi(_E))[:, keep])
+            self._phi = phi
+            self._phi_h = sparse.csr_matrix(phi.conj().T)
+            self._lu_gram = splu(sparse.csc_matrix(self._phi_h @ phi))
+        return self._phi, self._phi_h, self._lu_gram
 
     def bergman_Q(self, f: QField) -> QField:
         """Orthogonal projection onto the range of D+ over zero-collar fields
         (the discrete gradient-like subspace)."""
         self._check(f)
-        phi, lu = self._gram()
-        b = phi.T @ f.values.ravel()
-        q = phi @ lu.solve(b)
-        return QField(self.domain, q.reshape(self.domain.shape + (4,)))
+        phi, phi_h, lu = self._gram()
+        q = phi @ lu.solve(phi_h @ to_cpair(f.values).ravel())
+        return QField(self.domain,
+                      from_cpair(q.reshape(self.domain.shape + (2,))))
 
     def bergman_P(self, f: QField) -> QField:
         """Complementary (Bergman) projection P = I - Q; its range contains

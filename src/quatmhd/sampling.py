@@ -16,7 +16,6 @@ __all__ = [
     "random_bump",
     "random_pure_bump",
     "random_divfree",
-    "random_shear",
 ]
 
 
@@ -86,8 +85,3 @@ def random_divfree(domain: VoxelDomain, seed=0) -> QField:
     for i in range(3):
         out[..., 1 + i] = c[i] + sum(s[i, j] * x[..., j] for j in range(3) if j != i)
     return QField(domain, out)
-
-
-def random_shear(domain: VoxelDomain, seed=0) -> QField:
-    """Alias kept for call sites that emphasise the shear structure."""
-    return random_divfree(domain, seed)

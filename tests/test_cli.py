@@ -138,3 +138,17 @@ def test_solve_roundtrip_state(tmp_path):
     B_vtk = read_vtk(out / "B.vtk")
     assert B_csv.values.any()
     assert np.array_equal(B_csv.values, B_vtk.values)
+
+
+def test_solve_exit_3_on_runtime_error(tmp_path, monkeypatch, capsys):
+    def boom(rhs, ops, **kw):
+        raise RuntimeError("pressure_recover did not converge")
+
+    monkeypatch.setattr("quatmhd.solvers.pressure_recover", boom)
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
+    rc = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "did not converge" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from quatmhd.grid import QField, l2_norm, sc_inner, trace_boundary, zero_boundary
-from quatmhd.operators import (dirac_bwd, dirac_central, dirac_fwd, div_fwd,
-                               laplacian)
+from quatmhd.operators import (dirac_bwd, dirac_central, dirac_fwd,
+                               dirac_fwd_matrix, div_fwd, laplacian)
 from quatmhd.sampling import random_bump, random_smooth
 
 
@@ -195,6 +197,23 @@ def test_projections_partition_identity(ops12):
     assert l2_norm(P + Q - f) <= 1e-12 * l2_norm(f)
     assert l2_norm(ops12.bergman_P(P) - P) <= 1e-8 * l2_norm(f)
     assert abs(sc_inner(P, Q)) <= 1e-8 * l2_norm(f) ** 2
+
+
+def test_q_matches_real_gram_oracle(ops8):
+    # oracle: the real 4m x 4m Gram of D+ on zero-collar columns, solved
+    # directly; bergman_Q factors the equivalent complex 2m x 2m form
+    dom = ops8.domain
+    keep = np.repeat(~dom.collar_mask(1).ravel(), 4)
+    phi = sparse.csc_matrix(dirac_fwd_matrix(dom)[:, keep])
+    lu = splu(sparse.csc_matrix(phi.T @ phi))
+    rng = np.random.default_rng(11)
+    full = rng.standard_normal(dom.shape + (4,))
+    scalar = np.zeros(dom.shape + (4,))
+    scalar[..., 0] = rng.standard_normal(dom.shape)  # pressure_recover input
+    for vals in (full, scalar):
+        ref = (phi @ lu.solve(phi.T @ vals.ravel())).reshape(vals.shape)
+        got = ops8.bergman_Q(QField(dom, vals)).values
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_q_fixes_gradient_fields(ops12):
