@@ -42,15 +42,31 @@ __all__ = ["main", "load_config", "cmd_verify", "cmd_constants", "cmd_solve"]
 # configuration
 # ---------------------------------------------------------------------------
 
+_TOP_KEYS = ("domain", "params", "boundary_h", "solver", "output", "seed",
+             "init_state", "norm_budget")
+_DOMAIN_KEYS = ("origin", "extent", "n")
+_PARAM_KEYS = ("Re", "Rm", "mu0", "exponent_mode")
 _SOLVER_KEYS = ("method", "tol", "max_outer", "max_inner",
                 "neumann_max_terms", "neumann_term_tol", "leray_each_step")
+
+
+def _check_keys(spec, known, what: str) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 def load_config(path) -> dict:
     """Read and validate a run configuration."""
     with open(path) as f:
         raw = json.load(f)
+    _check_keys(raw, _TOP_KEYS, "config")
     dom_spec = raw.get("domain", {})
+    _check_keys(dom_spec, _DOMAIN_KEYS, "domain")
+    _check_keys(raw.get("params", {}), _PARAM_KEYS, "params")
+    _check_keys(raw.get("solver", {}), _SOLVER_KEYS, "solver")
     cfg = {
         "origin": tuple(dom_spec.get("origin", (0.0, 0.0, 0.0))),
         "extent": tuple(dom_spec.get("extent", (1.0, 1.0, 1.0))),
@@ -63,15 +79,12 @@ def load_config(path) -> dict:
         "init_state": raw.get("init_state"),
         "norm_budget": float(raw.get("norm_budget", 0.0)),
     }
-    for key in cfg["solver"]:
-        if key not in _SOLVER_KEYS:
-            raise ValueError(f"unknown solver option {key!r}")
+    MHDParams(**cfg["params"])  # value checks, before any output is written
     if cfg["boundary_h"] != "zero" and not Path(cfg["boundary_h"]).exists():
         raise FileNotFoundError(f"boundary data file {cfg['boundary_h']}")
     if cfg["init_state"] is not None:
-        for comp, p in cfg["init_state"].items():
-            if comp not in ("u", "B", "p"):
-                raise ValueError(f"unknown init-state component {comp!r}")
+        _check_keys(cfg["init_state"], ("u", "B", "p"), "init_state")
+        for p in cfg["init_state"].values():
             if not Path(p).exists():
                 raise FileNotFoundError(f"init-state file {p}")
     return cfg
@@ -283,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 
 import numpy as np
 
@@ -78,7 +79,11 @@ def read_vtk(path) -> QField:
     if dims is None or org is None or spc is None or data_start is None:
         raise ValueError(f"{path}: not a structured-points field file")
     n1, n2, n3 = dims
-    vals = np.loadtxt(_io.StringIO("\n".join(lines[data_start:])))
+    vals = np.loadtxt(_io.StringIO("\n".join(lines[data_start:])), ndmin=2)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in data row {bad[0]}: "
+                         f"{vals[bad[0]].tolist()}")
     vals = vals.reshape(n3, n2, n1, 4).transpose(2, 1, 0, 3)
     dom = build_domain(org - 0.5 * spc, np.asarray(dims) * spc, dims)
     return QField(dom, vals)
@@ -94,14 +99,30 @@ def write_csv(path, field: QField) -> None:
             w.writerow([i] + [_FMT % v for v in row])
 
 
-def read_csv(path, domain: VoxelDomain) -> QField:
-    """Read a field written by write_csv onto a known domain."""
-    vals = np.zeros((domain.num_cells, 4))
+def _read_indexed_rows(path, count: int) -> np.ndarray:
+    """Rows (index, s, v1, v2, v3) after a header line; every index must lie
+    in [0, count) and every value be finite. Unlisted rows stay zero."""
+    vals = np.zeros((count, 4))
     with open(path, newline="") as f:
         r = csv.reader(f)
-        next(r)  # header
+        next(r, None)  # header
         for row in r:
-            vals[int(row[0])] = [float(v) for v in row[1:5]]
+            try:
+                i = int(row[0])
+                v = [float(x) for x in row[1:]]
+            except (ValueError, IndexError):
+                i, v = -1, []
+            if not (0 <= i < count and len(v) == 4 and all(map(math.isfinite, v))):
+                raise ValueError(f"{path}: bad row on line {r.line_num}: "
+                                 f"{','.join(row)} (index in [0, {count}), "
+                                 "then four finite values)")
+            vals[i] = v
+    return vals
+
+
+def read_csv(path, domain: VoxelDomain) -> QField:
+    """Read a field written by write_csv onto a known domain."""
+    vals = _read_indexed_rows(path, domain.num_cells)
     return QField(domain, vals.reshape(domain.shape + (4,)))
 
 
@@ -118,13 +139,7 @@ def write_boundary_csv(path, data: BoundaryData) -> None:
 def read_boundary_csv(path, domain: VoxelDomain) -> BoundaryData:
     """Read boundary data written by write_boundary_csv onto a known
     domain."""
-    vals = np.zeros((domain.num_faces, 4))
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        next(r)  # header
-        for row in r:
-            vals[int(row[0])] = [float(v) for v in row[1:5]]
-    return BoundaryData(domain, vals)
+    return BoundaryData(domain, _read_indexed_rows(path, domain.num_faces))
 
 
 def _fmt_value(v) -> str:

@@ -14,7 +14,9 @@ term, as displayed for the contraction scheme).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -52,8 +54,10 @@ class MHDParams:
     exponent_mode: str = "linear"
 
     def __post_init__(self):
-        if min(self.Re, self.Rm, self.mu0) <= 0:
-            raise ValueError("Re, Rm, mu0 must be positive")
+        for name in ("Re", "Rm", "mu0"):
+            v = getattr(self, name)
+            if not (isinstance(v, Real) and math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
         if self.exponent_mode not in _MODES:
             raise ValueError(f"exponent_mode must be one of {_MODES}")
 

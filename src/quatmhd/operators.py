@@ -17,7 +17,9 @@ sparse factorizations per domain)
     bergman_Q / bergman_P : orthogonal projection onto the range of D+ on
         zero-collar fields, and its complement. The Gram of D+ is factored
         in complex 2x2 form (quaternion.chi): exact, because each of its
-        4x4 blocks is a left quaternion multiplication
+        4x4 blocks is a left quaternion multiplication. Its unknowns are
+        ordered by geometric nested dissection, and the Gram, Hermitian
+        positive definite, is factored with symmetric-mode diagonal pivots
     poisson_dirichlet : SPD cell-centered Poisson solve with a zero
         boundary collar
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
@@ -261,6 +263,30 @@ def _poisson_matrix_collar(domain: VoxelDomain) -> tuple[sparse.csc_matrix, np.n
     return A, idx
 
 
+def _nested_dissection(domain: VoxelDomain) -> np.ndarray:
+    """Flat indices of the non-collar cells in geometric nested-dissection
+    order: split the box along its longest axis at the middle plane, order
+    both halves recursively and the separating plane last. One plane
+    separates the halves because the Gram of D+ couples only cells that
+    differ by at most one step per axis."""
+    out = [np.zeros(0, dtype=np.intp)]
+
+    def split(block):
+        ax = int(np.argmax(block.shape))
+        if block.shape[ax] < 3:
+            out.append(block.ravel())
+            return
+        m = block.shape[ax] // 2
+        lo, sep, hi = np.split(block, [m, m + 1], axis=ax)
+        split(lo)
+        split(hi)
+        out.append(sep.ravel())
+
+    cells = np.arange(domain.num_cells).reshape(domain.n)
+    split(cells[1:-1, 1:-1, 1:-1])
+    return np.concatenate(out)
+
+
 # ---------------------------------------------------------------------------
 # operator set with cached kernels and factorizations
 # ---------------------------------------------------------------------------
@@ -399,14 +425,21 @@ class OperatorSet:
         """D+ on zero-collar columns in complex pair form (phi), its
         adjoint, and the LU of the Hermitian Gram phi^H phi. The real Gram
         has left quaternion multiplications as 4x4 blocks, so this complex
-        form is exact with half the unknowns."""
+        form is exact with half the unknowns.
+
+        The columns (both complex components of a cell kept adjacent) are
+        taken in nested-dissection order of the interior cells; Q = phi
+        G^-1 phi^H does not depend on that order. G is Hermitian positive
+        definite, so the diagonal pivots of symmetric mode are stable."""
         if self._lu_gram is None:
-            dom = self.domain
-            keep = np.repeat(~dom.collar_mask(1).ravel(), 2)
-            phi = sparse.csc_matrix(_dirac_kron(dom, chi(_E))[:, keep])
+            cells = _nested_dissection(self.domain)
+            cols = np.stack([2 * cells, 2 * cells + 1], axis=1).ravel()
+            phi = sparse.csc_matrix(_dirac_kron(self.domain, chi(_E)))[:, cols]
             self._phi = phi
             self._phi_h = sparse.csr_matrix(phi.conj().T)
-            self._lu_gram = splu(sparse.csc_matrix(self._phi_h @ phi))
+            self._lu_gram = splu(sparse.csc_matrix(self._phi_h @ phi),
+                                 permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
         return self._phi, self._phi_h, self._lu_gram
 
     def bergman_Q(self, f: QField) -> QField:

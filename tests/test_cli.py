@@ -152,3 +152,25 @@ def test_solve_exit_3_on_runtime_error(tmp_path, monkeypatch, capsys):
     assert "did not converge" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("params", "Reynolds", 2.0),           # unknown params key
+    ("params", "Re", float("nan")),        # written as a bare NaN
+    ("params", "Rm", float("inf")),
+    ("params", "mu0", -1.0),
+    (None, "sovler", {}),                  # unknown top-level key
+    ("domain", "spacing", 0.1),
+    (None, "init_state", "u0.csv"),        # not an object
+])
+def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
+    cfg = json.loads(cfg_path.read_text())
+    (cfg[section] if section else cfg)[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["solve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

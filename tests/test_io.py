@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from quatmhd.grid import BoundaryData
 from quatmhd.io import (CONVERGENCE_COLUMNS, read_boundary_csv, read_csv,
@@ -65,3 +66,33 @@ def test_write_is_deterministic(tmp_path, dom8):
     write_vtk(p1, f)
     write_vtk(p2, f)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _rows(path, header, rows):
+    path.write_text("\n".join([header] + rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("row", ["-1,0,1,2,3", "512,0,1,2,3", "0,nan,1,2,3",
+                                 "0,0,inf,2,3", "0,0,1,2", "x,0,1,2,3"])
+def test_csv_rejects_bad_rows(tmp_path, dom8, row):
+    path = _rows(tmp_path / "f.csv", "index,s,v1,v2,v3", ["1,0,0,0,0", row])
+    with pytest.raises(ValueError, match=r"f\.csv.*line 3"):
+        read_csv(path, dom8)
+
+
+@pytest.mark.parametrize("row", ["-1,0,1,2,3", "384,0,1,2,3", "0,0,0,0,-inf"])
+def test_boundary_csv_rejects_bad_rows(tmp_path, dom8, row):
+    assert dom8.num_faces == 384
+    path = _rows(tmp_path / "h.csv", "face,s,v1,v2,v3", [row])
+    with pytest.raises(ValueError, match=r"h\.csv.*line 2"):
+        read_boundary_csv(path, dom8)
+
+
+def test_vtk_rejects_non_finite(tmp_path, dom8):
+    f = random_smooth(dom8, seed=0)
+    f.values[1, 0, 0, 2] = np.nan  # VTK order: x fastest, so data row 1
+    path = tmp_path / "f.vtk"
+    write_vtk(path, f)
+    with pytest.raises(ValueError, match=r"f\.vtk.*data row 1"):
+        read_vtk(path)

@@ -5,9 +5,11 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from quatmhd.grid import QField, l2_norm, sc_inner, trace_boundary, zero_boundary
-from quatmhd.operators import (dirac_bwd, dirac_central, dirac_fwd,
-                               dirac_fwd_matrix, div_fwd, laplacian)
+from quatmhd.grid import (QField, build_domain, l2_norm, sc_inner,
+                          trace_boundary, zero_boundary)
+from quatmhd.operators import (_nested_dissection, dirac_bwd, dirac_central,
+                               dirac_fwd, dirac_fwd_matrix, div_fwd, laplacian,
+                               operator_set)
 from quatmhd.sampling import random_bump, random_smooth
 
 
@@ -200,20 +202,39 @@ def test_projections_partition_identity(ops12):
 
 
 def test_q_matches_real_gram_oracle(ops8):
-    # oracle: the real 4m x 4m Gram of D+ on zero-collar columns, solved
-    # directly; bergman_Q factors the equivalent complex 2m x 2m form
-    dom = ops8.domain
-    keep = np.repeat(~dom.collar_mask(1).ravel(), 4)
-    phi = sparse.csc_matrix(dirac_fwd_matrix(dom)[:, keep])
-    lu = splu(sparse.csc_matrix(phi.T @ phi))
+    # oracle: the real 4m x 4m Gram of D+ on zero-collar columns in cell
+    # order, solved directly; bergman_Q factors the equivalent complex
+    # 2m x 2m form in nested-dissection order
+    box = operator_set(build_domain((0, 0, 0), (0.6, 0.8, 1.0), (6, 8, 10)))
     rng = np.random.default_rng(11)
-    full = rng.standard_normal(dom.shape + (4,))
-    scalar = np.zeros(dom.shape + (4,))
-    scalar[..., 0] = rng.standard_normal(dom.shape)  # pressure_recover input
-    for vals in (full, scalar):
-        ref = (phi @ lu.solve(phi.T @ vals.ravel())).reshape(vals.shape)
-        got = ops8.bergman_Q(QField(dom, vals)).values
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    for ops in (ops8, box):
+        dom = ops.domain
+        keep = np.repeat(~dom.collar_mask(1).ravel(), 4)
+        phi = sparse.csc_matrix(dirac_fwd_matrix(dom)[:, keep])
+        lu = splu(sparse.csc_matrix(phi.T @ phi))
+        full = rng.standard_normal(dom.shape + (4,))
+        scalar = np.zeros(dom.shape + (4,))
+        scalar[..., 0] = rng.standard_normal(dom.shape)  # pressure_recover input
+        for vals in (full, scalar):
+            ref = (phi @ lu.solve(phi.T @ vals.ravel())).reshape(vals.shape)
+            got = ops.bergman_Q(QField(dom, vals)).values
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "n", [(8, 8, 8), (6, 8, 10), (3, 9, 5), (3, 3, 3), (2, 6, 6)])
+def test_nested_dissection_permutes_interior(n):
+    # (2, 6, 6) has no interior cells
+    dom = build_domain((0, 0, 0), tuple(0.1 * m for m in n), n)
+    order = _nested_dissection(dom)
+    assert np.array_equal(np.sort(order),
+                          np.flatnonzero(~dom.collar_mask(1).ravel()))
+
+
+def test_gram_fill_nested_dissection(ops16):
+    # 1.94M complex entries in nested-dissection order, 2.98M under COLAMD
+    _, _, lu = ops16._gram()
+    assert lu.L.nnz + lu.U.nnz <= 2.2e6
 
 
 def test_q_fixes_gradient_fields(ops12):
