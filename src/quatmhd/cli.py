@@ -90,20 +90,35 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _build(cfg):
+def _read_state_file(path, domain) -> QField:
+    if not str(path).endswith(".vtk"):
+        return read_csv(path, domain)
+    field = read_vtk(path)
+    if not field.domain.same_grid(domain):
+        raise ValueError(f"{path}: grid of {field.domain.n} cells does not "
+                         "match the configured domain")
+    return field
+
+
+def _build(cfg, out_dir: Path):
+    """Read and check every input file of the run, then create the output
+    directory, so that a rejected input leaves no directory behind."""
     domain = build_domain(cfg["origin"], cfg["extent"], cfg["n"])
     ops = operator_set(domain)
     boundary = None
     if cfg["boundary_h"] != "zero":
         boundary = read_boundary_csv(cfg["boundary_h"], domain)
     params = MHDParams(boundary_h=boundary, **cfg["params"])
-    return domain, ops, params
-
-
-def _read_state_file(path, domain) -> QField:
-    if str(path).endswith(".vtk"):
-        return read_vtk(path)
-    return read_csv(path, domain)
+    init = None
+    if cfg["init_state"] is not None:
+        zero = QField.zeros(domain)
+        parts = {c: _read_state_file(p, domain)
+                 for c, p in cfg["init_state"].items()}
+        init = MHDState(parts.get("u", zero.copy()),
+                        parts.get("B", zero.copy()),
+                        parts.get("p", zero.copy()))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return domain, ops, params, init
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +176,7 @@ def _verify_checks(domain, ops, seed):
 
 
 def cmd_verify(cfg, out_dir: Path) -> int:
-    domain, ops, _ = _build(cfg)
+    domain, ops, _, _ = _build(cfg, out_dir)
     lines = []
     failures = 0
     for name, measured, tol in _verify_checks(domain, ops, cfg["seed"]):
@@ -183,7 +198,7 @@ def cmd_verify(cfg, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(cfg, out_dir: Path) -> int:
-    domain, ops, params = _build(cfg)
+    domain, ops, params, _ = _build(cfg, out_dir)
     bundle = estimate_constants(domain, ops, seed=cfg["seed"])
     C1, Cs, CD, k = bundle.C1, bundle.Cs, bundle.CD, bundle.k
     Re, Rm, mu0 = params.Re, params.Rm, params.mu0
@@ -220,16 +235,8 @@ def cmd_constants(cfg, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg, out_dir: Path) -> int:
-    domain, ops, params = _build(cfg)
     solver_cfg = SolverConfig(**cfg["solver"])
-    init = None
-    if cfg["init_state"] is not None:
-        zero = QField.zeros(domain)
-        parts = {c: _read_state_file(p, domain)
-                 for c, p in cfg["init_state"].items()}
-        init = MHDState(parts.get("u", zero.copy()),
-                        parts.get("B", zero.copy()),
-                        parts.get("p", zero.copy()))
+    domain, ops, params, init = _build(cfg, out_dir)
     bundle = estimate_constants(domain, ops, seed=cfg["seed"])
     solve = (banach_solve if solver_cfg.method == "banach"
              else schauder_solve)
@@ -304,7 +311,6 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out_dir = Path(cfg["output"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "verify":
             return cmd_verify(cfg, out_dir)

@@ -36,7 +36,6 @@ class VoxelDomain:
     origin: np.ndarray            # (3,)
     n: tuple[int, int, int]       # cells per axis
     h: float                      # isotropic spacing
-    interior_mask: np.ndarray = field(repr=False, default=None)
     # boundary faces, one row each
     face_cell: np.ndarray = field(repr=False, default=None)    # (M, 3) int
     face_normal: np.ndarray = field(repr=False, default=None)  # (M, 3) float
@@ -98,7 +97,6 @@ def build_domain(origin, physical_extent, n) -> VoxelDomain:
         raise ValueError("anisotropic spacing not supported: extent/n must match per axis")
     h = float(spacings[0])
 
-    mask = np.ones(n, dtype=bool)
     cells, normals, centers = [], [], []
     for ax in range(3):
         for side in (0, 1):
@@ -121,7 +119,6 @@ def build_domain(origin, physical_extent, n) -> VoxelDomain:
         origin=origin,
         n=n,
         h=h,
-        interior_mask=mask,
         face_cell=np.concatenate(cells),
         face_normal=np.concatenate(normals),
         face_center=np.concatenate(centers),
@@ -216,14 +213,12 @@ def l2_norm(u: QField) -> float:
     return float(np.sqrt((u.values**2).sum() * u.domain.cell_volume))
 
 
-def _forward_diff(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference with a backward fallback on the last layer."""
-    fw = (np.roll(vals, -1, axis=axis) - vals) / h
-    bw = (vals - np.roll(vals, 1, axis=axis)) / h
-    out = fw
+def _dfwd(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Forward difference; backward fallback on the last layer."""
+    out = (np.roll(vals, -1, axis=axis) - vals) / h
     sl = [slice(None)] * vals.ndim
     sl[axis] = -1
-    out[tuple(sl)] = bw[tuple(sl)]
+    out[tuple(sl)] = (vals[tuple(sl)] - np.take(vals, -2, axis=axis)) / h
     return out
 
 
@@ -232,7 +227,7 @@ def h1_norm(u: QField) -> float:
     h = u.domain.h
     total = (u.values**2).sum()
     for ax in range(3):
-        total += (_forward_diff(u.values, ax, h) ** 2).sum()
+        total += (_dfwd(u.values, ax, h) ** 2).sum()
     return float(np.sqrt(total * u.domain.cell_volume))
 
 

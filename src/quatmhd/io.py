@@ -100,9 +100,10 @@ def write_csv(path, field: QField) -> None:
 
 
 def _read_indexed_rows(path, count: int) -> np.ndarray:
-    """Rows (index, s, v1, v2, v3) after a header line; every index must lie
-    in [0, count) and every value be finite. Unlisted rows stay zero."""
+    """Rows (index, s, v1, v2, v3) after a header line: every index in
+    [0, count) exactly once, in any order, and every value finite."""
     vals = np.zeros((count, 4))
+    seen = np.zeros(count, dtype=bool)
     with open(path, newline="") as f:
         r = csv.reader(f)
         next(r, None)  # header
@@ -116,7 +117,14 @@ def _read_indexed_rows(path, count: int) -> np.ndarray:
                 raise ValueError(f"{path}: bad row on line {r.line_num}: "
                                  f"{','.join(row)} (index in [0, {count}), "
                                  "then four finite values)")
+            if seen[i]:
+                raise ValueError(f"{path}: index {i} repeated on line "
+                                 f"{r.line_num}")
+            seen[i] = True
             vals[i] = v
+    if not seen.all():
+        raise ValueError(f"{path}: index {int(np.argmin(seen))} missing "
+                         f"({int((~seen).sum())} of {count} absent)")
     return vals
 
 

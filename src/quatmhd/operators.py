@@ -8,22 +8,24 @@ Differential operators
     grad_bwd, div_fwd, curl_bwd : classical vector operators
     laplacian            : centered 7-point Laplacian, applied componentwise
 
-Integral operators (held by OperatorSet, which caches FFT kernels and
-sparse factorizations per domain)
+Integral operators (held by OperatorSet, which caches the Teodorescu
+kernel and the Bergman factorization per domain)
     teodorescu       : volume potential T, FFT convolution with the Cauchy
         kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f
     cauchy           : boundary potential F over the voxel faces, sign
-        calibrated so that F reproduces constants
+        calibrated so that F reproduces constants; per face block (one box
+        side) a batch of 2-D FFT convolutions over the tangential axes, one
+        per normal layer of cells
     bergman_Q / bergman_P : orthogonal projection onto the range of D+ on
         zero-collar fields, and its complement. The Gram of D+ is factored
         in complex 2x2 form (quaternion.chi): exact, because each of its
         4x4 blocks is a left quaternion multiplication. Its unknowns are
         ordered by geometric nested dissection, and the Gram, Hermitian
         positive definite, is factored with symmetric-mode diagonal pivots
-    poisson_dirichlet : SPD cell-centered Poisson solve with a zero
-        boundary collar
+    poisson_dirichlet : cell-centered Poisson solve with a zero boundary
+        collar, by DST-I on the non-collar block
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
-        (ghost anti-reflection)
+        (ghost anti-reflection), by DST-II on the whole box
     lambda_min       : smallest Dirichlet eigenvalue, inverse power iteration
     op_norm_TQT      : operator norm of the self-adjoint composition T Q T
 """
@@ -32,9 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import splu
 
-from .grid import QField, VoxelDomain, l2_norm, sc_inner
+from .grid import BoundaryData, QField, VoxelDomain, _dfwd, l2_norm, sc_inner
 from .quaternion import LEFT_MUL, chi, from_cpair, qmul_arr, to_cpair
 
 __all__ = [
@@ -62,15 +65,6 @@ _E = np.eye(4)[1:]  # imaginary units e1, e2, e3 as 4-vectors
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
-
-def _dfwd(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference; backward fallback on the last layer."""
-    out = (np.roll(vals, -1, axis=axis) - vals) / h
-    sl = [slice(None)] * vals.ndim
-    sl[axis] = -1
-    out[tuple(sl)] = (vals[tuple(sl)] - np.take(vals, -2, axis=axis)) / h
-    return out
-
 
 def _dbwd(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Backward difference; forward fallback on the first layer."""
@@ -235,34 +229,6 @@ def _poisson_matrix_faces(domain: VoxelDomain) -> sparse.csr_matrix:
     return sparse.csr_matrix(A)
 
 
-def _poisson_matrix_collar(domain: VoxelDomain) -> tuple[sparse.csc_matrix, np.ndarray]:
-    """7-point -Laplacian on non-collar cells with zero values in the collar.
-
-    Returns the SPD matrix and the flat indices of the interior cells."""
-    h2 = domain.h**2
-    mask = ~domain.collar_mask(1)
-    idx = np.flatnonzero(mask.ravel())
-    pos = -np.ones(domain.num_cells, dtype=int)
-    pos[idx] = np.arange(idx.size)
-    n1, n2, n3 = domain.n
-    strides = (n2 * n3, n3, 1)
-    rows, cols, vals = [], [], []
-    for p, flat in enumerate(idx):
-        rows.append(p)
-        cols.append(p)
-        vals.append(6.0 / h2)
-        for ax in range(3):
-            for s in (-1, 1):
-                nb = flat + s * strides[ax]
-                q = pos[nb]
-                if q >= 0:
-                    rows.append(p)
-                    cols.append(q)
-                    vals.append(-1.0 / h2)
-    A = sparse.csc_matrix((vals, (rows, cols)), shape=(idx.size, idx.size))
-    return A, idx
-
-
 def _nested_dissection(domain: VoxelDomain) -> np.ndarray:
     """Flat indices of the non-collar cells in geometric nested-dissection
     order: split the box along its longest axis at the middle plane, order
@@ -294,7 +260,8 @@ def _nested_dissection(domain: VoxelDomain) -> np.ndarray:
 class OperatorSet:
     """Integral operators on one fixed domain.
 
-    FFT kernels and sparse LU factorizations are built lazily and reused.
+    The Teodorescu kernel and the Bergman Gram factorization are built
+    lazily and reused.
     The sign conventions are calibrated once: sigma_T from the identity
     D(T f) = f, sigma_F from reproduction of constants by the Cauchy
     transform. On this grid orientation they come out opposite."""
@@ -305,9 +272,6 @@ class OperatorSet:
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
-        self._lu_faces = None      # ghost-Dirichlet Poisson factorization
-        self._lu_collar = None     # collar-Dirichlet Poisson factorization
-        self._collar_idx = None
         self._lu_gram = None       # Bergman Gram factorization (complex)
         self._phi = None           # D+ on zero-collar columns, complex pairs
         self._phi_h = None         # its conjugate transpose
@@ -317,16 +281,11 @@ class OperatorSet:
     def _kernel_fft(self):
         if self._khat is not None:
             return self._khat
-        n1, n2, n3 = self.domain.n
-        h = self.domain.h
-        pad = (2 * n1, 2 * n2, 2 * n3)
-        offs = [np.fft.fftfreq(2 * m, d=1.0 / (2 * m)).astype(int) for m in (n1, n2, n3)]
-        D1, D2, D3 = np.meshgrid(*[o * h for o in offs], indexing="ij")
-        r3 = (D1**2 + D2**2 + D3**2) ** 1.5
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = [np.where(r3 > 0, D / r3, 0.0) for D in (D1, D2, D3)]
-        scale = self.sigma_T / (4.0 * np.pi) * h**3
-        self._khat = [np.fft.rfftn(scale * Ki, s=pad, axes=(0, 1, 2)) for Ki in K]
+        n, h = self.domain.n, self.domain.h
+        pad = tuple(2 * m for m in n)
+        K = _kernel([_wrapped(m) * h for m in n],
+                    self.sigma_T / (4.0 * np.pi) * h**3)
+        self._khat = [np.fft.rfftn(Ki, s=pad, axes=(0, 1, 2)) for Ki in K]
         return self._khat
 
     def teodorescu(self, f: QField) -> QField:
@@ -334,54 +293,68 @@ class OperatorSet:
         self._check(f)
         n1, n2, n3 = self.domain.n
         pad = (2 * n1, 2 * n2, 2 * n3)
-        K1, K2, K3 = self._kernel_fft()
         fh = [np.fft.rfftn(f.values[..., c], s=pad, axes=(0, 1, 2)) for c in range(4)]
-        f0, f1, f2, f3 = fh
-        conv = [
-            -(K1 * f1 + K2 * f2 + K3 * f3),
-            K1 * f0 + K2 * f3 - K3 * f2,
-            K2 * f0 + K3 * f1 - K1 * f3,
-            K3 * f0 + K1 * f2 - K2 * f1,
-        ]
         out = np.stack(
-            [np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n1, :n2, :n3] for c in conv],
+            [np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n1, :n2, :n3]
+             for c in _pure_left_mul(self._kernel_fft(), fh)],
             axis=-1)
         return QField(self.domain, out)
 
     # -- Cauchy -----------------------------------------------------------
 
-    def cauchy(self, g) -> QField:
-        """Boundary potential F g evaluated at the cell centers."""
-        from .grid import BoundaryData
+    def cauchy(self, g: BoundaryData) -> QField:
+        """Boundary potential F g evaluated at the cell centers.
+
+        build_domain lists the faces block by block, one block per box side
+        (axis, side), in ij order over the two tangential axes u < v. From
+        a cell center to a face midpoint of one block the offset is
+        (i + 1/2 - side * n_axis) h along the normal and a whole number of
+        cells along u and v, so the block's share of F is, for every normal
+        layer i, a 2-D convolution over (u, v) done by FFT."""
         if not isinstance(g, BoundaryData):
             raise TypeError("cauchy expects BoundaryData")
+        self._check(g)
         dom = self.domain
-        x = dom.cell_centers().reshape(-1, 3)
-        y = dom.face_center
+        n, h = dom.n, dom.h
         ng = qmul_arr(_pure(dom.face_normal), g.values)  # (M, 4)
-        out = np.zeros((x.shape[0], 4))
-        chunk = max(1, int(4e7) // y.shape[0])
-        for a in range(0, x.shape[0], chunk):
-            d = x[a:a + chunk, None, :] - y[None, :, :]        # (c, M, 3)
-            r3 = (d**2).sum(-1) ** 1.5
-            k = np.zeros(d.shape[:2] + (4,))
-            k[..., 1:] = d / r3[..., None]
-            out[a:a + chunk] = qmul_arr(k, ng[None]).sum(axis=1)
-        out *= self.sigma_F / (4.0 * np.pi) * dom.face_area
-        return QField(dom, out.reshape(dom.shape + (4,)))
+        scale = self.sigma_F / (4.0 * np.pi) * dom.face_area
+        out = np.zeros(dom.shape + (4,))
+        start = 0
+        for ax in range(3):
+            tang = tuple(a for a in range(3) if a != ax)
+            pad = tuple(2 * n[a] for a in tang)
+            keep = tuple(slice(None) if a == ax else slice(n[a]) for a in range(3))
+            block_shape = tuple(1 if a == ax else n[a] for a in range(3))
+            for side in (0, 1):
+                stop = start + n[tang[0]] * n[tang[1]]
+                block = ng[start:stop].reshape(block_shape + (4,))
+                start = stop
+                offsets = [_wrapped(m) * h for m in n]
+                offsets[ax] = (np.arange(n[ax]) + 0.5 - side * n[ax]) * h
+                Kh = [np.fft.rfftn(Ki, s=pad, axes=tang)
+                      for Ki in _kernel(offsets, scale)]
+                bh = [np.fft.rfftn(block[..., c], s=pad, axes=tang)
+                      for c in range(4)]
+                for c, conv in enumerate(_pure_left_mul(Kh, bh)):
+                    out[..., c] += np.fft.irfftn(conv, s=pad, axes=tang)[keep]
+        return QField(dom, out)
 
     # -- Poisson / eigenvalues --------------------------------------------
 
     def poisson_scalar(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve -Lap u = rhs on the non-collar cells, zero in the collar."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self._lu_collar is None:
-            A, idx = _poisson_matrix_collar(self.domain)
-            self._lu_collar = splu(A)
-            self._collar_idx = idx
-        out = np.zeros(self.domain.num_cells)
-        out[self._collar_idx] = self._lu_collar.solve(rhs.ravel()[self._collar_idx])
-        return out.reshape(self.domain.shape)
+        """Solve -Lap u = rhs on the non-collar cells, zero in the collar.
+
+        DST-I: the sine modes of the (n-2)^3 non-collar block vanish on the
+        collar and diagonalize the 7-point stencil there."""
+        dom = self.domain
+        rhs = np.asarray(rhs, dtype=float).reshape(dom.shape)
+        out = np.zeros(dom.shape)
+        inner = rhs[1:-1, 1:-1, 1:-1]
+        if inner.size:  # an axis of two cells leaves no non-collar cell
+            n = np.asarray(dom.n)
+            sym = _dirichlet_symbol(dom.h, n - 2, n - 1)
+            out[1:-1, 1:-1, 1:-1] = idstn(dstn(inner, type=1) / sym, type=1)
+        return out
 
     def poisson_dirichlet(self, rhs: QField) -> QField:
         """Componentwise solve of laplacian(w) = -rhs with a zero boundary
@@ -393,16 +366,22 @@ class OperatorSet:
 
     def poisson_faces(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the cell-centered -Lap w = rhs with zero Dirichlet data on
-        the box faces (ghost anti-reflection); flat cell-major arrays."""
-        if self._lu_faces is None:
-            self._lu_faces = splu(sparse.csc_matrix(
-                _poisson_matrix_faces(self.domain)))
-        return self._lu_faces.solve(rhs)
+        the box faces (ghost anti-reflection); flat cell-major arrays.
+
+        DST-II: the half-shifted sine modes sin(pi k (j + 1/2) / n) are odd
+        about every face, so they diagonalize the stencil with ghost -u."""
+        dom = self.domain
+        sym = _dirichlet_symbol(dom.h, dom.n, dom.n)
+        rhat = dstn(np.reshape(rhs, dom.shape), type=2)
+        return idstn(rhat / sym, type=2).ravel()
 
     def lambda_min(self, tol: float = 1e-10, maxit: int = 500) -> float:
         """Smallest eigenvalue of the cell-centered Dirichlet Laplacian
         (zero values on the box faces, ghost anti-reflection), by inverse
-        power iteration; the continuum limit is 3*pi^2 on the unit cube."""
+        power iteration and a Rayleigh quotient of the sparse stencil; the
+        continuum limit is 3*pi^2 on the unit cube. It stays iterative,
+        not the closed form 3 (4/h^2) sin^2(pi h/2) of the DST symbol, so
+        that comparing the two checks the face solve."""
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.domain.num_cells)
         v /= np.linalg.norm(v)
@@ -494,6 +473,43 @@ def _pure(vec: np.ndarray) -> np.ndarray:
     out = np.zeros(vec.shape[:-1] + (4,))
     out[..., 1:] = vec
     return out
+
+
+def _wrapped(m: int) -> np.ndarray:
+    """Cell offsets 0..m-1, -m..-1 in FFT order on a grid padded to 2m, so
+    that a circular convolution of length 2m is linear over m cells."""
+    return np.fft.fftfreq(2 * m, d=1.0 / (2 * m)).astype(int)
+
+
+def _kernel(offsets, scale: float) -> list[np.ndarray]:
+    """The three components of scale * x/|x|^3 on the grid spanned by the
+    per-axis offsets, zero at x = 0."""
+    D = np.meshgrid(*offsets, indexing="ij")
+    r3 = (D[0]**2 + D[1]**2 + D[2]**2) ** 1.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [scale * np.where(r3 > 0, Di / r3, 0.0) for Di in D]
+
+
+def _pure_left_mul(K, f) -> list:
+    """Components of the quaternion product pure(K) f, taken elementwise
+    over arrays (here Fourier coefficients of a kernel and a field)."""
+    K1, K2, K3 = K
+    f0, f1, f2, f3 = f
+    return [
+        -(K1 * f1 + K2 * f2 + K3 * f3),
+        K1 * f0 + K2 * f3 - K3 * f2,
+        K2 * f0 + K3 * f1 - K1 * f3,
+        K3 * f0 + K1 * f2 - K2 * f1,
+    ]
+
+
+def _dirichlet_symbol(h: float, sizes, periods) -> np.ndarray:
+    """Eigenvalues of the 7-point -Laplacian in a sine basis, an array of
+    shape `sizes`: the sum over the axes of (4/h^2) sin^2(pi k / (2 p)),
+    k = 1..sizes[axis], p = periods[axis]."""
+    lam = [(4.0 / h**2) * np.sin(np.pi * np.arange(1, m + 1) / (2 * p)) ** 2
+           for m, p in zip(sizes, periods)]
+    return lam[0][:, None, None] + lam[1][None, :, None] + lam[2][None, None, :]
 
 
 _CACHE: dict[tuple, OperatorSet] = {}

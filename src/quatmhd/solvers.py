@@ -45,6 +45,7 @@ __all__ = [
     "pressure_recover",
     "banach_inner_B",
     "banach_solve",
+    "convection_norm",
     "neumann_apply_u",
     "neumann_apply_B",
     "schauder_solve",
@@ -305,18 +306,28 @@ def _neumann(apply_A, r: QField, cfg: SolverConfig) -> tuple[QField, int]:
     return x, used
 
 
+def convection_norm(ut: QField, ops: OperatorSet) -> float:
+    """Power-iteration estimate of the L2 norm of v -> TQT Sc(u~D) v, the
+    map that both Neumann series scale (by Re^2/mu0 and by Rm^2)."""
+    return _linmap_norm(lambda v: ops.TQT(convective(ut, v)), ops.domain)
+
+
 def neumann_apply_u(state_lin: MHDState, B: QField, p: QField,
                     params: MHDParams, ops: OperatorSet,
-                    cfg: SolverConfig) -> tuple[QField, float, int]:
+                    cfg: SolverConfig,
+                    norm: float | None = None) -> tuple[QField, float, int]:
     """Solve [I + (Re^2/mu0) TQT Sc(u~D)] u = Re^2 TQT[(1/mu0)Vec((DB~)B) - Dp]
-    by Neumann series; returns (u, q1, terms used). Refuses when q1 >= 1."""
+    by Neumann series; returns (u, q1, terms used). Refuses when q1 >= 1.
+    `norm` is convection_norm(u~), estimated here when not given."""
     ut = state_lin.u
     c = params.Re**2 / params.mu0
 
     def A(v: QField) -> QField:
         return c * ops.TQT(convective(ut, v))
 
-    q1 = _linmap_norm(A, ops.domain)
+    if norm is None:
+        norm = convection_norm(ut, ops)
+    q1 = c * norm
     if q1 >= 1.0:
         raise ConditionViolation(
             f"Neumann series for u refused: q1 = {q1:.6g} >= 1", q1)
@@ -326,17 +337,20 @@ def neumann_apply_u(state_lin: MHDState, B: QField, p: QField,
 
 
 def neumann_apply_B(state_lin: MHDState, u: QField, params: MHDParams,
-                    ops: OperatorSet,
-                    cfg: SolverConfig) -> tuple[QField, float, int]:
+                    ops: OperatorSet, cfg: SolverConfig,
+                    norm: float | None = None) -> tuple[QField, float, int]:
     """Solve [I + Rm^2 TQT Sc(u~D)] B = Rm^2 TQT Sc(B~D) u by Neumann
-    series; returns (B, q2, terms used). Refuses when q2 >= 1."""
+    series; returns (B, q2, terms used). Refuses when q2 >= 1.
+    `norm` is convection_norm(u~), estimated here when not given."""
     ut, Bt = state_lin.u, state_lin.B
     c = params.Rm**2
 
     def A(v: QField) -> QField:
         return c * ops.TQT(convective(ut, v))
 
-    q2 = _linmap_norm(A, ops.domain)
+    if norm is None:
+        norm = convection_norm(ut, ops)
+    q2 = c * norm
     if q2 >= 1.0:
         raise ConditionViolation(
             f"Neumann series for B refused: q2 = {q2:.6g} >= 1", q2)
@@ -490,11 +504,13 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     for n in range(1, cfg.max_outer + 1):
         prev = state
         p = pressure_recover(tqt_rhs_p(prev, params, ops), ops)
-        u, q1, _ = neumann_apply_u(prev, prev.B, p, params, ops, cfg)
+        # both series linearize at prev.u: one norm estimate serves both
+        norm = convection_norm(prev.u, ops)
+        u, q1, _ = neumann_apply_u(prev, prev.B, p, params, ops, cfg, norm)
         u = _vec_part(u)
         if cfg.leray_each_step:
             u = leray_project(u, ops)
-        B, q2, _ = neumann_apply_B(prev, u, params, ops, cfg)
+        B, q2, _ = neumann_apply_B(prev, u, params, ops, cfg, norm)
         B = _vec_part(B)
         if params.boundary_h is not None:
             B = B + B_bd

@@ -174,3 +174,34 @@ def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     assert key in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["boundary", "init_state", "vtk_grid"])
+def test_solve_rejects_bad_input_file(tmp_path, capsys, bad):
+    # input files are read and checked before the output directory exists
+    from quatmhd.grid import QField
+    from quatmhd.io import write_csv, write_vtk
+
+    boundary = _small_boundary_file(tmp_path, n=8)
+    if bad == "vtk_grid":
+        u_path = tmp_path / "u0.vtk"
+        write_vtk(u_path, QField.zeros(build_domain((0, 0, 0), (1, 1, 1), 4)))
+        target, message = u_path, "does not match"
+    else:
+        u_path = tmp_path / "u0.csv"
+        write_csv(u_path, QField.zeros(build_domain((0, 0, 0), (1, 1, 1), 8)))
+        target = boundary if bad == "boundary" else u_path
+        lines = target.read_text().splitlines()
+        target.write_text("\n".join(lines[:-1]) + "\n")  # drop the last row
+        message = "missing"
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8,
+                             boundary=str(boundary))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["init_state"] = {"u": str(u_path)}
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["solve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert target.name in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

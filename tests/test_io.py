@@ -96,3 +96,32 @@ def test_vtk_rejects_non_finite(tmp_path, dom8):
     write_vtk(path, f)
     with pytest.raises(ValueError, match=r"f\.vtk.*data row 1"):
         read_vtk(path)
+
+
+def _write_rows(path, header, count, drop=None, repeat=None):
+    rows = [f"{i},0,1,2,3" for i in range(count) if i != drop]
+    if repeat is not None:
+        rows.insert(repeat + 1, f"{repeat},0,1,2,3")
+    return _rows(path, header, rows)
+
+
+@pytest.mark.parametrize("reader, header, count", [
+    (read_csv, "index,s,v1,v2,v3", 512),
+    (read_boundary_csv, "face,s,v1,v2,v3", 384),
+])
+def test_readers_require_every_index_once(tmp_path, dom8, reader, header,
+                                          count):
+    # a truncated or hand-edited file must not leave cells silently zero
+    path = _write_rows(tmp_path / "x.csv", header, count, drop=7)
+    with pytest.raises(ValueError, match=r"x\.csv: index 7 missing"):
+        reader(path, dom8)
+    path = _write_rows(tmp_path / "x.csv", header, count - 1)
+    with pytest.raises(ValueError, match=f"index {count - 1} missing"):
+        reader(path, dom8)
+    path = _write_rows(tmp_path / "x.csv", header, count, repeat=5)
+    with pytest.raises(ValueError, match=r"x\.csv: index 5 repeated on line 8"):
+        reader(path, dom8)
+    shuffled = _rows(tmp_path / "y.csv", header,
+                     [f"{i},0,1,2,{i}" for i in reversed(range(count))])
+    vals = reader(shuffled, dom8).values.reshape(count, 4)
+    assert np.array_equal(vals[:, 3], np.arange(count))

@@ -5,11 +5,13 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from quatmhd.grid import (QField, build_domain, l2_norm, sc_inner,
-                          trace_boundary, zero_boundary)
-from quatmhd.operators import (_nested_dissection, dirac_bwd, dirac_central,
-                               dirac_fwd, dirac_fwd_matrix, div_fwd, laplacian,
+from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
+                          sc_inner, trace_boundary, zero_boundary)
+from quatmhd.operators import (_nested_dissection, _poisson_matrix_faces,
+                               _pure, dirac_bwd, dirac_central, dirac_fwd,
+                               dirac_fwd_matrix, div_fwd, laplacian,
                                operator_set)
+from quatmhd.quaternion import qmul_arr
 from quatmhd.sampling import random_bump, random_smooth
 
 
@@ -21,6 +23,52 @@ def _coord_field(dom, coord_axis, comp):
 
 def _interior(dom, width=1):
     return ~dom.collar_mask(width)
+
+
+# boxes of the oracle tests: cube, unequal axes with extent (0.6, 0.8, 1.0),
+# an axis of 3 cells (one non-collar layer) and one of 2 (no non-collar cell)
+BOXES = [(8, 8, 8), (6, 8, 10), (3, 9, 5), (2, 6, 6)]
+
+
+def _box(n):
+    return operator_set(build_domain((0.1, -0.2, 0.3),
+                                     tuple(0.1 * m for m in n), n))
+
+
+def _cauchy_dense(ops, g):
+    """Direct sum of the Cauchy kernel over every cell-face pair."""
+    dom = ops.domain
+    x = dom.cell_centers().reshape(-1, 1, 3)
+    d = x - dom.face_center[None]                       # (N, M, 3)
+    k = np.zeros(d.shape[:2] + (4,))
+    k[..., 1:] = d / ((d**2).sum(-1) ** 1.5)[..., None]
+    ng = qmul_arr(_pure(dom.face_normal), g.values)     # (M, 4)
+    out = qmul_arr(k, ng[None]).sum(axis=1)
+    out *= ops.sigma_F / (4.0 * np.pi) * dom.face_area
+    return out.reshape(dom.shape + (4,))
+
+
+def _poisson_matrix_collar(dom):
+    """7-point -Laplacian on the non-collar cells with zero collar values,
+    assembled cell by cell; returns the matrix and the flat cell indices."""
+    h2 = dom.h**2
+    idx = np.flatnonzero(~dom.collar_mask(1).ravel())
+    pos = -np.ones(dom.num_cells, dtype=int)
+    pos[idx] = np.arange(idx.size)
+    n1, n2, n3 = dom.n
+    rows, cols, vals = [], [], []
+    for p, flat in enumerate(idx):
+        rows.append(p)
+        cols.append(p)
+        vals.append(6.0 / h2)
+        for stride in (n2 * n3, n3, 1):
+            for nb in (flat - stride, flat + stride):
+                if pos[nb] >= 0:
+                    rows.append(p)
+                    cols.append(pos[nb])
+                    vals.append(-1.0 / h2)
+    A = sparse.csc_matrix((vals, (rows, cols)), shape=(idx.size, idx.size))
+    return A, idx
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +188,17 @@ def test_cauchy_reproduces_constants(ops16):
     assert np.allclose(out.values[mid], c, rtol=0.02)
 
 
+@pytest.mark.parametrize("n", BOXES)
+def test_cauchy_matches_dense_sum(n):
+    ops = _box(n)
+    rng = np.random.default_rng(12)
+    g = BoundaryData(ops.domain,
+                     rng.standard_normal((ops.domain.num_faces, 4)))
+    ref = _cauchy_dense(ops, g)
+    got = ops.cauchy(g).values
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_borel_pompeiu(ops16):
     # the Dirac operator inside T is the second-order central form; the
     # first-order one-sided forms cap the identity error near 15% at n=16
@@ -155,6 +214,31 @@ def test_borel_pompeiu(ops16):
 
 def test_poisson_zero(ops8):
     assert not ops8.poisson_dirichlet(QField.zeros(ops8.domain)).values.any()
+
+
+@pytest.mark.parametrize("n", BOXES + [(3, 3, 3)])
+def test_poisson_scalar_matches_sparse_lu(n):
+    ops = _box(n)
+    dom = ops.domain
+    rhs = np.random.default_rng(13).standard_normal(dom.shape)
+    got = ops.poisson_scalar(rhs)
+    A, idx = _poisson_matrix_collar(dom)
+    if idx.size == 0:
+        assert not got.any()
+        return
+    ref = np.zeros(dom.num_cells)
+    ref[idx] = splu(A).solve(rhs.ravel()[idx])
+    assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", BOXES + [(3, 3, 3)])
+def test_poisson_faces_matches_sparse_lu(n):
+    ops = _box(n)
+    dom = ops.domain
+    rhs = np.random.default_rng(14).standard_normal(dom.num_cells)
+    ref = splu(sparse.csc_matrix(_poisson_matrix_faces(dom))).solve(rhs)
+    got = ops.poisson_faces(rhs)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_poisson_eigenfunction(ops16):

@@ -181,6 +181,31 @@ def test_neumann_residual(dom12, ops12):
     assert l2_norm(lhsB - rB) <= 1e-8 * max(l2_norm(rB), 1e-300)
 
 
+def test_schauder_one_norm_estimate_per_step(dom8, ops8, monkeypatch):
+    # both Neumann series scale the same map v -> TQT Sc(u~D) v, so one
+    # power iteration per outer step gives q2 = (Rm^2 mu0 / Re^2) q1
+    import quatmhd.solvers as solvers
+    calls = []
+    norm = solvers._linmap_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_linmap_norm", counted)
+    params = MHDParams(Re=1.5, Rm=0.5, mu0=2.0)
+    u0 = leray_project(0.05 * random_pure_bump(dom8, seed=10), ops8)
+    init = MHDState(u0, 0.05 * random_pure_bump(dom8, seed=11),
+                    QField.zeros(dom8))
+    cfg = SolverConfig(method="schauder_neumann", max_outer=3)
+    _, report = schauder_solve(params, ops8, cfg, init=init)
+    assert len(calls) == report.iterations == len(report.rows) >= 2
+    scale = params.Rm**2 * params.mu0 / params.Re**2
+    for row in report.rows:
+        assert 0.0 < row["q1"] < 1.0
+        assert row["q2"] == pytest.approx(scale * row["q1"], rel=1e-12)
+
+
 def test_neumann_refuses_large_q(dom12, ops12):
     # a huge Reynolds number pushes the series ratio past 1
     params = MHDParams(Re=1e4, Rm=1.0)
