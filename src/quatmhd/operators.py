@@ -1,15 +1,24 @@
 """Discrete quaternionic operators on voxel grids.
 
 Differential operators
-    dirac_fwd, dirac_bwd : one-sided Dirac operators D+ and D-, adjoint to
-        each other for interior-supported fields
+    dirac_fwd, dirac_bwd : staggered Dirac pair D+ and D-, adjoint to each
+        other for interior-supported fields, with -D- D+ equal to the
+        7-point Laplacian away from the faces
     dirac_central        : second-order Dirac operator used to verify the
         integral identities D(Tf) = f and Borel-Pompeiu
     grad_bwd, div_fwd, curl_bwd : classical vector operators
     laplacian            : centered 7-point Laplacian, applied componentwise
 
+The staggered pair. D+ = sum_j e_j d_j, where d_j takes a forward or a
+backward difference along axis j depending on the component it acts on
+(_BACKWARD); component by component D+ u = (-div+ u, grad+ u0 + curl- u).
+D- is the same sum with the two differences swapped. The choice is the one
+of the staggered (Yee, discrete exterior calculus) Hodge-Dirac operator
+stored on cell arrays; it makes the cross terms e_i e_j of D- D+ cancel,
+which a forward difference on every component does not.
+
 Integral operators (held by OperatorSet, which caches the Teodorescu
-kernel and the Bergman factorization per domain)
+kernel per domain)
     teodorescu       : volume potential T, FFT convolution with the Cauchy
         kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f
     cauchy           : boundary potential F over the voxel faces, sign
@@ -17,11 +26,10 @@ kernel and the Bergman factorization per domain)
         side) a batch of 2-D FFT convolutions over the tangential axes, one
         per normal layer of cells
     bergman_Q / bergman_P : orthogonal projection onto the range of D+ on
-        zero-collar fields, and its complement. The Gram of D+ is factored
-        in complex 2x2 form (quaternion.chi): exact, because each of its
-        4x4 blocks is a left quaternion multiplication. Its unknowns are
-        ordered by geometric nested dissection, and the Gram, Hermitian
-        positive definite, is factored with symmetric-mode diagonal pivots
+        zero-collar fields, and its complement. With ghost-zero differences
+        the Gram of that D+ is the Dirichlet 7-point -Laplacian on each
+        component, so Q = D+ L^-1 D- is two stencils around four DST-I
+        Poisson solves
     poisson_dirichlet : cell-centered Poisson solve with a zero boundary
         collar, by DST-I on the non-collar block
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
@@ -35,10 +43,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.fft import dstn, idstn
-from scipy.sparse.linalg import splu
 
 from .grid import BoundaryData, QField, VoxelDomain, _dfwd, l2_norm, sc_inner
-from .quaternion import LEFT_MUL, chi, from_cpair, qmul_arr, to_cpair
+from .quaternion import LEFT_MUL, qmul_arr
 
 __all__ = [
     "dirac_fwd",
@@ -60,6 +67,18 @@ __all__ = [
 ]
 
 _E = np.eye(4)[1:]  # imaginary units e1, e2, e3 as 4-vectors
+
+# Difference of D+ along axis j (row) on input component c (column):
+# True backward, False forward. Each row is constant on the pairs of
+# components that left multiplication by e_j swaps.
+_BACKWARD = np.array([[0, 0, 1, 1],
+                      [0, 1, 0, 1],
+                      [0, 1, 1, 0]], dtype=bool)
+
+# Left multiplication by e_j: component r of e_j q is sign * q[c], listed
+# as (sign, c) per r.
+_UNIT_MUL = [[(m[r].sum(), int(np.abs(m[r]).argmax())) for r in range(4)]
+             for m in LEFT_MUL[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +107,31 @@ def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _dfwd0(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Forward difference with a zero ghost value behind the last layer."""
+    return np.diff(vals, axis=axis, append=0.0) / h
+
+
+def _dbwd0(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Backward difference with a zero ghost value before the first layer;
+    as matrices, _dbwd0 = -_dfwd0^T."""
+    return np.diff(vals, axis=axis, prepend=0.0) / h
+
+
+def _staggered(vals: np.ndarray, h: float, fwd, bwd) -> np.ndarray:
+    """sum_j e_j d_j vals, d_j taking `bwd` on the components that
+    _BACKWARD[j] marks and `fwd` on the others. That choice is constant on
+    the component pairs e_j swaps, so d_j commutes with the multiplication.
+    With ghost-zero differences (_dbwd0 = -_dfwd0^T, e_j^T = -e_j) the
+    transpose of _staggered(., fwd, bwd) is thus _staggered(., bwd, fwd)."""
+    out = np.zeros_like(vals)
+    for j in range(3):
+        for r, (sign, c) in enumerate(_UNIT_MUL[j]):
+            diff = bwd if _BACKWARD[j, c] else fwd
+            out[..., r] += sign * diff(vals[..., c], j, h)
+    return out
+
+
 def _dirac(u: QField, diff) -> QField:
     h = u.domain.h
     out = np.zeros_like(u.values)
@@ -97,13 +141,15 @@ def _dirac(u: QField, diff) -> QField:
 
 
 def dirac_fwd(u: QField) -> QField:
-    """Forward-difference Dirac operator D+ = sum_i e_i d_i^+."""
-    return _dirac(u, _dfwd)
+    """Staggered Dirac operator D+ = sum_j e_j d_j, the differences chosen
+    per component by _BACKWARD, with one-sided fallback rows at the faces."""
+    return QField(u.domain, _staggered(u.values, u.domain.h, _dfwd, _dbwd))
 
 
 def dirac_bwd(u: QField) -> QField:
-    """Backward-difference Dirac operator D-, the adjoint of D+."""
-    return _dirac(u, _dbwd)
+    """Staggered Dirac operator D-, the adjoint of D+: every difference
+    choice of D+ flipped."""
+    return QField(u.domain, _staggered(u.values, u.domain.h, _dbwd, _dfwd))
 
 
 def dirac_central(u: QField) -> QField:
@@ -169,45 +215,8 @@ def _lap_interior(v: np.ndarray, h2: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sparse builders (cell-major flattening, quaternion component innermost)
+# sparse face Poisson matrix (lambda_min's Rayleigh quotient)
 # ---------------------------------------------------------------------------
-
-def _diff1d(n: int, h: float, kind: str) -> sparse.csr_matrix:
-    """1D difference matrix matching _dfwd/_dbwd including the fallback row."""
-    main = -np.ones(n)
-    if kind == "fwd":
-        m = sparse.diags([main, np.ones(n - 1)], [0, 1], format="lil")
-        m[n - 1, n - 1] = 1.0
-        m[n - 1, n - 2] = -1.0
-    elif kind == "bwd":
-        m = sparse.diags([-np.ones(n - 1), np.ones(n)], [-1, 0], format="lil")
-        m[0, 0] = -1.0
-        m[0, 1] = 1.0
-    else:
-        raise ValueError(kind)
-    return sparse.csr_matrix(m) / h
-
-
-def _axis_op(domain: VoxelDomain, axis: int, kind: str) -> sparse.csr_matrix:
-    """Difference along one axis as an operator on flattened cell indices."""
-    n1, n2, n3 = domain.n
-    mats = [sparse.identity(n1), sparse.identity(n2), sparse.identity(n3)]
-    mats[axis] = _diff1d(domain.n[axis], domain.h, kind)
-    return sparse.csr_matrix(sparse.kron(sparse.kron(mats[0], mats[1]), mats[2]))
-
-
-def _dirac_kron(domain: VoxelDomain, units) -> sparse.csr_matrix:
-    """sum_i d_i^+ (x) units[i] on cell-major flattened fields, with the
-    components acted on by the unit blocks innermost."""
-    return sparse.csr_matrix(sum(
-        sparse.kron(_axis_op(domain, i, "fwd"), sparse.csr_matrix(units[i]))
-        for i in range(3)))
-
-
-def dirac_fwd_matrix(domain: VoxelDomain) -> sparse.csr_matrix:
-    """Sparse matrix of dirac_fwd on cell-major flattened quaternion fields."""
-    return _dirac_kron(domain, LEFT_MUL[1:])
-
 
 def _poisson_matrix_faces(domain: VoxelDomain) -> sparse.csr_matrix:
     """SPD cell-centered -Laplacian with zero Dirichlet data on the faces.
@@ -229,39 +238,14 @@ def _poisson_matrix_faces(domain: VoxelDomain) -> sparse.csr_matrix:
     return sparse.csr_matrix(A)
 
 
-def _nested_dissection(domain: VoxelDomain) -> np.ndarray:
-    """Flat indices of the non-collar cells in geometric nested-dissection
-    order: split the box along its longest axis at the middle plane, order
-    both halves recursively and the separating plane last. One plane
-    separates the halves because the Gram of D+ couples only cells that
-    differ by at most one step per axis."""
-    out = [np.zeros(0, dtype=np.intp)]
-
-    def split(block):
-        ax = int(np.argmax(block.shape))
-        if block.shape[ax] < 3:
-            out.append(block.ravel())
-            return
-        m = block.shape[ax] // 2
-        lo, sep, hi = np.split(block, [m, m + 1], axis=ax)
-        split(lo)
-        split(hi)
-        out.append(sep.ravel())
-
-    cells = np.arange(domain.num_cells).reshape(domain.n)
-    split(cells[1:-1, 1:-1, 1:-1])
-    return np.concatenate(out)
-
-
 # ---------------------------------------------------------------------------
-# operator set with cached kernels and factorizations
+# operator set with cached kernels
 # ---------------------------------------------------------------------------
 
 class OperatorSet:
     """Integral operators on one fixed domain.
 
-    The Teodorescu kernel and the Bergman Gram factorization are built
-    lazily and reused.
+    The Teodorescu kernel is built lazily and reused.
     The sign conventions are calibrated once: sigma_T from the identity
     D(T f) = f, sigma_F from reproduction of constants by the Cauchy
     transform. On this grid orientation they come out opposite."""
@@ -272,9 +256,6 @@ class OperatorSet:
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
-        self._lu_gram = None       # Bergman Gram factorization (complex)
-        self._phi = None           # D+ on zero-collar columns, complex pairs
-        self._phi_h = None         # its conjugate transpose
 
     # -- Teodorescu -------------------------------------------------------
 
@@ -400,35 +381,18 @@ class OperatorSet:
 
     # -- Bergman projection -------------------------------------------------
 
-    def _gram(self):
-        """D+ on zero-collar columns in complex pair form (phi), its
-        adjoint, and the LU of the Hermitian Gram phi^H phi. The real Gram
-        has left quaternion multiplications as 4x4 blocks, so this complex
-        form is exact with half the unknowns.
-
-        The columns (both complex components of a cell kept adjacent) are
-        taken in nested-dissection order of the interior cells; Q = phi
-        G^-1 phi^H does not depend on that order. G is Hermitian positive
-        definite, so the diagonal pivots of symmetric mode are stable."""
-        if self._lu_gram is None:
-            cells = _nested_dissection(self.domain)
-            cols = np.stack([2 * cells, 2 * cells + 1], axis=1).ravel()
-            phi = sparse.csc_matrix(_dirac_kron(self.domain, chi(_E)))[:, cols]
-            self._phi = phi
-            self._phi_h = sparse.csr_matrix(phi.conj().T)
-            self._lu_gram = splu(sparse.csc_matrix(self._phi_h @ phi),
-                                 permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
-        return self._phi, self._phi_h, self._lu_gram
-
     def bergman_Q(self, f: QField) -> QField:
         """Orthogonal projection onto the range of D+ over zero-collar fields
-        (the discrete gradient-like subspace)."""
+        (the discrete gradient-like subspace): Q = phi G^-1 phi^T, phi
+        being D+ with ghost-zero differences on zero-collar fields. Its
+        Gram phi^T phi is the Dirichlet 7-point -Laplacian on the
+        non-collar cells, componentwise, so G^-1 is poisson_dirichlet and
+        phi^T is the ghost-zero D-."""
         self._check(f)
-        phi, phi_h, lu = self._gram()
-        q = phi @ lu.solve(phi_h @ to_cpair(f.values).ravel())
-        return QField(self.domain,
-                      from_cpair(q.reshape(self.domain.shape + (2,))))
+        h = self.domain.h
+        rhs = QField(self.domain, _staggered(f.values, h, _dbwd0, _dfwd0))
+        w = self.poisson_dirichlet(rhs).values
+        return QField(self.domain, _staggered(w, h, _dfwd0, _dbwd0))
 
     def bergman_P(self, f: QField) -> QField:
         """Complementary (Bergman) projection P = I - Q; its range contains
@@ -516,7 +480,7 @@ _CACHE: dict[tuple, OperatorSet] = {}
 
 
 def operator_set(domain: VoxelDomain) -> OperatorSet:
-    """Shared per-domain OperatorSet (caches FFT kernels and factorizations)."""
+    """Shared per-domain OperatorSet (caches its FFT kernels)."""
     key = (domain.n, round(domain.h, 15), tuple(np.round(domain.origin, 15)))
     ops = _CACHE.get(key)
     if ops is None or not ops.domain.same_grid(domain):

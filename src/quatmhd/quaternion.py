@@ -21,9 +21,6 @@ __all__ = [
     "qmul_arr",
     "conj_arr",
     "LEFT_MUL",
-    "to_cpair",
-    "from_cpair",
-    "chi",
 ]
 
 
@@ -86,35 +83,6 @@ def qmul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def to_cpair(a: np.ndarray) -> np.ndarray:
-    """Complex pair (z1, conj(z2)) of q = z1 + z2*e2 on (..., 4) arrays,
-    with z1 = s + v1*i and z2 = v2 + v3*i. The map is a real isometry and
-    turns left multiplication by p into the complex 2x2 matrix chi(p)."""
-    a = np.asarray(a, dtype=float)
-    out = np.empty(a.shape[:-1] + (2,), dtype=complex)
-    out[..., 0] = a[..., 0] + 1j * a[..., 1]
-    out[..., 1] = a[..., 2] - 1j * a[..., 3]
-    return out
-
-
-def from_cpair(c: np.ndarray) -> np.ndarray:
-    """Inverse of to_cpair: (..., 2) complex pairs to (..., 4) quaternions."""
-    c = np.asarray(c)
-    return np.stack([c[..., 0].real, c[..., 0].imag,
-                     c[..., 1].real, -c[..., 1].imag], axis=-1)
-
-
-def chi(q: np.ndarray) -> np.ndarray:
-    """Complex 2x2 form [[z1, -z2], [conj(z2), conj(z1)]] of left
-    multiplication by q on complex pairs: chi(q) @ to_cpair(x) equals
-    to_cpair(q x), chi(p q) = chi(p) chi(q) and chi(conj q) = chi(q)^H."""
-    q = np.asarray(q, dtype=float)
-    z1 = q[..., 0] + 1j * q[..., 1]
-    z2 = q[..., 2] + 1j * q[..., 3]
-    return np.stack([np.stack([z1, -z2], axis=-1),
-                     np.stack([z2.conj(), z1.conj()], axis=-1)], axis=-2)
 
 
 def conj_arr(a: np.ndarray) -> np.ndarray:

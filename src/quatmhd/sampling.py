@@ -25,24 +25,29 @@ def _rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def _unit_coords(domain: VoxelDomain) -> np.ndarray:
-    """Cell centers mapped to [0, 1]^3."""
-    x = domain.cell_centers() - domain.origin
-    ext = np.asarray(domain.n) * domain.h
-    return x / ext
+def _unit_coords(domain: VoxelDomain) -> list[np.ndarray]:
+    """Cell centers mapped to [0, 1], one 1-D array per axis."""
+    return [(domain.origin[i] + (np.arange(m) + 0.5) * domain.h
+             - domain.origin[i]) / (m * domain.h)
+            for i, m in enumerate(domain.n)]
+
+
+def _outer3(f) -> np.ndarray:
+    """The 3-D array f[0][i] f[1][j] f[2][k] of three 1-D factors."""
+    return f[0][:, None, None] * f[1][None, :, None] * f[2][None, None, :]
 
 
 def _fourier_scalar(domain: VoxelDomain, rng, kmax: int) -> np.ndarray:
-    """Low-order random trigonometric polynomial on the unit cube."""
+    """Low-order random trigonometric polynomial on the unit cube, a sum of
+    separable products of 1-D cosines."""
     s = _unit_coords(domain)
     out = np.zeros(domain.shape)
     for _ in range(4):
         k = rng.integers(0, kmax + 1, size=3)
         phase = rng.uniform(0, 2 * np.pi, size=3)
         amp = rng.standard_normal()
-        out += amp * np.prod(
-            [np.cos(2 * np.pi * k[i] * s[..., i] + phase[i]) for i in range(3)],
-            axis=0)
+        out += amp * _outer3(
+            [np.cos(2 * np.pi * k[i] * s[i] + phase[i]) for i in range(3)])
     return out
 
 
@@ -55,8 +60,7 @@ def random_smooth(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
 
 def _bump(domain: VoxelDomain) -> np.ndarray:
     """C^1 cutoff prod_i (4 s_i (1 - s_i))^3 vanishing at the faces."""
-    s = _unit_coords(domain)
-    return np.prod((4.0 * s * (1.0 - s)) ** 3, axis=-1)
+    return _outer3([(4.0 * s * (1.0 - s)) ** 3 for s in _unit_coords(domain)])
 
 
 def random_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:

@@ -106,6 +106,7 @@ class SolverConfig:
 @dataclass
 class ConvergenceReport:
     iterations: int = 0
+    converged: bool = False                             # met cfg.tol
     state_changes: list = field(default_factory=list)   # (du, dB, dp) in H1/H1/L2
     q1: float = math.nan
     q2: float = math.nan
@@ -231,10 +232,13 @@ def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
     """Zero-mean scalar p minimizing ||Sc(Q p) - rhs||_L2.
 
     S: p -> Sc(Q(p)) is symmetric positive semidefinite with a nontrivial
-    kernel (scalar fields whose embedding is Bergman-monogenic).  MINRES
-    started from zero keeps all iterates in range(S), so it returns the
-    minimum-norm least-squares solution; the result is then shifted to
-    zero mean, the normalization used for the pressure throughout.
+    kernel (scalar fields whose embedding is Bergman-monogenic, the
+    constants among them).  MINRES started from zero keeps all iterates in
+    range(S), so it returns the minimum-norm least-squares solution; the
+    result is then shifted to zero mean, the normalization used for the
+    pressure throughout. range(S) is orthogonal to the constants, so for
+    the solvers' right-hand sides, scalar parts of Q applies, that shift
+    only removes rounding.
     """
     dom = ops.domain
     if np.abs(rhs.values[..., 1:]).max(initial=0.0) > 0:
@@ -465,6 +469,7 @@ def banach_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         report.iterations = n
         scale = max(1.0, hist_u[-1] + hist_B[-1] + l2_norm(state.p))
         if (du + dB + dp) / scale < cfg.tol:
+            report.converged = True
             break
         # divergence guards
         if hist_u[-1] + hist_B[-1] > 1e3 * max(1.0, hist_u[0] + hist_B[0]):
@@ -537,6 +542,7 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         report.iterations = n
         scale = max(1.0, h1_norm(u) + h1_norm(B) + l2_norm(p))
         if (du + dB + dp) / scale < cfg.tol:
+            report.converged = True
             break
         if h1_norm(u) + h1_norm(B) > 1e3 * init_norm:
             raise DivergenceError(f"state norm blow-up at iteration {n}")

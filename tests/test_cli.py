@@ -47,7 +47,7 @@ def test_verify_default_grid(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 0
     report = (tmp_path / "out" / "verify_report.txt").read_text()
     assert "FAIL" not in report
-    assert "PASS" in report
+    assert "PASS laplacian_factorization" in report
 
 
 def test_verify_degenerate_grid(tmp_path):
@@ -152,6 +152,23 @@ def test_solve_exit_3_on_runtime_error(tmp_path, monkeypatch, capsys):
     assert "did not converge" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_solve_exit_3_when_not_converged(tmp_path, capsys):
+    # a cold start with face data needs two outer steps
+    h = _small_boundary_file(tmp_path, n=8)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, n=8, boundary=str(h),
+                        solver_extra={"max_outer": 1})
+    rc = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "no convergence within 1 iterations" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    manifest = read_manifest(out / "manifest.txt")
+    assert manifest["converged"] == "false"
+    assert manifest["iterations"] == "1"
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -122,14 +122,17 @@ def test_lorentz_matches_cross_product_form(dom8):
     B = random_pure_bump(dom8, seed=3)
     mu0 = 1.7
     out = lorentz(B, mu0).values
-    # oracle: classical (curl B) x B with forward-difference curl
+    # oracle: classical (curl B) x B with the backward-difference curl and
+    # the forward-difference divergence of the staggered D+
     h = dom8.h
-    d = [(np.roll(B.values[..., 1:], -1, axis=ax)
+    f = [(np.roll(B.values[..., 1:], -1, axis=ax)
           - B.values[..., 1:]) / h for ax in range(3)]
-    curl = np.stack([d[1][..., 2] - d[2][..., 1],
-                     d[2][..., 0] - d[0][..., 2],
-                     d[0][..., 1] - d[1][..., 0]], axis=-1)
-    div = d[0][..., 0] + d[1][..., 1] + d[2][..., 2]
+    b = [(B.values[..., 1:]
+          - np.roll(B.values[..., 1:], 1, axis=ax)) / h for ax in range(3)]
+    curl = np.stack([b[1][..., 2] - b[2][..., 1],
+                     b[2][..., 0] - b[0][..., 2],
+                     b[0][..., 1] - b[1][..., 0]], axis=-1)
+    div = f[0][..., 0] + f[1][..., 1] + f[2][..., 2]
     # Vec((DB)B) = (curl B) x B - (div B) B; the div term vanishes only in
     # the continuum, so the discrete oracle keeps it
     ref = (np.cross(curl, B.values[..., 1:])

@@ -7,11 +7,11 @@ from scipy.sparse.linalg import splu
 
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
-from quatmhd.operators import (_nested_dissection, _poisson_matrix_faces,
-                               _pure, dirac_bwd, dirac_central, dirac_fwd,
-                               dirac_fwd_matrix, div_fwd, laplacian,
-                               operator_set)
-from quatmhd.quaternion import qmul_arr
+from quatmhd.mhd import _dirac_scalar
+from quatmhd.operators import (_dbwd0, _dfwd0, _poisson_matrix_faces, _pure,
+                               _staggered, curl_bwd, dirac_bwd, dirac_central,
+                               dirac_fwd, div_fwd, laplacian, operator_set)
+from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_smooth
 
 
@@ -71,9 +71,100 @@ def _poisson_matrix_collar(dom):
     return A, idx
 
 
+# difference of D+ along axis j (row) on input component c (column):
+# 1 backward, 0 forward
+STAGGER = [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+
+
+def _diff_matrix(n, h, kind):
+    """1-D difference matrix, row by row: forward or backward, with the
+    one-sided fallback row of dirac_fwd/dirac_bwd or a zero ghost value."""
+    m = np.zeros((n, n))
+    for i in range(n):
+        if kind in ("fwd", "fwd0"):
+            if i + 1 < n:
+                m[i, i], m[i, i + 1] = -1.0, 1.0
+            elif kind == "fwd":
+                m[i, i - 1], m[i, i] = -1.0, 1.0
+            else:
+                m[i, i] = -1.0
+        else:
+            if i > 0:
+                m[i, i - 1], m[i, i] = -1.0, 1.0
+            elif kind == "bwd":
+                m[i, i], m[i, i + 1] = -1.0, 1.0
+            else:
+                m[i, i] = 1.0
+    return sparse.csr_matrix(m / h)
+
+
+def _staggered_matrix(dom, fwd, bwd, adjoint):
+    """Sparse matrix of the staggered Dirac pair on cell-major flattened
+    fields, quaternion component innermost. D+ (adjoint False) takes the
+    STAGGER difference of each input component and multiplies by e_j; D-
+    multiplies by e_j first and takes the flipped difference of each
+    output component."""
+    out = sparse.csr_matrix((4 * dom.num_cells,) * 2)
+    for j in range(3):
+        for c in range(4):
+            back = STAGGER[j][c] != adjoint
+            mats = [sparse.identity(m) for m in dom.n]
+            mats[j] = _diff_matrix(dom.n[j], dom.h, bwd if back else fwd)
+            pick = np.zeros((4, 4))
+            pick[c, c] = 1.0
+            unit = pick @ LEFT_MUL[1 + j] if adjoint else LEFT_MUL[1 + j] @ pick
+            out = out + sparse.kron(
+                sparse.kron(sparse.kron(mats[0], mats[1]), mats[2]), unit)
+    return sparse.csr_matrix(out)
+
+
+def _ghost_zero_phi(dom):
+    """D+ with ghost-zero differences on zero-collar fields, as a dense
+    matrix whose columns are its values on the non-collar unit fields."""
+    cols = []
+    for k in np.flatnonzero(np.repeat(~dom.collar_mask(1).ravel(), 4)):
+        e = np.zeros(4 * dom.num_cells)
+        e[k] = 1.0
+        cols.append(_staggered(e.reshape(dom.shape + (4,)), dom.h,
+                               _dfwd0, _dbwd0).ravel())
+    return np.array(cols).T
+
+
 # ---------------------------------------------------------------------------
 # Dirac operator
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", BOXES[:3])
+def test_staggered_pair_matches_matrix(n):
+    dom = _box(n).domain
+    rng = np.random.default_rng(15)
+    # nonzero on the collar, so the fallback and ghost rows are exercised
+    vals = rng.standard_normal(dom.shape + (4,))
+    u = QField(dom, vals)
+    ghost = lambda f, b: _staggered(vals, dom.h, f, b).ravel()
+    cases = [
+        (dirac_fwd(u).values.ravel(), ("fwd", "bwd", False)),
+        (dirac_bwd(u).values.ravel(), ("fwd", "bwd", True)),
+        (ghost(_dfwd0, _dbwd0), ("fwd0", "bwd0", False)),
+        (ghost(_dbwd0, _dfwd0), ("fwd0", "bwd0", True)),
+    ]
+    for got, args in cases:
+        ref = _staggered_matrix(dom, *args) @ vals.ravel()
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the ghost-zero D- is the transpose of the ghost-zero D+
+    plus = _staggered_matrix(dom, "fwd0", "bwd0", False)
+    minus = _staggered_matrix(dom, "fwd0", "bwd0", True)
+    assert abs(minus - plus.T).max() <= 1e-12 * abs(plus).max()
+
+
+def test_dirac_fwd_is_div_grad_curl(dom8):
+    # D+ u = (-div+ u, grad+ u0 + curl- u), fallback rows included
+    u = random_smooth(dom8, seed=6)
+    du = dirac_fwd(u).values
+    ref = _dirac_scalar(u).values + curl_bwd(u).values
+    ref[..., 0] = -div_fwd(u)
+    assert np.abs(du - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 def test_dirac_constant_is_zero(dom8):
     vals = np.zeros(dom8.shape + (4,))
@@ -285,40 +376,24 @@ def test_projections_partition_identity(ops12):
     assert abs(sc_inner(P, Q)) <= 1e-8 * l2_norm(f) ** 2
 
 
-def test_q_matches_real_gram_oracle(ops8):
-    # oracle: the real 4m x 4m Gram of D+ on zero-collar columns in cell
-    # order, solved directly; bergman_Q factors the equivalent complex
-    # 2m x 2m form in nested-dissection order
-    box = operator_set(build_domain((0, 0, 0), (0.6, 0.8, 1.0), (6, 8, 10)))
+def test_q_matches_real_gram_oracle():
+    # oracle: the real 4m x 4m Gram of the ghost-zero D+ on zero-collar
+    # columns, solved directly; bergman_Q applies it as stencils around
+    # four DST-I Poisson solves
     rng = np.random.default_rng(11)
-    for ops in (ops8, box):
+    for n in BOXES[:3]:
+        ops = _box(n)
         dom = ops.domain
-        keep = np.repeat(~dom.collar_mask(1).ravel(), 4)
-        phi = sparse.csc_matrix(dirac_fwd_matrix(dom)[:, keep])
-        lu = splu(sparse.csc_matrix(phi.T @ phi))
+        phi = _ghost_zero_phi(dom)
+        gram = phi.T @ phi
         full = rng.standard_normal(dom.shape + (4,))
         scalar = np.zeros(dom.shape + (4,))
         scalar[..., 0] = rng.standard_normal(dom.shape)  # pressure_recover input
         for vals in (full, scalar):
-            ref = (phi @ lu.solve(phi.T @ vals.ravel())).reshape(vals.shape)
+            ref = (phi @ np.linalg.solve(gram, phi.T @ vals.ravel())
+                   ).reshape(vals.shape)
             got = ops.bergman_Q(QField(dom, vals)).values
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize(
-    "n", [(8, 8, 8), (6, 8, 10), (3, 9, 5), (3, 3, 3), (2, 6, 6)])
-def test_nested_dissection_permutes_interior(n):
-    # (2, 6, 6) has no interior cells
-    dom = build_domain((0, 0, 0), tuple(0.1 * m for m in n), n)
-    order = _nested_dissection(dom)
-    assert np.array_equal(np.sort(order),
-                          np.flatnonzero(~dom.collar_mask(1).ravel()))
-
-
-def test_gram_fill_nested_dissection(ops16):
-    # 1.94M complex entries in nested-dissection order, 2.98M under COLAMD
-    _, _, lu = ops16._gram()
-    assert lu.L.nnz + lu.U.nnz <= 2.2e6
 
 
 def test_q_fixes_gradient_fields(ops12):
@@ -327,22 +402,18 @@ def test_q_fixes_gradient_fields(ops12):
     assert l2_norm(ops12.bergman_Q(dg) - dg) <= 1e-6 * l2_norm(dg)
 
 
-def test_p_nearly_fixes_constants(ops8, ops12, ops16):
+def test_q_annihilates_constants(ops8, ops12, ops16):
     # in the continuum constants are monogenic, so Q annihilates them; the
-    # discrete gradient space is not exactly orthogonal to constants (the
-    # one-sided difference layer breaks the telescoping sum), leaving a
-    # boundary artifact that shrinks under refinement
-    errs = []
+    # ghost-zero D- of a constant vanishes on every non-collar cell, so the
+    # discrete Q does too
     for ops in (ops8, ops12, ops16):
         dom = ops.domain
         vals = np.zeros(dom.shape + (4,))
         vals[...] = (0.3, -1.2, 0.7, 0.1)
         c = QField(dom, vals)
-        errs.append(l2_norm(ops.bergman_Q(c)) / l2_norm(c))
+        assert l2_norm(ops.bergman_Q(c)) <= 1e-14 * l2_norm(c)
         assert l2_norm(ops.bergman_P(c) + ops.bergman_Q(c) - c) \
             <= 1e-12 * l2_norm(c)
-    assert errs[0] < 0.3
-    assert errs[2] < errs[1] < errs[0]
 
 
 # ---------------------------------------------------------------------------

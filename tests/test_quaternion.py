@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from quatmhd.quaternion import (LEFT_MUL, Quaternion, chi, conj, conj_arr,
-                                from_cpair, product_split, qmul, qmul_arr,
-                                sc, to_cpair, vec)
+from quatmhd.quaternion import (LEFT_MUL, Quaternion, conj, product_split,
+                                qmul, qmul_arr, sc, vec)
 
 E1 = Quaternion(0, 1, 0, 0)
 E2 = Quaternion(0, 0, 1, 0)
@@ -108,48 +107,8 @@ def test_qmul_arr_broadcasts():
             assert np.allclose(out[i, j], ref.as_array(), atol=1e-14)
 
 
-# ---------------------------------------------------------------------------
-# complex 2x2 representation
-# ---------------------------------------------------------------------------
-
-def test_cpair_roundtrip_exact():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 3, 4))
-    c = to_cpair(a)
-    assert c.shape == (5, 3, 2) and c.dtype == complex
-    assert np.array_equal(from_cpair(c), a)
-
-
-def test_cpair_is_isometry():
-    rng = np.random.default_rng(8)
-    a, b = rng.standard_normal((2, 6, 4))
-    real = (a * b).sum()
-    cplx = np.vdot(to_cpair(a), to_cpair(b)).real
-    assert cplx == pytest.approx(real, rel=1e-14)
-
-
-def test_chi_of_units():
-    assert np.array_equal(chi(np.eye(4)[0]), np.eye(2))
-    assert np.array_equal(chi(np.eye(4)[1]), [[1j, 0], [0, -1j]])
-    assert np.array_equal(chi(np.eye(4)[2]), [[0, -1], [1, 0]])
-    assert np.array_equal(chi(np.eye(4)[3]), [[0, -1j], [-1j, 0]])
-
-
-def test_chi_homomorphism_and_adjoint():
-    rng = np.random.default_rng(9)
-    p, q = rng.standard_normal((2, 10, 4))
-    assert np.allclose(chi(qmul_arr(p, q)), chi(p) @ chi(q),
-                       rtol=0, atol=1e-14)
-    assert np.array_equal(chi(conj_arr(q)),
-                          np.conj(np.swapaxes(chi(q), -1, -2)))
-
-
-def test_chi_acts_as_left_multiplication():
+def test_left_mul_matrices_match_qmul():
     rng = np.random.default_rng(10)
-    q, x = rng.standard_normal((2, 10, 4))
-    by_chi = from_cpair(np.einsum("...ij,...j->...i", chi(q), to_cpair(x)))
-    assert np.allclose(by_chi, qmul_arr(q, x), rtol=0, atol=1e-14)
+    x = rng.standard_normal((10, 4))
     for k in range(4):
-        unit = from_cpair(np.einsum("ij,...j->...i", chi(np.eye(4)[k]),
-                                    to_cpair(x)))
-        assert np.array_equal(unit, x @ LEFT_MUL[k].T)
+        assert np.array_equal(x @ LEFT_MUL[k].T, qmul_arr(np.eye(4)[k], x))
