@@ -402,16 +402,17 @@ def test_q_fixes_gradient_fields(ops12):
     assert l2_norm(ops12.bergman_Q(dg) - dg) <= 1e-6 * l2_norm(dg)
 
 
-def test_q_annihilates_constants(ops8, ops12, ops16):
-    # in the continuum constants are monogenic, so Q annihilates them; the
-    # ghost-zero D- of a constant vanishes on every non-collar cell, so the
-    # discrete Q does too
+def test_p_nearly_fixes_constants(ops8, ops12, ops16):
+    # in the continuum constants are monogenic, so Q annihilates them and
+    # P = I - Q fixes them; the ghost-zero D- of a constant vanishes on every
+    # non-collar cell, so the discrete pair does too, to rounding
     for ops in (ops8, ops12, ops16):
         dom = ops.domain
         vals = np.zeros(dom.shape + (4,))
         vals[...] = (0.3, -1.2, 0.7, 0.1)
         c = QField(dom, vals)
         assert l2_norm(ops.bergman_Q(c)) <= 1e-14 * l2_norm(c)
+        assert l2_norm(ops.bergman_P(c) - c) <= 1e-14 * l2_norm(c)
         assert l2_norm(ops.bergman_P(c) + ops.bergman_Q(c) - c) \
             <= 1e-12 * l2_norm(c)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quatmhd.quaternion import (LEFT_MUL, Quaternion, conj, product_split,
-                                qmul, qmul_arr, sc, vec)
+from quatmhd.quaternion import (LEFT_MUL, Quaternion, conj, conj_arr,
+                                product_split, qmul, qmul_arr, sc, vec)
 
 E1 = Quaternion(0, 1, 0, 0)
 E2 = Quaternion(0, 0, 1, 0)
@@ -112,3 +112,58 @@ def test_left_mul_matrices_match_qmul():
     x = rng.standard_normal((10, 4))
     for k in range(4):
         assert np.array_equal(x @ LEFT_MUL[k].T, qmul_arr(np.eye(4)[k], x))
+
+
+# ---------------------------------------------------------------------------
+# complex 2x2 representation: an independent oracle for the quaternion product
+# ---------------------------------------------------------------------------
+
+def _to_cpair(a):
+    # q = z1 + z2*e2 with z1 = s + v1*i, z2 = v2 + v3*i, as (z1, conj(z2))
+    a = np.asarray(a, dtype=float)
+    return np.stack([a[..., 0] + 1j * a[..., 1],
+                     a[..., 2] - 1j * a[..., 3]], axis=-1)
+
+
+def _from_cpair(c):
+    return np.stack([c[..., 0].real, c[..., 0].imag,
+                     c[..., 1].real, -c[..., 1].imag], axis=-1)
+
+
+def _chi(q):
+    # left multiplication by q on complex pairs: [[z1, -z2], [conj z2, conj z1]]
+    q = np.asarray(q, dtype=float)
+    z1 = q[..., 0] + 1j * q[..., 1]
+    z2 = q[..., 2] + 1j * q[..., 3]
+    return np.stack([np.stack([z1, -z2], axis=-1),
+                     np.stack([z2.conj(), z1.conj()], axis=-1)], axis=-2)
+
+
+def test_chi_of_units():
+    # pins the oracle to the standard representation, so that the checks
+    # below compare qmul with it and not with some other algebra
+    assert np.array_equal(_chi(np.eye(4)[0]), np.eye(2))
+    assert np.array_equal(_chi(np.eye(4)[1]), [[1j, 0], [0, -1j]])
+    assert np.array_equal(_chi(np.eye(4)[2]), [[0, -1], [1, 0]])
+    assert np.array_equal(_chi(np.eye(4)[3]), [[0, -1j], [-1j, 0]])
+
+
+def test_chi_homomorphism_and_adjoint():
+    rng = np.random.default_rng(9)
+    p, q = rng.standard_normal((2, 10, 4))
+    assert np.allclose(_chi(qmul_arr(p, q)), _chi(p) @ _chi(q),
+                       rtol=0, atol=1e-14)
+    assert np.array_equal(_chi(conj_arr(q)),
+                          np.conj(np.swapaxes(_chi(q), -1, -2)))
+
+
+def test_chi_acts_as_left_multiplication():
+    rng = np.random.default_rng(10)
+    q, x = rng.standard_normal((2, 10, 4))
+    by_chi = _from_cpair(np.einsum("...ij,...j->...i", _chi(q),
+                                   _to_cpair(x)))
+    assert np.allclose(by_chi, qmul_arr(q, x), rtol=0, atol=1e-14)
+    for k in range(4):
+        unit = _from_cpair(np.einsum("ij,...j->...i", _chi(np.eye(4)[k]),
+                                     _to_cpair(x)))
+        assert np.array_equal(unit, x @ LEFT_MUL[k].T)
