@@ -31,18 +31,21 @@ kernel per domain)
         component, so Q = D+ L^-1 D- is two stencils around four DST-I
         Poisson solves
     poisson_dirichlet : cell-centered Poisson solve with a zero boundary
-        collar, by DST-I on the non-collar block
+        collar, in the DST-I sine basis of the non-collar block
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
-        (ghost anti-reflection), by DST-II on the whole box
+        (ghost anti-reflection), in the DST-II sine basis of the whole box
     lambda_min       : smallest Dirichlet eigenvalue, inverse power iteration
+        and a Rayleigh quotient of the face stencil
     op_norm_TQT      : operator norm of the self-adjoint composition T Q T
+
+Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
+orthonormal 1-D basis matrices are built once per axis and applied along
+the three axes as matrix products, so the solves need NumPy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.fft import dstn, idstn
 
 from .grid import BoundaryData, QField, VoxelDomain, _dfwd, l2_norm, sc_inner
 from .quaternion import LEFT_MUL, qmul_arr
@@ -215,30 +218,6 @@ def _lap_interior(v: np.ndarray, h2: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sparse face Poisson matrix (lambda_min's Rayleigh quotient)
-# ---------------------------------------------------------------------------
-
-def _poisson_matrix_faces(domain: VoxelDomain) -> sparse.csr_matrix:
-    """SPD cell-centered -Laplacian with zero Dirichlet data on the faces.
-
-    The ghost value behind each face is the anti-reflection -u of the first
-    cell, so the first and last diagonal entries per axis are 3/h^2."""
-    h2 = domain.h**2
-
-    def m1(n):
-        d = np.full(n, 2.0)
-        d[0] = d[-1] = 3.0
-        return sparse.diags([-np.ones(n - 1), d, -np.ones(n - 1)], [-1, 0, 1]) / h2
-
-    n1, n2, n3 = domain.n
-    I1, I2, I3 = (sparse.identity(k) for k in (n1, n2, n3))
-    A = (sparse.kron(sparse.kron(m1(n1), I2), I3)
-         + sparse.kron(sparse.kron(I1, m1(n2)), I3)
-         + sparse.kron(sparse.kron(I1, I2), m1(n3)))
-    return sparse.csr_matrix(A)
-
-
-# ---------------------------------------------------------------------------
 # operator set with cached kernels
 # ---------------------------------------------------------------------------
 
@@ -256,6 +235,13 @@ class OperatorSet:
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
+        # per-axis sine bases and stencil eigenvalues of the Poisson solves:
+        # DST-I on the non-collar block, DST-II on the whole box
+        n, h = np.asarray(domain.n), domain.h
+        self._collar_bases = [_dst1(m) for m in n - 2]
+        self._collar_symbol = _dirichlet_symbol(h, n - 2, n - 1)
+        self._face_bases = [_dst2(m) for m in n]
+        self._face_symbol = _dirichlet_symbol(h, n, n)
 
     # -- Teodorescu -------------------------------------------------------
 
@@ -325,41 +311,41 @@ class OperatorSet:
     def poisson_scalar(self, rhs: np.ndarray) -> np.ndarray:
         """Solve -Lap u = rhs on the non-collar cells, zero in the collar.
 
-        DST-I: the sine modes of the (n-2)^3 non-collar block vanish on the
+        The DST-I sine modes of the (n-2)^3 non-collar block vanish on the
         collar and diagonalize the 7-point stencil there."""
-        dom = self.domain
-        rhs = np.asarray(rhs, dtype=float).reshape(dom.shape)
-        out = np.zeros(dom.shape)
-        inner = rhs[1:-1, 1:-1, 1:-1]
-        if inner.size:  # an axis of two cells leaves no non-collar cell
-            n = np.asarray(dom.n)
-            sym = _dirichlet_symbol(dom.h, n - 2, n - 1)
-            out[1:-1, 1:-1, 1:-1] = idstn(dstn(inner, type=1) / sym, type=1)
-        return out
+        rhs = np.asarray(rhs, dtype=float).reshape(self.domain.shape)
+        return self._collar_solve(rhs)
 
     def poisson_dirichlet(self, rhs: QField) -> QField:
         """Componentwise solve of laplacian(w) = -rhs with a zero boundary
-        collar; the stencil equation holds on the non-collar cells."""
+        collar; the stencil equation holds on the non-collar cells. The
+        four components are solved in one batch."""
         self._check(rhs)
-        out = np.stack(
-            [self.poisson_scalar(rhs.values[..., c]) for c in range(4)], axis=-1)
-        return QField(self.domain, out)
+        w = self._collar_solve(rhs.values.transpose(3, 0, 1, 2))
+        return QField(self.domain, np.ascontiguousarray(w.transpose(1, 2, 3, 0)))
+
+    def _collar_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """poisson_scalar over the last three axes of rhs."""
+        out = np.zeros(rhs.shape)
+        inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
+        if out[inner].size:  # an axis of two cells leaves no non-collar cell
+            out[inner] = _sine_solve(rhs[inner], self._collar_bases,
+                                     self._collar_symbol)
+        return out
 
     def poisson_faces(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the cell-centered -Lap w = rhs with zero Dirichlet data on
         the box faces (ghost anti-reflection); flat cell-major arrays.
 
-        DST-II: the half-shifted sine modes sin(pi k (j + 1/2) / n) are odd
+        The DST-II half-shifted sine modes sin(pi k (j + 1/2) / n) are odd
         about every face, so they diagonalize the stencil with ghost -u."""
-        dom = self.domain
-        sym = _dirichlet_symbol(dom.h, dom.n, dom.n)
-        rhat = dstn(np.reshape(rhs, dom.shape), type=2)
-        return idstn(rhat / sym, type=2).ravel()
+        rhs = np.reshape(rhs, self.domain.shape)
+        return _sine_solve(rhs, self._face_bases, self._face_symbol).ravel()
 
     def lambda_min(self, tol: float = 1e-10, maxit: int = 500) -> float:
         """Smallest eigenvalue of the cell-centered Dirichlet Laplacian
         (zero values on the box faces, ghost anti-reflection), by inverse
-        power iteration and a Rayleigh quotient of the sparse stencil; the
+        power iteration and a Rayleigh quotient of the face stencil; the
         continuum limit is 3*pi^2 on the unit cube. It stays iterative,
         not the closed form 3 (4/h^2) sin^2(pi h/2) of the DST symbol, so
         that comparing the two checks the face solve."""
@@ -376,8 +362,8 @@ class OperatorSet:
                 break
             lam = lam_new
         # Rayleigh quotient at the converged vector
-        A = _poisson_matrix_faces(self.domain)
-        return float(v @ (A @ v))
+        v = v.reshape(self.domain.shape)
+        return float(np.vdot(v, _neg_lap_faces(v, self.domain.h)))
 
     # -- Bergman projection -------------------------------------------------
 
@@ -465,6 +451,51 @@ def _pure_left_mul(K, f) -> list:
         K2 * f0 + K3 * f1 - K1 * f3,
         K3 * f0 + K1 * f2 - K2 * f1,
     ]
+
+
+def _neg_lap_faces(v: np.ndarray, h: float) -> np.ndarray:
+    """Cell-centered 7-point -Laplacian of a 3-D array with zero Dirichlet
+    data on the box faces: the ghost value behind each face is -u of the
+    cell in front of it, so the end-cell diagonal is 3/h^2."""
+    out = np.zeros_like(v)
+    for ax in range(3):
+        out -= np.diff(v, n=2, axis=ax, prepend=-np.take(v, [0], axis=ax),
+                       append=-np.take(v, [-1], axis=ax))
+    return out / h**2
+
+
+def _dst1(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of size m (period m + 1), its own inverse:
+    row k - 1 is the sine mode sin(pi k j / (m + 1)), j = 1..m."""
+    k = np.arange(1, m + 1)
+    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+
+
+def _dst2(m: int) -> np.ndarray:
+    """Orthonormal DST-II matrix of size m (inverse: its transpose): row
+    k - 1 is the mode sin(pi k (j + 1/2) / m), j = 0..m-1, the last row
+    divided by sqrt(2)."""
+    k = np.arange(1, m + 1)
+    B = np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(k, np.arange(m) + 0.5) / m)
+    B[-1] /= np.sqrt(2.0)
+    return B
+
+
+def _along_axes(x: np.ndarray, mats) -> np.ndarray:
+    """mats[a] applied along axis a of the last three axes of x, leading
+    axes batched: a GEMM, a batched matmul, and a GEMM from the right."""
+    shape = x.shape
+    m0, m1, m2 = shape[-3:]
+    x = np.matmul(mats[0], x.reshape(-1, m0, m1 * m2))
+    x = np.matmul(mats[1], x.reshape(-1, m1, m2))
+    return (x.reshape(-1, m2) @ mats[2].T).reshape(shape)
+
+
+def _sine_solve(rhs: np.ndarray, bases, symbol: np.ndarray) -> np.ndarray:
+    """Solve a stencil system that the orthonormal sine bases diagonalize
+    with eigenvalues `symbol`, over the last three axes of rhs."""
+    return _along_axes(_along_axes(rhs, bases) / symbol,
+                       [B.T for B in bases])
 
 
 def _dirichlet_symbol(h: float, sizes, periods) -> np.ndarray:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grid import QField, h1_norm, l2_norm, lq_norm, sc_inner
 from .mhd import (MHDParams, MHDState, _dirac_scalar, boundary_B_term,
@@ -227,18 +226,68 @@ def check_theorem4(c: ConstantsBundle, params: MHDParams,
 # pressure recovery
 # ---------------------------------------------------------------------------
 
+def _minres(apply_A, b: np.ndarray, tol: float,
+            maxit: int) -> tuple[np.ndarray, int]:
+    """MINRES (Paige & Saunders 1975) for a symmetric A, no preconditioner,
+    started from x = 0; returns x and the number of iterations run.
+
+    Stops when the residual norm the recurrence carries is <= tol ||b||,
+    when the least-squares test ||A r|| <= tol ||A|| ||r|| holds (||A||
+    estimated by the Frobenius norm of the Lanczos tridiagonal, as in
+    SciPy's minres), or after maxit iterations. For b outside range(A)
+    only the second test can hold; x then drifts along the kernel of A
+    once the residual has converged, so that test must be met before the
+    drift spoils x (at tol >= 1e-9 on the pressure operator)."""
+    x = np.zeros_like(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return x, 0
+    v_prev, v, beta = np.zeros_like(b), b / bnorm, bnorm
+    w_prev, w = np.zeros_like(b), np.zeros_like(b)
+    phibar, cs, sn, dbar, eps, tnorm2 = bnorm, -1.0, 0.0, 0.0, 0.0, 0.0
+    for it in range(1, maxit + 1):
+        # Lanczos step: A v = beta v_prev + alpha v + beta_next v_next
+        y = apply_A(v)
+        alpha = v @ y
+        y = y - alpha * v - beta * v_prev
+        beta_next = np.linalg.norm(y)
+        tnorm2 += alpha**2 + beta**2 + beta_next**2
+        # previous Givens rotation on the new column of T, then a new one
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        eps_prev, eps, dbar = eps, sn * beta_next, -cs * beta_next
+        gamma = np.hypot(gbar, beta_next)
+        if gamma == 0.0:  # A v = 0 and nothing left to reduce
+            return x, it
+        cs, sn = gbar / gamma, beta_next / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w_prev, w = w, (v - eps_prev * w_prev - delta * w) / gamma
+        x += phi * w
+        if (abs(phibar) <= tol * bnorm or beta_next == 0.0
+                or np.hypot(gbar, dbar) <= tol * np.sqrt(tnorm2)):
+            return x, it
+        v_prev, v, beta = v, y / beta_next, beta_next
+    return x, maxit
+
+
 def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
                      maxit: int = 2000) -> QField:
     """Zero-mean scalar p minimizing ||Sc(Q p) - rhs||_L2.
 
     S: p -> Sc(Q(p)) is symmetric positive semidefinite with a nontrivial
     kernel (scalar fields whose embedding is Bergman-monogenic, the
-    constants among them).  MINRES started from zero keeps all iterates in
-    range(S), so it returns the minimum-norm least-squares solution; the
-    result is then shifted to zero mean, the normalization used for the
-    pressure throughout. range(S) is orthogonal to the constants, so for
-    the solvers' right-hand sides, scalar parts of Q applies, that shift
-    only removes rounding.
+    constants among them). The solvers' right-hand sides, scalar parts of
+    Q applies, lie in range(S): <p, Sc(Q f)> = <Q p, f> = 0 for p in the
+    kernel. For those, MINRES (_minres) started from zero keeps all
+    iterates in range(S) and returns the minimum-norm solution, stopping
+    when its residual estimate falls to tol ||rhs|| or after maxit
+    iterations. The result must pass a 1e-8 gate on the normal-equation
+    residual S(S p - rhs), or RuntimeError names the iterations run and
+    whether maxit was reached; a right-hand side outside range(S) meets
+    neither MINRES test at tol = 1e-12 and ends there. The result is
+    shifted to zero mean, the normalization used for the pressure
+    throughout; range(S) is orthogonal to the constants, so for the
+    solvers' right-hand sides that shift only removes rounding.
     """
     dom = ops.domain
     if np.abs(rhs.values[..., 1:]).max(initial=0.0) > 0:
@@ -250,20 +299,19 @@ def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
         return ops.bergman_Q(QField(dom, f)).values[..., 0].ravel()
 
     r0 = rhs.values[..., 0].ravel()
-    rnorm = np.linalg.norm(r0)
-    if rnorm == 0.0:
+    if np.linalg.norm(r0) == 0.0:
         return QField.zeros(dom)
-    ncells = dom.num_cells
-    lin = spla.LinearOperator((ncells, ncells), matvec=S, rmatvec=S)
-    x, _ = spla.minres(lin, r0, rtol=tol, maxiter=maxit)
+    x, iters = _minres(S, r0, tol, maxit)
     # normal-equation residual S(Sx - r); the projection of r onto
     # range(S) is what a least-squares minimizer can match.
     normal_res = np.linalg.norm(S(S(x) - r0))
     normal_ref = np.linalg.norm(S(r0))
     if normal_ref > 0 and normal_res > 1e-8 * normal_ref:
+        capped = f", the cap maxit={maxit}" if iters >= maxit else ""
         raise RuntimeError(
             "pressure_recover did not converge: relative normal-equation "
-            f"residual {normal_res / normal_ref:.3e}")
+            f"residual {normal_res / normal_ref:.3e} after {iters} MINRES "
+            f"iterations{capped}")
     x -= x.mean()
     out = np.zeros(dom.shape + (4,))
     out[..., 0] = x.reshape(dom.shape)

@@ -1,4 +1,9 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +53,24 @@ def test_verify_default_grid(tmp_path):
     report = (tmp_path / "out" / "verify_report.txt").read_text()
     assert "FAIL" not in report
     assert "PASS laplacian_factorization" in report
+
+
+def test_verify_small_grid(tmp_path):
+    # the right-inverse error falls as h^2; at n = 8 it is about 0.13
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
+    assert main(["verify", "--config", str(cfg)]) == 0
+    report = (tmp_path / "out" / "verify_report.txt").read_text()
+    assert "PASS dirac_right_inverse" in report
+
+
+def test_runtime_imports_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import quatmhd.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_degenerate_grid(tmp_path):
@@ -150,6 +173,21 @@ def test_solve_exit_3_on_runtime_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "did not converge" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_solve_exit_3_names_the_minres_cap(tmp_path, monkeypatch, capsys):
+    import quatmhd.solvers as solvers
+    monkeypatch.setattr(solvers, "pressure_recover",
+                        functools.partial(solvers.pressure_recover, maxit=1))
+    h = _small_boundary_file(tmp_path, n=8)
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", n=8,
+                        boundary=str(h))
+    rc = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "after 1 MINRES iterations, the cap maxit=1" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 

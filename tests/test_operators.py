@@ -8,9 +8,10 @@ from scipy.sparse.linalg import splu
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
 from quatmhd.mhd import _dirac_scalar
-from quatmhd.operators import (_dbwd0, _dfwd0, _poisson_matrix_faces, _pure,
-                               _staggered, curl_bwd, dirac_bwd, dirac_central,
-                               dirac_fwd, div_fwd, laplacian, operator_set)
+from quatmhd.operators import (_dbwd0, _dfwd0, _dst1, _dst2, _neg_lap_faces,
+                               _pure, _staggered, curl_bwd, dirac_bwd,
+                               dirac_central, dirac_fwd, div_fwd, laplacian,
+                               operator_set)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_smooth
 
@@ -69,6 +70,26 @@ def _poisson_matrix_collar(dom):
                     vals.append(-1.0 / h2)
     A = sparse.csc_matrix((vals, (rows, cols)), shape=(idx.size, idx.size))
     return A, idx
+
+
+def _poisson_matrix_faces(dom):
+    """SPD cell-centered -Laplacian with zero Dirichlet data on the faces.
+
+    The ghost value behind each face is the anti-reflection -u of the first
+    cell, so the first and last diagonal entries per axis are 3/h^2."""
+    h2 = dom.h**2
+
+    def m1(n):
+        d = np.full(n, 2.0)
+        d[0] = d[-1] = 3.0
+        return sparse.diags([-np.ones(n - 1), d, -np.ones(n - 1)], [-1, 0, 1]) / h2
+
+    n1, n2, n3 = dom.n
+    I1, I2, I3 = (sparse.identity(k) for k in (n1, n2, n3))
+    A = (sparse.kron(sparse.kron(m1(n1), I2), I3)
+         + sparse.kron(sparse.kron(I1, m1(n2)), I3)
+         + sparse.kron(sparse.kron(I1, I2), m1(n3)))
+    return sparse.csr_matrix(A)
 
 
 # difference of D+ along axis j (row) on input component c (column):
@@ -330,6 +351,39 @@ def test_poisson_faces_matches_sparse_lu(n):
     ref = splu(sparse.csc_matrix(_poisson_matrix_faces(dom))).solve(rhs)
     got = ops.poisson_faces(rhs)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("m", range(1, 18))
+def test_sine_bases_orthonormal(m):
+    for B in (_dst1(m), _dst2(m)):
+        assert np.abs(B.T @ B - np.eye(m)).max() <= 1e-14
+
+
+def test_sine_bases_match_scipy_dst():
+    from scipy.fft import dst
+    x = np.random.default_rng(15).standard_normal(11)
+    assert np.allclose(_dst1(11) @ x, dst(x, type=1, norm="ortho"),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(_dst2(11) @ x, dst(x, type=2, norm="ortho"),
+                       rtol=0, atol=1e-14)
+
+
+def test_poisson_dirichlet_is_componentwise(ops12):
+    rhs = random_smooth(ops12.domain, seed=16, kmax=3)
+    got = ops12.poisson_dirichlet(rhs).values
+    for c in range(4):
+        ref = ops12.poisson_scalar(rhs.values[..., c])
+        assert np.abs(got[..., c] - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", BOXES[:3])
+def test_face_stencil_matches_sparse_matrix(n):
+    dom = _box(n).domain
+    v = np.random.default_rng(17).standard_normal(dom.num_cells)
+    A = _poisson_matrix_faces(dom)
+    ref = v @ (A @ v)
+    got = np.vdot(v, _neg_lap_faces(v.reshape(dom.shape), dom.h))
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_poisson_eigenfunction(ops16):

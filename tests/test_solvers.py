@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from quatmhd.grid import BoundaryData, QField, h1_norm, l2_norm
+from quatmhd.grid import BoundaryData, QField, build_domain, h1_norm, l2_norm
 from quatmhd.mhd import MHDParams, MHDState, convective, leray_project, lorentz
+from quatmhd.operators import operator_set
 from quatmhd.sampling import random_pure_bump
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              SolverConfig, banach_inner_B, banach_solve,
                              check_cond1, check_schauder_bound,
                              check_theorem4, estimate_constants, lipschitz_Ln,
                              neumann_apply_B, neumann_apply_u,
-                             pressure_recover, schauder_solve)
+                             pressure_recover, schauder_solve, _minres)
 
 ALL_ONES = ConstantsBundle(C1=1.0, Cs=1.0, CD=1.0, Cu=1.0, k=1.0,
                            lambda_min=1.0)
@@ -134,6 +135,59 @@ def test_pressure_recover_manufactured(dom12, ops12):
     err = np.linalg.norm(p.values[..., 0] - p0) / np.linalg.norm(p0)
     assert err <= 1e-6
     assert abs(p.values[..., 0].mean()) <= 1e-12
+
+
+def _pressure_operator(n):
+    """S: p -> Sc(Q p) on flat arrays, on a box of n cells of side 0.1."""
+    dom = build_domain((0.1, -0.2, 0.3), tuple(0.1 * m for m in n), n)
+    ops = operator_set(dom)
+
+    def S(parr):
+        f = np.zeros(dom.shape + (4,))
+        f[..., 0] = parr.reshape(dom.shape)
+        return ops.bergman_Q(QField(dom, f)).values[..., 0].ravel()
+    return dom, S
+
+
+@pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10)])
+def test_minres_matches_scipy_consistent(n):
+    from scipy.sparse.linalg import LinearOperator, minres
+    dom, S = _pressure_operator(n)
+    b = S(np.random.default_rng(18).standard_normal(dom.num_cells))
+    lin = LinearOperator((b.size, b.size), matvec=S, rmatvec=S)
+    ref, info = minres(lin, b, rtol=1e-12, maxiter=2000)
+    got, iters = _minres(S, b, 1e-12, 2000)
+    assert info == 0 and iters < 2000
+    assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10)])
+def test_minres_matches_scipy_least_squares(n):
+    # a random scalar field has a component in the kernel of S, so
+    # S x = b is inconsistent; _minres must stop on its least-squares test
+    # ||S r|| <= rtol ||S|| ||r||, at the dense least-squares residual
+    from scipy.sparse.linalg import LinearOperator, minres
+    dom, S = _pressure_operator(n)
+    b = np.random.default_rng(19).standard_normal(dom.num_cells)
+    lin = LinearOperator((b.size, b.size), matvec=S, rmatvec=S)
+    ref, info = minres(lin, b, rtol=1e-8, maxiter=2000)
+    got, iters = _minres(S, b, 1e-8, 2000)
+    assert info == 0 and iters < 2000
+    M = np.stack([S(e) for e in np.eye(b.size)], axis=1)
+    best = np.linalg.norm(M @ np.linalg.lstsq(M, b, rcond=1e-10)[0] - b)
+    assert best >= 0.1 * np.linalg.norm(b)   # really inconsistent
+    res_ref = np.linalg.norm(S(ref) - b)
+    res_got = np.linalg.norm(S(got) - b)
+    assert abs(res_got - res_ref) <= 1e-8 * res_ref
+    assert abs(res_got - best) <= 1e-8 * best
+
+
+def test_pressure_recover_names_the_iteration_cap(dom12, ops12):
+    rhs = np.zeros(dom12.shape + (4,))
+    rhs[..., 0] = ops12.bergman_Q(random_pure_bump(dom12, seed=4)).values[..., 0]
+    with pytest.raises(RuntimeError, match=r"after 1 MINRES iterations, "
+                                           r"the cap maxit=1"):
+        pressure_recover(QField(dom12, rhs), ops12, maxit=1)
 
 
 # ---------------------------------------------------------------------------
