@@ -22,18 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import energy
-from .grid import (BoundaryData, QField, build_domain, l2_norm, sc_inner,
-                   zero_boundary)
-from .io import (CONVERGENCE_COLUMNS, _FMT, read_boundary_csv, read_csv,
-                 read_vtk, write_convergence_csv, write_csv, write_manifest,
-                 write_vtk)
-from .mhd import MHDParams, MHDState, leray_project, residual_strong
+from .grid import QField, build_domain, l2_norm, sc_inner, zero_boundary
+from .io import (_FMT, read_boundary_csv, read_csv, read_vtk,
+                 write_convergence_csv, write_csv, write_manifest, write_vtk)
+from .mhd import MHDParams, MHDState, leray_project
 from .operators import (dirac_bwd, dirac_central, dirac_fwd, div_fwd,
                         laplacian, operator_set)
 from .sampling import random_bump, random_smooth
 from .solvers import (ConditionViolation, DivergenceError, SolverConfig,
-                      banach_solve, estimate_constants, schauder_solve)
+                      banach_solve, cond1_threshold, estimate_constants,
+                      schauder_solve, schauder_threshold, theorem4_thresholds)
 
 __all__ = ["main", "load_config", "cmd_verify", "cmd_constants", "cmd_solve"]
 
@@ -47,7 +45,7 @@ _TOP_KEYS = ("domain", "params", "boundary_h", "solver", "output", "seed",
 _DOMAIN_KEYS = ("origin", "extent", "n")
 _PARAM_KEYS = ("Re", "Rm", "mu0", "exponent_mode")
 _SOLVER_KEYS = ("method", "tol", "max_outer", "max_inner",
-                "neumann_max_terms", "neumann_term_tol", "leray_each_step")
+                "neumann_max_terms", "neumann_term_tol")
 
 
 def _check_keys(spec, known, what: str) -> None:
@@ -207,25 +205,13 @@ def cmd_verify(cfg, out_dir: Path) -> int:
 def cmd_constants(cfg, out_dir: Path) -> int:
     domain, ops, params, _ = _build(cfg, out_dir)
     bundle = estimate_constants(domain, ops, seed=cfg["seed"])
-    C1, Cs, CD, k = bundle.C1, bundle.Cs, bundle.CD, bundle.k
-    Re, Rm, mu0 = params.Re, params.Rm, params.mu0
-    cond1_thresh = 1.0 / (2.0 * C1 * Cs * Rm**2)
-    thm2_thresh = min(mu0 / (Re**2 * k * CD), 1.0 / (Rm**2 * k * CD))
-    supB2 = cfg["norm_budget"] ** 2
-    thm4_a = 1.0 / (16.0 * C1**2 * Cs**2 * Re**4)
-    arg = 1.0 / (4.0 * C1**2 * Cs**2 * Re**4) - supB2 / mu0
-    if arg >= 0:
-        W = math.sqrt(arg)
-        thm4_b = 4.0 * Cs**2 * Re**2 * (8.0 * W * Re**2 * C1 * Cs - 1.0) \
-            / (1.0 + 2.0 * Cs)
-    else:
-        W = thm4_b = math.nan
-
     names = ["C1", "Cs", "CD", "Cu", "k", "lambda_min",
              "cond1_threshold", "theorem2_threshold",
              "theorem4_a_threshold", "theorem4_W", "theorem4_b_threshold"]
     values = [bundle.C1, bundle.Cs, bundle.CD, bundle.Cu, bundle.k,
-              bundle.lambda_min, cond1_thresh, thm2_thresh, thm4_a, W, thm4_b]
+              bundle.lambda_min, cond1_threshold(bundle, params.Rm),
+              schauder_threshold(bundle, params),
+              *theorem4_thresholds(bundle, params, cfg["norm_budget"])]
     with open(out_dir / "constants.csv", "w", newline="\n") as f:
         f.write(",".join(names) + "\n")
         f.write(",".join(_FMT % v for v in values) + "\n")

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,11 @@ import pytest
 from quatmhd.cli import main
 from quatmhd.grid import BoundaryData, build_domain
 from quatmhd.io import read_csv, read_manifest, write_boundary_csv
+from quatmhd.mhd import MHDParams
+from quatmhd.solvers import (ConstantsBundle, check_cond1,
+                             check_schauder_bound, check_theorem4,
+                             cond1_threshold, schauder_threshold,
+                             theorem4_thresholds)
 
 
 def _write_config(path, out_dir, n=8, method="banach", boundary="zero",
@@ -100,6 +106,49 @@ def test_constants_thresholds_recomputable(tmp_path):
         1.0 / (2 * row["C1"] * row["Cs"]), abs=1e-12)
     assert row["theorem4_a_threshold"] == pytest.approx(
         1.0 / (16 * row["C1"]**2 * row["Cs"]**2), abs=1e-12)
+
+    # Re, Rm, mu0 all distinct and != 1, with a norm budget: the threshold
+    # columns are what the check functions compare against, and the checks
+    # switch exactly there. The last two budgets fail Rm^2 < b and give a
+    # negative theorem-4 radicand.
+    for Rm, budget in ((0.6, 1e-4), (6.0, 1e-4), (0.6, 1e3)):
+        params = MHDParams(Re=1.7, Rm=Rm, mu0=2.3)
+        out = tmp_path / f"out-{Rm}-{budget}"
+        cfg = json.loads(_write_config(tmp_path / "run.json", out, n=8,
+                                       Re=params.Re, Rm=Rm).read_text())
+        cfg["params"]["mu0"] = params.mu0
+        cfg["norm_budget"] = budget
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        assert main(["constants", "--config", str(tmp_path / "run.json")]) == 0
+        header, values = (out / "constants.csv").read_text().split()
+        row = dict(zip(header.split(","), map(float, values.split(","))))
+        c = ConstantsBundle(**{k: row[k] for k in
+                               ("C1", "Cs", "CD", "Cu", "k", "lambda_min")})
+        a16, W, b = theorem4_thresholds(c, params, budget)
+        thr1 = cond1_threshold(c, Rm)
+        thr2 = schauder_threshold(c, params)
+        assert row["cond1_threshold"] == thr1
+        assert row["theorem2_threshold"] == thr2
+        assert row["theorem4_a_threshold"] == a16
+        np.testing.assert_array_equal([row["theorem4_W"],
+                                       row["theorem4_b_threshold"]], [W, b])
+        assert check_cond1(np.nextafter(thr1, 0.0), c, Rm)
+        assert not check_cond1(thr1, c, Rm)
+        assert check_schauder_bound(thr2, c, params)
+        assert not check_schauder_bound(np.nextafter(thr2, np.inf), c, params)
+        ok, W4 = check_theorem4(c, params, budget)
+        np.testing.assert_array_equal(W4, W)
+        assert ok == (budget**2 / params.mu0 <= a16 and Rm**2 < b)
+        assert ok == ((Rm, budget) == (0.6, 1e-4))
+        # the largest sup||B|| that meets (1/mu0) sup||B||^2 <= a/16
+        s = math.sqrt(a16 * params.mu0)
+        while s**2 / params.mu0 > a16:
+            s = np.nextafter(s, 0.0)
+        while np.nextafter(s, np.inf)**2 / params.mu0 <= a16:
+            s = np.nextafter(s, np.inf)
+        edge = check_theorem4(c, params, s)[0]
+        assert edge == (Rm**2 < theorem4_thresholds(c, params, s)[2])
+        assert not check_theorem4(c, params, np.nextafter(s, np.inf))[0]
 
 
 def test_solve_zero_boundary(tmp_path):
@@ -192,6 +241,21 @@ def test_solve_exit_3_names_the_minres_cap(tmp_path, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("method", ["banach", "schauder_neumann"])
+def test_solve_exit_3_on_divergence(tmp_path, capsys, prescribed_projection,
+                                    method):
+    # the second outer step blows the state norm up past 1e3
+    prescribed_projection([1.0, 1.0, 1e6])
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", n=8,
+                        method=method, solver_extra={"max_inner": 2})
+    rc = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("divergence abort: state norm blow-up at iteration 2")
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_solve_exit_3_when_not_converged(tmp_path, capsys):
     # a cold start with face data needs two outer steps
     h = _small_boundary_file(tmp_path, n=8)
@@ -216,6 +280,7 @@ def test_solve_exit_3_when_not_converged(tmp_path, capsys):
     ("params", "mu0", -1.0),
     (None, "sovler", {}),                  # unknown top-level key
     ("domain", "spacing", 0.1),
+    ("solver", "leray_each_step", True),   # removed: both schemes project
     (None, "init_state", "u0.csv"),        # not an object
 ])
 def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):

@@ -8,7 +8,8 @@ from quatmhd.mhd import MHDParams, MHDState, convective, leray_project, lorentz
 from quatmhd.operators import operator_set
 from quatmhd.sampling import random_pure_bump
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
-                             SolverConfig, banach_inner_B, banach_solve,
+                             DivergenceError, SolverConfig, banach_inner_B,
+                             banach_solve,
                              check_cond1, check_schauder_bound,
                              check_theorem4, estimate_constants, lipschitz_Ln,
                              neumann_apply_B, neumann_apply_u,
@@ -182,6 +183,15 @@ def test_minres_matches_scipy_least_squares(n):
     assert abs(res_got - best) <= 1e-8 * best
 
 
+def test_pressure_recover_rejects_rhs_outside_range(dom8, ops8):
+    # a random scalar field has a component in the kernel of S: no p
+    # solves Sc(Q p) = rhs, and the normal-residual gate says so
+    rhs = np.zeros(dom8.shape + (4,))
+    rhs[..., 0] = np.random.default_rng(20).standard_normal(dom8.shape)
+    with pytest.raises(RuntimeError, match="normal-equation residual"):
+        pressure_recover(QField(dom8, rhs), ops8, maxit=200)
+
+
 def test_pressure_recover_names_the_iteration_cap(dom12, ops12):
     rhs = np.zeros(dom12.shape + (4,))
     rhs[..., 0] = ops12.bergman_Q(random_pure_bump(dom12, seed=4)).values[..., 0]
@@ -347,3 +357,34 @@ def test_schauder_ln_bit_identical_recompute(dom12, ops12):
     # recompute the last Ln from the logged running quantities
     ref = lipschitz_Ln(c, report.C3, report.C4, report.F_const, params)
     assert report.Ln[-1] == ref
+
+
+SOLVE = {"banach": banach_solve, "schauder_neumann": schauder_solve}
+
+
+@pytest.mark.parametrize("method", SOLVE)
+def test_outer_loop_aborts_on_norm_blow_up(ops8, prescribed_projection,
+                                           method):
+    # step 2 sets ||u||_H1 + ||B||_H1 = 2e3 > 1e3 max(1, initial norms = 0);
+    # without the guard the state stops changing and the loop converges
+    prescribed_projection([1.0, 1.0, 1e6])
+    params = MHDParams(Re=1.0, Rm=1.0)
+    cfg = SolverConfig(method=method, max_outer=10, max_inner=2)
+    with pytest.raises(DivergenceError,
+                       match="state norm blow-up at iteration 2: 2e"):
+        SOLVE[method](params, ops8, cfg)
+
+
+@pytest.mark.parametrize("method", SOLVE)
+def test_outer_loop_aborts_on_growing_changes(ops8, prescribed_projection,
+                                              method):
+    # u and B grow by 1.2 per projection: the state change grows from
+    # step 3 on while the norms stay far below the blow-up bound, so the
+    # fifth growing step in a row, step 7, aborts
+    prescribed_projection([1.2**k for k in range(40)])
+    params = MHDParams(Re=1.0, Rm=1.0)
+    cfg = SolverConfig(method=method, max_outer=10)
+    with pytest.raises(DivergenceError,
+                       match="state change grew 5 consecutive steps at "
+                             "iteration 7"):
+        SOLVE[method](params, ops8, cfg)
