@@ -15,9 +15,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -65,17 +67,22 @@ def load_config(path) -> dict:
     _check_keys(dom_spec, _DOMAIN_KEYS, "domain")
     _check_keys(raw.get("params", {}), _PARAM_KEYS, "params")
     _check_keys(raw.get("solver", {}), _SOLVER_KEYS, "solver")
+    budget = raw.get("norm_budget", 0.0)
+    if (isinstance(budget, bool) or not isinstance(budget, Real)
+            or not (math.isfinite(budget) and budget >= 0)):
+        raise ValueError(f"norm_budget must be finite and >= 0, "
+                         f"got {budget!r}")
     cfg = {
         "origin": tuple(dom_spec.get("origin", (0.0, 0.0, 0.0))),
         "extent": tuple(dom_spec.get("extent", (1.0, 1.0, 1.0))),
         "n": int(dom_spec.get("n", 16)),
         "params": dict(raw.get("params", {})),
         "boundary_h": raw.get("boundary_h", "zero"),
-        "solver": dict(raw.get("solver", {})),
+        "solver": SolverConfig(**raw.get("solver", {})),  # value checks
         "output": raw.get("output", "out"),
         "seed": int(raw.get("seed", 0)),
         "init_state": raw.get("init_state"),
-        "norm_budget": float(raw.get("norm_budget", 0.0)),
+        "norm_budget": float(budget),
     }
     MHDParams(**cfg["params"])  # value checks, before any output is written
     if cfg["boundary_h"] != "zero" and not Path(cfg["boundary_h"]).exists():
@@ -228,7 +235,7 @@ def cmd_constants(cfg, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(cfg, out_dir: Path) -> int:
-    solver_cfg = SolverConfig(**cfg["solver"])
+    solver_cfg = cfg["solver"]
     domain, ops, params, init = _build(cfg, out_dir)
     bundle = estimate_constants(domain, ops, seed=cfg["seed"])
     solve = (banach_solve if solver_cfg.method == "banach"
@@ -280,7 +287,34 @@ def cmd_solve(cfg, out_dir: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc keep the memory a solve frees for its next allocations.
+
+    Each T or Q apply allocates and frees a few MB of FFT and stencil
+    temporaries. By default glibc serves such blocks by mmap, or gives the
+    freed top of its heap back to the OS, and the next apply faults the
+    same pages in again. Fixing both thresholds serves blocks below
+    32 MiB from the heap and keeps up to 256 MiB of freed heap top for
+    reuse. Both are set because setting either one alone stops glibc's
+    dynamic adjustment and freezes the other where it stands (128 KiB at
+    start). Does nothing where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="quatmhd",
         description="Quaternionic integral-operator MHD solver")

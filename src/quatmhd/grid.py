@@ -79,6 +79,8 @@ class VoxelDomain:
         return m
 
     def same_grid(self, other: "VoxelDomain") -> bool:
+        if other is self:
+            return True
         return (self.n == other.n and np.allclose(self.origin, other.origin)
                 and self.h == other.h)
 

@@ -262,7 +262,7 @@ class OperatorSet:
         pad = (2 * n1, 2 * n2, 2 * n3)
         fh = [np.fft.rfftn(f.values[..., c], s=pad, axes=(0, 1, 2)) for c in range(4)]
         out = np.stack(
-            [np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n1, :n2, :n3]
+            [_irfft_head(c, pad, (n1, n2, n3), (0, 1, 2))
              for c in _pure_left_mul(self._kernel_fft(), fh)],
             axis=-1)
         return QField(self.domain, out)
@@ -290,7 +290,7 @@ class OperatorSet:
         for ax in range(3):
             tang = tuple(a for a in range(3) if a != ax)
             pad = tuple(2 * n[a] for a in tang)
-            keep = tuple(slice(None) if a == ax else slice(n[a]) for a in range(3))
+            keep = tuple(n[a] for a in tang)
             block_shape = tuple(1 if a == ax else n[a] for a in range(3))
             for side in (0, 1):
                 stop = start + n[tang[0]] * n[tang[1]]
@@ -303,7 +303,7 @@ class OperatorSet:
                 bh = [np.fft.rfftn(block[..., c], s=pad, axes=tang)
                       for c in range(4)]
                 for c, conv in enumerate(_pure_left_mul(Kh, bh)):
-                    out[..., c] += np.fft.irfftn(conv, s=pad, axes=tang)[keep]
+                    out[..., c] += _irfft_head(conv, pad, keep, tang)
         return QField(dom, out)
 
     # -- Poisson / eigenvalues --------------------------------------------
@@ -438,6 +438,21 @@ def _kernel(offsets, scale: float) -> list[np.ndarray]:
     r3 = (D[0]**2 + D[1]**2 + D[2]**2) ** 1.5
     with np.errstate(divide="ignore", invalid="ignore"):
         return [scale * np.where(r3 > 0, Di / r3, 0.0) for Di in D]
+
+
+def _irfft_head(X: np.ndarray, pad, keep, axes) -> np.ndarray:
+    """np.fft.irfftn(X, s=pad, axes=axes) cropped to its leading keep[i]
+    entries along each axes[i], computing only those. irfftn runs a complex
+    inverse pass along each axis in turn and the real one along the last.
+    Cutting every pass to the kept block before the next axis drops only
+    lines whose outputs the crop would discard; each remaining 1-D
+    transform is the same, so the result equals the crop bit for bit."""
+    def head(a, ax, m):
+        return a[(slice(None),) * ax + (slice(m),)]
+
+    for ax, p, m in zip(axes[:-1], pad[:-1], keep[:-1]):
+        X = head(np.fft.ifft(X, p, axis=ax), ax, m)
+    return head(np.fft.irfft(X, pad[-1], axis=axes[-1]), axes[-1], keep[-1])
 
 
 def _pure_left_mul(K, f) -> list:

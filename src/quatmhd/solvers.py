@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -105,10 +106,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("banach", "schauder_neumann"):
             raise ValueError("method must be banach or schauder_neumann")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if min(self.max_outer, self.max_inner, self.neumann_max_terms) < 1:
-            raise ValueError("iteration limits must be >= 1")
+        for name in ("tol", "neumann_term_tol"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, Real)
+                    or not (math.isfinite(v) and v > 0)):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {v!r}")
+        for name in ("max_outer", "max_inner", "neumann_max_terms"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass
@@ -153,10 +160,11 @@ def estimate_constants(domain, ops: OperatorSet, samples: int = 30,
         uh, Bh = h1_norm(u), h1_norm(B)
         if uh == 0.0 or Bh == 0.0:
             continue
-        ratios_s.append(lq_norm(convective(u, u), 1.25) / uh**2)
+        conv = convective(u, u)
+        ratios_s.append(lq_norm(conv, 1.25) / uh**2)
         ratios_s.append(lq_norm(lorentz(B, 1.0), 1.25) / Bh**2)
         ratios_s.append(l2_norm(dirac_fwd(B)) / Bh)
-        ratios_s.append(l2_norm(ops.teodorescu(convective(u, u))) / uh**2)
+        ratios_s.append(l2_norm(ops.teodorescu(conv)) / uh**2)
         Du = l2_norm(dirac_fwd(u))
         ratios_d.append(Du / uh)
         ratios_c.append(Du**2 / uh**2)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,13 @@ def test_solve_exit_3_when_not_converged(tmp_path, capsys):
     ("domain", "spacing", 0.1),
     ("solver", "leray_each_step", True),   # removed: both schemes project
     (None, "init_state", "u0.csv"),        # not an object
+    ("solver", "max_outer", 2.5),          # iteration caps: int, not bool
+    ("solver", "max_inner", "3"),
+    ("solver", "neumann_max_terms", True),
+    ("solver", "tol", float("nan")),       # tolerances: finite and > 0
+    ("solver", "neumann_term_tol", 0.0),
+    (None, "norm_budget", -5.0),           # finite and >= 0
+    (None, "norm_budget", float("inf")),
 ])
 def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
@@ -293,6 +301,7 @@ def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     assert rc == 1
     assert key in err
     assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -325,3 +334,51 @@ def test_solve_rejects_bad_input_file(tmp_path, capsys, bad):
     assert target.name in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("libc", [object(), OSError])
+def test_allocator_setting_without_mallopt(monkeypatch, libc):
+    # a libc without mallopt, or none to load: the setting is skipped
+    import quatmhd.cli as cli
+
+    def cdll(name):
+        if libc is OSError:
+            raise OSError("no libc")
+        return libc
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts the minor faults of a glibc process")
+def test_solve_does_not_refault_its_temporaries(tmp_path):
+    # Each T or Q apply frees a few MB of temporaries; unless the CLI keeps
+    # them in the heap, the next apply faults them in again: about 220k
+    # minor faults for this Schauder solve, 160k-200k with one of the two
+    # glibc thresholds set, under 7k with both. At n = 16 the FFT temporaries
+    # outgrow the 128 KiB default mmap threshold, so both settings count.
+    from quatmhd.grid import QField, h1_norm
+    from quatmhd.io import write_csv
+    from quatmhd.sampling import random_divfree
+
+    dom = build_domain((0, 0, 0), (1, 1, 1), 16)
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=16,
+                             method="schauder_neumann")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["init_state"] = {}
+    for seed, comp in enumerate(("u", "B")):
+        f = random_divfree(dom, seed=seed)
+        write_csv(tmp_path / f"{comp}0.csv",
+                  QField(dom, 1e-3 * f.values / h1_norm(f)))
+        cfg["init_state"][comp] = str(tmp_path / f"{comp}0.csv")
+    cfg_path.write_text(json.dumps(cfg))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quatmhd.cli", "solve", "--config",
+         str(cfg_path)], env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_minflt < 20_000

@@ -8,8 +8,9 @@ from scipy.sparse.linalg import splu
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
 from quatmhd.mhd import _dirac_scalar
-from quatmhd.operators import (_dbwd0, _dfwd0, _dst1, _dst2, _neg_lap_faces,
-                               _pure, _staggered, curl_bwd, dirac_bwd,
+from quatmhd.operators import (_dbwd0, _dfwd0, _dst1, _dst2, _irfft_head,
+                               _neg_lap_faces, _pure, _pure_left_mul,
+                               _staggered, curl_bwd, dirac_bwd,
                                dirac_central, dirac_fwd, div_fwd, laplacian,
                                operator_set)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
@@ -282,6 +283,36 @@ def test_dirac_teodorescu_right_inverse(ops16):
     hi = lo + np.asarray(dom.n) * dom.h
     far = np.minimum(centers - lo, hi - centers).min(axis=-1) >= 3 * dom.h
     assert np.abs(err.values[far]).max() <= 0.05 * np.abs(f.values).max()
+
+
+@pytest.mark.parametrize("n", BOXES)
+def test_teodorescu_matches_cropped_irfftn(n):
+    # the pruned inverse FFT gives bit for bit the full irfftn, cropped
+    ops = _box(n)
+    f = QField(ops.domain, np.random.default_rng(5).standard_normal(
+        ops.domain.shape + (4,)))
+    pad = tuple(2 * m for m in n)
+    fh = [np.fft.rfftn(f.values[..., c], s=pad, axes=(0, 1, 2))
+          for c in range(4)]
+    ref = np.stack([np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n[0], :n[1], :n[2]]
+                    for c in _pure_left_mul(ops._kernel_fft(), fh)], axis=-1)
+    assert np.array_equal(ops.teodorescu(f).values, ref)
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2)])
+def test_irfft_head_two_axes(axes):
+    # the Cauchy layout: two transformed axes, the third one a batch
+    rng = np.random.default_rng(6)
+    pad, keep = [12, 10, 8], [6, 5, 4]
+    batch = 3 - sum(axes)
+    pad[batch] = keep[batch] = 7
+    shape = list(pad)
+    shape[axes[1]] = pad[axes[1]] // 2 + 1
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    crop = tuple(slice(keep[a]) for a in range(3))
+    ref = np.fft.irfftn(X, s=[pad[a] for a in axes], axes=axes)[crop]
+    got = _irfft_head(X, [pad[a] for a in axes], [keep[a] for a in axes], axes)
+    assert np.array_equal(got, ref)
 
 
 def test_cauchy_zero(ops8):
