@@ -19,7 +19,7 @@ import ctypes
 import json
 import math
 import sys
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,24 @@ def _check_keys(spec, known, what: str) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
+def _integer(value, key: str, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _triple(value, key: str, positive: bool) -> tuple:
+    """Three finite numbers, each > 0 when `positive`."""
+    ok = (isinstance(value, (list, tuple)) and len(value) == 3
+          and all(not isinstance(v, bool) and isinstance(v, Real)
+                  and math.isfinite(v) and (v > 0 or not positive)
+                  for v in value))
+    if not ok:
+        kind = "finite positive" if positive else "finite"
+        raise ValueError(f"{key} must be 3 {kind} numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def load_config(path) -> dict:
     """Read and validate a run configuration."""
     with open(path) as f:
@@ -73,14 +91,16 @@ def load_config(path) -> dict:
         raise ValueError(f"norm_budget must be finite and >= 0, "
                          f"got {budget!r}")
     cfg = {
-        "origin": tuple(dom_spec.get("origin", (0.0, 0.0, 0.0))),
-        "extent": tuple(dom_spec.get("extent", (1.0, 1.0, 1.0))),
-        "n": int(dom_spec.get("n", 16)),
+        "origin": _triple(dom_spec.get("origin", (0.0, 0.0, 0.0)),
+                          "domain.origin", positive=False),
+        "extent": _triple(dom_spec.get("extent", (1.0, 1.0, 1.0)),
+                          "domain.extent", positive=True),
+        "n": _integer(dom_spec.get("n", 16), "domain.n", 2),
         "params": dict(raw.get("params", {})),
         "boundary_h": raw.get("boundary_h", "zero"),
         "solver": SolverConfig(**raw.get("solver", {})),  # value checks
         "output": raw.get("output", "out"),
-        "seed": int(raw.get("seed", 0)),
+        "seed": _integer(raw.get("seed", 0), "seed", 0),
         "init_state": raw.get("init_state"),
         "norm_budget": float(budget),
     }
@@ -327,13 +347,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = _integer(args.seed, "--seed", 0)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:
         cfg["output"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     out_dir = Path(cfg["output"])
     try:
         if args.command == "verify":

@@ -53,8 +53,7 @@ def write_vtk(path, field: QField, name: str = "q") -> None:
         f.write(f"POINT_DATA {dom.num_cells}\n")
         f.write(f"SCALARS {name} double 4\n")
         f.write("LOOKUP_TABLE default\n")
-        for row in flat:
-            f.write(" ".join(_FMT % v for v in row) + "\n")
+        _write_rows(f, flat, " ".join([_FMT] * 4) + "\n")
 
 
 def read_vtk(path) -> QField:
@@ -91,12 +90,30 @@ def read_vtk(path) -> QField:
 
 def write_csv(path, field: QField) -> None:
     """Flat CSV with columns (cell index, s, v1, v2, v3), C cell order."""
-    flat = field.values.reshape(-1, 4)
+    _write_indexed_rows(path, "index", field.values.reshape(-1, 4))
+
+
+_BLOCK_ROWS = 256
+
+
+def _write_rows(f, rows: np.ndarray, row_fmt: str) -> None:
+    """Write the rows of a 2-D array, each formatted by row_fmt, formatting
+    _BLOCK_ROWS rows with one % over the repeated row format; a whole-file
+    string would cost the memory of the whole text at once."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        f.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_indexed_rows(path, index_name: str, vals: np.ndarray) -> None:
+    """CSV rows (index, s, v1, v2, v3) after a header, as csv.writer
+    writes them: comma-separated, \\r\\n line ends."""
+    rows = np.empty((len(vals), 5))
+    rows[:, 0] = np.arange(len(vals))
+    rows[:, 1:] = vals
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "s", "v1", "v2", "v3"])
-        for i, row in enumerate(flat):
-            w.writerow([i] + [_FMT % v for v in row])
+        f.write(f"{index_name},s,v1,v2,v3\r\n")
+        _write_rows(f, rows, ",".join(["%d"] + [_FMT] * 4) + "\r\n")
 
 
 def _read_indexed_rows(path, count: int) -> np.ndarray:
@@ -137,11 +154,7 @@ def read_csv(path, domain: VoxelDomain) -> QField:
 def write_boundary_csv(path, data: BoundaryData) -> None:
     """Flat CSV with columns (face index, s, v1, v2, v3), canonical face
     order of the domain."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["face", "s", "v1", "v2", "v3"])
-        for i, row in enumerate(data.values):
-            w.writerow([i] + [_FMT % v for v in row])
+    _write_indexed_rows(path, "face", data.values)
 
 
 def read_boundary_csv(path, domain: VoxelDomain) -> BoundaryData:

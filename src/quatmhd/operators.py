@@ -30,6 +30,9 @@ kernel per domain)
         the Gram of that D+ is the Dirichlet 7-point -Laplacian on each
         component, so Q = D+ L^-1 D- is two stencils around four DST-I
         Poisson solves
+    pressure_S       : the pressure operator p -> Sc(Q(p e0)) on scalar
+        arrays, applied as the gradient grad- p, three DST-I solves and the
+        divergence -div+ of their result, bit for bit Q's scalar part
     poisson_dirichlet : cell-centered Poisson solve with a zero boundary
         collar, in the DST-I sine basis of the non-collar block
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
@@ -379,6 +382,24 @@ class OperatorSet:
         rhs = QField(self.domain, _staggered(f.values, h, _dbwd0, _dfwd0))
         w = self.poisson_dirichlet(rhs).values
         return QField(self.domain, _staggered(w, h, _dfwd0, _dbwd0))
+
+    def pressure_S(self, p: np.ndarray) -> np.ndarray:
+        """Sc(Q(p e0)) for a scalar array p of the domain's shape, the
+        pressure operator, computing only what that scalar needs.
+
+        e_j moves component 0 to component j + 1 (_UNIT_MUL), and
+        _BACKWARD[j, 0] and _BACKWARD[j, j + 1] are False. So the
+        ghost-zero D- of p e0 is the pure field (0, grad- p), backward
+        differences, and row 0 of the ghost-zero D+ of a field w is
+        -div+ of its vector part. Between them, three Poisson solves in
+        one batch. The sums run in _staggered's order, so the result
+        equals bergman_Q(p e0).values[..., 0] bit for bit."""
+        h = self.domain.h
+        w = self._collar_solve(np.stack([_dbwd0(p, j, h) for j in range(3)]))
+        out = np.zeros(self.domain.shape)
+        for j in range(3):
+            out += -1 * _dfwd0(w[j], j, h)
+        return out
 
     def bergman_P(self, f: QField) -> QField:
         """Complementary (Bergman) projection P = I - Q; its range contains

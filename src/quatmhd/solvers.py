@@ -302,12 +302,13 @@ def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
 
     S: p -> Sc(Q(p)) is symmetric positive semidefinite with a nontrivial
     kernel (scalar fields whose embedding is Bergman-monogenic, the
-    constants among them). The solvers' right-hand sides, scalar parts of
-    Q applies, lie in range(S): <p, Sc(Q f)> = <Q p, f> = 0 for p in the
-    kernel. For those, MINRES (_minres) started from zero keeps all
-    iterates in range(S) and returns the minimum-norm solution, stopping
-    when its residual estimate falls to tol ||rhs|| or after maxit
-    iterations. The result must pass a 1e-8 gate on the normal-equation
+    constants among them). Each apply is ops.pressure_S: a gradient, three
+    Poisson solves and a divergence, not a full 4-component Q. The
+    solvers' right-hand sides, scalar parts of Q applies, lie in range(S):
+    <p, Sc(Q f)> = <Q p, f> = 0 for p in the kernel. For those, MINRES
+    (_minres) started from zero keeps all iterates in range(S) and
+    returns the minimum-norm solution, stopping when its residual
+    estimate falls to tol ||rhs|| or after maxit iterations. The result must pass a 1e-8 gate on the normal-equation
     residual S(S p - rhs), or RuntimeError names the iterations run and
     whether maxit was reached. Any other right-hand side ends in that
     RuntimeError: it meets neither MINRES test at tol = 1e-12, and x
@@ -321,9 +322,7 @@ def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
         raise ValueError("pressure right-hand side must be scalar")
 
     def S(parr: np.ndarray) -> np.ndarray:
-        f = np.zeros(dom.shape + (4,))
-        f[..., 0] = parr.reshape(dom.shape)
-        return ops.bergman_Q(QField(dom, f)).values[..., 0].ravel()
+        return ops.pressure_S(parr.reshape(dom.shape)).ravel()
 
     r0 = rhs.values[..., 0].ravel()
     if np.linalg.norm(r0) == 0.0:

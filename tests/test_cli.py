@@ -290,13 +290,29 @@ def test_solve_exit_3_when_not_converged(tmp_path, capsys):
     ("solver", "neumann_term_tol", 0.0),
     (None, "norm_budget", -5.0),           # finite and >= 0
     (None, "norm_budget", float("inf")),
+    ("domain", "n", 4.9),                  # grid: an integer >= 2
+    ("domain", "n", True),
+    ("domain", "n", 1),
+    (None, "seed", 2.7),                   # seed: an integer >= 0
+    (None, "seed", -1),
+    (None, "seed", False),
+    ("--seed", "seed", "-1"),              # the command-line override too
+    ("domain", "origin", [0, float("nan"), 0]),  # 3 finite numbers
+    ("domain", "origin", [0, 0]),
+    ("domain", "extent", [1, 1]),          # 3 finite positive numbers
+    ("domain", "extent", [1, 0, 1]),
+    ("domain", "extent", [1, 1, float("inf")]),
 ])
 def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
     cfg = json.loads(cfg_path.read_text())
-    (cfg[section] if section else cfg)[key] = value
+    argv = ["solve", "--config", str(cfg_path)]
+    if section == "--seed":
+        argv += ["--seed", value]
+    else:
+        (cfg[section] if section else cfg)[key] = value
     cfg_path.write_text(json.dumps(cfg))
-    rc = main(["solve", "--config", str(cfg_path)])
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert key in err

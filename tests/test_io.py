@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from quatmhd.grid import BoundaryData
+import quatmhd.io as qio
+from quatmhd.grid import BoundaryData, QField, build_domain
 from quatmhd.io import (CONVERGENCE_COLUMNS, read_boundary_csv, read_csv,
                         read_manifest, read_vtk, write_boundary_csv,
                         write_convergence_csv, write_csv, write_manifest,
@@ -66,6 +69,45 @@ def test_write_is_deterministic(tmp_path, dom8):
     write_vtk(p1, f)
     write_vtk(p2, f)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _csv_writer_oracle(path, header, vals):
+    # the row-by-row csv.writer form the block writers replace
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for i, row in enumerate(vals):
+            w.writerow([i] + ["%.17g" % v for v in row])
+
+
+@pytest.mark.parametrize("block_rows", [7, 256])  # 7: many blocks, a short last
+def test_block_writers_match_row_by_row(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(qio, "_BLOCK_ROWS", block_rows)
+    dom = build_domain((0.1, -0.2, 0.3), (0.3, 0.9, 0.5), (3, 9, 5))
+    rng = np.random.default_rng(4)
+    special = [-0.0, 5e-324, 1e300, -1.0 / 3.0]
+    vals = rng.standard_normal(dom.shape + (4,))
+    vals.reshape(-1)[:len(special)] = special
+    field = QField(dom, vals)
+    write_csv(tmp_path / "f.csv", field)
+    _csv_writer_oracle(tmp_path / "ref.csv", ["index", "s", "v1", "v2", "v3"],
+                       vals.reshape(-1, 4))
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    faces = rng.standard_normal((dom.num_faces, 4))
+    faces[-1] = special
+    write_boundary_csv(tmp_path / "h.csv", BoundaryData(dom, faces))
+    _csv_writer_oracle(tmp_path / "ref_h.csv", ["face", "s", "v1", "v2", "v3"],
+                       faces)
+    assert (tmp_path / "h.csv").read_bytes() == (tmp_path / "ref_h.csv").read_bytes()
+
+    write_vtk(tmp_path / "f.vtk", field)
+    text = (tmp_path / "f.vtk").read_text()
+    head, _, data = text.partition("LOOKUP_TABLE default\n")
+    assert head.endswith("SCALARS q double 4\n")
+    flat = vals.transpose(2, 1, 0, 3).reshape(-1, 4)
+    assert data == "".join(" ".join("%.17g" % v for v in row) + "\n"
+                           for row in flat)
 
 
 def _rows(path, header, rows):

@@ -481,6 +481,20 @@ def test_q_matches_real_gram_oracle():
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("n", BOXES)
+def test_pressure_S_matches_bergman_Q(n):
+    # the three-solve pressure operator against Sc(Q(p e0)), bit for bit;
+    # p is nonzero on the collar, which both must ignore alike
+    ops = _box(n)
+    p = np.random.default_rng(21).standard_normal(ops.domain.shape)
+    f = np.zeros(ops.domain.shape + (4,))
+    f[..., 0] = p
+    ref = ops.bergman_Q(QField(ops.domain, f)).values[..., 0]
+    got = ops.pressure_S(p)
+    assert np.array_equal(got, ref)
+    assert got.any() == (min(n) > 2)  # (2, 6, 6) has no non-collar cell
+
+
 def test_q_fixes_gradient_fields(ops12):
     g = zero_boundary(random_bump(ops12.domain, seed=4), width=2)
     dg = dirac_fwd(g)

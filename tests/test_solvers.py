@@ -5,7 +5,7 @@ import pytest
 
 from quatmhd.grid import BoundaryData, QField, build_domain, h1_norm, l2_norm
 from quatmhd.mhd import MHDParams, MHDState, convective, leray_project, lorentz
-from quatmhd.operators import operator_set
+from quatmhd.operators import OperatorSet, operator_set
 from quatmhd.sampling import random_pure_bump
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
@@ -190,6 +190,21 @@ def test_pressure_recover_rejects_rhs_outside_range(dom8, ops8):
     rhs[..., 0] = np.random.default_rng(20).standard_normal(dom8.shape)
     with pytest.raises(RuntimeError, match="normal-equation residual"):
         pressure_recover(QField(dom8, rhs), ops8, maxit=200)
+
+
+def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
+    # every S apply goes through pressure_S, not the 4-component Q
+    rhs = np.zeros(dom8.shape + (4,))
+    rhs[..., 0] = ops8.bergman_Q(random_pure_bump(dom8, seed=6)).values[..., 0]
+    ref = pressure_recover(QField(dom8, rhs), ops8)
+
+    def no_full_Q(self, f):
+        raise AssertionError("pressure_recover applied bergman_Q")
+
+    monkeypatch.setattr(OperatorSet, "bergman_Q", no_full_Q)
+    got = pressure_recover(QField(dom8, rhs), ops8)
+    assert np.array_equal(got.values, ref.values)
+    assert ref.values.any()
 
 
 def test_pressure_recover_names_the_iteration_cap(dom12, ops12):
