@@ -198,14 +198,14 @@ def tqt_rhs_u(state: MHDState, params: MHDParams, ops: OperatorSet,
               p: QField | None = None) -> QField:
     """Right-hand side of the velocity row of the integral form:
     c_u TQT[Vec((DB)B) - Sc(uD)u] - c_p TQT D p evaluated at the
-    linearization point `state` (pressure override via `p`)."""
+    linearization point `state` (pressure override via `p`). TQT is
+    linear, so it is applied once, to c_u [...] - c_p D p."""
     u, B = state.u, state.B
     if p is None:
         p = state.p
     bracket = params.mu0 * lorentz(B, params.mu0) - convective(u, u)
-    out = params.coeff_u() * ops.TQT(bracket)
-    out = out - params.coeff_p() * ops.TQT(_dirac_scalar(p))
-    return out
+    return ops.TQT(params.coeff_u() * bracket
+                   - params.coeff_p() * _dirac_scalar(p))
 
 
 def tqt_rhs_B(state: MHDState, params: MHDParams, ops: OperatorSet,

@@ -20,7 +20,8 @@ which a forward difference on every component does not.
 Integral operators (held by OperatorSet, which caches the Teodorescu
 kernel per domain)
     teodorescu       : volume potential T, FFT convolution with the Cauchy
-        kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f
+        kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f; a zero
+        scalar part is neither transformed nor multiplied
     cauchy           : boundary potential F over the voxel faces, sign
         calibrated so that F reproduces constants; per face block (one box
         side) a batch of 2-D FFT convolutions over the tangential axes, one
@@ -38,8 +39,9 @@ kernel per domain)
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
         (ghost anti-reflection), in the DST-II sine basis of the whole box
     lambda_min       : smallest Dirichlet eigenvalue, inverse power iteration
-        and a Rayleigh quotient of the face stencil
-    op_norm_TQT      : operator norm of the self-adjoint composition T Q T
+        and a Rayleigh quotient of the face stencil, computed once per set
+    op_norm_TQT      : operator norm of the self-adjoint composition T Q T,
+        the largest Ritz value of a Lanczos tridiagonal
 
 Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
 orthonormal 1-D basis matrices are built once per axis and applied along
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, _dfwd, l2_norm, sc_inner
+from .grid import BoundaryData, QField, VoxelDomain, _dfwd
 from .quaternion import LEFT_MUL, qmul_arr
 
 __all__ = [
@@ -238,6 +240,7 @@ class OperatorSet:
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
+        self._lambda_min = {}      # lambda_min per (tol, maxit)
         # per-axis sine bases and stencil eigenvalues of the Poisson solves:
         # DST-I on the non-collar block, DST-II on the whole box
         n, h = np.asarray(domain.n), domain.h
@@ -259,11 +262,17 @@ class OperatorSet:
         return self._khat
 
     def teodorescu(self, f: QField) -> QField:
-        """Volume potential T f, a right inverse of the Dirac operator."""
+        """Volume potential T f, a right inverse of the Dirac operator. A
+        zero scalar part, as in every bracket the solvers transform, gets
+        no forward FFT and no kernel products."""
         self._check(f)
         n1, n2, n3 = self.domain.n
         pad = (2 * n1, 2 * n2, 2 * n3)
-        fh = [np.fft.rfftn(f.values[..., c], s=pad, axes=(0, 1, 2)) for c in range(4)]
+        comps = [f.values[..., c] for c in range(4)]
+        if not comps[0].any():
+            comps[0] = None  # pure f: see _pure_left_mul
+        fh = [None if c is None else np.fft.rfftn(c, s=pad, axes=(0, 1, 2))
+              for c in comps]
         out = np.stack(
             [_irfft_head(c, pad, (n1, n2, n3), (0, 1, 2))
              for c in _pure_left_mul(self._kernel_fft(), fh)],
@@ -351,7 +360,11 @@ class OperatorSet:
         power iteration and a Rayleigh quotient of the face stencil; the
         continuum limit is 3*pi^2 on the unit cube. It stays iterative,
         not the closed form 3 (4/h^2) sin^2(pi h/2) of the DST symbol, so
-        that comparing the two checks the face solve."""
+        that comparing the two checks the face solve. Computed once per
+        (tol, maxit) and operator set."""
+        key = (tol, maxit)
+        if key in self._lambda_min:
+            return self._lambda_min[key]
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.domain.num_cells)
         v /= np.linalg.norm(v)
@@ -366,7 +379,9 @@ class OperatorSet:
             lam = lam_new
         # Rayleigh quotient at the converged vector
         v = v.reshape(self.domain.shape)
-        return float(np.vdot(v, _neg_lap_faces(v, self.domain.h)))
+        lam = float(np.vdot(v, _neg_lap_faces(v, self.domain.h)))
+        self._lambda_min[key] = lam
+        return lam
 
     # -- Bergman projection -------------------------------------------------
 
@@ -392,13 +407,24 @@ class OperatorSet:
         ghost-zero D- of p e0 is the pure field (0, grad- p), backward
         differences, and row 0 of the ghost-zero D+ of a field w is
         -div+ of its vector part. Between them, three Poisson solves in
-        one batch. The sums run in _staggered's order, so the result
-        equals bergman_Q(p e0).values[..., 0] bit for bit."""
+        one batch. The differences are written into one preallocated
+        array and the sums run in _staggered's order, so the result equals
+        bergman_Q(p e0).values[..., 0] bit for bit."""
         h = self.domain.h
-        w = self._collar_solve(np.stack([_dbwd0(p, j, h) for j in range(3)]))
+        g = np.empty((3,) + self.domain.shape)
+        for j in range(3):  # g[j] = _dbwd0(p, j, h)
+            gj, pj = np.moveaxis(g[j], j, 0), np.moveaxis(p, j, 0)
+            gj[0] = pj[0]
+            np.subtract(pj[1:], pj[:-1], out=gj[1:])
+        g /= h
+        w = self._collar_solve(g)
         out = np.zeros(self.domain.shape)
-        for j in range(3):
-            out += -1 * _dfwd0(w[j], j, h)
+        for j in range(3):  # out += -1 * _dfwd0(w[j], j, h), g as scratch
+            dj, wj = np.moveaxis(g[j], j, 0), np.moveaxis(w[j], j, 0)
+            np.subtract(wj[1:], wj[:-1], out=dj[:-1])
+            np.subtract(0.0, wj[-1], out=dj[-1])  # 0.0 - w, as _dfwd0
+            dj /= h
+            out -= g[j]
         return out
 
     def bergman_P(self, f: QField) -> QField:
@@ -412,23 +438,34 @@ class OperatorSet:
         return self.teodorescu(self.bergman_Q(self.teodorescu(f)))
 
     def op_norm_TQT(self, tol: float = 1e-8, maxit: int = 300, seed: int = 0) -> float:
-        """L2 operator norm of T Q T by power iteration (the composition is
-        self-adjoint, so the norm equals the dominant eigenvalue). The
-        estimate is checked against the bound 1/lambda_min with 10% slack."""
+        """L2 operator norm of T Q T by Lanczos. T is symmetric (an odd
+        kernel times pure units) and Q an orthogonal projection, so
+        TQT = (QT)^T QT is symmetric positive semidefinite and its norm is
+        its largest eigenvalue. From a seeded random start the Lanczos
+        recurrence builds the tridiagonal; the estimate is its largest
+        Ritz value, returned once a step changes it by <= tol relative.
+        RuntimeError when maxit steps do not get there, or when the
+        estimate exceeds the bound 1/lambda_min with 10% slack."""
         rng = np.random.default_rng(seed)
-        v = QField(self.domain, rng.standard_normal(self.domain.shape + (4,)))
-        v = (1.0 / l2_norm(v)) * v
-        lam = 0.0
+        v = rng.standard_normal(self.domain.shape + (4,))
+        v /= np.sqrt((v * v).sum())
+        v_prev, alpha, beta, k = None, [], [], 0.0
         for _ in range(maxit):
-            w = self.TQT(v)
-            nw = l2_norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = (1.0 / nw) * w
-            if abs(nw - lam) < tol * max(1.0, nw):
+            # TQT v = beta_prev v_prev + alpha v + beta v_next
+            w = self.TQT(QField(self.domain, v)).values
+            alpha.append(float((v * w).sum()))
+            w -= alpha[-1] * v
+            if v_prev is not None:
+                w -= beta[-1] * v_prev
+            beta.append(float(np.sqrt((w * w).sum())))
+            k_prev, k = k, _top_eigenvalue(alpha, beta[:-1])
+            if abs(k - k_prev) <= tol * abs(k) or beta[-1] == 0.0:
                 break
-            lam = nw
-        k = float(abs(sc_inner(v, self.TQT(v))))
+            w /= beta[-1]
+            v_prev, v = v, w
+        else:
+            raise RuntimeError(
+                f"op_norm_TQT: Lanczos not converged after {maxit} steps")
         bound = 1.1 / self.lambda_min()
         if k > bound:
             raise RuntimeError(
@@ -438,6 +475,30 @@ class OperatorSet:
     def _check(self, f: QField) -> None:
         if not f.domain.same_grid(self.domain):
             raise ValueError("field domain does not match operator set")
+
+
+def _top_eigenvalue(a, b) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    a and off-diagonal b, by bisection between Gershgorin bounds: the
+    Sturm sequence d_i = a_i - x - b_{i-1}^2 / d_{i-1} has as many
+    negative terms as the matrix has eigenvalues below x. Plain floats, so
+    no LAPACK call, whose first use costs about 1 MiB of workspace."""
+    r = [abs(x) for x in b] + [0.0]
+    lo = min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    while True:
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            return hi
+        below, d = 0, 1.0
+        for i, ai in enumerate(a):
+            d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
+            d = d or -1e-300  # a zero pivot counts as negative
+            below += d < 0
+        if below == len(a):
+            hi = x
+        else:
+            lo = x
 
 
 def _pure(vec: np.ndarray) -> np.ndarray:
@@ -478,11 +539,16 @@ def _irfft_head(X: np.ndarray, pad, keep, axes) -> np.ndarray:
 
 def _pure_left_mul(K, f) -> list:
     """Components of the quaternion product pure(K) f, taken elementwise
-    over arrays (here Fourier coefficients of a kernel and a field)."""
+    over arrays (here Fourier coefficients of a kernel and a field). f[0]
+    None stands for a zero scalar part: its three products are dropped, and
+    the other sums run in the same order."""
     K1, K2, K3 = K
     f0, f1, f2, f3 = f
+    sc = -(K1 * f1 + K2 * f2 + K3 * f3)
+    if f0 is None:
+        return [sc, K2 * f3 - K3 * f2, K3 * f1 - K1 * f3, K1 * f2 - K2 * f1]
     return [
-        -(K1 * f1 + K2 * f2 + K3 * f3),
+        sc,
         K1 * f0 + K2 * f3 - K3 * f2,
         K2 * f0 + K3 * f1 - K1 * f3,
         K3 * f0 + K1 * f2 - K2 * f1,

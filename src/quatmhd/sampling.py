@@ -37,15 +37,20 @@ def _outer3(f) -> np.ndarray:
     return f[0][:, None, None] * f[1][None, :, None] * f[2][None, None, :]
 
 
+def _fourier_draws(rng, kmax: int) -> list[tuple]:
+    """The random (wave numbers, phases, amplitude) of the four terms of
+    one _fourier_scalar, in the order they are drawn."""
+    return [(rng.integers(0, kmax + 1, size=3),
+             rng.uniform(0, 2 * np.pi, size=3),
+             rng.standard_normal()) for _ in range(4)]
+
+
 def _fourier_scalar(domain: VoxelDomain, rng, kmax: int) -> np.ndarray:
     """Low-order random trigonometric polynomial on the unit cube, a sum of
     separable products of 1-D cosines."""
     s = _unit_coords(domain)
     out = np.zeros(domain.shape)
-    for _ in range(4):
-        k = rng.integers(0, kmax + 1, size=3)
-        phase = rng.uniform(0, 2 * np.pi, size=3)
-        amp = rng.standard_normal()
+    for k, phase, amp in _fourier_draws(rng, kmax):
         out += amp * _outer3(
             [np.cos(2 * np.pi * k[i] * s[i] + phase[i]) for i in range(3)])
     return out
@@ -70,10 +75,16 @@ def random_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
 
 
 def random_pure_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
-    """Vector-valued (pure quaternion) bump field."""
-    u = random_bump(domain, seed, kmax)
-    out = u.values.copy()
-    out[..., 0] = 0.0
+    """Vector-valued (pure quaternion) bump field: random_bump with its
+    scalar part zeroed. The scalar part's numbers are still drawn, so that
+    the random stream and the vector part stay those of random_bump, but
+    that part is not built."""
+    rng = _rng(seed)
+    _fourier_draws(rng, kmax)
+    bump = _bump(domain)
+    out = np.zeros(domain.shape + (4,))
+    for c in range(1, 4):
+        out[..., c] = _fourier_scalar(domain, rng, kmax) * bump
     return QField(domain, out)
 
 

@@ -141,7 +141,7 @@ def estimate_constants(domain, ops: OperatorSet, samples: int = 30,
                        seed: int = 0) -> ConstantsBundle:
     """Estimate the bundle of norm constants on one domain.
 
-    C1 = 1/lambda_min (analytic); k = ||TQT|| by power iteration; Cs is
+    C1 = 1/lambda_min (analytic); k = ||TQT|| by Lanczos; Cs is
     twice the largest sampled ratio of the three nonlinear estimates
     (L^{5/4} norms) plus the composed form ||T Sc(uD)u|| <= C ||u||_H1^2;
     CD doubles the largest sampled ||Du|| / ||u||_H1; Cu halves the smallest
@@ -507,7 +507,7 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                     f"state change grew 5 consecutive steps at iteration {n}")
         else:
             grow = 0
-    report.final_residuals = residual_strong(state, params, ops)
+    report.final_residuals = res  # of the last row, i.e. of `state`
     return state, report
 
 

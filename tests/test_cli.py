@@ -315,6 +315,7 @@ def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1
+    assert err.startswith("bad config:")  # caught by load_config itself
     assert key in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1

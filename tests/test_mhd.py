@@ -230,6 +230,23 @@ def test_tqt_rhs_zero_state(dom8, ops8):
     assert not tqt_rhs_p(zero, params, ops8).values.any()
 
 
+@pytest.mark.parametrize("mode", ["linear", "squared", "mixed"])
+def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
+    # one TQT of c_u bracket - c_p Dp against TQT applied to each term
+    from quatmhd.mhd import _dirac_scalar
+    params = MHDParams(Re=1.7, Rm=0.6, mu0=1.3, exponent_mode=mode)
+    pv = np.zeros(dom8.shape + (4,))
+    pv[..., 0] = random_pure_bump(dom8, seed=25).values[..., 1]
+    st = MHDState(random_pure_bump(dom8, seed=23),
+                  random_pure_bump(dom8, seed=24), QField(dom8, pv))
+    bracket = (params.mu0 * lorentz(st.B, params.mu0)
+               - convective(st.u, st.u))
+    ref = (params.coeff_u() * ops8.TQT(bracket)
+           - params.coeff_p() * ops8.TQT(_dirac_scalar(st.p)))
+    got = tqt_rhs_u(st, params, ops8)
+    assert l2_norm(got - ref) <= 1e-13 * l2_norm(ref)
+
+
 def test_tqt_rhs_B_vanishes_without_velocity(dom8, ops8):
     params = MHDParams(Re=1.0, Rm=1.0)
     st = MHDState(QField.zeros(dom8), random_pure_bump(dom8, seed=15),

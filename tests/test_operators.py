@@ -12,7 +12,7 @@ from quatmhd.operators import (_dbwd0, _dfwd0, _dst1, _dst2, _irfft_head,
                                _neg_lap_faces, _pure, _pure_left_mul,
                                _staggered, curl_bwd, dirac_bwd,
                                dirac_central, dirac_fwd, div_fwd, laplacian,
-                               operator_set)
+                               OperatorSet, operator_set)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_smooth
 
@@ -287,16 +287,22 @@ def test_dirac_teodorescu_right_inverse(ops16):
 
 @pytest.mark.parametrize("n", BOXES)
 def test_teodorescu_matches_cropped_irfftn(n):
-    # the pruned inverse FFT gives bit for bit the full irfftn, cropped
+    # the pruned inverse FFT gives bit for bit the full irfftn, cropped;
+    # a pure input, whose zero scalar part T skips, gives bit for bit the
+    # product with all four transformed components
     ops = _box(n)
-    f = QField(ops.domain, np.random.default_rng(5).standard_normal(
-        ops.domain.shape + (4,)))
+    full = np.random.default_rng(5).standard_normal(ops.domain.shape + (4,))
+    pure = full.copy()
+    pure[..., 0] = 0.0
     pad = tuple(2 * m for m in n)
-    fh = [np.fft.rfftn(f.values[..., c], s=pad, axes=(0, 1, 2))
-          for c in range(4)]
-    ref = np.stack([np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n[0], :n[1], :n[2]]
-                    for c in _pure_left_mul(ops._kernel_fft(), fh)], axis=-1)
-    assert np.array_equal(ops.teodorescu(f).values, ref)
+    for vals in (full, pure):
+        fh = [np.fft.rfftn(vals[..., c], s=pad, axes=(0, 1, 2))
+              for c in range(4)]
+        ref = np.stack(
+            [np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n[0], :n[1], :n[2]]
+             for c in _pure_left_mul(ops._kernel_fft(), fh)], axis=-1)
+        assert np.array_equal(ops.teodorescu(QField(ops.domain, vals)).values,
+                              ref)
 
 
 @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2)])
@@ -484,15 +490,20 @@ def test_q_matches_real_gram_oracle():
 @pytest.mark.parametrize("n", BOXES)
 def test_pressure_S_matches_bergman_Q(n):
     # the three-solve pressure operator against Sc(Q(p e0)), bit for bit;
-    # p is nonzero on the collar, which both must ignore alike
+    # p is nonzero on the collar, which both must ignore alike. The second
+    # input has signed zeros and an all-zero plane; tobytes() tells -0.0
+    # from +0.0, which array_equal does not
     ops = _box(n)
     p = np.random.default_rng(21).standard_normal(ops.domain.shape)
-    f = np.zeros(ops.domain.shape + (4,))
-    f[..., 0] = p
-    ref = ops.bergman_Q(QField(ops.domain, f)).values[..., 0]
-    got = ops.pressure_S(p)
-    assert np.array_equal(got, ref)
-    assert got.any() == (min(n) > 2)  # (2, 6, 6) has no non-collar cell
+    signed = np.where(p > 0.5, -0.0, np.where(p < -0.5, 0.0, p))
+    signed[:, 1] = -0.0
+    for q in (p, signed):
+        f = np.zeros(ops.domain.shape + (4,))
+        f[..., 0] = q
+        ref = ops.bergman_Q(QField(ops.domain, f)).values[..., 0]
+        got = ops.pressure_S(q)
+        assert got.tobytes() == ref.tobytes()
+        assert got.any() == (min(n) > 2)  # (2, 6, 6) has no non-collar cell
 
 
 def test_q_fixes_gradient_fields(ops12):
@@ -531,6 +542,35 @@ def test_lambda_min_analytic(ops16):
 def test_op_norm_bound(ops12):
     k = ops12.op_norm_TQT()
     assert 0 < k <= 1.1 / ops12.lambda_min()
+
+
+def test_op_norm_matches_dense_eigenvalue():
+    # the Lanczos estimate against the largest eigenvalue of the assembled
+    # TQT, which is symmetric
+    dom = build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 6)
+    ops = OperatorSet(dom)
+    size = dom.num_cells * 4
+    cols = [ops.TQT(QField(dom, e.reshape(dom.shape + (4,)))).values.ravel()
+            for e in np.eye(size)]
+    A = np.array(cols).T
+    assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
+    ref = np.linalg.eigvalsh(A)[-1]
+    assert abs(ops.op_norm_TQT() - ref) <= 1e-9 * ref
+
+
+def test_op_norm_raises_at_maxit(ops8):
+    with pytest.raises(RuntimeError, match="2 steps"):
+        ops8.op_norm_TQT(maxit=2)
+
+
+def test_lambda_min_computed_once(dom8, monkeypatch):
+    ops = OperatorSet(dom8)
+    first = ops.lambda_min()
+    calls = []
+    monkeypatch.setattr(OperatorSet, "poisson_faces",
+                        lambda self, rhs: calls.append(1))
+    assert ops.lambda_min() == first
+    assert not calls
 
 
 def test_div_fwd_of_gradient_consistent(ops8):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from quatmhd.grid import build_domain
-from quatmhd.sampling import _bump, _unit_coords, random_bump, random_smooth
+from quatmhd.sampling import (_bump, _unit_coords, random_bump,
+                              random_pure_bump, random_smooth)
 
 
 def _unit_coords_3d(dom):
@@ -45,3 +46,14 @@ def test_separable_sampling_matches_3d_formula(origin, extent, n):
     assert np.array_equal(random_smooth(dom, seed=7).values, smooth)
     assert np.array_equal(random_bump(dom, seed=7).values,
                           smooth * bump[..., None])
+
+
+@pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10)])
+def test_pure_bump_is_bump_without_scalar(n):
+    # random_pure_bump skips building the scalar part but draws its numbers,
+    # so it stays random_bump with that part zeroed, bit for bit
+    dom = build_domain((0.0, 0.0, 0.0), tuple(0.1 * m for m in n), n)
+    for seed in (0, 7, 12):
+        ref = random_bump(dom, seed=seed).values.copy()
+        ref[..., 0] = 0.0
+        assert np.array_equal(random_pure_bump(dom, seed=seed).values, ref)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from quatmhd.grid import BoundaryData, QField, build_domain, h1_norm, l2_norm
-from quatmhd.mhd import MHDParams, MHDState, convective, leray_project, lorentz
+from quatmhd.mhd import (MHDParams, MHDState, convective, leray_project,
+                         lorentz, residual_strong)
 from quatmhd.operators import OperatorSet, operator_set
 from quatmhd.sampling import random_pure_bump
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
@@ -361,6 +362,11 @@ def test_banach_small_data_converges(dom12, ops12):
     assert report.theorem4_ok
     # Ln log is reproducible from the reported history (no hidden state)
     assert len(report.Ln) == report.iterations
+    # the final residuals are the last row's, those of the returned state
+    last = report.rows[-1]
+    assert (report.final_residuals
+            == (last["res_mom"], last["res_ind"], last["divu"], last["divB"])
+            == residual_strong(state, params, ops12))
 
 
 def test_schauder_ln_bit_identical_recompute(dom12, ops12):
@@ -403,3 +409,37 @@ def test_outer_loop_aborts_on_growing_changes(ops8, prescribed_projection,
                        match="state change grew 5 consecutive steps at "
                              "iteration 7"):
         SOLVE[method](params, ops8, cfg)
+
+
+# ---------------------------------------------------------------------------
+# budget of operator applies
+# ---------------------------------------------------------------------------
+
+def test_apply_budget(dom8, monkeypatch):
+    # T (a padded FFT convolution) is the costliest apply of both setup and
+    # solve; the counts are pinned so that added applies show up here.
+    # Setup: 8 Lanczos steps of ||TQT|| (2 T, 1 Q each) and 30 sampled
+    # T(conv). A warm Banach solve: per outer step one QT for the pressure
+    # and one TQT for u, plus one TQT per inner B iteration; 3 outer steps
+    # and 4 inner iterations here
+    from quatmhd.sampling import random_divfree
+    counts = {"teodorescu": 0, "bergman_Q": 0}
+    for name in counts:
+        method = getattr(OperatorSet, name)
+
+        def counted(self, f, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, f)
+        monkeypatch.setattr(OperatorSet, name, counted)
+    ops = OperatorSet(dom8)
+    c = estimate_constants(dom8, ops, seed=3)
+    assert counts == {"teodorescu": 46, "bergman_Q": 8}
+    fields = [random_divfree(dom8, seed=s) for s in (1, 2)]
+    u0, B0 = [QField(dom8, 1e-3 / h1_norm(f) * f.values) for f in fields]
+    params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
+    counts.update(teodorescu=0, bergman_Q=0)
+    _, report = banach_solve(params, ops, SolverConfig(tol=1e-10),
+                             init=MHDState(u0, B0, QField.zeros(dom8)),
+                             constants=c)
+    assert report.converged and report.iterations == 3
+    assert counts == {"teodorescu": 17, "bergman_Q": 10}
