@@ -6,17 +6,14 @@ from .grid import (VoxelDomain, QField, BoundaryData, build_domain,
                    l2_inner, sc_inner, l2_norm, h1_norm, lq_norm,
                    trace_boundary, zero_boundary)
 from .operators import (dirac_fwd, dirac_bwd, dirac_central, laplacian,
-                        OperatorSet, operator_set, teodorescu, cauchy,
-                        bergman_P, bergman_Q, poisson_dirichlet,
-                        lambda_min, op_norm_TQT)
+                        OperatorSet)
 
 __all__ = [
     "Quaternion", "qmul", "conj", "sc", "vec", "product_split",
     "VoxelDomain", "QField", "BoundaryData", "build_domain", "l2_inner",
     "sc_inner", "l2_norm", "h1_norm", "lq_norm", "trace_boundary",
     "zero_boundary", "dirac_fwd", "dirac_bwd", "dirac_central", "laplacian",
-    "OperatorSet", "operator_set", "teodorescu", "cauchy", "bergman_P",
-    "bergman_Q", "poisson_dirichlet", "lambda_min", "op_norm_TQT",
+    "OperatorSet",
 ]
 
 __version__ = "0.1.0"

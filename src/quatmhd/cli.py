@@ -19,17 +19,17 @@ import ctypes
 import json
 import math
 import sys
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .grid import QField, build_domain, l2_norm, sc_inner, zero_boundary
+from .grid import (QField, _finite, _integer, build_domain, l2_norm, sc_inner,
+                   zero_boundary)
 from .io import (_FMT, read_boundary_csv, read_csv, read_vtk,
                  write_convergence_csv, write_csv, write_manifest, write_vtk)
 from .mhd import MHDParams, MHDState, leray_project
-from .operators import (dirac_bwd, dirac_central, dirac_fwd, div_fwd,
-                        laplacian, operator_set)
+from .operators import (OperatorSet, dirac_bwd, dirac_central, dirac_fwd,
+                        div_fwd, laplacian)
 from .sampling import random_bump, random_smooth
 from .solvers import (ConditionViolation, DivergenceError, SolverConfig,
                       banach_solve, cond1_threshold, estimate_constants,
@@ -58,24 +58,6 @@ def _check_keys(spec, known, what: str) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
-def _integer(value, key: str, low: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _triple(value, key: str, positive: bool) -> tuple:
-    """Three finite numbers, each > 0 when `positive`."""
-    ok = (isinstance(value, (list, tuple)) and len(value) == 3
-          and all(not isinstance(v, bool) and isinstance(v, Real)
-                  and math.isfinite(v) and (v > 0 or not positive)
-                  for v in value))
-    if not ok:
-        kind = "finite positive" if positive else "finite"
-        raise ValueError(f"{key} must be 3 {kind} numbers, got {value!r}")
-    return tuple(float(v) for v in value)
-
-
 def load_config(path) -> dict:
     """Read and validate a run configuration."""
     with open(path) as f:
@@ -85,24 +67,23 @@ def load_config(path) -> dict:
     _check_keys(dom_spec, _DOMAIN_KEYS, "domain")
     _check_keys(raw.get("params", {}), _PARAM_KEYS, "params")
     _check_keys(raw.get("solver", {}), _SOLVER_KEYS, "solver")
-    budget = raw.get("norm_budget", 0.0)
-    if (isinstance(budget, bool) or not isinstance(budget, Real)
-            or not (math.isfinite(budget) and budget >= 0)):
-        raise ValueError(f"norm_budget must be finite and >= 0, "
-                         f"got {budget!r}")
+    n = dom_spec.get("n", 16)
+    try:  # a cube of n cells per axis: a list for n fails as n[0]
+        domain = build_domain(dom_spec.get("origin", (0.0, 0.0, 0.0)),
+                              dom_spec.get("extent", (1.0, 1.0, 1.0)),
+                              (n, n, n))
+    except ValueError as exc:
+        raise ValueError(f"domain: {exc}") from None
     cfg = {
-        "origin": _triple(dom_spec.get("origin", (0.0, 0.0, 0.0)),
-                          "domain.origin", positive=False),
-        "extent": _triple(dom_spec.get("extent", (1.0, 1.0, 1.0)),
-                          "domain.extent", positive=True),
-        "n": _integer(dom_spec.get("n", 16), "domain.n", 2),
+        "domain": domain,
         "params": dict(raw.get("params", {})),
         "boundary_h": raw.get("boundary_h", "zero"),
         "solver": SolverConfig(**raw.get("solver", {})),  # value checks
         "output": raw.get("output", "out"),
         "seed": _integer(raw.get("seed", 0), "seed", 0),
         "init_state": raw.get("init_state"),
-        "norm_budget": float(budget),
+        "norm_budget": _finite(raw.get("norm_budget", 0.0), "norm_budget",
+                               low=0.0, inclusive=True),
     }
     MHDParams(**cfg["params"])  # value checks, before any output is written
     if cfg["boundary_h"] != "zero" and not Path(cfg["boundary_h"]).exists():
@@ -128,8 +109,8 @@ def _read_state_file(path, domain) -> QField:
 def _build(cfg, out_dir: Path):
     """Read and check every input file of the run, then create the output
     directory, so that a rejected input leaves no directory behind."""
-    domain = build_domain(cfg["origin"], cfg["extent"], cfg["n"])
-    ops = operator_set(domain)
+    domain = cfg["domain"]
+    ops = OperatorSet(domain)
     boundary = None
     if cfg["boundary_h"] != "zero":
         boundary = read_boundary_csv(cfg["boundary_h"], domain)
@@ -181,7 +162,8 @@ def _verify_checks(domain, ops, seed):
                l2_norm(dirac_bwd(dirac_fwd(w)) + lap) / l2_norm(lap), 1e-12)
 
     lam = ops.lambda_min()
-    lam_ref = 3.0 * (4.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
+    lam_ref = sum((4.0 / h**2) * math.sin(math.pi / (2 * m)) ** 2
+                  for m in domain.n)
     yield ("lambda_min_analytic", abs(lam - lam_ref) / lam_ref, 1e-6)
     yield ("k_bound", ops.op_norm_TQT() * lam / 1.1, 1.0)
 
@@ -230,8 +212,8 @@ def cmd_verify(cfg, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(cfg, out_dir: Path) -> int:
-    domain, ops, params, _ = _build(cfg, out_dir)
-    bundle = estimate_constants(domain, ops, seed=cfg["seed"])
+    _, ops, params, _ = _build(cfg, out_dir)
+    bundle = estimate_constants(ops, seed=cfg["seed"])
     names = ["C1", "Cs", "CD", "Cu", "k", "lambda_min",
              "cond1_threshold", "theorem2_threshold",
              "theorem4_a_threshold", "theorem4_W", "theorem4_b_threshold"]
@@ -257,7 +239,7 @@ def cmd_constants(cfg, out_dir: Path) -> int:
 def cmd_solve(cfg, out_dir: Path) -> int:
     solver_cfg = cfg["solver"]
     domain, ops, params, init = _build(cfg, out_dir)
-    bundle = estimate_constants(domain, ops, seed=cfg["seed"])
+    bundle = estimate_constants(ops, seed=cfg["seed"])
     solve = (banach_solve if solver_cfg.method == "banach"
              else schauder_solve)
     try:

@@ -39,7 +39,7 @@ class EnergyReport:
                 self.coercivity_ok, self.rho_max]
 
 
-def energy(u: QField, B: QField, params: MHDParams, ops=None,
+def energy(u: QField, B: QField, params: MHDParams,
            Cs: float | None = None) -> EnergyReport:
     """Evaluate J(u, B) and its four terms. When the Poisson constant Cs is
     supplied, the coercivity radius and flag are evaluated at ||B||_H1;

@@ -8,7 +8,9 @@ the face-midpoint rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -85,15 +87,44 @@ class VoxelDomain:
                 and self.h == other.h)
 
 
+def _integer(value, name: str, low: int) -> int:
+    """value as an int; ValueError naming `name` unless it is an integer
+    >= low (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _finite(value, name: str, low: float | None = None,
+            inclusive: bool = False) -> float:
+    """value as a float; ValueError naming `name` unless it is a finite real
+    number (a bool is not) above low, or equal to it when inclusive."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value)
+            or not (low is None or value > low or inclusive and value == low)):
+        bound = "" if low is None else f" {'>=' if inclusive else '>'} {low:g}"
+        raise ValueError(f"{name} must be a finite number{bound}, "
+                         f"got {value!r}")
+    return float(value)
+
+
+def _per_axis(value, name: str, check, **kw) -> tuple:
+    """check(entry, f"{name}[i]", **kw) of each of the 3 entries of value."""
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3):
+        raise ValueError(f"{name} must have 3 entries, got {value!r}")
+    return tuple(check(v, f"{name}[{i}]", **kw) for i, v in enumerate(value))
+
+
 def build_domain(origin, physical_extent, n) -> VoxelDomain:
-    """Build a full-box voxel domain with isotropic spacing."""
-    origin = np.asarray(origin, dtype=float)
-    ext = np.asarray(physical_extent, dtype=float)
-    n = tuple(int(v) for v in np.atleast_1d(n) * np.ones(3, dtype=int))
-    if any(v < 2 for v in n):
-        raise ValueError("need at least 2 cells per axis")
-    if np.any(ext <= 0):
-        raise ValueError("physical extents must be positive")
+    """Build a full-box voxel domain with isotropic spacing from 3 finite
+    origin coordinates, 3 finite positive extents and the cells per axis,
+    3 integers >= 2 or one for all three axes."""
+    origin = np.array(_per_axis(origin, "origin", _finite))
+    ext = np.array(_per_axis(physical_extent, "extent", _finite, low=0.0))
+    if isinstance(n, (list, tuple, np.ndarray)):
+        n = _per_axis(n, "n", _integer, low=2)
+    else:
+        n = (_integer(n, "n", 2),) * 3
     spacings = ext / np.asarray(n)
     if not np.allclose(spacings, spacings[0], rtol=1e-12, atol=0.0):
         raise ValueError("anisotropic spacing not supported: extent/n must match per axis")

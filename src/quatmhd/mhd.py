@@ -14,13 +14,11 @@ term, as displayed for the contraction scheme).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, sc_inner
+from .grid import BoundaryData, QField, VoxelDomain, _finite, sc_inner
 from .operators import (OperatorSet, _dcen, _dfwd, dirac_fwd, div_fwd,
                         grad_bwd, laplacian)
 from .quaternion import qmul_arr
@@ -55,9 +53,7 @@ class MHDParams:
 
     def __post_init__(self):
         for name in ("Re", "Rm", "mu0"):
-            v = getattr(self, name)
-            if not (isinstance(v, Real) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+            _finite(getattr(self, name), name, low=0.0)
         if self.exponent_mode not in _MODES:
             raise ValueError(f"exponent_mode must be one of {_MODES}")
 

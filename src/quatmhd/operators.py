@@ -5,7 +5,8 @@ Differential operators
         other for interior-supported fields, with -D- D+ equal to the
         7-point Laplacian away from the faces
     dirac_central        : second-order Dirac operator used to verify the
-        integral identities D(Tf) = f and Borel-Pompeiu
+        integral identities D(Tf) = f and Borel-Pompeiu, the same sum over
+        the units with a centered difference on every component
     grad_bwd, div_fwd, curl_bwd : classical vector operators
     laplacian            : centered 7-point Laplacian, applied componentwise
 
@@ -38,10 +39,14 @@ kernel per domain)
         collar, in the DST-I sine basis of the non-collar block
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
         (ghost anti-reflection), in the DST-II sine basis of the whole box
-    lambda_min       : smallest Dirichlet eigenvalue, inverse power iteration
-        and a Rayleigh quotient of the face stencil, computed once per set
+    lambda_min       : smallest Dirichlet eigenvalue, the inverse of the
+        largest Ritz value of poisson_faces, computed once per set
     op_norm_TQT      : operator norm of the self-adjoint composition T Q T,
-        the largest Ritz value of a Lanczos tridiagonal
+        its largest Ritz value
+
+Both Ritz values come from _top_ritz over _lanczos, the one Lanczos
+recurrence of the package; the pressure MINRES (solvers._minres) runs on
+the same recurrence.
 
 Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
 orthonormal 1-D basis matrices are built once per axis and applied along
@@ -64,17 +69,14 @@ __all__ = [
     "curl_bwd",
     "laplacian",
     "OperatorSet",
-    "operator_set",
-    "teodorescu",
-    "cauchy",
-    "bergman_Q",
-    "bergman_P",
-    "poisson_dirichlet",
-    "lambda_min",
-    "op_norm_TQT",
 ]
 
-_E = np.eye(4)[1:]  # imaginary units e1, e2, e3 as 4-vectors
+# stop rules of the two Lanczos Ritz estimates (_top_ritz): the relative
+# change of the Ritz value per step, and the step cap. lambda_min runs to
+# rounding (about 11 face solves at n = 8..48); ||TQT|| stops at 1e-8.
+_LAMBDA_MIN_TOL = 1e-14
+_OP_NORM_TOL = 1e-8
+_RITZ_MAXIT = 300
 
 # Difference of D+ along axis j (row) on input component c (column):
 # True backward, False forward. Each row is constant on the pairs of
@@ -140,14 +142,6 @@ def _staggered(vals: np.ndarray, h: float, fwd, bwd) -> np.ndarray:
     return out
 
 
-def _dirac(u: QField, diff) -> QField:
-    h = u.domain.h
-    out = np.zeros_like(u.values)
-    for i in range(3):
-        out += qmul_arr(_E[i], diff(u.values, i, h))
-    return QField(u.domain, out)
-
-
 def dirac_fwd(u: QField) -> QField:
     """Staggered Dirac operator D+ = sum_j e_j d_j, the differences chosen
     per component by _BACKWARD, with one-sided fallback rows at the faces."""
@@ -161,8 +155,9 @@ def dirac_bwd(u: QField) -> QField:
 
 
 def dirac_central(u: QField) -> QField:
-    """Second-order centered Dirac operator."""
-    return _dirac(u, _dcen)
+    """Second-order centered Dirac operator sum_j e_j d_j, d_j the centered
+    difference on every component."""
+    return QField(u.domain, _staggered(u.values, u.domain.h, _dcen, _dcen))
 
 
 def grad_bwd(u: QField) -> QField:
@@ -240,7 +235,7 @@ class OperatorSet:
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
-        self._lambda_min = {}      # lambda_min per (tol, maxit)
+        self._lambda_min = None    # computed on first use
         # per-axis sine bases and stencil eigenvalues of the Poisson solves:
         # DST-I on the non-collar block, DST-II on the whole box
         n, h = np.asarray(domain.n), domain.h
@@ -354,34 +349,22 @@ class OperatorSet:
         rhs = np.reshape(rhs, self.domain.shape)
         return _sine_solve(rhs, self._face_bases, self._face_symbol).ravel()
 
-    def lambda_min(self, tol: float = 1e-10, maxit: int = 500) -> float:
+    def lambda_min(self) -> float:
         """Smallest eigenvalue of the cell-centered Dirichlet Laplacian
-        (zero values on the box faces, ghost anti-reflection), by inverse
-        power iteration and a Rayleigh quotient of the face stencil; the
-        continuum limit is 3*pi^2 on the unit cube. It stays iterative,
-        not the closed form 3 (4/h^2) sin^2(pi h/2) of the DST symbol, so
-        that comparing the two checks the face solve. Computed once per
-        (tol, maxit) and operator set."""
-        key = (tol, maxit)
-        if key in self._lambda_min:
-            return self._lambda_min[key]
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(self.domain.num_cells)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(maxit):
-            w = self.poisson_faces(v)
-            nw = np.linalg.norm(w)
-            lam_new = 1.0 / nw
-            v = w / nw
-            if abs(lam_new - lam) < tol * max(1.0, lam_new):
-                break
-            lam = lam_new
-        # Rayleigh quotient at the converged vector
-        v = v.reshape(self.domain.shape)
-        lam = float(np.vdot(v, _neg_lap_faces(v, self.domain.h)))
-        self._lambda_min[key] = lam
-        return lam
+        (zero values on the box faces, ghost anti-reflection), the inverse
+        of the largest eigenvalue of the symmetric positive definite
+        poisson_faces: one over its largest Ritz value (_top_ritz) from a
+        seeded random start. The continuum limit is 3*pi^2 on the unit
+        cube. It stays iterative, not the closed form, the sum over the
+        axes of (4/h^2) sin^2(pi/(2 n_axis)) of the DST symbol, so that
+        comparing the two checks the face solve. Computed once per
+        operator set."""
+        if self._lambda_min is None:
+            v = np.random.default_rng(0).standard_normal(self.domain.num_cells)
+            self._lambda_min = 1.0 / _top_ritz(
+                self.poisson_faces, v, _LAMBDA_MIN_TOL, _RITZ_MAXIT,
+                "lambda_min")
+        return self._lambda_min
 
     # -- Bergman projection -------------------------------------------------
 
@@ -437,35 +420,16 @@ class OperatorSet:
     def TQT(self, f: QField) -> QField:
         return self.teodorescu(self.bergman_Q(self.teodorescu(f)))
 
-    def op_norm_TQT(self, tol: float = 1e-8, maxit: int = 300, seed: int = 0) -> float:
+    def op_norm_TQT(self, maxit: int = _RITZ_MAXIT) -> float:
         """L2 operator norm of T Q T by Lanczos. T is symmetric (an odd
         kernel times pure units) and Q an orthogonal projection, so
         TQT = (QT)^T QT is symmetric positive semidefinite and its norm is
-        its largest eigenvalue. From a seeded random start the Lanczos
-        recurrence builds the tridiagonal; the estimate is its largest
-        Ritz value, returned once a step changes it by <= tol relative.
-        RuntimeError when maxit steps do not get there, or when the
-        estimate exceeds the bound 1/lambda_min with 10% slack."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.domain.shape + (4,))
-        v /= np.sqrt((v * v).sum())
-        v_prev, alpha, beta, k = None, [], [], 0.0
-        for _ in range(maxit):
-            # TQT v = beta_prev v_prev + alpha v + beta v_next
-            w = self.TQT(QField(self.domain, v)).values
-            alpha.append(float((v * w).sum()))
-            w -= alpha[-1] * v
-            if v_prev is not None:
-                w -= beta[-1] * v_prev
-            beta.append(float(np.sqrt((w * w).sum())))
-            k_prev, k = k, _top_eigenvalue(alpha, beta[:-1])
-            if abs(k - k_prev) <= tol * abs(k) or beta[-1] == 0.0:
-                break
-            w /= beta[-1]
-            v_prev, v = v, w
-        else:
-            raise RuntimeError(
-                f"op_norm_TQT: Lanczos not converged after {maxit} steps")
+        its largest eigenvalue: the largest Ritz value (_top_ritz) from a
+        seeded random start. RuntimeError when maxit steps do not settle
+        it, or when it exceeds the bound 1/lambda_min with 10% slack."""
+        v = np.random.default_rng(0).standard_normal(self.domain.shape + (4,))
+        k = _top_ritz(lambda x: self.TQT(QField(self.domain, x)).values, v,
+                      _OP_NORM_TOL, maxit, "op_norm_TQT")
         bound = 1.1 / self.lambda_min()
         if k > bound:
             raise RuntimeError(
@@ -475,6 +439,47 @@ class OperatorSet:
     def _check(self, f: QField) -> None:
         if not f.domain.same_grid(self.domain):
             raise ValueError("field domain does not match operator set")
+
+
+def _lanczos(apply_A, v):
+    """Lanczos recurrence of a symmetric operator apply_A started from the
+    nonzero array v. Yields (v_k, alpha_k, beta_k, beta_{k+1}) for
+    k = 1, 2, ..., where beta_1 = ||v||, v_1 = v / beta_1, v_0 = 0 and
+
+        A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1},
+
+    and ends after a zero beta_{k+1}. Inner products and norms are
+    elementwise sums over arrays of any shape; each step applies A once,
+    only when the consumer asks for it."""
+    beta = float(np.sqrt((v * v).sum()))
+    v, v_prev = v / beta, None
+    while True:
+        w = apply_A(v)
+        alpha = float((v * w).sum())
+        w = w - alpha * v
+        if v_prev is not None:
+            w -= beta * v_prev
+        beta_next = float(np.sqrt((w * w).sum()))
+        yield v, alpha, beta, beta_next
+        if beta_next == 0.0:
+            return
+        w /= beta_next
+        v_prev, v, beta = v, w, beta_next
+
+
+def _top_ritz(apply_A, v, tol: float, maxit: int, name: str) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite apply_A: the
+    largest Ritz value of the Lanczos tridiagonal grown from v, returned
+    once a step moves it by <= tol relative or the recurrence ends.
+    RuntimeError naming `name` when maxit steps do not get there."""
+    alpha, beta, k = [], [], 0.0
+    for _, (_, a, _, b) in zip(range(maxit), _lanczos(apply_A, v)):
+        alpha.append(a)
+        k_prev, k = k, _top_eigenvalue(alpha, beta)
+        if abs(k - k_prev) <= tol * abs(k) or b == 0.0:
+            return k
+        beta.append(b)
+    raise RuntimeError(f"{name}: Lanczos not converged after {maxit} steps")
 
 
 def _top_eigenvalue(a, b) -> float:
@@ -555,17 +560,6 @@ def _pure_left_mul(K, f) -> list:
     ]
 
 
-def _neg_lap_faces(v: np.ndarray, h: float) -> np.ndarray:
-    """Cell-centered 7-point -Laplacian of a 3-D array with zero Dirichlet
-    data on the box faces: the ghost value behind each face is -u of the
-    cell in front of it, so the end-cell diagonal is 3/h^2."""
-    out = np.zeros_like(v)
-    for ax in range(3):
-        out -= np.diff(v, n=2, axis=ax, prepend=-np.take(v, [0], axis=ax),
-                       append=-np.take(v, [-1], axis=ax))
-    return out / h**2
-
-
 def _dst1(m: int) -> np.ndarray:
     """Orthonormal DST-I matrix of size m (period m + 1), its own inverse:
     row k - 1 is the sine mode sin(pi k j / (m + 1)), j = 1..m."""
@@ -607,44 +601,3 @@ def _dirichlet_symbol(h: float, sizes, periods) -> np.ndarray:
     lam = [(4.0 / h**2) * np.sin(np.pi * np.arange(1, m + 1) / (2 * p)) ** 2
            for m, p in zip(sizes, periods)]
     return lam[0][:, None, None] + lam[1][None, :, None] + lam[2][None, None, :]
-
-
-_CACHE: dict[tuple, OperatorSet] = {}
-
-
-def operator_set(domain: VoxelDomain) -> OperatorSet:
-    """Shared per-domain OperatorSet (caches its FFT kernels)."""
-    key = (domain.n, round(domain.h, 15), tuple(np.round(domain.origin, 15)))
-    ops = _CACHE.get(key)
-    if ops is None or not ops.domain.same_grid(domain):
-        ops = OperatorSet(domain)
-        _CACHE[key] = ops
-    return ops
-
-
-def teodorescu(f: QField) -> QField:
-    return operator_set(f.domain).teodorescu(f)
-
-
-def cauchy(g) -> QField:
-    return operator_set(g.domain).cauchy(g)
-
-
-def bergman_Q(f: QField) -> QField:
-    return operator_set(f.domain).bergman_Q(f)
-
-
-def bergman_P(f: QField) -> QField:
-    return operator_set(f.domain).bergman_P(f)
-
-
-def poisson_dirichlet(rhs: QField) -> QField:
-    return operator_set(rhs.domain).poisson_dirichlet(rhs)
-
-
-def lambda_min(domain: VoxelDomain, **kw) -> float:
-    return operator_set(domain).lambda_min(**kw)
-
-
-def op_norm_TQT(domain: VoxelDomain, **kw) -> float:
-    return operator_set(domain).op_norm_TQT(**kw)

@@ -18,7 +18,7 @@ divergence guards. The schemes differ only in the update and in their own
 row entries.
 
 Constants (C1, Cs, CD, Cu, k) are estimated once per domain: C1 and
-lambda_min analytically from the discrete Dirichlet spectrum, the rest as
+lambda_min from the discrete Dirichlet spectrum, to rounding, the rest as
 sampled extremal ratios with a x2 safety factor.
 """
 
@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .energy import energy
-from .grid import QField, h1_norm, l2_norm, lq_norm
+from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
 from .mhd import (MHDParams, MHDState, _dirac_scalar, boundary_B_term,
                   convective, leray_project, lorentz, residual_strong,
                   tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
-from .operators import OperatorSet, dirac_fwd
+from .operators import OperatorSet, _lanczos, dirac_fwd
 from .sampling import random_pure_bump
 
 __all__ = [
@@ -107,15 +106,9 @@ class SolverConfig:
         if self.method not in ("banach", "schauder_neumann"):
             raise ValueError("method must be banach or schauder_neumann")
         for name in ("tol", "neumann_term_tol"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, Real)
-                    or not (math.isfinite(v) and v > 0)):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {v!r}")
+            _finite(getattr(self, name), name, low=0.0)
         for name in ("max_outer", "max_inner", "neumann_max_terms"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            _integer(getattr(self, name), name, 1)
 
 
 @dataclass
@@ -137,15 +130,16 @@ class ConvergenceReport:
 # constants
 # ---------------------------------------------------------------------------
 
-def estimate_constants(domain, ops: OperatorSet, samples: int = 30,
+def estimate_constants(ops: OperatorSet, samples: int = 30,
                        seed: int = 0) -> ConstantsBundle:
-    """Estimate the bundle of norm constants on one domain.
+    """Estimate the bundle of norm constants on the domain of ops.
 
-    C1 = 1/lambda_min (analytic); k = ||TQT|| by Lanczos; Cs is
-    twice the largest sampled ratio of the three nonlinear estimates
-    (L^{5/4} norms) plus the composed form ||T Sc(uD)u|| <= C ||u||_H1^2;
-    CD doubles the largest sampled ||Du|| / ||u||_H1; Cu halves the smallest
-    sampled ||Du||^2 / ||u||_H1^2 (a coercivity constant is a lower bound).
+    C1 = 1/lambda_min, exact up to rounding (provenance "analytic");
+    k = ||TQT|| by Lanczos; Cs is twice the largest sampled ratio of the
+    three nonlinear estimates (L^{5/4} norms) plus the composed form
+    ||T Sc(uD)u|| <= C ||u||_H1^2; CD doubles the largest sampled
+    ||Du|| / ||u||_H1; Cu halves the smallest sampled ||Du||^2 / ||u||_H1^2
+    (a coercivity constant is a lower bound).
     """
     if samples < 10:
         raise ValueError("need at least 10 samples")
@@ -155,8 +149,8 @@ def estimate_constants(domain, ops: OperatorSet, samples: int = 30,
     rng = np.random.default_rng(seed)
     ratios_s, ratios_d, ratios_c = [], [], []
     for _ in range(samples):
-        u = random_pure_bump(domain, rng)
-        B = random_pure_bump(domain, rng)
+        u = random_pure_bump(ops.domain, rng)
+        B = random_pure_bump(ops.domain, rng)
         uh, Bh = h1_norm(u), h1_norm(B)
         if uh == 0.0 or Bh == 0.0:
             continue
@@ -255,7 +249,10 @@ def check_theorem4(c: ConstantsBundle, params: MHDParams,
 def _minres(apply_A, b: np.ndarray, tol: float,
             maxit: int) -> tuple[np.ndarray, int]:
     """MINRES (Paige & Saunders 1975) for a symmetric A, no preconditioner,
-    started from x = 0; returns x and the number of iterations run.
+    started from x = 0; returns x and the number of iterations run. The
+    Lanczos vectors and the tridiagonal come from operators._lanczos
+    started at b; this is the QR update of that tridiagonal by Givens
+    rotations and the update of x.
 
     Stops when the residual norm the recurrence carries is <= tol ||b||,
     when the least-squares test ||A r|| <= tol ||A|| ||r|| holds (||A||
@@ -265,18 +262,13 @@ def _minres(apply_A, b: np.ndarray, tol: float,
     once the residual has converged, so that test must be met before the
     drift spoils x (at tol >= 1e-9 on the pressure operator)."""
     x = np.zeros_like(b)
-    bnorm = np.linalg.norm(b)
+    bnorm = float(np.sqrt((b * b).sum()))
     if bnorm == 0.0:
         return x, 0
-    v_prev, v, beta = np.zeros_like(b), b / bnorm, bnorm
     w_prev, w = np.zeros_like(b), np.zeros_like(b)
     phibar, cs, sn, dbar, eps, tnorm2 = bnorm, -1.0, 0.0, 0.0, 0.0, 0.0
-    for it in range(1, maxit + 1):
-        # Lanczos step: A v = beta v_prev + alpha v + beta_next v_next
-        y = apply_A(v)
-        alpha = v @ y
-        y = y - alpha * v - beta * v_prev
-        beta_next = np.linalg.norm(y)
+    steps = zip(range(1, maxit + 1), _lanczos(apply_A, b))
+    for it, (v, alpha, beta, beta_next) in steps:
         tnorm2 += alpha**2 + beta**2 + beta_next**2
         # previous Givens rotation on the new column of T, then a new one
         delta = cs * dbar + sn * alpha
@@ -292,7 +284,6 @@ def _minres(apply_A, b: np.ndarray, tol: float,
         if (abs(phibar) <= tol * bnorm or beta_next == 0.0
                 or np.hypot(gbar, dbar) <= tol * np.sqrt(tnorm2)):
             return x, it
-        v_prev, v, beta = v, y / beta_next, beta_next
     return x, maxit
 
 
@@ -484,8 +475,7 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
             row["cond1"] = check_cond1(hist_u[-1], constants, params.Rm)
             row.update(conditions(report, hist_u, hist_B))
         res = residual_strong(state, params, ops)
-        erep = energy(u, B, params, ops,
-                      Cs=constants.Cs if constants else None)
+        erep = energy(u, B, params, Cs=constants.Cs if constants else None)
         row.update(Jenergy=erep.J, res_mom=res[0], res_ind=res[1],
                    divu=res[2], divB=res[3])
         report.energy_rows.append(erep.csv_row())

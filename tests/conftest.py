@@ -1,7 +1,7 @@
 import pytest
 
 from quatmhd.grid import build_domain
-from quatmhd.operators import operator_set
+from quatmhd.operators import OperatorSet
 
 
 @pytest.fixture(scope="session")
@@ -21,17 +21,17 @@ def dom16():
 
 @pytest.fixture(scope="session")
 def ops8(dom8):
-    return operator_set(dom8)
+    return OperatorSet(dom8)
 
 
 @pytest.fixture(scope="session")
 def ops12(dom12):
-    return operator_set(dom12)
+    return OperatorSet(dom12)
 
 
 @pytest.fixture(scope="session")
 def ops16(dom16):
-    return operator_set(dom16)
+    return OperatorSet(dom16)
 
 
 @pytest.fixture

@@ -18,8 +18,8 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           zero_boundary)
 from quatmhd.io import write_boundary_csv, write_csv
 from quatmhd.mhd import MHDParams, MHDState, convective, lorentz, residual_strong
-from quatmhd.operators import (dirac_bwd, dirac_central, dirac_fwd, laplacian,
-                               operator_set)
+from quatmhd.operators import (OperatorSet, dirac_bwd, dirac_central,
+                               dirac_fwd, laplacian)
 from quatmhd.sampling import random_bump, random_pure_bump, random_smooth
 from quatmhd.solvers import (ConstantsBundle, SolverConfig, banach_solve,
                              check_cond1, check_schauder_bound, check_theorem4,
@@ -69,7 +69,7 @@ def small_data(dom12, ops12):
 
     params = MHDParams(Re=1.0, Rm=1.0, mu0=1.0, exponent_mode="mixed",
                        boundary_h=_small_boundary(dom12, eps=1e-7))
-    bundle = estimate_constants(dom12, ops12, seed=0)
+    bundle = estimate_constants(ops12, seed=0)
     delta = 1e-3
     u0 = random_divfree(dom12, seed=11)
     u0 = QField(dom12, delta * u0.values / h1_norm(u0))
@@ -89,7 +89,7 @@ def test_criterion_01_right_inverse(ops16):
     errs16 = [_right_inverse_err(ops16, seed) for seed in range(5)]
     e_by_n = [max(errs16)]
     for n in (20, 24):
-        e_by_n.append(_right_inverse_err(operator_set(
+        e_by_n.append(_right_inverse_err(OperatorSet(
             build_domain((0, 0, 0), (1, 1, 1), n)), seed=0))
     order = math.log(errs16[0] / e_by_n[-1]) / math.log(24.0 / 16.0)
     ok = (max(errs16) <= 0.05
@@ -174,7 +174,7 @@ def test_criterion_05_constants(ops16):
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_lemma3_holdout(dom12, ops12):
-    bundle = estimate_constants(dom12, ops12, seed=0)
+    bundle = estimate_constants(ops12, seed=0)
     Cs = bundle.Cs
     rng = np.random.default_rng(12345)  # holdout stream, disjoint from seed=0
     violations = 0

@@ -68,6 +68,13 @@ def test_verify_small_grid(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 0
     report = (tmp_path / "out" / "verify_report.txt").read_text()
     assert "PASS dirac_right_inverse" in report
+    # a cube of side 2: the closed form of lambda_min takes n, not 1/h
+    spec = json.loads(cfg.read_text())
+    spec["domain"]["extent"] = [2, 2, 2]
+    cfg.write_text(json.dumps(spec))
+    out2 = tmp_path / "out2"
+    assert main(["verify", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert "FAIL" not in (out2 / "verify_report.txt").read_text()
 
 
 def test_runtime_imports_no_scipy():
@@ -302,6 +309,7 @@ def test_solve_exit_3_when_not_converged(tmp_path, capsys):
     ("domain", "extent", [1, 1]),          # 3 finite positive numbers
     ("domain", "extent", [1, 0, 1]),
     ("domain", "extent", [1, 1, float("inf")]),
+    ("params", "Re", True),                # a bool is not a number
 ])
 def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)

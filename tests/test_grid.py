@@ -31,6 +31,10 @@ def test_build_domain_rejects_degenerate():
         build_domain((0, 0, 0), (1, 1, 1), 1)
     with pytest.raises(ValueError):
         build_domain((0, 0, 0), (1.0, 2.0, 1.0), 8)  # anisotropic h
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_domain((0, 0, 0), (1, 1, 1), 4.9)  # not truncated to 4
+    with pytest.raises(ValueError, match=r"origin\[1\] must be a finite"):
+        build_domain((0, float("nan"), 0), (1, 1, 1), 8)
 
 
 def test_boundary_face_normals(dom8):

@@ -8,11 +8,11 @@ from scipy.sparse.linalg import splu
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
 from quatmhd.mhd import _dirac_scalar
-from quatmhd.operators import (_dbwd0, _dfwd0, _dst1, _dst2, _irfft_head,
-                               _neg_lap_faces, _pure, _pure_left_mul,
-                               _staggered, curl_bwd, dirac_bwd,
+from quatmhd.operators import (_dbwd0, _dcen, _dfwd0, _dst1, _dst2,
+                               _irfft_head, _lanczos, _pure, _pure_left_mul,
+                               _staggered, _top_ritz, curl_bwd, dirac_bwd,
                                dirac_central, dirac_fwd, div_fwd, laplacian,
-                               OperatorSet, operator_set)
+                               OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_smooth
 
@@ -33,8 +33,8 @@ BOXES = [(8, 8, 8), (6, 8, 10), (3, 9, 5), (2, 6, 6)]
 
 
 def _box(n):
-    return operator_set(build_domain((0.1, -0.2, 0.3),
-                                     tuple(0.1 * m for m in n), n))
+    return OperatorSet(build_domain((0.1, -0.2, 0.3),
+                                    tuple(0.1 * m for m in n), n))
 
 
 def _cauchy_dense(ops, g):
@@ -177,6 +177,12 @@ def test_staggered_pair_matches_matrix(n):
     plus = _staggered_matrix(dom, "fwd0", "bwd0", False)
     minus = _staggered_matrix(dom, "fwd0", "bwd0", True)
     assert abs(minus - plus.T).max() <= 1e-12 * abs(plus).max()
+    # dirac_central, bit for bit the unit sum sum_j e_j d_j u of the
+    # centered difference of all four components
+    ref = np.zeros_like(vals)
+    for j in range(3):
+        ref += qmul_arr(np.eye(4)[1 + j], _dcen(vals, j, dom.h))
+    assert dirac_central(u).values.tobytes() == ref.tobytes()
 
 
 def test_dirac_fwd_is_div_grad_curl(dom8):
@@ -265,9 +271,8 @@ def test_teodorescu_zero(ops8):
 def test_teodorescu_odd_kernel_center():
     # constant field on a cube with odd n: the value at the center cell is 0
     from quatmhd.grid import build_domain
-    from quatmhd.operators import operator_set
     dom = build_domain((0, 0, 0), (1, 1, 1), 9)
-    ops = operator_set(dom)
+    ops = OperatorSet(dom)
     vals = np.zeros(dom.shape + (4,))
     vals[..., 0] = 1.0
     out = ops.teodorescu(QField(dom, vals))
@@ -413,16 +418,6 @@ def test_poisson_dirichlet_is_componentwise(ops12):
         assert np.abs(got[..., c] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", BOXES[:3])
-def test_face_stencil_matches_sparse_matrix(n):
-    dom = _box(n).domain
-    v = np.random.default_rng(17).standard_normal(dom.num_cells)
-    A = _poisson_matrix_faces(dom)
-    ref = v @ (A @ v)
-    got = np.vdot(v, _neg_lap_faces(v.reshape(dom.shape), dom.h))
-    assert abs(got - ref) <= 1e-13 * abs(ref)
-
-
 def test_poisson_eigenfunction(ops16):
     # discrete Dirichlet eigenfunction of the 7-point stencil on the
     # non-collar block: sin-product with analytic eigenvalue
@@ -537,6 +532,33 @@ def test_lambda_min_analytic(ops16):
     assert ops16.lambda_min() == pytest.approx(ref, rel=1e-6)
     # the continuum value 3 pi^2 is approached from below
     assert ops16.lambda_min() < 3 * math.pi ** 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, (3, 9, 5)])
+def test_lambda_min_matches_closed_form(n):
+    # the DST-II symbol's smallest entry, sum_axes (4/h^2) sin^2(pi/(2 n_axis))
+    ops = _box((n,) * 3 if isinstance(n, int) else n)
+    h = ops.domain.h
+    ref = sum((4 / h**2) * math.sin(math.pi / (2 * m)) ** 2
+              for m in ops.domain.n)
+    assert abs(ops.lambda_min() - ref) <= 1e-13 * ref
+
+
+def test_lanczos_top_ritz_dense_spd():
+    rng = np.random.default_rng(21)
+    M = rng.standard_normal((12, 12))
+    A = M @ M.T + np.eye(12)
+    v = rng.standard_normal(12)
+    # the recurrence A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1}
+    steps = [s for _, s in zip(range(6), _lanczos(lambda x: A @ x, v))]
+    assert steps[0][2] == pytest.approx(np.linalg.norm(v), rel=1e-15)
+    for k in range(1, 5):
+        (vp, _, _, _), (vk, a, b, b_next), (vn, _, _, _) = steps[k - 1:k + 2]
+        assert np.abs(A @ vk - (b * vp + a * vk + b_next * vn)).max() \
+            <= 1e-12 * np.abs(A).max()
+    top = _top_ritz(lambda x: A @ x, v, 1e-14, 50, "dense")
+    ref = np.linalg.eigvalsh(A)[-1]
+    assert abs(top - ref) <= 1e-12 * ref
 
 
 def test_op_norm_bound(ops12):

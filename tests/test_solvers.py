@@ -6,7 +6,7 @@ import pytest
 from quatmhd.grid import BoundaryData, QField, build_domain, h1_norm, l2_norm
 from quatmhd.mhd import (MHDParams, MHDState, convective, leray_project,
                          lorentz, residual_strong)
-from quatmhd.operators import OperatorSet, operator_set
+from quatmhd.operators import OperatorSet
 from quatmhd.sampling import random_pure_bump
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
@@ -46,20 +46,20 @@ def test_bundle_invariants_enforced():
                         lambda_min=1.0)
 
 
-def test_estimate_constants(dom12, ops12):
-    c = estimate_constants(dom12, ops12, seed=0)
+def test_estimate_constants(ops12):
+    c = estimate_constants(ops12, seed=0)
     assert c.C1 == pytest.approx(1.0 / ops12.lambda_min(), rel=0.01)
     assert c.k <= 1.1 * c.C1
     assert c.provenance["C1"] == "analytic"
     assert c.provenance["Cs"] == "estimated"
     # determinism for a fixed seed
-    c2 = estimate_constants(dom12, ops12, seed=0)
+    c2 = estimate_constants(ops12, seed=0)
     assert (c.Cs, c.CD, c.Cu, c.k) == (c2.Cs, c2.CD, c2.Cu, c2.k)
 
 
 def test_estimate_constants_rejects_few_samples(dom12, ops12):
     with pytest.raises(ValueError):
-        estimate_constants(dom12, ops12, samples=5)
+        estimate_constants(ops12, samples=5)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_pressure_recover_manufactured(dom12, ops12):
 def _pressure_operator(n):
     """S: p -> Sc(Q p) on flat arrays, on a box of n cells of side 0.1."""
     dom = build_domain((0.1, -0.2, 0.3), tuple(0.1 * m for m in n), n)
-    ops = operator_set(dom)
+    ops = OperatorSet(dom)
 
     def S(parr):
         f = np.zeros(dom.shape + (4,))
@@ -314,7 +314,7 @@ def test_inner_B_zero_velocity(dom12, ops12):
 def test_inner_B_contraction_ratio(dom12, ops12):
     params = MHDParams(Re=1.0, Rm=1.0)
     cfg = SolverConfig(tol=1e-12)
-    c = estimate_constants(dom12, ops12, seed=0)
+    c = estimate_constants(ops12, seed=0)
     u = 0.05 * random_pure_bump(dom12, seed=8)
     assert check_cond1(h1_norm(u), c, params.Rm)
     B0 = random_pure_bump(dom12, seed=9)
@@ -354,7 +354,7 @@ def test_schauder_zero_data(dom12, ops12):
 def test_banach_small_data_converges(dom12, ops12):
     params = MHDParams(Re=1.0, Rm=1.0, mu0=1.0, exponent_mode="mixed",
                        boundary_h=_small_boundary(dom12, 1e-5))
-    c = estimate_constants(dom12, ops12, seed=0)
+    c = estimate_constants(ops12, seed=0)
     state, report = banach_solve(params, ops12, SolverConfig(tol=1e-12),
                                  constants=c)
     assert report.iterations < 50
@@ -372,7 +372,7 @@ def test_banach_small_data_converges(dom12, ops12):
 def test_schauder_ln_bit_identical_recompute(dom12, ops12):
     params = MHDParams(Re=1.0, Rm=1.0, mu0=1.0, exponent_mode="mixed",
                        boundary_h=_small_boundary(dom12, 1e-5))
-    c = estimate_constants(dom12, ops12, seed=0)
+    c = estimate_constants(ops12, seed=0)
     _, report = banach_solve(params, ops12, SolverConfig(tol=1e-12),
                              constants=c)
     # recompute the last Ln from the logged running quantities
@@ -432,7 +432,7 @@ def test_apply_budget(dom8, monkeypatch):
             return _method(self, f)
         monkeypatch.setattr(OperatorSet, name, counted)
     ops = OperatorSet(dom8)
-    c = estimate_constants(dom8, ops, seed=3)
+    c = estimate_constants(ops, seed=3)
     assert counts == {"teodorescu": 46, "bergman_Q": 8}
     fields = [random_divfree(dom8, seed=s) for s in (1, 2)]
     u0, B0 = [QField(dom8, 1e-3 / h1_norm(f) * f.values) for f in fields]
