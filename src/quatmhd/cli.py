@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import (QField, _finite, _integer, build_domain, l2_norm, sc_inner,
                    zero_boundary)
-from .io import (_FMT, read_boundary_csv, read_csv, read_vtk,
+from .io import (_FMT, _fmt_value, read_boundary_csv, read_csv, read_vtk,
                  write_convergence_csv, write_csv, write_manifest, write_vtk)
 from .mhd import MHDParams, MHDState, leray_project
 from .operators import (OperatorSet, dirac_bwd, dirac_central, dirac_fwd,
@@ -58,6 +58,13 @@ def _check_keys(spec, known, what: str) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
+def _path(value, name: str) -> str:
+    """value; ValueError naming `name` unless it is a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a path string, got {value!r}")
+    return value
+
+
 def load_config(path) -> dict:
     """Read and validate a run configuration."""
     with open(path) as f:
@@ -77,9 +84,9 @@ def load_config(path) -> dict:
     cfg = {
         "domain": domain,
         "params": dict(raw.get("params", {})),
-        "boundary_h": raw.get("boundary_h", "zero"),
+        "boundary_h": _path(raw.get("boundary_h", "zero"), "boundary_h"),
         "solver": SolverConfig(**raw.get("solver", {})),  # value checks
-        "output": raw.get("output", "out"),
+        "output": _path(raw.get("output", "out"), "output"),
         "seed": _integer(raw.get("seed", 0), "seed", 0),
         "init_state": raw.get("init_state"),
         "norm_budget": _finite(raw.get("norm_budget", 0.0), "norm_budget",
@@ -90,8 +97,8 @@ def load_config(path) -> dict:
         raise FileNotFoundError(f"boundary data file {cfg['boundary_h']}")
     if cfg["init_state"] is not None:
         _check_keys(cfg["init_state"], ("u", "B", "p"), "init_state")
-        for p in cfg["init_state"].values():
-            if not Path(p).exists():
+        for c, p in cfg["init_state"].items():
+            if not Path(_path(p, f"init_state.{c}")).exists():
                 raise FileNotFoundError(f"init-state file {p}")
     return cfg
 
@@ -106,10 +113,15 @@ def _read_state_file(path, domain) -> QField:
     return field
 
 
-def _build(cfg, out_dir: Path):
-    """Read and check every input file of the run, then create the output
-    directory, so that a rejected input leaves no directory behind."""
+def _build(cfg, out_dir: Path, min_n: int = 2):
+    """Check the grid has min_n cells per axis (3 for the centered
+    differences of the advection term) and read and check every input file
+    of the run, then create the output directory, so that a rejected input
+    leaves no directory behind."""
     domain = cfg["domain"]
+    if min(domain.n) < min_n:
+        raise ValueError(f"n must be >= {min_n} for this command, "
+                         f"got {min(domain.n)}")
     ops = OperatorSet(domain)
     boundary = None
     if cfg["boundary_h"] != "zero":
@@ -212,7 +224,7 @@ def cmd_verify(cfg, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(cfg, out_dir: Path) -> int:
-    _, ops, params, _ = _build(cfg, out_dir)
+    _, ops, params, _ = _build(cfg, out_dir, min_n=3)
     bundle = estimate_constants(ops, seed=cfg["seed"])
     names = ["C1", "Cs", "CD", "Cu", "k", "lambda_min",
              "cond1_threshold", "theorem2_threshold",
@@ -238,7 +250,7 @@ def cmd_constants(cfg, out_dir: Path) -> int:
 
 def cmd_solve(cfg, out_dir: Path) -> int:
     solver_cfg = cfg["solver"]
-    domain, ops, params, init = _build(cfg, out_dir)
+    domain, ops, params, init = _build(cfg, out_dir, min_n=3)
     bundle = estimate_constants(ops, seed=cfg["seed"])
     solve = (banach_solve if solver_cfg.method == "banach"
              else schauder_solve)
@@ -260,10 +272,7 @@ def cmd_solve(cfg, out_dir: Path) -> int:
         f.write("iter,J,viscous_u,viscous_B,lorentz_coupling,"
                 "induction_coupling,coercivity_ok,rho_max\n")
         for i, row in enumerate(report.energy_rows, start=1):
-            cells = [str(i)] + [
-                ("true" if v else "false") if isinstance(v, bool)
-                else _FMT % v for v in row]
-            f.write(",".join(cells) + "\n")
+            f.write(",".join([str(i)] + [_fmt_value(v) for v in row]) + "\n")
 
     res = report.final_residuals
     manifest = {

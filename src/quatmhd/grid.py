@@ -246,12 +246,25 @@ def l2_norm(u: QField) -> float:
     return float(np.sqrt((u.values**2).sum() * u.domain.cell_volume))
 
 
-def _dfwd(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference; backward fallback on the last layer."""
-    out = (np.roll(vals, -1, axis=axis) - vals) / h
-    sl = [slice(None)] * vals.ndim
-    sl[axis] = -1
-    out[tuple(sl)] = (vals[tuple(sl)] - np.take(vals, -2, axis=axis)) / h
+def _diff(vals: np.ndarray, axis: int, h: float, backward: bool = False,
+          ghost: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """Every one-sided difference: (v[k+1] - v[k]) / h along `axis`,
+    placed at k (forward) or k + 1 (backward), into `out` (new if None).
+    The layer left over repeats its neighbour (the fallback rows of D+/D-)
+    or, with `ghost`, differences a zero ghost value beyond the face."""
+    if out is None:
+        out = np.empty(vals.shape)
+    v, d = vals.swapaxes(0, axis), out.swapaxes(0, axis)
+    if backward:
+        np.subtract(v[1:], v[:-1], out=d[1:])
+        d[0] = v[0] if ghost else d[1]
+    else:
+        np.subtract(v[1:], v[:-1], out=d[:-1])
+        if ghost:
+            np.subtract(0.0, v[-1], out=d[-1])  # +0.0 for v = +0.0
+        else:
+            d[-1] = d[-2]
+    out /= h
     return out
 
 
@@ -260,7 +273,7 @@ def h1_norm(u: QField) -> float:
     h = u.domain.h
     total = (u.values**2).sum()
     for ax in range(3):
-        total += (_dfwd(u.values, ax, h) ** 2).sum()
+        total += (_diff(u.values, ax, h) ** 2).sum()
     return float(np.sqrt(total * u.domain.cell_volume))
 
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, _finite, sc_inner
-from .operators import (OperatorSet, _dcen, _dfwd, dirac_fwd, div_fwd,
-                        grad_bwd, laplacian)
+from .grid import (BoundaryData, QField, VoxelDomain, _diff, _finite,
+                   sc_inner)
+from .operators import (OperatorSet, _dcen, dirac_fwd, div_fwd, grad_bwd,
+                        laplacian)
 from .quaternion import qmul_arr
 
 __all__ = [
@@ -136,10 +137,9 @@ def M_of(u: QField, B: QField, mu0: float) -> QField:
 
 def _dirac_scalar(p: QField) -> QField:
     """D applied to a scalar field: the forward-difference gradient."""
-    h = p.domain.h
     out = np.zeros_like(p.values)
     for i in range(3):
-        out[..., 1 + i] = _dfwd(p.values[..., 0], i, h)
+        _diff(p.values[..., 0], i, p.domain.h, out=out[..., 1 + i])
     return QField(p.domain, out)
 
 

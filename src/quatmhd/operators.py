@@ -18,6 +18,12 @@ of the staggered (Yee, discrete exterior calculus) Hodge-Dirac operator
 stored on cell arrays; it makes the cross terms e_i e_j of D- D+ cancel,
 which a forward difference on every component does not.
 
+Every one-sided difference is grid._diff, forward or backward. The face
+layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
+grad_bwd, div_fwd and curl_bwd, and differences a zero ghost value in
+bergman_Q and pressure_S. The centered difference (_dcen) and the second
+difference of the Laplacian are slice stencils of their own.
+
 Integral operators (held by OperatorSet, which caches the Teodorescu
 kernel per domain)
     teodorescu       : volume potential T, FFT convolution with the Cauchy
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, _dfwd
+from .grid import BoundaryData, QField, VoxelDomain, _diff
 from .quaternion import LEFT_MUL, qmul_arr
 
 __all__ = [
@@ -95,84 +101,68 @@ _UNIT_MUL = [[(m[r].sum(), int(np.abs(m[r]).argmax())) for r in range(4)]
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _dbwd(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Backward difference; forward fallback on the first layer."""
-    out = (vals - np.roll(vals, 1, axis=axis)) / h
-    sl = [slice(None)] * vals.ndim
-    sl[axis] = 0
-    out[tuple(sl)] = (np.take(vals, 1, axis=axis) - vals[tuple(sl)]) / h
-    return out
-
-
 def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered difference; one-sided second-order stencils at the faces."""
-    out = (np.roll(vals, -1, axis=axis) - np.roll(vals, 1, axis=axis)) / (2 * h)
-    first = [slice(None)] * vals.ndim
-    last = [slice(None)] * vals.ndim
-    first[axis] = 0
-    last[axis] = -1
-    t = lambda k: np.take(vals, k, axis=axis)
-    out[tuple(first)] = (-3 * t(0) + 4 * t(1) - t(2)) / (2 * h)
-    out[tuple(last)] = (3 * t(-1) - 4 * t(-2) + t(-3)) / (2 * h)
+    out = np.empty(vals.shape)
+    v, d = vals.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(v[2:], v[:-2], out=d[1:-1])
+    d[0] = -3 * v[0] + 4 * v[1] - v[2]
+    d[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
+    out /= 2 * h
     return out
 
 
-def _dfwd0(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Forward difference with a zero ghost value behind the last layer."""
-    return np.diff(vals, axis=axis, append=0.0) / h
-
-
-def _dbwd0(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Backward difference with a zero ghost value before the first layer;
-    as matrices, _dbwd0 = -_dfwd0^T."""
-    return np.diff(vals, axis=axis, prepend=0.0) / h
-
-
-def _staggered(vals: np.ndarray, h: float, fwd, bwd) -> np.ndarray:
-    """sum_j e_j d_j vals, d_j taking `bwd` on the components that
-    _BACKWARD[j] marks and `fwd` on the others. That choice is constant on
-    the component pairs e_j swaps, so d_j commutes with the multiplication.
-    With ghost-zero differences (_dbwd0 = -_dfwd0^T, e_j^T = -e_j) the
-    transpose of _staggered(., fwd, bwd) is thus _staggered(., bwd, fwd)."""
+def _staggered(vals: np.ndarray, h: float, flip: bool = False,
+               ghost: bool = False, central: bool = False) -> np.ndarray:
+    """sum_j e_j d_j vals. d_j is the one-sided _diff, backward on the
+    components that _BACKWARD[j] marks and forward on the others, every
+    choice swapped by `flip`; `ghost` selects its zero-ghost edge rule and
+    `central` replaces it by _dcen on every component. The choice is
+    constant on the component pairs e_j swaps, so d_j commutes with the
+    multiplication. With ghost-zero differences (backward = -forward^T,
+    e_j^T = -e_j) the transpose of _staggered(., flip) is thus
+    _staggered(., not flip)."""
     out = np.zeros_like(vals)
     for j in range(3):
         for r, (sign, c) in enumerate(_UNIT_MUL[j]):
-            diff = bwd if _BACKWARD[j, c] else fwd
-            out[..., r] += sign * diff(vals[..., c], j, h)
+            v = vals[..., c]
+            out[..., r] += sign * (
+                _dcen(v, j, h) if central
+                else _diff(v, j, h, _BACKWARD[j, c] != flip, ghost))
     return out
 
 
 def dirac_fwd(u: QField) -> QField:
     """Staggered Dirac operator D+ = sum_j e_j d_j, the differences chosen
     per component by _BACKWARD, with one-sided fallback rows at the faces."""
-    return QField(u.domain, _staggered(u.values, u.domain.h, _dfwd, _dbwd))
+    return QField(u.domain, _staggered(u.values, u.domain.h))
 
 
 def dirac_bwd(u: QField) -> QField:
     """Staggered Dirac operator D-, the adjoint of D+: every difference
     choice of D+ flipped."""
-    return QField(u.domain, _staggered(u.values, u.domain.h, _dbwd, _dfwd))
+    return QField(u.domain, _staggered(u.values, u.domain.h, flip=True))
 
 
 def dirac_central(u: QField) -> QField:
     """Second-order centered Dirac operator sum_j e_j d_j, d_j the centered
     difference on every component."""
-    return QField(u.domain, _staggered(u.values, u.domain.h, _dcen, _dcen))
+    return QField(u.domain, _staggered(u.values, u.domain.h, central=True))
 
 
 def grad_bwd(u: QField) -> QField:
     """Backward-difference gradient of the scalar part, as a pure field."""
-    h = u.domain.h
     out = np.zeros_like(u.values)
     for i in range(3):
-        out[..., 1 + i] = _dbwd(u.values[..., 0], i, h)
+        _diff(u.values[..., 0], i, u.domain.h, backward=True,
+              out=out[..., 1 + i])
     return QField(u.domain, out)
 
 
 def div_fwd(u: QField) -> np.ndarray:
     """Forward-difference divergence of the vector part, scalar array."""
     h = u.domain.h
-    return sum(_dfwd(u.values[..., 1 + i], i, h) for i in range(3))
+    return sum(_diff(u.values[..., 1 + i], i, h) for i in range(3))
 
 
 def curl_bwd(u: QField) -> QField:
@@ -180,7 +170,7 @@ def curl_bwd(u: QField) -> QField:
     away from the one-sided fallback layers."""
     h = u.domain.h
     v = u.values
-    d = lambda c, ax: _dbwd(v[..., 1 + c], ax, h)
+    d = lambda c, ax: _diff(v[..., 1 + c], ax, h, backward=True)
     out = np.zeros_like(v)
     out[..., 1] = d(2, 1) - d(1, 2)
     out[..., 2] = d(0, 2) - d(2, 0)
@@ -196,24 +186,14 @@ def laplacian(u: QField) -> QField:
 
 def _lap_interior(v: np.ndarray, h2: float) -> np.ndarray:
     out = np.zeros_like(v)
+    second = np.empty(v.shape)
     for ax in range(3):
-        second = np.zeros_like(v)
-        t = lambda k: np.take(v, k, axis=ax)
-        n = v.shape[ax]
-        core = [slice(None)] * 4
-        core[ax] = slice(1, n - 1)
-        up = [slice(None)] * 4
-        up[ax] = slice(2, n)
-        dn = [slice(None)] * 4
-        dn[ax] = slice(0, n - 2)
-        second[tuple(core)] = v[tuple(up)] - 2 * v[tuple(core)] + v[tuple(dn)]
-        first = [slice(None)] * 4
-        first[ax] = 0
-        last = [slice(None)] * 4
-        last[ax] = -1
-        second[tuple(first)] = t(0) - 2 * t(1) + t(2)
-        second[tuple(last)] = t(-1) - 2 * t(-2) + t(-3)
-        out += second / h2
+        w, s = v.swapaxes(0, ax), second.swapaxes(0, ax)
+        s[1:-1] = w[2:] - 2 * w[1:-1] + w[:-2]
+        s[0] = w[0] - 2 * w[1] + w[2]
+        s[-1] = w[-1] - 2 * w[-2] + w[-3]
+        second /= h2
+        out += second
     return out
 
 
@@ -377,9 +357,10 @@ class OperatorSet:
         phi^T is the ghost-zero D-."""
         self._check(f)
         h = self.domain.h
-        rhs = QField(self.domain, _staggered(f.values, h, _dbwd0, _dfwd0))
+        rhs = QField(self.domain, _staggered(f.values, h, flip=True,
+                                             ghost=True))
         w = self.poisson_dirichlet(rhs).values
-        return QField(self.domain, _staggered(w, h, _dfwd0, _dbwd0))
+        return QField(self.domain, _staggered(w, h, ghost=True))
 
     def pressure_S(self, p: np.ndarray) -> np.ndarray:
         """Sc(Q(p e0)) for a scalar array p of the domain's shape, the
@@ -390,24 +371,16 @@ class OperatorSet:
         ghost-zero D- of p e0 is the pure field (0, grad- p), backward
         differences, and row 0 of the ghost-zero D+ of a field w is
         -div+ of its vector part. Between them, three Poisson solves in
-        one batch. The differences are written into one preallocated
-        array and the sums run in _staggered's order, so the result equals
-        bergman_Q(p e0).values[..., 0] bit for bit."""
+        one batch. The sums run in _staggered's order, so the result
+        equals bergman_Q(p e0).values[..., 0] bit for bit."""
         h = self.domain.h
         g = np.empty((3,) + self.domain.shape)
-        for j in range(3):  # g[j] = _dbwd0(p, j, h)
-            gj, pj = np.moveaxis(g[j], j, 0), np.moveaxis(p, j, 0)
-            gj[0] = pj[0]
-            np.subtract(pj[1:], pj[:-1], out=gj[1:])
-        g /= h
+        for j in range(3):
+            _diff(p, j, h, backward=True, ghost=True, out=g[j])
         w = self._collar_solve(g)
         out = np.zeros(self.domain.shape)
-        for j in range(3):  # out += -1 * _dfwd0(w[j], j, h), g as scratch
-            dj, wj = np.moveaxis(g[j], j, 0), np.moveaxis(w[j], j, 0)
-            np.subtract(wj[1:], wj[:-1], out=dj[:-1])
-            np.subtract(0.0, wj[-1], out=dj[-1])  # 0.0 - w, as _dfwd0
-            dj /= h
-            out -= g[j]
+        for j in range(3):  # g as scratch
+            out -= _diff(w[j], j, h, ghost=True, out=g[j])
         return out
 
     def bergman_P(self, f: QField) -> QField:

@@ -94,6 +94,19 @@ def test_verify_degenerate_grid(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("command", ["constants", "solve"])
+def test_two_cell_grid_refused(tmp_path, capsys, command):
+    # the advection term's centered differences read three layers per face
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", n=2)
+    rc = main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: n must be >= 3")
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_constants_reproducible(tmp_path):
     cfg = _write_config(tmp_path / "run.json", tmp_path / "o1", n=8)
     assert main(["constants", "--config", str(cfg)]) == 0
@@ -310,6 +323,11 @@ def test_solve_exit_3_when_not_converged(tmp_path, capsys):
     ("domain", "extent", [1, 0, 1]),
     ("domain", "extent", [1, 1, float("inf")]),
     ("params", "Re", True),                # a bool is not a number
+    (None, "output", 5),                   # paths: strings
+    (None, "output", None),
+    (None, "output", ["out"]),
+    (None, "boundary_h", 5),
+    (None, "init_state", {"u": 5}),
 ])
 def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)

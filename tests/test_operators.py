@@ -7,9 +7,10 @@ from scipy.sparse.linalg import splu
 
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
+from quatmhd.grid import _diff
 from quatmhd.mhd import _dirac_scalar
-from quatmhd.operators import (_dbwd0, _dcen, _dfwd0, _dst1, _dst2,
-                               _irfft_head, _lanczos, _pure, _pure_left_mul,
+from quatmhd.operators import (_dcen, _dst1, _dst2, _irfft_head,
+                               _lap_interior, _lanczos, _pure, _pure_left_mul,
                                _staggered, _top_ritz, curl_bwd, dirac_bwd,
                                dirac_central, dirac_fwd, div_fwd, laplacian,
                                OperatorSet)
@@ -98,26 +99,60 @@ def _poisson_matrix_faces(dom):
 STAGGER = [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
 
 
-def _diff_matrix(n, h, kind):
-    """1-D difference matrix, row by row: forward or backward, with the
-    one-sided fallback row of dirac_fwd/dirac_bwd or a zero ghost value."""
-    m = np.zeros((n, n))
+def _diff_matrix(n, kind):
+    """1-D stencil of n cells as a dense unscaled matrix, row by row, over
+    (ghost, v_0, ..., v_{n-1}, ghost): the forward or backward difference
+    with the one-sided fallback row of dirac_fwd/dirac_bwd ("fwd", "bwd")
+    or a zero ghost value ("fwd0", "bwd0"); 2h times the centered
+    difference ("cen"); h^2 times the second difference ("second")."""
+    m = np.zeros((n, n + 2))
     for i in range(n):
-        if kind in ("fwd", "fwd0"):
-            if i + 1 < n:
-                m[i, i], m[i, i + 1] = -1.0, 1.0
-            elif kind == "fwd":
-                m[i, i - 1], m[i, i] = -1.0, 1.0
-            else:
-                m[i, i] = -1.0
+        k = i + 1  # column of v_i
+        if kind == "fwd":
+            j = min(k, n - 1)  # the last row repeats the one before
+            m[i, j], m[i, j + 1] = -1.0, 1.0
+        elif kind == "bwd":
+            j = max(k, 2)  # the first row repeats the one after
+            m[i, j - 1], m[i, j] = -1.0, 1.0
+        elif kind == "fwd0":
+            m[i, k], m[i, k + 1] = -1.0, 1.0
+        elif kind == "bwd0":
+            m[i, k - 1], m[i, k] = -1.0, 1.0
+        elif kind == "cen" and i == 0:
+            m[i, 1:4] = -3.0, 4.0, -1.0
+        elif kind == "cen" and i == n - 1:
+            m[i, n - 2:n + 1] = 1.0, -4.0, 3.0
+        elif kind == "cen":
+            m[i, k - 1], m[i, k + 1] = -1.0, 1.0
         else:
-            if i > 0:
-                m[i, i - 1], m[i, i] = -1.0, 1.0
-            elif kind == "bwd":
-                m[i, i], m[i, i + 1] = -1.0, 1.0
-            else:
-                m[i, i] = 1.0
-    return sparse.csr_matrix(m / h)
+            j = min(max(k, 2), n - 1)  # face rows: the stencil one cell in
+            m[i, j - 1:j + 2] = 1.0, -2.0, 1.0
+    return m
+
+
+def _apply_rows(m, v, axis):
+    """_diff_matrix m applied along `axis` of v between two zero ghost
+    layers, row by row: each output is the sum of its row's nonzero terms.
+    On integer data every term and sum is exact, so the result is the
+    stencil's bit for bit, signed zeros included."""
+    v = np.moveaxis(v, axis, 0)
+    zero = np.zeros((1,) + v.shape[1:])
+    v = np.concatenate([zero, v, zero])
+    out = np.empty((m.shape[0],) + v.shape[1:])
+    for i, row in enumerate(m):
+        cols = np.flatnonzero(row)
+        acc = row[cols[0]] * v[cols[0]]
+        for c in cols[1:]:
+            acc = acc + row[c] * v[c]
+        out[i] = acc
+    return np.moveaxis(out, 0, axis)
+
+
+def _integer_data(rng, shape):
+    """Integers in [-3, 3] with about a third of the entries -0.0."""
+    v = rng.integers(-3, 4, size=shape).astype(float)
+    v[rng.random(shape) < 0.3] = -0.0
+    return v
 
 
 def _staggered_matrix(dom, fwd, bwd, adjoint):
@@ -131,7 +166,8 @@ def _staggered_matrix(dom, fwd, bwd, adjoint):
         for c in range(4):
             back = STAGGER[j][c] != adjoint
             mats = [sparse.identity(m) for m in dom.n]
-            mats[j] = _diff_matrix(dom.n[j], dom.h, bwd if back else fwd)
+            mats[j] = sparse.csr_matrix(
+                _diff_matrix(dom.n[j], bwd if back else fwd)[:, 1:-1] / dom.h)
             pick = np.zeros((4, 4))
             pick[c, c] = 1.0
             unit = pick @ LEFT_MUL[1 + j] if adjoint else LEFT_MUL[1 + j] @ pick
@@ -148,7 +184,7 @@ def _ghost_zero_phi(dom):
         e = np.zeros(4 * dom.num_cells)
         e[k] = 1.0
         cols.append(_staggered(e.reshape(dom.shape + (4,)), dom.h,
-                               _dfwd0, _dbwd0).ravel())
+                               ghost=True).ravel())
     return np.array(cols).T
 
 
@@ -163,12 +199,12 @@ def test_staggered_pair_matches_matrix(n):
     # nonzero on the collar, so the fallback and ghost rows are exercised
     vals = rng.standard_normal(dom.shape + (4,))
     u = QField(dom, vals)
-    ghost = lambda f, b: _staggered(vals, dom.h, f, b).ravel()
+    ghost = lambda flip: _staggered(vals, dom.h, flip, ghost=True).ravel()
     cases = [
         (dirac_fwd(u).values.ravel(), ("fwd", "bwd", False)),
         (dirac_bwd(u).values.ravel(), ("fwd", "bwd", True)),
-        (ghost(_dfwd0, _dbwd0), ("fwd0", "bwd0", False)),
-        (ghost(_dbwd0, _dfwd0), ("fwd0", "bwd0", True)),
+        (ghost(False), ("fwd0", "bwd0", False)),
+        (ghost(True), ("fwd0", "bwd0", True)),
     ]
     for got, args in cases:
         ref = _staggered_matrix(dom, *args) @ vals.ravel()
@@ -183,6 +219,19 @@ def test_staggered_pair_matches_matrix(n):
     for j in range(3):
         ref += qmul_arr(np.eye(4)[1 + j], _dcen(vals, j, dom.h))
     assert dirac_central(u).values.tobytes() == ref.tobytes()
+    # the stencils themselves, bit for bit their dense 1-D matrices, on
+    # integer data with -0.0 entries and h = 1/2, every row exact
+    v = _integer_data(rng, dom.shape + (4,))
+    for ax in range(3):
+        for kind, backward, ghost0 in [("fwd", False, False),
+                                       ("bwd", True, False),
+                                       ("fwd0", False, True),
+                                       ("bwd0", True, True)]:
+            ref = _apply_rows(_diff_matrix(dom.n[ax], kind), v, ax) / 0.5
+            got = _diff(v, ax, 0.5, backward, ghost0)
+            assert got.tobytes() == ref.tobytes(), (kind, ax)
+        ref = _apply_rows(_diff_matrix(dom.n[ax], "cen"), v, ax) / 1.0
+        assert _dcen(v, ax, 0.5).tobytes() == ref.tobytes()
 
 
 def test_dirac_fwd_is_div_grad_curl(dom8):
@@ -250,6 +299,15 @@ def test_laplacian_matches_stencil(dom8):
     inner = _interior(dom8)
     scale = np.abs(stencil[inner]).max()
     assert np.abs(lap[inner] - stencil[inner]).max() <= 1e-12 * scale
+    # with the face rows, bit for bit the dense 1-D second differences, on
+    # integer data with -0.0 entries, h = 1/2 and an axis of 3 cells
+    rng = np.random.default_rng(16)
+    for n in BOXES[:3]:
+        v = _integer_data(rng, n + (4,))
+        ref = np.zeros_like(v)
+        for ax in range(3):
+            ref += _apply_rows(_diff_matrix(n[ax], "second"), v, ax) / 0.25
+        assert _lap_interior(v, 0.25).tobytes() == ref.tobytes()
 
 
 def test_adjoint_pairing(dom12):
