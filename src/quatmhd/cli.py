@@ -19,10 +19,12 @@ import ctypes
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from .energy import EnergyReport
 from .grid import (QField, _finite, _integer, build_domain, l2_norm, sc_inner,
                    zero_boundary)
 from .io import (_FMT, _fmt_value, read_boundary_csv, read_csv, read_vtk,
@@ -269,10 +271,11 @@ def cmd_solve(cfg, out_dir: Path) -> int:
         write_csv(out_dir / f"{comp}.csv", fld)
     write_convergence_csv(out_dir / "convergence.csv", report.rows)
     with open(out_dir / "energy.csv", "w", newline="") as f:
-        f.write("iter,J,viscous_u,viscous_B,lorentz_coupling,"
-                "induction_coupling,coercivity_ok,rho_max\n")
+        columns = [c.name for c in fields(EnergyReport)]
+        f.write(",".join(["iter"] + columns) + "\n")
         for i, row in enumerate(report.energy_rows, start=1):
-            f.write(",".join([str(i)] + [_fmt_value(v) for v in row]) + "\n")
+            f.write(",".join([str(i)] + [_fmt_value(getattr(row, c))
+                                         for c in columns]) + "\n")
 
     res = report.final_residuals
     manifest = {

@@ -33,11 +33,6 @@ class EnergyReport:
     coercivity_ok: bool
     rho_max: float
 
-    def csv_row(self) -> list:
-        return [self.J, self.viscous_u, self.viscous_B,
-                self.lorentz_coupling, self.induction_coupling,
-                self.coercivity_ok, self.rho_max]
-
 
 def energy(u: QField, B: QField, params: MHDParams,
            Cs: float | None = None) -> EnergyReport:

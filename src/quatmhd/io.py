@@ -8,7 +8,6 @@ round-trips through the matching reader bit-exactly.
 from __future__ import annotations
 
 import csv
-import io as _io
 import math
 
 import numpy as np
@@ -71,20 +70,27 @@ def read_vtk(path) -> QField:
         elif t[0] == "ORIGIN":
             org = np.array([float(v) for v in t[1:4]])
         elif t[0] == "SPACING":
-            spc = float(t[1])
+            spc = [float(v) for v in t[1:]]
         elif t[0] == "LOOKUP_TABLE":
             data_start = i + 1
             break
     if dims is None or org is None or spc is None or data_start is None:
         raise ValueError(f"{path}: not a structured-points field file")
+    if len(spc) != 3 or spc[1:] != spc[:2]:
+        raise ValueError(f"{path}: SPACING {' '.join(map(str, spc))} is not "
+                         "one cell size repeated for the three axes")
     n1, n2, n3 = dims
-    vals = np.loadtxt(_io.StringIO("\n".join(lines[data_start:])), ndmin=2)
+    vals = np.array(" ".join(lines[data_start:]).split(), dtype=float)
+    if vals.size != 4 * n1 * n2 * n3:
+        raise ValueError(f"{path}: {vals.size} data values, DIMENSIONS "
+                         f"{n1} {n2} {n3} needs {4 * n1 * n2 * n3}")
+    vals = vals.reshape(-1, 4)
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: non-finite value in data row {bad[0]}: "
                          f"{vals[bad[0]].tolist()}")
     vals = vals.reshape(n3, n2, n1, 4).transpose(2, 1, 0, 3)
-    dom = build_domain(org - 0.5 * spc, np.asarray(dims) * spc, dims)
+    dom = build_domain(org - 0.5 * spc[0], np.asarray(dims) * spc[0], dims)
     return QField(dom, vals)
 
 

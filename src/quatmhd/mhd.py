@@ -1,6 +1,6 @@
 """Stationary incompressible viscous MHD: nonlinear terms, strong and weak
-residuals, the TQT integral-form right-hand sides, and the discrete Leray
-projection.
+residuals, the TQT integral-form right-hand sides (each takes the fields it
+reads, not a state), and the discrete Leray projection.
 
 Conventions. States are cell-centered quaternion fields with u, B pure
 vectors and p scalar, zero-mean. Sc(aD)w is realized as the advection
@@ -93,7 +93,9 @@ class MHDState:
                 raise ValueError(f"{name} must be a pure vector field")
         if np.abs(self.p.values[..., 1:]).max(initial=0.0) > 0:
             raise ValueError("p must be scalar-valued")
-        # enforce the zero-mean normalization of the pressure
+        # the zero-mean normalization of the pressure, on a copy: the
+        # caller's field stays as given
+        self.p = self.p.copy()
         self.p.values[..., 0] -= self.p.values[..., 0].mean()
 
     @staticmethod
@@ -190,39 +192,32 @@ def residual_weak(state: MHDState, params: MHDParams, test_v: QField,
     return r_mom, r_ind
 
 
-def tqt_rhs_u(state: MHDState, params: MHDParams, ops: OperatorSet,
-              p: QField | None = None) -> QField:
+def tqt_rhs_u(u: QField, B: QField, p: QField, params: MHDParams,
+              ops: OperatorSet) -> QField:
     """Right-hand side of the velocity row of the integral form:
-    c_u TQT[Vec((DB)B) - Sc(uD)u] - c_p TQT D p evaluated at the
-    linearization point `state` (pressure override via `p`). TQT is
-    linear, so it is applied once, to c_u [...] - c_p D p."""
-    u, B = state.u, state.B
-    if p is None:
-        p = state.p
+    c_u TQT[Vec((DB)B) - Sc(uD)u] - c_p TQT D p. TQT is linear, so it is
+    applied once, to c_u [...] - c_p D p."""
     bracket = params.mu0 * lorentz(B, params.mu0) - convective(u, u)
     return ops.TQT(params.coeff_u() * bracket
                    - params.coeff_p() * _dirac_scalar(p))
 
 
-def tqt_rhs_B(state: MHDState, params: MHDParams, ops: OperatorSet,
-              u: QField | None = None) -> QField:
+def tqt_rhs_B(u: QField, B: QField, params: MHDParams,
+              ops: OperatorSet) -> QField:
     """Right-hand side of the magnetic row: c_B TQT[Sc(BD)u - Sc(uD)B]."""
-    B = state.B
-    if u is None:
-        u = state.u
     bracket = convective(B, u) - convective(u, B)
     return params.coeff_B() * ops.TQT(bracket)
 
 
-def tqt_rhs_p(state: MHDState, params: MHDParams, ops: OperatorSet) -> QField:
+def tqt_rhs_p(u: QField, B: QField, params: MHDParams,
+              ops: OperatorSet) -> QField:
     """Scalar right-hand side of the pressure equation:
     c Sc(QT[Vec((DB)B) - Sc(uD)u])."""
-    u, B = state.u, state.B
     bracket = params.mu0 * lorentz(B, params.mu0) - convective(u, u)
     qt = ops.bergman_Q(ops.teodorescu(bracket))
     out = np.zeros_like(qt.values)
     out[..., 0] = params.coeff_prhs() * qt.values[..., 0]
-    return QField(state.u.domain, out)
+    return QField(u.domain, out)
 
 
 def leray_project(u: QField, ops: OperatorSet) -> QField:

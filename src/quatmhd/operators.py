@@ -101,8 +101,16 @@ _UNIT_MUL = [[(m[r].sum(), int(np.abs(m[r]).argmax())) for r in range(4)]
 # finite differences
 # ---------------------------------------------------------------------------
 
+def _require_three_cells(vals: np.ndarray, axis: int) -> None:
+    """ValueError unless axis has the 3 cells a face stencil reads."""
+    if vals.shape[axis] < 3:
+        raise ValueError(f"the face stencils read 3 cells per axis; axis "
+                         f"{axis} has {vals.shape[axis]}")
+
+
 def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered difference; one-sided second-order stencils at the faces."""
+    _require_three_cells(vals, axis)
     out = np.empty(vals.shape)
     v, d = vals.swapaxes(0, axis), out.swapaxes(0, axis)
     np.subtract(v[2:], v[:-2], out=d[1:-1])
@@ -188,6 +196,7 @@ def _lap_interior(v: np.ndarray, h2: float) -> np.ndarray:
     out = np.zeros_like(v)
     second = np.empty(v.shape)
     for ax in range(3):
+        _require_three_cells(v, ax)
         w, s = v.swapaxes(0, ax), second.swapaxes(0, ax)
         s[1:-1] = w[2:] - 2 * w[1:-1] + w[:-2]
         s[0] = w[0] - 2 * w[1] + w[2]

@@ -8,8 +8,9 @@ explicit updates
 
 with the pressure recovered from Sc(Qp) = c Sc(QT[...]) by MINRES.
 The Schauder scheme linearizes at (u~, B~) and inverts the two operators
-I + c TQT Sc(u~ D) by truncated Neumann series, refusing when the measured
-series ratio q is >= 1.
+I + c TQT Sc(u~ D) by truncated Neumann series (neumann_apply_u and
+neumann_apply_B, given u~, B~ and the one convection_norm(u~) both scale),
+refusing when the series ratio q = c convection_norm(u~) is >= 1.
 
 Both schemes run one outer loop, _outer_loop. It recovers the pressure
 from the previous state, calls the scheme's update for (u, B), and owns
@@ -59,6 +60,13 @@ __all__ = [
     "neumann_apply_B",
     "schauder_solve",
 ]
+
+# stop rules: the relative MINRES residual of pressure_recover, and the step
+# cap, relative-change stop and start seed of the power iteration.
+_MINRES_TOL = 1e-12
+_POWER_ITERS = 30
+_POWER_TOL = 1e-6
+_POWER_SEED = 0
 
 
 class ConditionViolation(RuntimeError):
@@ -123,7 +131,7 @@ class ConvergenceReport:
     C4: float = math.nan
     final_residuals: tuple = ()
     rows: list = field(default_factory=list)            # convergence-CSV dicts
-    energy_rows: list = field(default_factory=list)     # EnergyReport.csv_row()
+    energy_rows: list = field(default_factory=list)     # an EnergyReport each
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,7 @@ def _minres(apply_A, b: np.ndarray, tol: float,
     return x, maxit
 
 
-def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
+def pressure_recover(rhs: QField, ops: OperatorSet,
                      maxit: int = 2000) -> QField:
     """Zero-mean scalar p with Sc(Q p) = rhs, for a scalar rhs in range(S).
 
@@ -299,10 +307,11 @@ def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
     <p, Sc(Q f)> = <Q p, f> = 0 for p in the kernel. For those, MINRES
     (_minres) started from zero keeps all iterates in range(S) and
     returns the minimum-norm solution, stopping when its residual
-    estimate falls to tol ||rhs|| or after maxit iterations. The result must pass a 1e-8 gate on the normal-equation
+    estimate falls to _MINRES_TOL ||rhs|| or after maxit iterations. The
+    result must pass a 1e-8 gate on the normal-equation
     residual S(S p - rhs), or RuntimeError names the iterations run and
     whether maxit was reached. Any other right-hand side ends in that
-    RuntimeError: it meets neither MINRES test at tol = 1e-12, and x
+    RuntimeError: it meets neither MINRES test at _MINRES_TOL, and x
     drifts along the kernel of S until maxit. The result is shifted to
     zero mean, the normalization used for the pressure throughout;
     range(S) is orthogonal to the constants, so that shift only removes
@@ -318,7 +327,7 @@ def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
     r0 = rhs.values[..., 0].ravel()
     if np.linalg.norm(r0) == 0.0:
         return QField.zeros(dom)
-    x, iters = _minres(S, r0, tol, maxit)
+    x, iters = _minres(S, r0, _MINRES_TOL, maxit)
     # normal-equation residual S(Sx - r); the projection of r onto
     # range(S) is what a least-squares minimizer can match.
     normal_res = np.linalg.norm(S(S(x) - r0))
@@ -339,93 +348,75 @@ def pressure_recover(rhs: QField, ops: OperatorSet, tol: float = 1e-12,
 # operator-norm estimation of the linearized convection maps
 # ---------------------------------------------------------------------------
 
-def _linmap_norm(apply_fn, domain, iters: int = 30, tol: float = 1e-6,
-                 seed: int = 0) -> float:
-    """Power-iteration estimate of the norm of a linear map on L2 fields."""
-    rng = np.random.default_rng(seed)
+def _linmap_norm(apply_fn, domain) -> float:
+    """Power-iteration estimate of the norm of a linear map on L2 fields,
+    from a seeded random field, within _POWER_TOL or _POWER_ITERS steps."""
+    rng = np.random.default_rng(_POWER_SEED)
     v = QField(domain, rng.standard_normal(domain.shape + (4,)))
-    nv = l2_norm(v)
-    v = (1.0 / nv) * v
+    v = (1.0 / l2_norm(v)) * v
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = apply_fn(v)
         nw = l2_norm(w)
         if nw == 0.0:
             return 0.0
-        est_new = nw
         v = (1.0 / nw) * w
-        if abs(est_new - est) <= tol * max(est_new, 1e-300):
-            return est_new
-        est = est_new
+        if abs(nw - est) <= _POWER_TOL * max(nw, 1e-300):
+            return nw
+        est = nw
     return est
 
 
-def _neumann(apply_A, r: QField, cfg: SolverConfig) -> tuple[QField, int]:
-    """Truncated series sum_n (-A)^n r."""
-    x = r.copy()
-    term = r
-    rnorm = l2_norm(r)
-    used = 1
-    for _ in range(cfg.neumann_max_terms - 1):
-        term = -1.0 * apply_A(term)
-        x = x + term
-        used += 1
-        if l2_norm(term) < cfg.neumann_term_tol * max(rnorm, 1e-300):
-            break
-    return x, used
+def _convect_TQT(ut: QField, v: QField, ops: OperatorSet) -> QField:
+    """TQT Sc(u~D) v, the map both Neumann series scale."""
+    return ops.TQT(convective(ut, v))
 
 
 def convection_norm(ut: QField, ops: OperatorSet) -> float:
-    """Power-iteration estimate of the L2 norm of v -> TQT Sc(u~D) v, the
-    map that both Neumann series scale (by Re^2/mu0 and by Rm^2)."""
-    return _linmap_norm(lambda v: ops.TQT(convective(ut, v)), ops.domain)
+    """Power-iteration estimate of the L2 norm of v -> TQT Sc(u~D) v."""
+    return _linmap_norm(lambda v: _convect_TQT(ut, v, ops), ops.domain)
 
 
-def neumann_apply_u(state_lin: MHDState, B: QField, p: QField,
-                    params: MHDParams, ops: OperatorSet,
-                    cfg: SolverConfig,
-                    norm: float | None = None) -> tuple[QField, float, int]:
-    """Solve [I + (Re^2/mu0) TQT Sc(u~D)] u = Re^2 TQT[(1/mu0)Vec((DB~)B) - Dp]
-    by Neumann series; returns (u, q1, terms used). Refuses when q1 >= 1.
-    `norm` is convection_norm(u~), estimated here when not given."""
-    ut = state_lin.u
-    c = params.Re**2 / params.mu0
-
-    def A(v: QField) -> QField:
-        return c * ops.TQT(convective(ut, v))
-
-    if norm is None:
-        norm = convection_norm(ut, ops)
-    q1 = c * norm
-    if q1 >= 1.0:
-        raise ConditionViolation(
-            f"Neumann series for u refused: q1 = {q1:.6g} >= 1", q1)
-    r = params.Re**2 * ops.TQT(lorentz(B, params.mu0) - _dirac_scalar(p))
-    u, used = _neumann(A, r, cfg)
-    return u, q1, used
+def _neumann_solve(ut: QField, c: float, norm: float, s: float, f: QField,
+                   ops: OperatorSet, cfg: SolverConfig,
+                   names: tuple[str, str]) -> tuple[QField, float, int]:
+    """Solve [I + c TQT Sc(u~D)] x = s TQT f by truncated Neumann series;
+    returns (x, q, terms used). q = c norm >= 1 raises ConditionViolation,
+    before any TQT, naming the unknown and q by `names`, e.g. ("u", "q1")."""
+    q = c * norm
+    if q >= 1.0:
+        raise ConditionViolation(f"Neumann series for {names[0]} refused: "
+                                 f"{names[1]} = {q:.6g} >= 1", q)
+    x = term = s * ops.TQT(f)
+    rnorm = l2_norm(x)
+    used = 1
+    for used in range(2, cfg.neumann_max_terms + 1):
+        term = -1.0 * (c * _convect_TQT(ut, term, ops))
+        x = x + term
+        if l2_norm(term) < cfg.neumann_term_tol * max(rnorm, 1e-300):
+            break
+    return x, q, used
 
 
-def neumann_apply_B(state_lin: MHDState, u: QField, params: MHDParams,
+def neumann_apply_u(ut: QField, B: QField, p: QField, params: MHDParams,
                     ops: OperatorSet, cfg: SolverConfig,
-                    norm: float | None = None) -> tuple[QField, float, int]:
+                    norm: float) -> tuple[QField, float, int]:
+    """Solve [I + (Re^2/mu0) TQT Sc(u~D)] u = Re^2 TQT[(1/mu0)Vec((DB)B) - Dp]
+    by Neumann series; returns (u, q1, terms used). Refuses when q1 >= 1.
+    `norm` is convection_norm(u~, ops)."""
+    return _neumann_solve(ut, params.Re**2 / params.mu0, norm, params.Re**2,
+                          lorentz(B, params.mu0) - _dirac_scalar(p), ops,
+                          cfg, ("u", "q1"))
+
+
+def neumann_apply_B(ut: QField, Bt: QField, u: QField, params: MHDParams,
+                    ops: OperatorSet, cfg: SolverConfig,
+                    norm: float) -> tuple[QField, float, int]:
     """Solve [I + Rm^2 TQT Sc(u~D)] B = Rm^2 TQT Sc(B~D) u by Neumann
     series; returns (B, q2, terms used). Refuses when q2 >= 1.
-    `norm` is convection_norm(u~), estimated here when not given."""
-    ut, Bt = state_lin.u, state_lin.B
-    c = params.Rm**2
-
-    def A(v: QField) -> QField:
-        return c * ops.TQT(convective(ut, v))
-
-    if norm is None:
-        norm = convection_norm(ut, ops)
-    q2 = c * norm
-    if q2 >= 1.0:
-        raise ConditionViolation(
-            f"Neumann series for B refused: q2 = {q2:.6g} >= 1", q2)
-    r = c * ops.TQT(convective(Bt, u))
-    B, used = _neumann(A, r, cfg)
-    return B, q2, used
+    `norm` is convection_norm(u~, ops)."""
+    return _neumann_solve(ut, params.Rm**2, norm, params.Rm**2,
+                          convective(Bt, u), ops, cfg, ("B", "q2"))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +454,11 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     grow = 0
     for n in range(1, cfg.max_outer + 1):
         prev = state
-        p = pressure_recover(tqt_rhs_p(prev, params, ops), ops)
+        p = pressure_recover(tqt_rhs_p(prev.u, prev.B, params, ops), ops)
         u, B, entries = update(prev, p, B_bd)
         state = MHDState(u, B, p)
         du, dB, dp = (h1_norm(u - prev.u), h1_norm(B - prev.B),
-                      l2_norm(p - prev.p))
+                      l2_norm(state.p - prev.p))
         hist_u.append(h1_norm(u))
         hist_B.append(h1_norm(B))
         row = {"iter": n, "du": du, "dB": dB, "dp": dp, **entries}
@@ -478,11 +469,11 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         erep = energy(u, B, params, Cs=constants.Cs if constants else None)
         row.update(Jenergy=erep.J, res_mom=res[0], res_ind=res[1],
                    divu=res[2], divB=res[3])
-        report.energy_rows.append(erep.csv_row())
+        report.energy_rows.append(erep)
         report.rows.append(row)
         report.state_changes.append((du, dB, dp))
         report.iterations = n
-        scale = max(1.0, hist_u[-1] + hist_B[-1] + l2_norm(p))
+        scale = max(1.0, hist_u[-1] + hist_B[-1] + l2_norm(state.p))
         if (du + dB + dp) / scale < cfg.tol:
             report.converged = True
             break
@@ -511,14 +502,11 @@ def banach_inner_B(u_n: QField, B_init: QField, params: MHDParams,
     """Inner iteration B^(i) = c_B TQT[Sc(B^(i-1)D)u_n - Sc(u_nD)B^(i-1)]
     (+ fixed boundary term). Returns (B, iterations, last contraction ratio).
     Non-contraction (check via check_cond1) shows up as ratio >= 1."""
-    dom = ops.domain
     B = B_init.copy()
     prev_change = math.nan
     ratio = 0.0
-    state = MHDState(QField.zeros(dom), B, QField.zeros(dom))
     for i in range(1, cfg.max_inner + 1):
-        state.B = B
-        B_new = _vec_part(tqt_rhs_B(state, params, ops, u=u_n))
+        B_new = _vec_part(tqt_rhs_B(u_n, B, params, ops))
         if boundary is not None:
             B_new = B_new + boundary
         change = h1_norm(B_new - B)
@@ -543,7 +531,8 @@ def banach_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     constant L_n is evaluated from the iterate history and logged with the
     Theorem 2 bound at u_n and the Theorem 4 conditions."""
     def update(prev, p, B_bd):
-        u = leray_project(_vec_part(tqt_rhs_u(prev, params, ops, p=p)), ops)
+        u = tqt_rhs_u(prev.u, prev.B, p, params, ops)
+        u = leray_project(_vec_part(u), ops)
         B, _, _ = banach_inner_B(u, prev.B, params, ops, cfg, boundary=B_bd)
         return u, leray_project(B, ops), {}
 
@@ -578,9 +567,9 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     def update(prev, p, B_bd):
         # both series linearize at prev.u: one norm estimate serves both
         norm = convection_norm(prev.u, ops)
-        u, q1, _ = neumann_apply_u(prev, prev.B, p, params, ops, cfg, norm)
+        u, q1, _ = neumann_apply_u(prev.u, prev.B, p, params, ops, cfg, norm)
         u = leray_project(_vec_part(u), ops)
-        B, q2, _ = neumann_apply_B(prev, u, params, ops, cfg, norm)
+        B, q2, _ = neumann_apply_B(prev.u, prev.B, u, params, ops, cfg, norm)
         B = _vec_part(B)
         if B_bd is not None:
             B = B + B_bd

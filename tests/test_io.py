@@ -140,6 +140,39 @@ def test_vtk_rejects_non_finite(tmp_path, dom8):
         read_vtk(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("spacing", r"SPACING 0\.125 0\.25 0\.125 is not one cell size"),
+    ("rows", r"2032 data values, DIMENSIONS 8 8 8 needs 2048"),
+    ("row_cut", r"2046 data values"),
+], ids=["spacing", "rows", "row_cut"])
+def test_vtk_rejects_inconsistent_header(tmp_path, dom8, capsys, edit,
+                                         message):
+    # a header the data do not match must not load as another grid
+    import json
+    from quatmhd.cli import main
+    path = tmp_path / "u0.vtk"
+    write_vtk(path, QField.zeros(dom8))
+    lines = path.read_text().splitlines()
+    if edit == "spacing":
+        lines = [("SPACING 0.125 0.25 0.125" if ln.startswith("SPACING")
+                  else ln) for ln in lines]
+    elif edit == "rows":
+        lines = lines[:-4]
+    else:
+        lines[-1] = "0 0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"u0\.vtk: " + message):
+        read_vtk(path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "domain": {"n": 8}, "params": {"Re": 1.0, "Rm": 1.0},
+        "output": str(tmp_path / "out"), "init_state": {"u": str(path)}}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u0.vtk" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _write_rows(path, header, count, drop=None, repeat=None):
     rows = [f"{i},0,1,2,3" for i in range(count) if i != drop]
     if repeat is not None:

@@ -1,6 +1,7 @@
 """Static checks of the package source that need no linter installed."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,62 @@ def test_dead_private_detected():
 def test_no_dead_private_code():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_private(sources) == []
+
+
+def unpassed_private_defaults(sources: dict[str, str]) -> list[str]:
+    """"module.function(param)" for each defaulted parameter of a private
+    function of the modules `sources` (name -> source text) that no call in
+    them passes, by position or by keyword. A call counts by the name it
+    calls, bare or as an attribute; a * or ** argument passes every
+    parameter. Methods skip self, which their attribute calls bind."""
+    defaults, passed, positional = [], set(), {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                args = node.args.posonlyargs + node.args.args
+                first = len(args) - len(node.args.defaults)
+                defaults += [(module, node.name, i - (id(node) in methods),
+                              args[i].arg) for i in range(first, len(args))]
+                defaults += [(module, node.name, None, a.arg)
+                             for a, d in zip(node.args.kwonlyargs,
+                                             node.args.kw_defaults) if d]
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                npos = math.inf if starred else len(node.args)
+                positional[name] = max(positional.get(name, 0), npos)
+                for kw in node.keywords:
+                    passed.add((name, kw.arg))  # kw.arg None for **
+    return sorted(
+        f"{m}.{fn}({arg})" for m, fn, i, arg in defaults
+        if (fn, arg) not in passed and (fn, None) not in passed
+        and (i is None or positional.get(fn, 0) <= i))
+
+
+def test_unpassed_private_default_detected():
+    sources = {
+        "a": ("def _knob(x, tol=1e-6, iters=30, seed=0):\n    return x\n"
+              "def _splat(x, y=1):\n    return x\n"
+              "class C:\n"
+              "    def _m(self, a=1, b=2):\n        return a\n"
+              "    def run(self):\n        return self._m(3)\n"
+              "def public(args):\n"
+              "    return _knob(1, 1e-3) + _splat(*args)\n"),
+        "b": ("from .a import _knob\n"
+              "def _kw(x, *, scale=1.0, shift=0.0):\n    return x\n"
+              "y = _kw(_knob(2, seed=4), shift=1.0)\n"),
+    }
+    assert unpassed_private_defaults(sources) == [
+        "a._knob(iters)", "a._m(b)", "b._kw(scale)"]
+
+
+def test_no_unpassed_private_defaults():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_private_defaults(sources) == []

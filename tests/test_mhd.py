@@ -65,6 +65,15 @@ def test_state_pressure_zero_mean(dom8):
     assert abs(st.p.values[..., 0].mean()) <= 1e-14
 
 
+def test_state_leaves_caller_pressure(dom8):
+    # the zero-mean shift is applied to the state's own copy
+    p = QField.zeros(dom8)
+    p.values[..., 0] = 1.0
+    st = MHDState(QField.zeros(dom8), QField.zeros(dom8), p)
+    assert (p.values[..., 0] == 1.0).all()
+    assert not st.p.values.any()
+
+
 # ---------------------------------------------------------------------------
 # nonlinear terms
 # ---------------------------------------------------------------------------
@@ -225,9 +234,9 @@ def test_residual_weak_rejects_bad_tests(dom8):
 def test_tqt_rhs_zero_state(dom8, ops8):
     params = MHDParams(Re=1.0, Rm=1.0)
     zero = MHDState.zeros(dom8)
-    assert not tqt_rhs_u(zero, params, ops8).values.any()
-    assert not tqt_rhs_B(zero, params, ops8).values.any()
-    assert not tqt_rhs_p(zero, params, ops8).values.any()
+    assert not tqt_rhs_u(zero.u, zero.B, zero.p, params, ops8).values.any()
+    assert not tqt_rhs_B(zero.u, zero.B, params, ops8).values.any()
+    assert not tqt_rhs_p(zero.u, zero.B, params, ops8).values.any()
 
 
 @pytest.mark.parametrize("mode", ["linear", "squared", "mixed"])
@@ -243,7 +252,7 @@ def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
                - convective(st.u, st.u))
     ref = (params.coeff_u() * ops8.TQT(bracket)
            - params.coeff_p() * ops8.TQT(_dirac_scalar(st.p)))
-    got = tqt_rhs_u(st, params, ops8)
+    got = tqt_rhs_u(st.u, st.B, st.p, params, ops8)
     assert l2_norm(got - ref) <= 1e-13 * l2_norm(ref)
 
 
@@ -251,14 +260,14 @@ def test_tqt_rhs_B_vanishes_without_velocity(dom8, ops8):
     params = MHDParams(Re=1.0, Rm=1.0)
     st = MHDState(QField.zeros(dom8), random_pure_bump(dom8, seed=15),
                   QField.zeros(dom8))
-    assert not tqt_rhs_B(st, params, ops8).values.any()
+    assert not tqt_rhs_B(st.u, st.B, params, ops8).values.any()
 
 
 def test_tqt_rhs_p_independent_recomputation(dom12, ops12):
     params = MHDParams(Re=1.3, Rm=0.8, mu0=2.0, exponent_mode="mixed")
     st = MHDState(random_pure_bump(dom12, seed=16),
                   random_pure_bump(dom12, seed=17), QField.zeros(dom12))
-    got = tqt_rhs_p(st, params, ops12).values[..., 0]
+    got = tqt_rhs_p(st.u, st.B, params, ops12).values[..., 0]
     bracket = lorentz(st.B, 1.0) - convective(st.u, st.u)
     ref = params.coeff_prhs() * ops12.bergman_Q(
         ops12.teodorescu(bracket)).values[..., 0]

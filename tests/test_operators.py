@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
 from quatmhd.grid import _diff
-from quatmhd.mhd import _dirac_scalar
+from quatmhd.mhd import _dirac_scalar, convective
 from quatmhd.operators import (_dcen, _dst1, _dst2, _irfft_head,
                                _lap_interior, _lanczos, _pure, _pure_left_mul,
                                _staggered, _top_ritz, curl_bwd, dirac_bwd,
@@ -277,6 +277,22 @@ def test_dirac_div_curl_split(dom8):
     div = d[0] + d[1] + d[2]
     inner = _interior(dom8, 2)
     assert np.allclose(du.values[..., 0][inner], -div[inner], atol=1e-10)
+
+
+@pytest.mark.parametrize("n, extent, axis", [
+    (2, (1.0, 1.0, 1.0), 0),
+    ((3, 3, 2), (1.5, 1.5, 1.0), 2),
+], ids=["n2", "n332"])
+@pytest.mark.parametrize("op", [laplacian, dirac_central,
+                                lambda u: convective(u, u)],
+                         ids=["laplacian", "dirac_central", "convective"])
+def test_face_stencils_refuse_two_cell_axis(n, extent, axis, op):
+    # the one-sided face rows read three layers; a 2-cell axis has two
+    dom = build_domain((0.0, 0.0, 0.0), extent, n)
+    u = random_smooth(dom, seed=0)
+    u.values[..., 0] = 0.0
+    with pytest.raises(ValueError, match=f"axis {axis} has 2"):
+        op(u)
 
 
 def test_laplacian_quadratic(dom8):

@@ -12,7 +12,8 @@ from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
                              banach_solve,
                              check_cond1, check_schauder_bound,
-                             check_theorem4, estimate_constants, lipschitz_Ln,
+                             check_theorem4, convection_norm,
+                             estimate_constants, lipschitz_Ln,
                              neumann_apply_B, neumann_apply_u,
                              pressure_recover, schauder_solve, _minres)
 
@@ -229,7 +230,8 @@ def test_neumann_zero_linearization(dom12, ops12):
     pv[..., 0] = random_pure_bump(dom12, seed=2).values[..., 1]
     pv[..., 0] -= pv[..., 0].mean()
     p = QField(dom12, pv)
-    u, q1, terms = neumann_apply_u(zero, B, p, params, ops12, cfg)
+    u, q1, terms = neumann_apply_u(zero.u, B, p, params, ops12, cfg,
+                                   convection_norm(zero.u, ops12))
     assert q1 == 0.0 and terms <= 2
     from quatmhd.mhd import _dirac_scalar
     ref = params.Re**2 * ops12.TQT(lorentz(B, params.mu0) - _dirac_scalar(p))
@@ -246,7 +248,8 @@ def test_neumann_residual(dom12, ops12):
     pv[..., 0] = random_pure_bump(dom12, seed=5).values[..., 1]
     pv[..., 0] -= pv[..., 0].mean()
     p = QField(dom12, pv)
-    u, q1, _ = neumann_apply_u(st, st.B, p, params, ops12, cfg)
+    norm = convection_norm(ut, ops12)
+    u, q1, _ = neumann_apply_u(ut, st.B, p, params, ops12, cfg, norm)
     assert q1 < 0.9
     from quatmhd.mhd import _dirac_scalar
     c = params.Re**2 / params.mu0
@@ -254,7 +257,7 @@ def test_neumann_residual(dom12, ops12):
     lhs = u + c * ops12.TQT(convective(ut, u))
     assert l2_norm(lhs - r) <= 1e-8 * l2_norm(r)
 
-    B, q2, _ = neumann_apply_B(st, u, params, ops12, cfg)
+    B, q2, _ = neumann_apply_B(ut, st.B, u, params, ops12, cfg, norm)
     assert q2 < 0.9
     rB = params.Rm**2 * ops12.TQT(convective(st.B, u))
     lhsB = B + params.Rm**2 * ops12.TQT(convective(ut, B))
@@ -293,7 +296,8 @@ def test_neumann_refuses_large_q(dom12, ops12):
     st = MHDState(random_pure_bump(dom12, seed=6), QField.zeros(dom12),
                   QField.zeros(dom12))
     with pytest.raises(ConditionViolation) as err:
-        neumann_apply_u(st, st.B, st.p, params, ops12, cfg)
+        neumann_apply_u(st.u, st.B, st.p, params, ops12, cfg,
+                        convection_norm(st.u, ops12))
     assert err.value.q >= 1.0
 
 
@@ -322,9 +326,8 @@ def test_inner_B_contraction_ratio(dom12, ops12):
     bound = 2 * params.Rm**2 * c.C1 * c.Cs * h1_norm(u)
     assert ratio <= bound * 1.1
     # fixed point: one more application reproduces B
-    st = MHDState(QField.zeros(dom12), B, QField.zeros(dom12))
     from quatmhd.mhd import tqt_rhs_B
-    again = tqt_rhs_B(st, params, ops12, u=u)
+    again = tqt_rhs_B(u, B, params, ops12)
     assert h1_norm(again - B) <= cfg.tol * 10 * max(1.0, h1_norm(B))
 
 
