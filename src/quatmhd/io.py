@@ -80,7 +80,16 @@ def read_vtk(path) -> QField:
         raise ValueError(f"{path}: SPACING {' '.join(map(str, spc))} is not "
                          "one cell size repeated for the three axes")
     n1, n2, n3 = dims
-    vals = np.array(" ".join(lines[data_start:]).split(), dtype=float)
+    tokens = " ".join(lines[data_start:]).split()
+    try:
+        vals = np.array(tokens, dtype=float)
+    except ValueError:  # NumPy names the token; find its row for the message
+        for i in range(0, len(tokens), 4):
+            try:
+                np.array(tokens[i:i + 4], dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}: data row {i // 4}: {exc}") from None
+        raise
     if vals.size != 4 * n1 * n2 * n3:
         raise ValueError(f"{path}: {vals.size} data values, DIMENSIONS "
                          f"{n1} {n2} {n3} needs {4 * n1 * n2 * n3}")

@@ -126,8 +126,14 @@ def convective(a: QField, w: QField) -> QField:
 def lorentz(B: QField, mu0: float) -> QField:
     """Magnetic forcing (1/mu0) Vec((DB) B); for divergence-free B this is
     the classical (1/mu0)(curl B) x B."""
+    return _lorentz_of(B, dirac_fwd(B), mu0)
+
+
+def _lorentz_of(B: QField, DB: QField, mu0: float) -> QField:
+    """lorentz(B, mu0) from DB = dirac_fwd(B), for a caller that reads DB
+    too."""
     _require_pure(B, "B")
-    prod = qmul_arr(dirac_fwd(B).values, B.values)
+    prod = qmul_arr(DB.values, B.values)
     prod[..., 0] = 0.0
     return QField(B.domain, prod / mu0)
 

@@ -48,7 +48,9 @@ kernel per domain)
     lambda_min       : smallest Dirichlet eigenvalue, the inverse of the
         largest Ritz value of poisson_faces, computed once per set
     op_norm_TQT      : operator norm of the self-adjoint composition T Q T,
-        its largest Ritz value
+        its largest Ritz value from the Dirichlet ground mode
+    teodorescu_bound : a bound tau on ||T||, the largest |Re Khat| + |Im Khat|
+        of the kernel transform
 
 Both Ritz values come from _top_ritz over _lanczos, the one Lanczos
 recurrence of the package; the pressure MINRES (solvers._minres) runs on
@@ -224,6 +226,7 @@ class OperatorSet:
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
+        self._tau = None           # teodorescu_bound, computed on first use
         self._lambda_min = None    # computed on first use
         # per-axis sine bases and stencil eigenvalues of the Poisson solves:
         # DST-I on the non-collar block, DST-II on the whole box
@@ -244,6 +247,25 @@ class OperatorSet:
                     self.sigma_T / (4.0 * np.pi) * h**3)
         self._khat = [np.fft.rfftn(Ki, s=pad, axes=(0, 1, 2)) for Ki in K]
         return self._khat
+
+    def teodorescu_bound(self) -> float:
+        """tau with ||T f|| <= tau ||f|| for every field f (L2 norms).
+
+        T f is a circular convolution on the padded grid, of the zero-padded
+        f with the pure kernel K, cropped to the box; padding and cropping
+        do not raise the norm. At each frequency xi the convolution is left
+        multiplication by the pure quaternion Khat(xi) = a + i b, a and b
+        real 3-vectors, and left multiplication by a real pure quaternion a
+        scales every quaternion by |a|. So ||T|| <= tau, the maximum over xi
+        of |a| + |b|, taken over the cached rfftn of K (real input, so the
+        other half of the spectrum is its conjugate). Computed once per
+        operator set."""
+        if self._tau is None:
+            K = self._kernel_fft()
+            a = np.sqrt(sum(Ki.real**2 for Ki in K))
+            b = np.sqrt(sum(Ki.imag**2 for Ki in K))
+            self._tau = float((a + b).max())
+        return self._tau
 
     def teodorescu(self, f: QField) -> QField:
         """Volume potential T f, a right inverse of the Dirac operator. A
@@ -406,10 +428,22 @@ class OperatorSet:
         """L2 operator norm of T Q T by Lanczos. T is symmetric (an odd
         kernel times pure units) and Q an orthogonal projection, so
         TQT = (QT)^T QT is symmetric positive semidefinite and its norm is
-        its largest eigenvalue: the largest Ritz value (_top_ritz) from a
-        seeded random start. RuntimeError when maxit steps do not settle
+        its largest eigenvalue: the largest Ritz value (_top_ritz).
+
+        TQT approximates the Dirichlet solution operator (-Lap)^-1, whose
+        top eigenvector is the ground mode prod_axes sin(pi (j + 1/2) / n).
+        Lanczos starts there, in all four components, plus 1e-3 of a
+        seeded random field so that no eigendirection is left out of the
+        Krylov space: about 6 steps at n = 8..32 instead of 8-9 from the
+        random field alone. RuntimeError when maxit steps do not settle
         it, or when it exceeds the bound 1/lambda_min with 10% slack."""
-        v = np.random.default_rng(0).standard_normal(self.domain.shape + (4,))
+        ground = 1.0
+        for ax, m in enumerate(self.domain.n):
+            mode = np.sin(np.pi * (np.arange(m) + 0.5) / m)
+            ground = ground * mode.reshape((-1,) + (1,) * (2 - ax))
+        rng = np.random.default_rng(0)
+        v = (ground[..., None]
+             + 1e-3 * rng.standard_normal(self.domain.shape + (4,)))
         k = _top_ritz(lambda x: self.TQT(QField(self.domain, x)).values, v,
                       _OP_NORM_TOL, maxit, "op_norm_TQT")
         bound = 1.1 / self.lambda_min()

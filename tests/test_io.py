@@ -144,7 +144,8 @@ def test_vtk_rejects_non_finite(tmp_path, dom8):
     ("spacing", r"SPACING 0\.125 0\.25 0\.125 is not one cell size"),
     ("rows", r"2032 data values, DIMENSIONS 8 8 8 needs 2048"),
     ("row_cut", r"2046 data values"),
-], ids=["spacing", "rows", "row_cut"])
+    ("token", r"data row 511: could not convert string to float: 'abc'"),
+], ids=["spacing", "rows", "row_cut", "token"])
 def test_vtk_rejects_inconsistent_header(tmp_path, dom8, capsys, edit,
                                          message):
     # a header the data do not match must not load as another grid
@@ -158,8 +159,10 @@ def test_vtk_rejects_inconsistent_header(tmp_path, dom8, capsys, edit,
                   else ln) for ln in lines]
     elif edit == "rows":
         lines = lines[:-4]
-    else:
+    elif edit == "row_cut":
         lines[-1] = "0 0"
+    else:
+        lines[-1] = "0 0 abc 0"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"u0\.vtk: " + message):
         read_vtk(path)

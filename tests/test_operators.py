@@ -654,6 +654,49 @@ def test_op_norm_matches_dense_eigenvalue():
     assert abs(ops.op_norm_TQT() - ref) <= 1e-9 * ref
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_op_norm_ground_start_matches_random_start(n):
+    # the ground-mode start settles on the value a seeded random start
+    # reaches, in 6 Lanczos steps where the random start needs 8
+    ops = OperatorSet(build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), n))
+    dom = ops.domain
+    calls = []
+
+    def tqt(x):
+        calls.append(1)
+        return ops.TQT(QField(dom, x)).values
+
+    v = np.random.default_rng(0).standard_normal(dom.shape + (4,))
+    ref = _top_ritz(tqt, v, 1e-8, 300, "random start")
+    assert len(calls) >= 8
+    apply = OperatorSet.TQT
+    calls.clear()
+    ops.TQT = lambda f: calls.append(1) or apply(ops, f)
+    k = ops.op_norm_TQT()
+    assert len(calls) == 6
+    assert abs(k - ref) <= 1e-9 * ref
+
+
+def test_teodorescu_bound_exceeds_dense_norm():
+    # tau bounds the largest singular value of the assembled T
+    dom = build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 4)
+    ops = OperatorSet(dom)
+    size = dom.num_cells * 4
+    A = np.array([ops.teodorescu(QField(dom, e.reshape(dom.shape + (4,))))
+                  .values.ravel() for e in np.eye(size)]).T
+    assert np.linalg.norm(A, 2) <= ops.teodorescu_bound()
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_teodorescu_bound_holds(n):
+    ops = _box((n,) * 3)
+    tau = ops.teodorescu_bound()
+    for seed in range(3):
+        for f in (random_smooth(ops.domain, seed=seed),
+                  random_bump(ops.domain, seed=seed)):
+            assert l2_norm(ops.teodorescu(f)) <= tau * l2_norm(f)
+
+
 def test_op_norm_raises_at_maxit(ops8):
     with pytest.raises(RuntimeError, match="2 steps"):
         ops8.op_norm_TQT(maxit=2)

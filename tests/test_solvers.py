@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from quatmhd.grid import BoundaryData, QField, build_domain, h1_norm, l2_norm
+from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
+                          l2_norm, lq_norm)
 from quatmhd.mhd import (MHDParams, MHDState, convective, leray_project,
                          lorentz, residual_strong)
-from quatmhd.operators import OperatorSet
+from quatmhd.operators import OperatorSet, dirac_fwd
 from quatmhd.sampling import random_pure_bump
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
@@ -61,6 +62,52 @@ def test_estimate_constants(ops12):
 def test_estimate_constants_rejects_few_samples(dom12, ops12):
     with pytest.raises(ValueError):
         estimate_constants(ops12, samples=5)
+
+
+def _unpruned_ratios(ops, seed, samples=30):
+    """(Cs, CD, Cu) of the sampling loop without the skip: all four Cs
+    families, T applied on every sample, D+B computed twice."""
+    rng = np.random.default_rng(seed)
+    ratios_s, ratios_d, ratios_c = [], [], []
+    for _ in range(samples):
+        u = random_pure_bump(ops.domain, rng)
+        B = random_pure_bump(ops.domain, rng)
+        uh, Bh = h1_norm(u), h1_norm(B)
+        conv = convective(u, u)
+        ratios_s += [lq_norm(conv, 1.25) / uh**2,
+                     lq_norm(lorentz(B, 1.0), 1.25) / Bh**2,
+                     l2_norm(dirac_fwd(B)) / Bh,
+                     l2_norm(ops.teodorescu(conv)) / uh**2]
+        Du = l2_norm(dirac_fwd(u))
+        ratios_d.append(Du / uh)
+        ratios_c.append(Du**2 / uh**2)
+    return 2.0 * max(ratios_s), 2.0 * max(ratios_d), 0.5 * min(ratios_c)
+
+
+@pytest.mark.parametrize("n, extent, seed", [
+    (8, 1.0, 0), (8, 1.0, 3), (12, 1.0, 0), (12, 1.0, 3), (8, 10.0, 3)])
+def test_constants_skip_matches_unpruned_loop(n, extent, seed):
+    # skipping the T apply of a ratio its bound keeps below the running
+    # maximum leaves the bundle bit for bit as the loop without the skip
+    ops = OperatorSet(build_domain((0.0, 0.0, 0.0), (extent,) * 3, n))
+    c = estimate_constants(ops, seed=seed)
+    assert (c.Cs, c.CD, c.Cu) == _unpruned_ratios(ops, seed)
+    assert (c.C1, c.lambda_min) == (1.0 / ops.lambda_min(), ops.lambda_min())
+    assert c.k == ops.op_norm_TQT()
+
+
+def test_constants_skip_off_applies_every_T(ops8, monkeypatch):
+    # with no usable bound every sampled T(conv) is applied: 30 applies on
+    # top of the 12 of op_norm_TQT, and the same bundle
+    ref = estimate_constants(ops8, seed=3)
+    calls = []
+    teodorescu = OperatorSet.teodorescu
+    monkeypatch.setattr(OperatorSet, "teodorescu_bound",
+                        lambda self: math.inf)
+    monkeypatch.setattr(OperatorSet, "teodorescu",
+                        lambda self, f: calls.append(1) or teodorescu(self, f))
+    assert estimate_constants(ops8, seed=3) == ref
+    assert len(calls) == 12 + 30
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +468,8 @@ def test_outer_loop_aborts_on_growing_changes(ops8, prescribed_projection,
 def test_apply_budget(dom8, monkeypatch):
     # T (a padded FFT convolution) is the costliest apply of both setup and
     # solve; the counts are pinned so that added applies show up here.
-    # Setup: 8 Lanczos steps of ||TQT|| (2 T, 1 Q each) and 30 sampled
-    # T(conv). A warm Banach solve: per outer step one QT for the pressure
+    # Setup: 6 Lanczos steps of ||TQT|| (2 T, 1 Q each); the 30 sampled
+    # T(conv) ratios are all skipped by their bound. A warm Banach solve: per outer step one QT for the pressure
     # and one TQT for u, plus one TQT per inner B iteration; 3 outer steps
     # and 4 inner iterations here
     from quatmhd.sampling import random_divfree
@@ -436,7 +483,7 @@ def test_apply_budget(dom8, monkeypatch):
         monkeypatch.setattr(OperatorSet, name, counted)
     ops = OperatorSet(dom8)
     c = estimate_constants(ops, seed=3)
-    assert counts == {"teodorescu": 46, "bergman_Q": 8}
+    assert counts == {"teodorescu": 12, "bergman_Q": 6}
     fields = [random_divfree(dom8, seed=s) for s in (1, 2)]
     u0, B0 = [QField(dom8, 1e-3 / h1_norm(f) * f.values) for f in fields]
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
