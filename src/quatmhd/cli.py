@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as exc:
         # numerical failures outside the solver's own ConditionViolation
-        # and DivergenceError handling, e.g. pressure recovery or ||TQT||
+        # and DivergenceError handling, e.g. pressure recovery
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

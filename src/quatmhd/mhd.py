@@ -2,6 +2,12 @@
 residuals, the TQT integral-form right-hand sides (each takes the fields it
 reads, not a state), and the discrete Leray projection.
 
+The integral form's TQT is the collar-Dirichlet solve (OperatorSet.TQT), and
+its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu, Cauchy
+or Bergman operators. The velocity row and the pressure equation share one
+bracket, momentum_bracket(u, B), computed once per outer step. The boundary
+term of B is the vector part of the harmonic extension of the face data.
+
 Conventions. States are cell-centered quaternion fields with u, B pure
 vectors and p scalar, zero-mean. Sc(aD)w is realized as the advection
 (a.grad)w with central differences; D^2 is realized as -laplacian via the
@@ -32,6 +38,7 @@ __all__ = [
     "M_of",
     "residual_strong",
     "residual_weak",
+    "momentum_bracket",
     "tqt_rhs_u",
     "tqt_rhs_B",
     "tqt_rhs_p",
@@ -198,12 +205,17 @@ def residual_weak(state: MHDState, params: MHDParams, test_v: QField,
     return r_mom, r_ind
 
 
-def tqt_rhs_u(u: QField, B: QField, p: QField, params: MHDParams,
+def momentum_bracket(u: QField, B: QField, params: MHDParams) -> QField:
+    """Vec((DB)B) - Sc(uD)u, as mu0 lorentz(B, mu0) - convective(u, u): the
+    bracket that the velocity row and the pressure equation share."""
+    return params.mu0 * lorentz(B, params.mu0) - convective(u, u)
+
+
+def tqt_rhs_u(bracket: QField, p: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
     """Right-hand side of the velocity row of the integral form:
-    c_u TQT[Vec((DB)B) - Sc(uD)u] - c_p TQT D p. TQT is linear, so it is
-    applied once, to c_u [...] - c_p D p."""
-    bracket = params.mu0 * lorentz(B, params.mu0) - convective(u, u)
+    c_u TQT bracket - c_p TQT D p, bracket = momentum_bracket(u, B). TQT is
+    linear, so it is applied once, to c_u bracket - c_p D p."""
     return ops.TQT(params.coeff_u() * bracket
                    - params.coeff_p() * _dirac_scalar(p))
 
@@ -215,15 +227,17 @@ def tqt_rhs_B(u: QField, B: QField, params: MHDParams,
     return params.coeff_B() * ops.TQT(bracket)
 
 
-def tqt_rhs_p(u: QField, B: QField, params: MHDParams,
+def tqt_rhs_p(bracket: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
-    """Scalar right-hand side of the pressure equation:
-    c Sc(QT[Vec((DB)B) - Sc(uD)u])."""
-    bracket = params.mu0 * lorentz(B, params.mu0) - convective(u, u)
-    qt = ops.bergman_Q(ops.teodorescu(bracket))
-    out = np.zeros_like(qt.values)
-    out[..., 0] = params.coeff_prhs() * qt.values[..., 0]
-    return QField(u.domain, out)
+    """Scalar right-hand side of the pressure equation, c Sc(QT bracket)
+    with bracket = momentum_bracket(u, B). Q T = D+_gz L^-1 for the lattice
+    pair of OperatorSet.TQT, so this is c Sc(D+_gz L^-1 bracket): the
+    ghost-zero -div+ of three collar solves, the second half of
+    OperatorSet.pressure_S."""
+    out = np.zeros_like(bracket.values)
+    out[..., 0] = params.coeff_prhs() * ops._sc_dirac_solve(
+        bracket.values[..., 1:].transpose(3, 0, 1, 2))
+    return QField(bracket.domain, out)
 
 
 def leray_project(u: QField, ops: OperatorSet) -> QField:
@@ -238,15 +252,14 @@ def leray_project(u: QField, ops: OperatorSet) -> QField:
 
 
 def boundary_B_term(params: MHDParams, ops: OperatorSet) -> QField:
-    """Boundary contribution to B for nonzero data h: F_Gamma h plus the
-    Teodorescu potential of the monogenic part of D H, where H is the
-    harmonic extension of h. Returns zero for h = None."""
+    """Boundary contribution to B for nonzero data h: Vec H, H the harmonic
+    extension of h. The integral form's term F_Gamma h + T P D H is the
+    Borel-Pompeiu form H = F tr H + T D H of H less T Q D H, and D H of a
+    harmonic H is monogenic, so Q D H = 0. Returns zero for h = None."""
     dom = ops.domain
     if params.boundary_h is None:
         return QField.zeros(dom)
-    H = harmonic_extension(params.boundary_h, ops)
-    out = ops.cauchy(params.boundary_h) + ops.teodorescu(
-        ops.bergman_P(dirac_fwd(H)))
+    out = harmonic_extension(params.boundary_h, ops)
     out.values[..., 0] = 0.0  # B is a pure vector field
     return out
 

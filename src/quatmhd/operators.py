@@ -45,16 +45,19 @@ kernel per domain)
         collar, in the DST-I sine basis of the non-collar block
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
         (ghost anti-reflection), in the DST-II sine basis of the whole box
-    lambda_min       : smallest Dirichlet eigenvalue, the inverse of the
-        largest Ritz value of poisson_faces, computed once per set
-    op_norm_TQT      : operator norm of the self-adjoint composition T Q T,
-        its largest Ritz value from the Dirichlet ground mode
+    lambda_min       : smallest Dirichlet eigenvalue, the smallest entry of
+        the DST-II symbol of poisson_faces
+    TQT              : the composition T Q T of the solvers, which is the
+        collar-Dirichlet solve poisson_dirichlet (see OperatorSet.TQT)
+    op_norm_TQT      : its operator norm, one over the smallest entry of the
+        DST-I symbol of poisson_dirichlet
     teodorescu_bound : a bound tau on ||T||, the largest |Re Khat| + |Im Khat|
         of the kernel transform
 
-Both Ritz values come from _top_ritz over _lanczos, the one Lanczos
-recurrence of the package; the pressure MINRES (solvers._minres) runs on
-the same recurrence.
+teodorescu, cauchy and bergman_P are the sampled continuum operators. They
+serve the identity checks of verify and the composed Cs ratio of the
+constants; no solver step applies them. The one Lanczos recurrence of the
+package, _lanczos, serves the pressure MINRES (solvers._minres).
 
 Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
 orthonormal 1-D basis matrices are built once per axis and applied along
@@ -78,13 +81,6 @@ __all__ = [
     "laplacian",
     "OperatorSet",
 ]
-
-# stop rules of the two Lanczos Ritz estimates (_top_ritz): the relative
-# change of the Ritz value per step, and the step cap. lambda_min runs to
-# rounding (about 11 face solves at n = 8..48); ||TQT|| stops at 1e-8.
-_LAMBDA_MIN_TOL = 1e-14
-_OP_NORM_TOL = 1e-8
-_RITZ_MAXIT = 300
 
 # Difference of D+ along axis j (row) on input component c (column):
 # True backward, False forward. Each row is constant on the pairs of
@@ -227,7 +223,6 @@ class OperatorSet:
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
         self._tau = None           # teodorescu_bound, computed on first use
-        self._lambda_min = None    # computed on first use
         # per-axis sine bases and stencil eigenvalues of the Poisson solves:
         # DST-I on the non-collar block, DST-II on the whole box
         n, h = np.asarray(domain.n), domain.h
@@ -362,20 +357,11 @@ class OperatorSet:
 
     def lambda_min(self) -> float:
         """Smallest eigenvalue of the cell-centered Dirichlet Laplacian
-        (zero values on the box faces, ghost anti-reflection), the inverse
-        of the largest eigenvalue of the symmetric positive definite
-        poisson_faces: one over its largest Ritz value (_top_ritz) from a
-        seeded random start. The continuum limit is 3*pi^2 on the unit
-        cube. It stays iterative, not the closed form, the sum over the
-        axes of (4/h^2) sin^2(pi/(2 n_axis)) of the DST symbol, so that
-        comparing the two checks the face solve. Computed once per
-        operator set."""
-        if self._lambda_min is None:
-            v = np.random.default_rng(0).standard_normal(self.domain.num_cells)
-            self._lambda_min = 1.0 / _top_ritz(
-                self.poisson_faces, v, _LAMBDA_MIN_TOL, _RITZ_MAXIT,
-                "lambda_min")
-        return self._lambda_min
+        (zero values on the box faces, ghost anti-reflection): the smallest
+        entry of the DST-II symbol that poisson_faces divides by, the sum
+        over the axes of (4/h^2) sin^2(pi/(2 n_axis)). The continuum limit
+        is 3*pi^2 on the unit cube."""
+        return float(self._face_symbol.min())
 
     # -- Bergman projection -------------------------------------------------
 
@@ -408,10 +394,18 @@ class OperatorSet:
         g = np.empty((3,) + self.domain.shape)
         for j in range(3):
             _diff(p, j, h, backward=True, ghost=True, out=g[j])
+        return self._sc_dirac_solve(g)
+
+    def _sc_dirac_solve(self, g: np.ndarray) -> np.ndarray:
+        """Sc(D+_gz L^-1 v) for a field v with vector components g, shape
+        (3,) + the domain's; row 0 of D+ reads no scalar part. That is the
+        ghost-zero -div+ of the three collar solves of g, one batch."""
+        h = self.domain.h
         w = self._collar_solve(g)
         out = np.zeros(self.domain.shape)
-        for j in range(3):  # g as scratch
-            out -= _diff(w[j], j, h, ghost=True, out=g[j])
+        scratch = np.empty(self.domain.shape)
+        for j in range(3):
+            out -= _diff(w[j], j, h, ghost=True, out=scratch)
         return out
 
     def bergman_P(self, f: QField) -> QField:
@@ -419,38 +413,29 @@ class OperatorSet:
         the discrete monogenic fields."""
         return f - self.bergman_Q(f)
 
-    # -- composed operator norms --------------------------------------------
+    # -- the solvers' composition ------------------------------------------
 
     def TQT(self, f: QField) -> QField:
-        return self.teodorescu(self.bergman_Q(self.teodorescu(f)))
+        """The composition T Q T of the integral form: the collar-Dirichlet
+        solve poisson_dirichlet(f).
 
-    def op_norm_TQT(self, maxit: int = _RITZ_MAXIT) -> float:
-        """L2 operator norm of T Q T by Lanczos. T is symmetric (an odd
-        kernel times pure units) and Q an orthogonal projection, so
-        TQT = (QT)^T QT is symmetric positive semidefinite and its norm is
-        its largest eigenvalue: the largest Ritz value (_top_ritz).
+        With G the lattice Green function of the 7-point -Lap_h and
+        A f = h^2 G*f on the box plus one ghost layer, T+ = D- A is a right
+        inverse of D+ and T- = D+ A one of D-. Q = D+_gz L^-1 D-_gz, _gz
+        for ghost-zero differences. On the non-collar cells D-_gz reads
+        only box cells and D- D+ = -Lap_h, so Q T- f = D+_gz L^-1 f. L^-1 f
+        vanishes on the collar, so D+_gz of it is the exact D+ of its zero
+        extension, and convolution commutes with differences: T+ Q T- =
+        L^-1. This is the discrete form of TQT = (-Lap)^-1; the tests check
+        it to rounding against T+ and T- built from G."""
+        return self.poisson_dirichlet(f)
 
-        TQT approximates the Dirichlet solution operator (-Lap)^-1, whose
-        top eigenvector is the ground mode prod_axes sin(pi (j + 1/2) / n).
-        Lanczos starts there, in all four components, plus 1e-3 of a
-        seeded random field so that no eigendirection is left out of the
-        Krylov space: about 6 steps at n = 8..32 instead of 8-9 from the
-        random field alone. RuntimeError when maxit steps do not settle
-        it, or when it exceeds the bound 1/lambda_min with 10% slack."""
-        ground = 1.0
-        for ax, m in enumerate(self.domain.n):
-            mode = np.sin(np.pi * (np.arange(m) + 0.5) / m)
-            ground = ground * mode.reshape((-1,) + (1,) * (2 - ax))
-        rng = np.random.default_rng(0)
-        v = (ground[..., None]
-             + 1e-3 * rng.standard_normal(self.domain.shape + (4,)))
-        k = _top_ritz(lambda x: self.TQT(QField(self.domain, x)).values, v,
-                      _OP_NORM_TOL, maxit, "op_norm_TQT")
-        bound = 1.1 / self.lambda_min()
-        if k > bound:
-            raise RuntimeError(
-                f"||TQT|| = {k:.6g} exceeds 1.1/lambda_min = {bound:.6g}")
-        return k
+    def op_norm_TQT(self) -> float:
+        """L2 operator norm of TQT = poisson_dirichlet: one over the
+        smallest entry of its DST-I symbol, or 0.0 when no cell lies
+        outside the collar (the solve is then zero)."""
+        sym = self._collar_symbol
+        return 1.0 / float(sym.min()) if sym.size else 0.0
 
     def _check(self, f: QField) -> None:
         if not f.domain.same_grid(self.domain):
@@ -481,45 +466,6 @@ def _lanczos(apply_A, v):
             return
         w /= beta_next
         v_prev, v, beta = v, w, beta_next
-
-
-def _top_ritz(apply_A, v, tol: float, maxit: int, name: str) -> float:
-    """Largest eigenvalue of a symmetric positive semidefinite apply_A: the
-    largest Ritz value of the Lanczos tridiagonal grown from v, returned
-    once a step moves it by <= tol relative or the recurrence ends.
-    RuntimeError naming `name` when maxit steps do not get there."""
-    alpha, beta, k = [], [], 0.0
-    for _, (_, a, _, b) in zip(range(maxit), _lanczos(apply_A, v)):
-        alpha.append(a)
-        k_prev, k = k, _top_eigenvalue(alpha, beta)
-        if abs(k - k_prev) <= tol * abs(k) or b == 0.0:
-            return k
-        beta.append(b)
-    raise RuntimeError(f"{name}: Lanczos not converged after {maxit} steps")
-
-
-def _top_eigenvalue(a, b) -> float:
-    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
-    a and off-diagonal b, by bisection between Gershgorin bounds: the
-    Sturm sequence d_i = a_i - x - b_{i-1}^2 / d_{i-1} has as many
-    negative terms as the matrix has eigenvalues below x. Plain floats, so
-    no LAPACK call, whose first use costs about 1 MiB of workspace."""
-    r = [abs(x) for x in b] + [0.0]
-    lo = min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r))
-    hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
-    while True:
-        x = 0.5 * (lo + hi)
-        if not lo < x < hi:
-            return hi
-        below, d = 0, 1.0
-        for i, ai in enumerate(a):
-            d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
-            d = d or -1e-300  # a zero pivot counts as negative
-            below += d < 0
-        if below == len(a):
-            hi = x
-        else:
-            lo = x
 
 
 def _pure(vec: np.ndarray) -> np.ndarray:

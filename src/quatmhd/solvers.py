@@ -6,21 +6,24 @@ explicit updates
     u_n = c_u TQT[Vec((DB_{n-1})B_{n-1}) - Sc(u_{n-1}D)u_{n-1}] - c_p TQT D p_n
     B_n : inner iteration  B^(i) = c_B TQT[Sc(B^(i-1)D)u_n - Sc(u_nD)B^(i-1)]
 
-with the pressure recovered from Sc(Qp) = c Sc(QT[...]) by MINRES.
+with the pressure recovered from Sc(Qp) = c Sc(QT[...]) by MINRES. TQT is
+the collar-Dirichlet Poisson solve and QT is D+_gz L^-1 (OperatorSet.TQT),
+so neither scheme applies the Teodorescu, Cauchy or Bergman operators.
 The Schauder scheme linearizes at (u~, B~) and inverts the two operators
 I + c TQT Sc(u~ D) by truncated Neumann series (neumann_apply_u and
 neumann_apply_B, given u~, B~ and the one convection_norm(u~) both scale),
 refusing when the series ratio q = c convection_norm(u~) is >= 1.
 
-Both schemes run one outer loop, _outer_loop. It recovers the pressure
-from the previous state, calls the scheme's update for (u, B), and owns
+Both schemes run one outer loop, _outer_loop. It computes the bracket
+Vec((DB)B) - Sc(uD)u of the previous state once, recovers the pressure
+from it, calls the scheme's update for (u, B), and owns
 the change, residual, energy and condition rows, the tol stop and the
 divergence guards. The schemes differ only in the update and in their own
 row entries.
 
-Constants (C1, Cs, CD, Cu, k) are estimated once per domain: C1 and
-lambda_min from the discrete Dirichlet spectrum, to rounding, k = ||TQT||
-by Lanczos, the rest as sampled extremal ratios with a x2 safety factor.
+Constants (C1, Cs, CD, Cu, k) are estimated once per domain: C1,
+lambda_min and k = ||TQT|| from the closed-form discrete Dirichlet spectra,
+the rest as sampled extremal ratios with a x2 safety factor.
 The composed Cs ratio ||T Sc(uD)u|| / ||u||_H1^2 is bounded by
 tau ||Sc(uD)u|| / ||u||_H1^2, tau >= ||T|| from the kernel transform
 (OperatorSet.teodorescu_bound); its T apply is skipped when that bound
@@ -39,7 +42,8 @@ from .energy import energy
 from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
 from .mhd import (MHDParams, MHDState, _dirac_scalar, _lorentz_of,
                   boundary_B_term, convective, leray_project, lorentz,
-                  residual_strong, tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
+                  momentum_bracket, residual_strong, tqt_rhs_B, tqt_rhs_p,
+                  tqt_rhs_u)
 from .operators import OperatorSet, _lanczos, dirac_fwd
 from .sampling import random_pure_bump
 
@@ -151,8 +155,9 @@ def estimate_constants(ops: OperatorSet, samples: int = 30,
     """Estimate the bundle of norm constants on the domain of ops.
 
     C1 = 1/lambda_min, exact up to rounding (provenance "analytic");
-    k = ||TQT|| by Lanczos; Cs is twice the largest sampled ratio of the
-    three nonlinear estimates (L^{5/4} norms) plus the composed form
+    k = ||TQT|| = op_norm_TQT(), a closed form; Cs is twice the largest
+    sampled ratio of the three nonlinear estimates (L^{5/4} norms) plus
+    the composed form
     ||T Sc(uD)u|| <= C ||u||_H1^2; CD doubles the largest sampled
     ||Du|| / ||u||_H1; Cu halves the smallest sampled ||Du||^2 / ||u||_H1^2
     (a coercivity constant is a lower bound).
@@ -457,11 +462,12 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                 update, conditions) -> tuple[MHDState, ConvergenceReport]:
     """The outer fixed-point iteration of both schemes.
 
-    Each step recovers p from the previous state and calls
-    update(prev, p, B_bd) -> (u, B, row entries); B_bd is the boundary term
-    of B, None for zero data. With a constants bundle the row also gets
-    cond1 at the new u and conditions(report, hist_u, hist_B), the scheme's
-    checks on the H1 norm histories (initial state first). The loop stops
+    Each step computes bracket = momentum_bracket(prev.u, prev.B), recovers
+    p from it and calls update(prev, p, bracket, B_bd) -> (u, B, row
+    entries); B_bd is the boundary term of B, None for zero data. With a
+    constants bundle the row also gets cond1 at the new u and
+    conditions(report, hist_u, hist_B), the scheme's checks on the H1 norm
+    histories (initial state first). The loop stops
     once the relative change falls below cfg.tol (report.converged) and
     raises DivergenceError on a 1e3-fold norm blow-up or on a state change
     that grew 5 steps in a row."""
@@ -474,8 +480,9 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     grow = 0
     for n in range(1, cfg.max_outer + 1):
         prev = state
-        p = pressure_recover(tqt_rhs_p(prev.u, prev.B, params, ops), ops)
-        u, B, entries = update(prev, p, B_bd)
+        bracket = momentum_bracket(prev.u, prev.B, params)
+        p = pressure_recover(tqt_rhs_p(bracket, params, ops), ops)
+        u, B, entries = update(prev, p, bracket, B_bd)
         state = MHDState(u, B, p)
         du, dB, dp = (h1_norm(u - prev.u), h1_norm(B - prev.B),
                       l2_norm(state.p - prev.p))
@@ -550,8 +557,8 @@ def banach_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     divergence-free fields. With a constants bundle, the per-step Lipschitz
     constant L_n is evaluated from the iterate history and logged with the
     Theorem 2 bound at u_n and the Theorem 4 conditions."""
-    def update(prev, p, B_bd):
-        u = tqt_rhs_u(prev.u, prev.B, p, params, ops)
+    def update(prev, p, bracket, B_bd):
+        u = tqt_rhs_u(bracket, p, params, ops)
         u = leray_project(_vec_part(u), ops)
         B, _, _ = banach_inner_B(u, prev.B, params, ops, cfg, boundary=B_bd)
         return u, leray_project(B, ops), {}
@@ -584,8 +591,9 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     projected onto divergence-free fields. The ratios q1, q2 and the
     Theorem 2 bound at u~ are logged every step; a measured series ratio
     q >= 1 raises ConditionViolation."""
-    def update(prev, p, B_bd):
-        # both series linearize at prev.u: one norm estimate serves both
+    def update(prev, p, bracket, B_bd):
+        # both series linearize at prev.u: one norm estimate serves both;
+        # the u series has its own right side, not the bracket
         norm = convection_norm(prev.u, ops)
         u, q1, _ = neumann_apply_u(prev.u, prev.B, p, params, ops, cfg, norm)
         u = leray_project(_vec_part(u), ops)

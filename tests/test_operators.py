@@ -11,7 +11,7 @@ from quatmhd.grid import _diff
 from quatmhd.mhd import _dirac_scalar, convective
 from quatmhd.operators import (_dcen, _dst1, _dst2, _irfft_head,
                                _lap_interior, _lanczos, _pure, _pure_left_mul,
-                               _staggered, _top_ritz, curl_bwd, dirac_bwd,
+                               _staggered, curl_bwd, dirac_bwd,
                                dirac_central, dirac_fwd, div_fwd, laplacian,
                                OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
@@ -618,6 +618,18 @@ def test_lambda_min_matches_closed_form(n):
     assert abs(ops.lambda_min() - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("n", [4, (3, 5, 4)])
+def test_lambda_min_is_top_of_face_solve(n):
+    # lambda_min reads the DST-II symbol; one over it is the largest
+    # eigenvalue of the assembled face solve, which checks that solve
+    ops = _box((n,) * 3 if isinstance(n, int) else n)
+    size = ops.domain.num_cells
+    M = np.array([ops.poisson_faces(e) for e in np.eye(size)]).T
+    assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
+    top = np.linalg.eigvalsh(M)[-1]
+    assert abs(1.0 / ops.lambda_min() - top) <= 1e-12 * top
+
+
 def test_lanczos_top_ritz_dense_spd():
     rng = np.random.default_rng(21)
     M = rng.standard_normal((12, 12))
@@ -630,9 +642,6 @@ def test_lanczos_top_ritz_dense_spd():
         (vp, _, _, _), (vk, a, b, b_next), (vn, _, _, _) = steps[k - 1:k + 2]
         assert np.abs(A @ vk - (b * vp + a * vk + b_next * vn)).max() \
             <= 1e-12 * np.abs(A).max()
-    top = _top_ritz(lambda x: A @ x, v, 1e-14, 50, "dense")
-    ref = np.linalg.eigvalsh(A)[-1]
-    assert abs(top - ref) <= 1e-12 * ref
 
 
 def test_op_norm_bound(ops12):
@@ -654,27 +663,50 @@ def test_op_norm_matches_dense_eigenvalue():
     assert abs(ops.op_norm_TQT() - ref) <= 1e-9 * ref
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_op_norm_ground_start_matches_random_start(n):
-    # the ground-mode start settles on the value a seeded random start
-    # reaches, in 6 Lanczos steps where the random start needs 8
-    ops = OperatorSet(build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), n))
+def test_op_norm_without_non_collar_cells():
+    # an axis of two cells leaves TQT = poisson_dirichlet zero
+    ops = _box((2, 6, 6))
+    assert ops.op_norm_TQT() == 0.0
+    assert not ops.TQT(random_smooth(ops.domain, seed=0)).values.any()
+
+
+# ---------------------------------------------------------------------------
+# the lattice Teodorescu pair: TQT is the collar-Dirichlet solve
+# ---------------------------------------------------------------------------
+
+def _rel(got, ref):
+    return np.linalg.norm(got.values - ref.values) / np.linalg.norm(ref.values)
+
+
+@pytest.mark.parametrize("n", [(6, 6, 6), (8, 8, 8), (3, 5, 4)])
+def test_lattice_pair_identities(n, lattice_pair):
+    # T+ = D- A, T- = D+ A from the lattice Green function; Q T- = D+_gz L^-1,
+    # T+ Q T- = L^-1 and T+ D+_gz w = w for zero-collar w, to rounding
+    ops = _box(n)
     dom = ops.domain
-    calls = []
+    pair = lattice_pair(dom)
+    d_plus_gz = lambda w: QField(dom, _staggered(w.values, dom.h, ghost=True))
+    for seed in range(2):
+        f = random_smooth(dom, seed=seed)
+        L = ops.poisson_dirichlet(f)
+        qt = ops.bergman_Q(pair.T_minus(f))
+        assert _rel(qt, d_plus_gz(L)) <= 1e-12
+        assert _rel(pair.T_plus(qt), L) <= 1e-12
+        assert _rel(ops.TQT(f), pair.T_plus(qt)) <= 1e-12
+        w = zero_boundary(random_bump(dom, seed=seed + 2), width=1)
+        assert _rel(pair.T_plus(d_plus_gz(w)), w) <= 1e-12
 
-    def tqt(x):
-        calls.append(1)
-        return ops.TQT(QField(dom, x)).values
 
-    v = np.random.default_rng(0).standard_normal(dom.shape + (4,))
-    ref = _top_ritz(tqt, v, 1e-8, 300, "random start")
-    assert len(calls) >= 8
-    apply = OperatorSet.TQT
-    calls.clear()
-    ops.TQT = lambda f: calls.append(1) or apply(ops, f)
-    k = ops.op_norm_TQT()
-    assert len(calls) == 6
-    assert abs(k - ref) <= 1e-9 * ref
+def test_lattice_green_function(lattice_pair):
+    # Watson's G(0) and -Lap G = delta, the property the identities rest on
+    G = lattice_pair.green(6)
+    assert G[0, 0, 0] == pytest.approx(0.2527310098586630, rel=1e-14)
+    idx = np.abs(np.arange(-6, 7))
+    Gf = G[idx[:, None, None], idx[None, :, None], idx[None, None, :]]
+    lap = 6 * Gf[1:-1, 1:-1, 1:-1] - sum(
+        np.roll(Gf, s, a)[1:-1, 1:-1, 1:-1] for a in range(3) for s in (1, -1))
+    lap[5, 5, 5] -= 1.0
+    assert np.abs(lap).max() <= 1e-14
 
 
 def test_teodorescu_bound_exceeds_dense_norm():
@@ -695,11 +727,6 @@ def test_teodorescu_bound_holds(n):
         for f in (random_smooth(ops.domain, seed=seed),
                   random_bump(ops.domain, seed=seed)):
             assert l2_norm(ops.teodorescu(f)) <= tau * l2_norm(f)
-
-
-def test_op_norm_raises_at_maxit(ops8):
-    with pytest.raises(RuntimeError, match="2 steps"):
-        ops8.op_norm_TQT(maxit=2)
 
 
 def test_lambda_min_computed_once(dom8, monkeypatch):
