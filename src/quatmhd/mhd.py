@@ -1,12 +1,15 @@
 """Stationary incompressible viscous MHD: nonlinear terms, strong and weak
 residuals, the TQT integral-form right-hand sides (each takes the fields it
-reads, not a state), and the discrete Leray projection.
+reads, not a state), the linearized map TQT Sc(u~D) of the Schauder scheme
+on component arrays (_convect_solve, and its transpose for the norm), and
+the discrete Leray projection.
 
 The integral form's TQT is the collar-Dirichlet solve (OperatorSet.TQT), and
 its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu, Cauchy
 or Bergman operators. The velocity row and the pressure equation share one
-bracket, momentum_bracket(u, B), computed once per outer step. The boundary
-term of B is the vector part of the harmonic extension of the face data.
+bracket, momentum_bracket(u, lorentz(B)), computed once per outer step. The
+boundary term of B is the vector part of the harmonic extension of the
+face data.
 
 Conventions. States are cell-centered quaternion fields with u, B pure
 vectors and p scalar, zero-mean. Sc(aD)w is realized as the advection
@@ -26,8 +29,8 @@ import numpy as np
 
 from .grid import (BoundaryData, QField, VoxelDomain, _diff, _finite,
                    sc_inner)
-from .operators import (OperatorSet, _dcen, dirac_fwd, div_fwd, grad_bwd,
-                        laplacian)
+from .operators import (OperatorSet, _dcen, _dcen_T, dirac_fwd, div_fwd,
+                        grad_bwd, laplacian)
 from .quaternion import qmul_arr
 
 __all__ = [
@@ -130,6 +133,36 @@ def convective(a: QField, w: QField) -> QField:
     return QField(a.domain, out)
 
 
+def _advection(ut: QField) -> np.ndarray:
+    """The three components of the advection field u~, shape (3,) + the
+    domain's."""
+    _require_pure(ut, "advection field u~")
+    return np.ascontiguousarray(ut.values[..., 1:].transpose(3, 0, 1, 2))
+
+
+def _convect_solve(a: np.ndarray, v: np.ndarray,
+                   ops: OperatorSet) -> np.ndarray:
+    """A v = L^-1 sum_i a_i D^c_i v over the last three axes of v, leading
+    axes batched: a = _advection(u~), D^c_i the centered difference _dcen,
+    L^-1 the collar solve. TQT Sc(u~D) acts on each quaternion component
+    by A; the sum runs in convective's order, so each component equals
+    that of TQT(convective(u~, .)) bit for bit."""
+    h = ops.domain.h
+    out = np.zeros(v.shape)
+    for i in range(3):
+        out += a[i] * _dcen(v, v.ndim - 3 + i, h)
+    return ops._collar_solve(out)
+
+
+def _convect_solve_T(a: np.ndarray, w: np.ndarray,
+                     ops: OperatorSet) -> np.ndarray:
+    """A^T w = sum_i D^c_i^T (a_i L^-1 w), the transpose of _convect_solve
+    on scalar arrays (L^-1 is symmetric)."""
+    h = ops.domain.h
+    s = ops._collar_solve(w)
+    return sum(_dcen_T(a[i] * s, i, h) for i in range(3))
+
+
 def lorentz(B: QField, mu0: float) -> QField:
     """Magnetic forcing (1/mu0) Vec((DB) B); for divergence-free B this is
     the classical (1/mu0)(curl B) x B."""
@@ -205,17 +238,19 @@ def residual_weak(state: MHDState, params: MHDParams, test_v: QField,
     return r_mom, r_ind
 
 
-def momentum_bracket(u: QField, B: QField, params: MHDParams) -> QField:
-    """Vec((DB)B) - Sc(uD)u, as mu0 lorentz(B, mu0) - convective(u, u): the
-    bracket that the velocity row and the pressure equation share."""
-    return params.mu0 * lorentz(B, params.mu0) - convective(u, u)
+def momentum_bracket(u: QField, lor: QField, params: MHDParams) -> QField:
+    """Vec((DB)B) - Sc(uD)u, as mu0 lor - convective(u, u) from the Lorentz
+    force lor = lorentz(B, mu0): the bracket that the velocity row and the
+    pressure equation share."""
+    return params.mu0 * lor - convective(u, u)
 
 
 def tqt_rhs_u(bracket: QField, p: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
     """Right-hand side of the velocity row of the integral form:
-    c_u TQT bracket - c_p TQT D p, bracket = momentum_bracket(u, B). TQT is
-    linear, so it is applied once, to c_u bracket - c_p D p."""
+    c_u TQT bracket - c_p TQT D p, bracket = Vec((DB)B) - Sc(uD)u
+    (momentum_bracket). TQT is linear, so it is applied once, to
+    c_u bracket - c_p D p."""
     return ops.TQT(params.coeff_u() * bracket
                    - params.coeff_p() * _dirac_scalar(p))
 
@@ -230,7 +265,7 @@ def tqt_rhs_B(u: QField, B: QField, params: MHDParams,
 def tqt_rhs_p(bracket: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
     """Scalar right-hand side of the pressure equation, c Sc(QT bracket)
-    with bracket = momentum_bracket(u, B). Q T = D+_gz L^-1 for the lattice
+    with bracket = Vec((DB)B) - Sc(uD)u. Q T = D+_gz L^-1 for the lattice
     pair of OperatorSet.TQT, so this is c Sc(D+_gz L^-1 bracket): the
     ghost-zero -div+ of three collar solves, the second half of
     OperatorSet.pressure_S."""

@@ -21,8 +21,9 @@ which a forward difference on every component does not.
 Every one-sided difference is grid._diff, forward or backward. The face
 layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
 grad_bwd, div_fwd and curl_bwd, and differences a zero ghost value in
-bergman_Q and pressure_S. The centered difference (_dcen) and the second
-difference of the Laplacian are slice stencils of their own.
+bergman_Q and pressure_S. The centered difference (_dcen), its transpose
+(_dcen_T) and the second difference of the Laplacian are slice stencils of
+their own.
 
 Integral operators (held by OperatorSet, which caches the Teodorescu
 kernel per domain)
@@ -57,7 +58,9 @@ kernel per domain)
 teodorescu, cauchy and bergman_P are the sampled continuum operators. They
 serve the identity checks of verify and the composed Cs ratio of the
 constants; no solver step applies them. The one Lanczos recurrence of the
-package, _lanczos, serves the pressure MINRES (solvers._minres).
+package, _lanczos, serves the pressure MINRES (solvers._minres) and the
+Schauder norm estimate (solvers.convection_norm), which takes its largest
+Ritz value by the Sturm bisection _top_eigenvalue.
 
 Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
 orthonormal 1-D basis matrices are built once per axis and applied along
@@ -114,6 +117,27 @@ def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     np.subtract(v[2:], v[:-2], out=d[1:-1])
     d[0] = -3 * v[0] + 4 * v[1] - v[2]
     d[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
+    out /= 2 * h
+    return out
+
+
+def _dcen_T(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Transpose of _dcen along axis, its one-sided face rows included.
+    The centered rows 1..m-2 give out[k] = v[k-1] - v[k+1], each term only
+    where it reads such a row; the face rows (-3, 4, -1) and (1, -4, 3)
+    add v[0] and v[-1] times their weights to the first and last three
+    cells."""
+    _require_three_cells(vals, axis)
+    out = np.zeros(vals.shape)
+    v, d = vals.swapaxes(0, axis), out.swapaxes(0, axis)
+    d[2:] += v[1:-1]
+    d[:-2] -= v[1:-1]
+    d[0] -= 3 * v[0]
+    d[1] += 4 * v[0]
+    d[2] -= v[0]
+    d[-3] += v[-1]
+    d[-2] -= 4 * v[-1]
+    d[-1] += 3 * v[-1]
     out /= 2 * h
     return out
 
@@ -466,6 +490,30 @@ def _lanczos(apply_A, v):
             return
         w /= beta_next
         v_prev, v, beta = v, w, beta_next
+
+
+def _top_eigenvalue(a, b) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    a and off-diagonal b, by bisection between Gershgorin bounds: the
+    Sturm sequence d_i = a_i - x - b_{i-1}^2 / d_{i-1} has as many
+    negative terms as the matrix has eigenvalues below x. Plain floats, so
+    no LAPACK call, whose first use costs about 0.5 MiB of workspace."""
+    r = [abs(x) for x in b] + [0.0]
+    lo = min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    while True:
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            return hi
+        below, d = 0, 1.0
+        for i, ai in enumerate(a):
+            d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
+            d = d or -1e-300  # a zero pivot counts as negative
+            below += d < 0
+        if below == len(a):
+            hi = x
+        else:
+            lo = x
 
 
 def _pure(vec: np.ndarray) -> np.ndarray:

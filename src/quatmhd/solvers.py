@@ -11,12 +11,17 @@ the collar-Dirichlet Poisson solve and QT is D+_gz L^-1 (OperatorSet.TQT),
 so neither scheme applies the Teodorescu, Cauchy or Bergman operators.
 The Schauder scheme linearizes at (u~, B~) and inverts the two operators
 I + c TQT Sc(u~ D) by truncated Neumann series (neumann_apply_u and
-neumann_apply_B, given u~, B~ and the one convection_norm(u~) both scale),
+neumann_apply_B, given u~ and the one convection_norm(u~) both scale),
 refusing when the series ratio q = c convection_norm(u~) is >= 1.
+TQT Sc(u~D) acts on each quaternion component by the same scalar map
+A v = L^-1 sum_i u~_i D^c_i v (D^c_i the centered difference, L^-1 the
+collar solve). So convection_norm is ||A||, from Lanczos on A^T A, and
+each series runs on the three vector components as one batch.
 
-Both schemes run one outer loop, _outer_loop. It computes the bracket
-Vec((DB)B) - Sc(uD)u of the previous state once, recovers the pressure
-from it, calls the scheme's update for (u, B), and owns
+Both schemes run one outer loop, _outer_loop. It computes the Lorentz
+force of the previous B and from it the bracket Vec((DB)B) - Sc(uD)u
+once, recovers the pressure from the bracket, calls the scheme's update
+for (u, B), and owns
 the change, residual, energy and condition rows, the tol stop and the
 divergence guards. The schemes differ only in the update and in their own
 row entries.
@@ -40,11 +45,12 @@ import numpy as np
 
 from .energy import energy
 from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
-from .mhd import (MHDParams, MHDState, _dirac_scalar, _lorentz_of,
-                  boundary_B_term, convective, leray_project, lorentz,
-                  momentum_bracket, residual_strong, tqt_rhs_B, tqt_rhs_p,
-                  tqt_rhs_u)
-from .operators import OperatorSet, _lanczos, dirac_fwd
+from .mhd import (MHDParams, MHDState, _advection, _convect_solve,
+                  _convect_solve_T, _dirac_scalar, _lorentz_of,
+                  _require_pure, boundary_B_term, convective, leray_project,
+                  lorentz, momentum_bracket, residual_strong, tqt_rhs_B,
+                  tqt_rhs_p, tqt_rhs_u)
+from .operators import OperatorSet, _lanczos, _top_eigenvalue, dirac_fwd
 from .sampling import random_pure_bump
 
 __all__ = [
@@ -70,12 +76,13 @@ __all__ = [
     "schauder_solve",
 ]
 
-# stop rules: the relative MINRES residual of pressure_recover, and the step
-# cap, relative-change stop and start seed of the power iteration.
+# stop rules: the relative MINRES residual of pressure_recover, and the
+# relative-change stop, step cap and start seed of the Lanczos estimate in
+# convection_norm.
 _MINRES_TOL = 1e-12
-_POWER_ITERS = 30
-_POWER_TOL = 1e-6
-_POWER_SEED = 0
+_NORM_TOL = 1e-6
+_NORM_MAXIT = 100
+_NORM_SEED = 0
 # relative margin of estimate_constants' skip test, far above the rounding
 # of an FFT convolution and of the norms
 _SKIP_MARGIN = 1e-9
@@ -373,65 +380,75 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
 # operator-norm estimation of the linearized convection maps
 # ---------------------------------------------------------------------------
 
-def _linmap_norm(apply_fn, domain) -> float:
-    """Power-iteration estimate of the norm of a linear map on L2 fields,
-    from a seeded random field, within _POWER_TOL or _POWER_ITERS steps."""
-    rng = np.random.default_rng(_POWER_SEED)
-    v = QField(domain, rng.standard_normal(domain.shape + (4,)))
-    v = (1.0 / l2_norm(v)) * v
-    est = 0.0
-    for _ in range(_POWER_ITERS):
-        w = apply_fn(v)
-        nw = l2_norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = (1.0 / nw) * w
-        if abs(nw - est) <= _POWER_TOL * max(nw, 1e-300):
-            return nw
-        est = nw
-    return est
-
-
-def _convect_TQT(ut: QField, v: QField, ops: OperatorSet) -> QField:
-    """TQT Sc(u~D) v, the map both Neumann series scale."""
-    return ops.TQT(convective(ut, v))
-
-
 def convection_norm(ut: QField, ops: OperatorSet) -> float:
-    """Power-iteration estimate of the L2 norm of v -> TQT Sc(u~D) v."""
-    return _linmap_norm(lambda v: _convect_TQT(ut, v, ops), ops.domain)
+    """L2 operator norm of v -> TQT Sc(u~D) v on quaternion fields.
+
+    The map is the scalar map A of _convect_solve on each component, so
+    its norm is ||A||, the square root of the largest eigenvalue of A^T A.
+    That is taken as the largest Ritz value (_top_eigenvalue) of the
+    Lanczos recurrence (_lanczos) of A^T A from a seeded random scalar
+    field, once a step moves it by <= _NORM_TOL relative or the recurrence
+    ends. A is linear in u~, so it runs on u~ / max|u~|: the Sturm
+    sequence squares the off-diagonal, which under- or overflows beyond
+    about 1e+-154, as A^T A's entries would for |u~| beyond about 1e+-77.
+    u~ = 0 gives 0.0. RuntimeError names the _NORM_MAXIT steps when they
+    do not get there."""
+    a = _advection(ut)
+    scale = float(np.abs(a).max(initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    a = a / scale
+    v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
+    steps = _lanczos(
+        lambda x: _convect_solve_T(a, _convect_solve(a, x, ops), ops), v)
+    alpha, beta, top = [], [], 0.0
+    for _, (_, al, _, b) in zip(range(_NORM_MAXIT), steps):
+        alpha.append(al)
+        prev, top = top, _top_eigenvalue(alpha, beta)
+        if abs(top - prev) <= _NORM_TOL * top or b == 0.0:
+            return scale * math.sqrt(top)
+        beta.append(b)
+    raise RuntimeError("convection_norm: Lanczos not converged after "
+                       f"{_NORM_MAXIT} steps")
 
 
 def _neumann_solve(ut: QField, c: float, norm: float, s: float, f: QField,
                    ops: OperatorSet, cfg: SolverConfig,
                    names: tuple[str, str]) -> tuple[QField, float, int]:
-    """Solve [I + c TQT Sc(u~D)] x = s TQT f by truncated Neumann series;
-    returns (x, q, terms used). q = c norm >= 1 raises ConditionViolation,
-    before any TQT, naming the unknown and q by `names`, e.g. ("u", "q1")."""
+    """Solve [I + c TQT Sc(u~D)] x = s TQT f by truncated Neumann series
+    for a pure f; returns (x, q, terms used), x pure. q = c norm >= 1
+    raises ConditionViolation, before any solve, naming the unknown and q
+    by `names`, e.g. ("u", "q1"). The map acts on each component alike
+    (_convect_solve), so the series runs on the three vector components
+    as one batch."""
     q = c * norm
     if q >= 1.0:
         raise ConditionViolation(f"Neumann series for {names[0]} refused: "
                                  f"{names[1]} = {q:.6g} >= 1", q)
-    x = term = s * ops.TQT(f)
-    rnorm = l2_norm(x)
+    _require_pure(f, "Neumann right side")
+    a = _advection(ut)
+    x = term = s * ops._collar_solve(f.values[..., 1:].transpose(3, 0, 1, 2))
+    rnorm = np.sqrt((x * x).sum())
     used = 1
     for used in range(2, cfg.neumann_max_terms + 1):
-        term = -1.0 * (c * _convect_TQT(ut, term, ops))
+        term = -1.0 * (c * _convect_solve(a, term, ops))
         x = x + term
-        if l2_norm(term) < cfg.neumann_term_tol * max(rnorm, 1e-300):
+        if (np.sqrt((term * term).sum())
+                < cfg.neumann_term_tol * max(rnorm, 1e-300)):
             break
-    return x, q, used
+    out = np.zeros(f.values.shape)
+    out[..., 1:] = x.transpose(1, 2, 3, 0)
+    return QField(f.domain, out), q, used
 
 
-def neumann_apply_u(ut: QField, B: QField, p: QField, params: MHDParams,
+def neumann_apply_u(ut: QField, lor: QField, p: QField, params: MHDParams,
                     ops: OperatorSet, cfg: SolverConfig,
                     norm: float) -> tuple[QField, float, int]:
-    """Solve [I + (Re^2/mu0) TQT Sc(u~D)] u = Re^2 TQT[(1/mu0)Vec((DB)B) - Dp]
-    by Neumann series; returns (u, q1, terms used). Refuses when q1 >= 1.
-    `norm` is convection_norm(u~, ops)."""
+    """Solve [I + (Re^2/mu0) TQT Sc(u~D)] u = Re^2 TQT[lor - Dp] by Neumann
+    series, lor = lorentz(B, mu0) = (1/mu0) Vec((DB)B); returns (u, q1,
+    terms used). Refuses when q1 >= 1. `norm` is convection_norm(u~, ops)."""
     return _neumann_solve(ut, params.Re**2 / params.mu0, norm, params.Re**2,
-                          lorentz(B, params.mu0) - _dirac_scalar(p), ops,
-                          cfg, ("u", "q1"))
+                          lor - _dirac_scalar(p), ops, cfg, ("u", "q1"))
 
 
 def neumann_apply_B(ut: QField, Bt: QField, u: QField, params: MHDParams,
@@ -451,7 +468,8 @@ def neumann_apply_B(ut: QField, Bt: QField, u: QField, params: MHDParams,
 def _vec_part(f: QField) -> QField:
     """Vector part of a field. The integral operators return full
     quaternions; the velocity and magnetic iterates are pure by definition,
-    so the solvers drop the scalar remnant after every update."""
+    so the Banach updates drop the scalar remnant (the Neumann series
+    return pure fields)."""
     out = f.values.copy()
     out[..., 0] = 0.0
     return QField(f.domain, out)
@@ -462,9 +480,10 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                 update, conditions) -> tuple[MHDState, ConvergenceReport]:
     """The outer fixed-point iteration of both schemes.
 
-    Each step computes bracket = momentum_bracket(prev.u, prev.B), recovers
-    p from it and calls update(prev, p, bracket, B_bd) -> (u, B, row
-    entries); B_bd is the boundary term of B, None for zero data. With a
+    Each step computes lor = lorentz(prev.B) and from it bracket =
+    momentum_bracket(prev.u, lor), recovers p from the bracket and calls
+    update(prev, p, lor, bracket, B_bd) -> (u, B, row entries); B_bd is
+    the boundary term of B, None for zero data. With a
     constants bundle the row also gets cond1 at the new u and
     conditions(report, hist_u, hist_B), the scheme's checks on the H1 norm
     histories (initial state first). The loop stops
@@ -480,9 +499,11 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     grow = 0
     for n in range(1, cfg.max_outer + 1):
         prev = state
-        bracket = momentum_bracket(prev.u, prev.B, params)
+        lor = lorentz(prev.B, params.mu0)
+        bracket = momentum_bracket(prev.u, lor, params)
         p = pressure_recover(tqt_rhs_p(bracket, params, ops), ops)
-        u, B, entries = update(prev, p, bracket, B_bd)
+        u, B, entries = update(prev, p, lor, bracket, B_bd)
+        del lor, bracket  # two full fields, not read by the rows below
         state = MHDState(u, B, p)
         du, dB, dp = (h1_norm(u - prev.u), h1_norm(B - prev.B),
                       l2_norm(state.p - prev.p))
@@ -557,7 +578,7 @@ def banach_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     divergence-free fields. With a constants bundle, the per-step Lipschitz
     constant L_n is evaluated from the iterate history and logged with the
     Theorem 2 bound at u_n and the Theorem 4 conditions."""
-    def update(prev, p, bracket, B_bd):
+    def update(prev, p, lor, bracket, B_bd):
         u = tqt_rhs_u(bracket, p, params, ops)
         u = leray_project(_vec_part(u), ops)
         B, _, _ = banach_inner_B(u, prev.B, params, ops, cfg, boundary=B_bd)
@@ -591,14 +612,14 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     projected onto divergence-free fields. The ratios q1, q2 and the
     Theorem 2 bound at u~ are logged every step; a measured series ratio
     q >= 1 raises ConditionViolation."""
-    def update(prev, p, bracket, B_bd):
+    def update(prev, p, lor, bracket, B_bd):
         # both series linearize at prev.u: one norm estimate serves both;
-        # the u series has its own right side, not the bracket
+        # the u series reads the bracket's Lorentz force, not the bracket.
+        # Both return pure fields
         norm = convection_norm(prev.u, ops)
-        u, q1, _ = neumann_apply_u(prev.u, prev.B, p, params, ops, cfg, norm)
-        u = leray_project(_vec_part(u), ops)
+        u, q1, _ = neumann_apply_u(prev.u, lor, p, params, ops, cfg, norm)
+        u = leray_project(u, ops)
         B, q2, _ = neumann_apply_B(prev.u, prev.B, u, params, ops, cfg, norm)
-        B = _vec_part(B)
         if B_bd is not None:
             B = B + B_bd
         return u, leray_project(B, ops), {"q1": q1, "q2": q2}

@@ -262,6 +262,29 @@ def test_solve_exit_3_names_the_minres_cap(tmp_path, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_solve_exit_3_names_the_norm_cap(tmp_path, monkeypatch, capsys):
+    # a warm start: the first Schauder step linearizes at a nonzero u~,
+    # whose norm estimate needs more than 2 Lanczos steps
+    import quatmhd.solvers as solvers
+    from quatmhd.io import write_csv
+    from quatmhd.sampling import random_divfree
+    monkeypatch.setattr(solvers, "_NORM_MAXIT", 2)
+    u_path = tmp_path / "u0.csv"
+    dom = build_domain((0, 0, 0), (1, 1, 1), 8)
+    write_csv(u_path, 1e-3 * random_divfree(dom, seed=1))
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8,
+                             method="schauder_neumann")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["init_state"] = {"u": str(u_path)}
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["solve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "convection_norm: Lanczos not converged after 2 steps" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("method", ["banach", "schauder_neumann"])
 def test_solve_exit_3_on_divergence(tmp_path, capsys, prescribed_projection,
                                     method):

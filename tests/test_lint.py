@@ -148,3 +148,46 @@ def test_unpassed_private_default_detected():
 def test_no_unpassed_private_defaults():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unpassed_private_defaults(sources) == []
+
+
+def lapack_calls(source: str) -> list[str]:
+    """The numpy.linalg names other than norm that a module reads, by
+    attribute (np.linalg.eigvalsh) or by import. The package keeps to
+    norm: the decompositions and solvers there call LAPACK, whose first
+    use allocates about 0.5 MiB of workspace, which shows in the peak RSS
+    of a run."""
+    tree = ast.parse(source)
+    parent = {id(c): node for node in ast.walk(tree)
+              for c in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            up = parent.get(id(node))
+            name = up.attr if isinstance(up, ast.Attribute) else "linalg"
+            if name != "norm":
+                found.append(name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "numpy.linalg":
+                found += [a.name for a in node.names if a.name != "norm"]
+            elif node.module == "numpy":
+                found += [a.name for a in node.names if a.name == "linalg"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "numpy.linalg"]
+    return sorted(found)
+
+
+def test_lapack_calls_detected():
+    src = ("import numpy as np\n"
+           "import numpy.linalg\n"
+           "from numpy import linalg\n"
+           "from numpy.linalg import norm, svd\n"
+           "la = np.linalg\n"
+           "x = np.linalg.norm(np.linalg.eigvalsh(np.eye(2)))\n")
+    assert lapack_calls(src) == ["eigvalsh", "linalg", "linalg",
+                                 "numpy.linalg", "svd"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_lapack_calls(path):
+    assert lapack_calls(path.read_text()) == []

@@ -234,7 +234,7 @@ def test_residual_weak_rejects_bad_tests(dom8):
 def test_tqt_rhs_zero_state(dom8, ops8):
     params = MHDParams(Re=1.0, Rm=1.0)
     zero = MHDState.zeros(dom8)
-    bracket = momentum_bracket(zero.u, zero.B, params)
+    bracket = momentum_bracket(zero.u, lorentz(zero.B, params.mu0), params)
     assert not tqt_rhs_u(bracket, zero.p, params, ops8).values.any()
     assert not tqt_rhs_B(zero.u, zero.B, params, ops8).values.any()
     assert not tqt_rhs_p(bracket, params, ops8).values.any()
@@ -253,7 +253,8 @@ def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
                - convective(st.u, st.u))
     ref = (params.coeff_u() * ops8.TQT(bracket)
            - params.coeff_p() * ops8.TQT(_dirac_scalar(st.p)))
-    got = tqt_rhs_u(momentum_bracket(st.u, st.B, params), st.p, params, ops8)
+    bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
+    got = tqt_rhs_u(bracket, st.p, params, ops8)
     assert l2_norm(got - ref) <= 1e-13 * l2_norm(ref)
 
 
@@ -271,7 +272,8 @@ def test_tqt_rhs_p_independent_recomputation(dom8, ops8, lattice_pair):
     st = MHDState(random_pure_bump(dom8, seed=16),
                   random_pure_bump(dom8, seed=17), QField.zeros(dom8))
     bracket = lorentz(st.B, 1.0) - convective(st.u, st.u)
-    got = tqt_rhs_p(momentum_bracket(st.u, st.B, params), params, ops8)
+    got = tqt_rhs_p(momentum_bracket(st.u, lorentz(st.B, params.mu0),
+                                     params), params, ops8)
     assert not got.values[..., 1:].any()
     ref = params.coeff_prhs() * ops8.bergman_Q(
         lattice_pair(dom8).T_minus(bracket)).values[..., 0]

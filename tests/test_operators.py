@@ -9,11 +9,11 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
 from quatmhd.grid import _diff
 from quatmhd.mhd import _dirac_scalar, convective
-from quatmhd.operators import (_dcen, _dst1, _dst2, _irfft_head,
+from quatmhd.operators import (_dcen, _dcen_T, _dst1, _dst2, _irfft_head,
                                _lap_interior, _lanczos, _pure, _pure_left_mul,
-                               _staggered, curl_bwd, dirac_bwd,
-                               dirac_central, dirac_fwd, div_fwd, laplacian,
-                               OperatorSet)
+                               _staggered, _top_eigenvalue, curl_bwd,
+                               dirac_bwd, dirac_central, dirac_fwd, div_fwd,
+                               laplacian, OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_smooth
 
@@ -232,6 +232,23 @@ def test_staggered_pair_matches_matrix(n):
             assert got.tobytes() == ref.tobytes(), (kind, ax)
         ref = _apply_rows(_diff_matrix(dom.n[ax], "cen"), v, ax) / 1.0
         assert _dcen(v, ax, 0.5).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 4, 7])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_dcen_transpose_matches_dense_matrix(m, axis):
+    # the dense matrix of _dcen on the whole array, its one-sided face rows
+    # included, columns from unit arrays
+    shape = [4, 5, 3]
+    shape[axis] = m
+    shape = tuple(shape)
+    eye = np.eye(math.prod(shape))
+    M = np.stack([_dcen(e.reshape(shape), axis, 0.3).ravel() for e in eye],
+                 axis=1)
+    w = np.random.default_rng(m + 10 * axis).standard_normal(shape)
+    got = _dcen_T(w, axis, 0.3).ravel()
+    ref = M.T @ w.ravel()
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_dirac_fwd_is_div_grad_curl(dom8):
@@ -642,6 +659,16 @@ def test_lanczos_top_ritz_dense_spd():
         (vp, _, _, _), (vk, a, b, b_next), (vn, _, _, _) = steps[k - 1:k + 2]
         assert np.abs(A @ vk - (b * vp + a * vk + b_next * vn)).max() \
             <= 1e-12 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 12])
+def test_top_eigenvalue_matches_eigvalsh(size):
+    rng = np.random.default_rng(size)
+    a, b = rng.standard_normal(size), rng.standard_normal(size - 1)
+    T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    top = np.linalg.eigvalsh(T)[-1]
+    assert abs(_top_eigenvalue(list(a), list(b)) - top) \
+        <= 1e-14 * np.abs(T).max()
 
 
 def test_op_norm_bound(ops12):

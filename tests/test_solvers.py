@@ -277,8 +277,8 @@ def test_neumann_zero_linearization(dom12, ops12):
     pv[..., 0] = random_pure_bump(dom12, seed=2).values[..., 1]
     pv[..., 0] -= pv[..., 0].mean()
     p = QField(dom12, pv)
-    u, q1, terms = neumann_apply_u(zero.u, B, p, params, ops12, cfg,
-                                   convection_norm(zero.u, ops12))
+    u, q1, terms = neumann_apply_u(zero.u, lorentz(B, params.mu0), p, params,
+                                   ops12, cfg, convection_norm(zero.u, ops12))
     assert q1 == 0.0 and terms <= 2
     from quatmhd.mhd import _dirac_scalar
     ref = params.Re**2 * ops12.TQT(lorentz(B, params.mu0) - _dirac_scalar(p))
@@ -296,7 +296,8 @@ def test_neumann_residual(dom12, ops12):
     pv[..., 0] -= pv[..., 0].mean()
     p = QField(dom12, pv)
     norm = convection_norm(ut, ops12)
-    u, q1, _ = neumann_apply_u(ut, st.B, p, params, ops12, cfg, norm)
+    u, q1, _ = neumann_apply_u(ut, lorentz(st.B, params.mu0), p, params,
+                               ops12, cfg, norm)
     assert q1 < 0.9
     from quatmhd.mhd import _dirac_scalar
     c = params.Re**2 / params.mu0
@@ -313,16 +314,16 @@ def test_neumann_residual(dom12, ops12):
 
 def test_schauder_one_norm_estimate_per_step(dom8, ops8, monkeypatch):
     # both Neumann series scale the same map v -> TQT Sc(u~D) v, so one
-    # power iteration per outer step gives q2 = (Rm^2 mu0 / Re^2) q1
+    # convection_norm per outer step gives q2 = (Rm^2 mu0 / Re^2) q1
     import quatmhd.solvers as solvers
     calls = []
-    norm = solvers._linmap_norm
+    norm = solvers.convection_norm
 
     def counted(*args, **kwargs):
         calls.append(1)
         return norm(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_linmap_norm", counted)
+    monkeypatch.setattr(solvers, "convection_norm", counted)
     params = MHDParams(Re=1.5, Rm=0.5, mu0=2.0)
     u0 = leray_project(0.05 * random_pure_bump(dom8, seed=10), ops8)
     init = MHDState(u0, 0.05 * random_pure_bump(dom8, seed=11),
@@ -334,6 +335,47 @@ def test_schauder_one_norm_estimate_per_step(dom8, ops8, monkeypatch):
     for row in report.rows:
         assert 0.0 < row["q1"] < 1.0
         assert row["q2"] == pytest.approx(scale * row["q1"], rel=1e-12)
+
+
+def _dense_convection_map(ut, ops):
+    """The matrix of v -> TQT Sc(u~D) v on flattened quaternion fields,
+    one column per unit field."""
+    dom = ops.domain
+    eye = np.eye(4 * math.prod(dom.shape))
+    return np.stack([ops.TQT(convective(ut, QField(dom, e.reshape(
+        dom.shape + (4,))))).values.ravel() for e in eye], axis=1)
+
+
+@pytest.mark.parametrize("n, extent", [(6, (1.0, 1.0, 1.0)),
+                                       ((5, 7, 6), (0.5, 0.7, 0.6))])
+def test_convection_norm_matches_dense_norm(n, extent):
+    # the 2-norm of the 4-component map, not its spectral radius
+    dom = build_domain((0.1, -0.2, 0.3), extent, n)
+    ops = OperatorSet(dom)
+    ut = 0.3 * random_pure_bump(dom, seed=3)
+    ref = np.linalg.norm(_dense_convection_map(ut, ops), 2)
+    assert convection_norm(ut, ops) == pytest.approx(ref, rel=1e-6)
+
+
+def test_convection_norm_of_zero_field(ops8, dom8):
+    assert convection_norm(QField.zeros(dom8), ops8) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e100, 1e170])
+def test_convection_norm_is_linear_in_the_field(ops8, dom8, scale):
+    # the squared off-diagonal of the Sturm sequence would under- or
+    # overflow on the unscaled A^T A of these fields
+    ut = random_pure_bump(dom8, seed=3)
+    assert convection_norm(scale * ut, ops8) / scale == pytest.approx(
+        convection_norm(ut, ops8), rel=1e-12)
+
+
+def test_convection_norm_cap_raises(ops8, dom8, monkeypatch):
+    import quatmhd.solvers as solvers
+    monkeypatch.setattr(solvers, "_NORM_MAXIT", 2)
+    with pytest.raises(RuntimeError, match="convection_norm: Lanczos not "
+                                           "converged after 2 steps"):
+        convection_norm(random_pure_bump(dom8, seed=3), ops8)
 
 
 def test_neumann_refuses_large_q(dom12, ops12):
@@ -465,14 +507,26 @@ def test_outer_loop_aborts_on_growing_changes(ops8, prescribed_projection,
 # budget of operator applies
 # ---------------------------------------------------------------------------
 
+def _warm_state(dom):
+    """Divergence-free u and B of H1 norm 1e-3, zero p."""
+    from quatmhd.sampling import random_divfree
+    fields = [random_divfree(dom, seed=s) for s in (1, 2)]
+    u0, B0 = [QField(dom, 1e-3 / h1_norm(f) * f.values) for f in fields]
+    return MHDState(u0, B0, QField.zeros(dom))
+
+
 def test_apply_budget(dom8, monkeypatch):
     # T (a padded FFT convolution) and Q are the costliest applies; the
     # counts are pinned so that added applies show up here. Setup: k is a
     # closed form and the 30 sampled T(conv) ratios are all skipped by
-    # their bound. A warm Banach solve (3 outer steps): TQT is the collar
-    # solve and QT is D+_gz L^-1, so neither T nor Q is applied
-    from quatmhd.sampling import random_divfree
-    counts = {"teodorescu": 0, "bergman_Q": 0}
+    # their bound. Warm Banach and Schauder solves (3 outer steps each):
+    # TQT is the collar solve and QT is D+_gz L^-1, so neither T nor Q is
+    # applied. The collar solves of each Schauder step are pinned too:
+    # 1 + 41 or 42 for the pressure right side and MINRES, 18, 22 and 18
+    # for the 9, 11 and 9 Lanczos steps of convection_norm, 4 + 4, 3 + 3
+    # and 2 + 2 Neumann terms, and the two projections
+    import quatmhd.solvers as solvers
+    counts = {"teodorescu": 0, "bergman_Q": 0, "_collar_solve": 0}
     for name in counts:
         method = getattr(OperatorSet, name)
 
@@ -482,25 +536,37 @@ def test_apply_budget(dom8, monkeypatch):
         monkeypatch.setattr(OperatorSet, name, counted)
     ops = OperatorSet(dom8)
     c = estimate_constants(ops, seed=3)
-    assert counts == {"teodorescu": 0, "bergman_Q": 0}
-    fields = [random_divfree(dom8, seed=s) for s in (1, 2)]
-    u0, B0 = [QField(dom8, 1e-3 / h1_norm(f) * f.values) for f in fields]
+    assert counts["teodorescu"] == counts["bergman_Q"] == 0
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     counts.update(teodorescu=0, bergman_Q=0)
     _, report = banach_solve(params, ops, SolverConfig(tol=1e-10),
-                             init=MHDState(u0, B0, QField.zeros(dom8)),
-                             constants=c)
+                             init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
-    assert counts == {"teodorescu": 0, "bergman_Q": 0}
+    assert counts["teodorescu"] == counts["bergman_Q"] == 0
+    # collar solves per Schauder step, read at the start of the next step
+    # and at the end
+    per_step, bracket = [], solvers.momentum_bracket
+
+    def step_start(*args):
+        per_step.append(counts["_collar_solve"])
+        return bracket(*args)
+    monkeypatch.setattr(solvers, "momentum_bracket", step_start)
+    counts.update(_collar_solve=0)
+    _, report = schauder_solve(
+        params, ops, SolverConfig(method="schauder_neumann", tol=1e-10),
+        init=_warm_state(dom8), constants=c)
+    assert report.converged and report.iterations == 3
+    assert counts["teodorescu"] == counts["bergman_Q"] == 0
+    per_step.append(counts["_collar_solve"])
+    assert np.diff(per_step).tolist() == [70, 73, 67]
 
 
-def test_banach_bracket_once_per_step(dom8, ops8, monkeypatch):
-    # the bracket Vec((DB)B) - Sc(uD)u of the pressure equation and of the
-    # velocity update is built once per outer step: one convective(u, u)
-    # and one lorentz, plus one of each in the step's residual_strong. The
-    # inner B loop advects only (u, B) pairs
+def _count_brackets(monkeypatch):
+    """Count the convective(u, u) and lorentz calls of mhd, solvers and
+    energy, under the names those modules look them up by."""
+    import quatmhd.energy as energy
     import quatmhd.mhd as mhd
-    from quatmhd.sampling import random_divfree
+    import quatmhd.solvers as solvers
     counts = {"convective_uu": 0, "lorentz": 0}
     convective_, lorentz_ = mhd.convective, mhd.lorentz
 
@@ -512,15 +578,37 @@ def test_banach_bracket_once_per_step(dom8, ops8, monkeypatch):
         counts["lorentz"] += 1
         return lorentz_(B, mu0)
 
-    monkeypatch.setattr(mhd, "convective", counted_convective)
-    monkeypatch.setattr(mhd, "lorentz", counted_lorentz)
-    fields = [random_divfree(dom8, seed=s) for s in (1, 2)]
-    u0, B0 = [QField(dom8, 1e-3 / h1_norm(f) * f.values) for f in fields]
+    for module in (mhd, solvers, energy):
+        monkeypatch.setattr(module, "convective", counted_convective)
+        monkeypatch.setattr(module, "lorentz", counted_lorentz)
+    return counts
+
+
+def test_banach_bracket_once_per_step(dom8, ops8, monkeypatch):
+    # the bracket Vec((DB)B) - Sc(uD)u of the pressure equation and of the
+    # velocity update is built once per outer step: one convective(u, u)
+    # and one lorentz, plus one of each in the step's residual_strong and
+    # one lorentz in its energy row. The inner B loop advects only (u, B)
+    # pairs
+    counts = _count_brackets(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     _, report = banach_solve(params, ops8, SolverConfig(tol=1e-10),
-                             init=MHDState(u0, B0, QField.zeros(dom8)))
+                             init=_warm_state(dom8))
     assert report.iterations == 3
-    assert counts == {"convective_uu": 2 * 3, "lorentz": 2 * 3}
+    assert counts == {"convective_uu": 2 * 3, "lorentz": 3 * 3}
+
+
+def test_schauder_lorentz_once_per_step(dom8, ops8, monkeypatch):
+    # the Lorentz force of the bracket is also the u series' right side,
+    # so a Schauder step evaluates lorentz once, plus once each in its
+    # residual_strong and energy row
+    counts = _count_brackets(monkeypatch)
+    params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
+    _, report = schauder_solve(
+        params, ops8, SolverConfig(method="schauder_neumann", tol=1e-10),
+        init=_warm_state(dom8))
+    assert report.iterations == 3
+    assert counts == {"convective_uu": 2 * 3, "lorentz": 3 * 3}
 
 
 def _xyz_field(x, eps):
