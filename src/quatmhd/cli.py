@@ -309,14 +309,18 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory() -> None:
     """Let glibc keep the memory a solve frees for its next allocations.
 
-    Each T or Q apply allocates and frees a few MB of FFT and stencil
-    temporaries. By default glibc serves such blocks by mmap, or gives the
-    freed top of its heap back to the OS, and the next apply faults the
-    same pages in again. Fixing both thresholds serves blocks below
-    32 MiB from the heap and keeps up to 256 MiB of freed heap top for
-    reuse. Both are set because setting either one alone stops glibc's
-    dynamic adjustment and freezes the other where it stands (128 KiB at
-    start). Does nothing where libc has no mallopt."""
+    Every step of a solve allocates and frees 4-component fields and their
+    stencil temporaries: 128 KiB each at n = 16, glibc's default mmap
+    threshold, and 1 MiB at n = 32. Under glibc's dynamic thresholds the
+    freed top of the heap goes back to the OS and the next step faults the
+    same pages in again. A warm 3-step Schauder solve takes about 34k
+    minor faults at n = 20 and 125k at n = 32 that way, and 6k and 10k
+    with this setting (at n = 16 both read about 5.7k). Fixing both
+    thresholds serves blocks below 32 MiB from the heap and keeps up to
+    256 MiB of freed heap top for reuse. Both are set because setting
+    either one alone stops glibc's dynamic adjustment and freezes the other
+    where it stands (128 KiB at start); at n = 32 either alone faults more
+    than neither. Does nothing where libc has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):

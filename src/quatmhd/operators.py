@@ -28,8 +28,7 @@ their own.
 Integral operators (held by OperatorSet, which caches the Teodorescu
 kernel per domain)
     teodorescu       : volume potential T, FFT convolution with the Cauchy
-        kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f; a zero
-        scalar part is neither transformed nor multiplied
+        kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f
     cauchy           : boundary potential F over the voxel faces, sign
         calibrated so that F reproduces constants; per face block (one box
         side) a batch of 2-D FFT convolutions over the tangential axes, one
@@ -52,15 +51,13 @@ kernel per domain)
         collar-Dirichlet solve poisson_dirichlet (see OperatorSet.TQT)
     op_norm_TQT      : its operator norm, one over the smallest entry of the
         DST-I symbol of poisson_dirichlet
-    teodorescu_bound : a bound tau on ||T||, the largest |Re Khat| + |Im Khat|
-        of the kernel transform
 
 teodorescu, cauchy and bergman_P are the sampled continuum operators. They
-serve the identity checks of verify and the composed Cs ratio of the
-constants; no solver step applies them. The one Lanczos recurrence of the
-package, _lanczos, serves the pressure MINRES (solvers._minres) and the
-Schauder norm estimate (solvers.convection_norm), which takes its largest
-Ritz value by the Sturm bisection _top_eigenvalue.
+serve the identity checks of verify and the acceptance criteria; neither
+the constants nor any solver step applies them. The one Lanczos recurrence
+of the package, _lanczos, serves the pressure MINRES (solvers._minres) and
+the Schauder norm estimate (solvers.convection_norm), which takes its
+largest Ritz value by the Sturm bisection _top_eigenvalue.
 
 Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
 orthonormal 1-D basis matrices are built once per axis and applied along
@@ -246,7 +243,6 @@ class OperatorSet:
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
         self._khat = None          # rfftn of the three kernel components
-        self._tau = None           # teodorescu_bound, computed on first use
         # per-axis sine bases and stencil eigenvalues of the Poisson solves:
         # DST-I on the non-collar block, DST-II on the whole box
         n, h = np.asarray(domain.n), domain.h
@@ -267,37 +263,13 @@ class OperatorSet:
         self._khat = [np.fft.rfftn(Ki, s=pad, axes=(0, 1, 2)) for Ki in K]
         return self._khat
 
-    def teodorescu_bound(self) -> float:
-        """tau with ||T f|| <= tau ||f|| for every field f (L2 norms).
-
-        T f is a circular convolution on the padded grid, of the zero-padded
-        f with the pure kernel K, cropped to the box; padding and cropping
-        do not raise the norm. At each frequency xi the convolution is left
-        multiplication by the pure quaternion Khat(xi) = a + i b, a and b
-        real 3-vectors, and left multiplication by a real pure quaternion a
-        scales every quaternion by |a|. So ||T|| <= tau, the maximum over xi
-        of |a| + |b|, taken over the cached rfftn of K (real input, so the
-        other half of the spectrum is its conjugate). Computed once per
-        operator set."""
-        if self._tau is None:
-            K = self._kernel_fft()
-            a = np.sqrt(sum(Ki.real**2 for Ki in K))
-            b = np.sqrt(sum(Ki.imag**2 for Ki in K))
-            self._tau = float((a + b).max())
-        return self._tau
-
     def teodorescu(self, f: QField) -> QField:
-        """Volume potential T f, a right inverse of the Dirac operator. A
-        zero scalar part, as in every bracket the solvers transform, gets
-        no forward FFT and no kernel products."""
+        """Volume potential T f, a right inverse of the Dirac operator."""
         self._check(f)
         n1, n2, n3 = self.domain.n
         pad = (2 * n1, 2 * n2, 2 * n3)
-        comps = [f.values[..., c] for c in range(4)]
-        if not comps[0].any():
-            comps[0] = None  # pure f: see _pure_left_mul
-        fh = [None if c is None else np.fft.rfftn(c, s=pad, axes=(0, 1, 2))
-              for c in comps]
+        fh = [np.fft.rfftn(f.values[..., c], s=pad, axes=(0, 1, 2))
+              for c in range(4)]
         out = np.stack(
             [_irfft_head(c, pad, (n1, n2, n3), (0, 1, 2))
              for c in _pure_left_mul(self._kernel_fft(), fh)],
@@ -554,16 +526,11 @@ def _irfft_head(X: np.ndarray, pad, keep, axes) -> np.ndarray:
 
 def _pure_left_mul(K, f) -> list:
     """Components of the quaternion product pure(K) f, taken elementwise
-    over arrays (here Fourier coefficients of a kernel and a field). f[0]
-    None stands for a zero scalar part: its three products are dropped, and
-    the other sums run in the same order."""
+    over arrays (here Fourier coefficients of a kernel and a field)."""
     K1, K2, K3 = K
     f0, f1, f2, f3 = f
-    sc = -(K1 * f1 + K2 * f2 + K3 * f3)
-    if f0 is None:
-        return [sc, K2 * f3 - K3 * f2, K3 * f1 - K1 * f3, K1 * f2 - K2 * f1]
     return [
-        sc,
+        -(K1 * f1 + K2 * f2 + K3 * f3),
         K1 * f0 + K2 * f3 - K3 * f2,
         K2 * f0 + K3 * f1 - K1 * f3,
         K3 * f0 + K1 * f2 - K2 * f1,

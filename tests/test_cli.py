@@ -420,17 +420,17 @@ def test_allocator_setting_without_mallopt(monkeypatch, libc):
                     or platform.libc_ver()[0] != "glibc",
                     reason="counts the minor faults of a glibc process")
 def test_solve_does_not_refault_its_temporaries(tmp_path):
-    # Each T or Q apply frees a few MB of temporaries; unless the CLI keeps
-    # them in the heap, the next apply faults them in again: about 220k
-    # minor faults for this Schauder solve, 160k-200k with one of the two
-    # glibc thresholds set, under 7k with both. At n = 16 the FFT temporaries
-    # outgrow the 128 KiB default mmap threshold, so both settings count.
+    # Each step frees its fields and stencil temporaries, 250 KiB each at
+    # n = 20; unless the CLI keeps them in the heap, the next step faults
+    # them in again: 29k-34k minor faults for this Schauder solve, 6k
+    # with both glibc thresholds set. At n = 16 the two read about 5.7k,
+    # so n = 16 would not tell them apart.
     from quatmhd.grid import QField, h1_norm
     from quatmhd.io import write_csv
     from quatmhd.sampling import random_divfree
 
-    dom = build_domain((0, 0, 0), (1, 1, 1), 16)
-    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=16,
+    dom = build_domain((0, 0, 0), (1, 1, 1), 20)
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=20,
                              method="schauder_neumann")
     cfg = json.loads(cfg_path.read_text())
     cfg["init_state"] = {}

@@ -191,3 +191,38 @@ def test_lapack_calls_detected():
                          ids=lambda p: p.name)
 def test_no_lapack_calls(path):
     assert lapack_calls(path.read_text()) == []
+
+
+# the continuum operators of OperatorSet and the kernel transform they share
+CONTINUUM = ("teodorescu", "cauchy", "bergman_Q", "bergman_P", "_kernel_fft")
+
+
+def continuum_refs(source: str) -> list[str]:
+    """The CONTINUUM names a module reads, as a name, an attribute or an
+    import; docstrings and comments do not count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in CONTINUUM:
+            found.append(name)
+    return sorted(found)
+
+
+def test_continuum_refs_detected():
+    src = ('"""Applies teodorescu and cauchy in prose only."""\n'
+           "from .operators import bergman_P\n"
+           "def f(ops, g):\n"
+           "    # ops.bergman_Q in a comment\n"
+           "    return ops.teodorescu(g) + ops._kernel_fft() + bergman_P(g)\n"
+           "x = cauchy\n")
+    assert continuum_refs(src) == ["_kernel_fft", "bergman_P", "bergman_P",
+                                   "cauchy", "teodorescu"]
+
+
+@pytest.mark.parametrize("name", ["solvers.py", "mhd.py", "energy.py"])
+def test_solve_path_names_no_continuum_operator(name):
+    # the solvers, their brackets and the energy rows run on the lattice
+    # pair (OperatorSet.TQT), the boundary-data branch included
+    assert continuum_refs((SRC / name).read_text()) == []

@@ -54,6 +54,7 @@ def test_estimate_constants(ops12):
     assert c.k <= 1.1 * c.C1
     assert c.provenance["C1"] == "analytic"
     assert c.provenance["Cs"] == "estimated"
+    assert c.provenance["k"] == "analytic"
     # determinism for a fixed seed
     c2 = estimate_constants(ops12, seed=0)
     assert (c.Cs, c.CD, c.Cu, c.k) == (c2.Cs, c2.CD, c2.Cu, c2.k)
@@ -65,8 +66,9 @@ def test_estimate_constants_rejects_few_samples(dom12, ops12):
 
 
 def _unpruned_ratios(ops, seed, samples=30):
-    """(Cs, CD, Cu) of the sampling loop without the skip: all four Cs
-    families, T applied on every sample, D+B computed twice."""
+    """(Cs, CD, Cu) of the sampling loop with all four Cs families, the
+    composed ||T Sc(uD)u|| / ||u||_H1^2 included (T applied on every
+    sample), and D+B computed twice."""
     rng = np.random.default_rng(seed)
     ratios_s, ratios_d, ratios_c = [], [], []
     for _ in range(samples):
@@ -87,27 +89,13 @@ def _unpruned_ratios(ops, seed, samples=30):
 @pytest.mark.parametrize("n, extent, seed", [
     (8, 1.0, 0), (8, 1.0, 3), (12, 1.0, 0), (12, 1.0, 3), (8, 10.0, 3)])
 def test_constants_skip_matches_unpruned_loop(n, extent, seed):
-    # skipping the T apply of a ratio its bound keeps below the running
-    # maximum leaves the bundle bit for bit as the loop without the skip
+    # the composed T ratio, which estimate_constants does not sample, never
+    # sets Cs: the bundle is bit for bit that of the four-family loop
     ops = OperatorSet(build_domain((0.0, 0.0, 0.0), (extent,) * 3, n))
     c = estimate_constants(ops, seed=seed)
     assert (c.Cs, c.CD, c.Cu) == _unpruned_ratios(ops, seed)
     assert (c.C1, c.lambda_min) == (1.0 / ops.lambda_min(), ops.lambda_min())
     assert c.k == ops.op_norm_TQT()
-
-
-def test_constants_skip_off_applies_every_T(ops8, monkeypatch):
-    # with no usable bound every sampled T(conv) is applied: 30 applies,
-    # the only ones of estimate_constants, and the same bundle
-    ref = estimate_constants(ops8, seed=3)
-    calls = []
-    teodorescu = OperatorSet.teodorescu
-    monkeypatch.setattr(OperatorSet, "teodorescu_bound",
-                        lambda self: math.inf)
-    monkeypatch.setattr(OperatorSet, "teodorescu",
-                        lambda self, f: calls.append(1) or teodorescu(self, f))
-    assert estimate_constants(ops8, seed=3) == ref
-    assert len(calls) == 30
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +506,14 @@ def _warm_state(dom):
 def test_apply_budget(dom8, monkeypatch):
     # T (a padded FFT convolution) and Q are the costliest applies; the
     # counts are pinned so that added applies show up here. Setup: k is a
-    # closed form and the 30 sampled T(conv) ratios are all skipped by
-    # their bound. Warm Banach and Schauder solves (3 outer steps each):
-    # TQT is the collar solve and QT is D+_gz L^-1, so neither T nor Q is
-    # applied. The collar solves of each Schauder step are pinned too:
-    # 1 + 41 or 42 for the pressure right side and MINRES, 18, 22 and 18
-    # for the 9, 11 and 9 Lanczos steps of convection_norm, 4 + 4, 3 + 3
-    # and 2 + 2 Neumann terms, and the two projections
+    # closed form and every Cs ratio is a lattice one, so no T is applied
+    # and the kernel transform is never built. Warm Banach and Schauder
+    # solves (3 outer steps each): TQT is the collar solve and QT is
+    # D+_gz L^-1, so neither T nor Q is applied. The collar solves of each
+    # Schauder step are pinned too: 1 + 41 or 42 for the pressure right
+    # side and MINRES, 18, 22 and 18 for the 9, 11 and 9 Lanczos steps of
+    # convection_norm, 4 + 4, 3 + 3 and 2 + 2 Neumann terms, and the two
+    # projections
     import quatmhd.solvers as solvers
     counts = {"teodorescu": 0, "bergman_Q": 0, "_collar_solve": 0}
     for name in counts:
@@ -537,12 +526,14 @@ def test_apply_budget(dom8, monkeypatch):
     ops = OperatorSet(dom8)
     c = estimate_constants(ops, seed=3)
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
+    assert ops._khat is None
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     counts.update(teodorescu=0, bergman_Q=0)
     _, report = banach_solve(params, ops, SolverConfig(tol=1e-10),
                              init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
+    assert ops._khat is None
     # collar solves per Schauder step, read at the start of the next step
     # and at the end
     per_step, bracket = [], solvers.momentum_bracket
@@ -557,6 +548,7 @@ def test_apply_budget(dom8, monkeypatch):
         init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
+    assert ops._khat is None
     per_step.append(counts["_collar_solve"])
     assert np.diff(per_step).tolist() == [70, 73, 67]
 
