@@ -1,9 +1,10 @@
 """Voxel domains, quaternion-valued grid fields, inner products and norms.
 
 Fields are stored cell-centered on a uniform axis-aligned grid with
-isotropic spacing h; values are (n1, n2, n3, 4) arrays in component order
-(s, v1, v2, v3). Volume integrals use the midpoint rule, surface integrals
-the face-midpoint rule.
+isotropic spacing h; values are C-contiguous (4, n1, n2, n3) arrays, the
+components (s, v1, v2, v3) first, as every operator acts on one component
+at a time; boundary data are one (M, 4) row per face. Volume integrals use
+the midpoint rule, surface integrals the face-midpoint rule.
 """
 
 from __future__ import annotations
@@ -163,31 +164,32 @@ class QField:
     """Quaternion-valued grid function on a voxel domain."""
 
     domain: VoxelDomain
-    values: np.ndarray  # (n1, n2, n3, 4)
+    values: np.ndarray  # (4, n1, n2, n3)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.domain.shape + (4,):
+        # the one place that makes field storage contiguous
+        self.values = np.ascontiguousarray(self.values, dtype=float)
+        if self.values.shape != (4,) + self.domain.shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match domain "
-                f"{self.domain.shape + (4,)}")
+                f"{(4,) + self.domain.shape}")
 
     @staticmethod
     def zeros(domain: VoxelDomain) -> "QField":
-        return QField(domain, np.zeros(domain.shape + (4,)))
+        return QField(domain, np.zeros((4,) + domain.shape))
 
     @staticmethod
     def constant(domain: VoxelDomain, q) -> "QField":
         if isinstance(q, Quaternion):
             q = q.as_array()
-        vals = np.broadcast_to(np.asarray(q, dtype=float), domain.shape + (4,)).copy()
-        return QField(domain, vals)
+        q = np.asarray(q, dtype=float)[:, None, None, None]
+        return QField(domain, np.broadcast_to(q, (4,) + domain.shape))
 
     def copy(self) -> "QField":
         return QField(self.domain, self.values.copy())
 
     def is_pure(self, tol: float = 0.0) -> bool:
-        return float(np.abs(self.values[..., 0]).max(initial=0.0)) <= tol
+        return float(np.abs(self.values[0]).max(initial=0.0)) <= tol
 
     def __add__(self, other: "QField") -> "QField":
         _check_same(self, other)
@@ -232,7 +234,7 @@ def l2_inner(u: QField, v: QField) -> Quaternion:
     """Quaternionic L2 inner product, midpoint quadrature of conj(u) v."""
     _check_same(u, v)
     prod = qmul_arr(conj_arr(u.values), v.values)
-    return Quaternion.from_array(prod.sum(axis=(0, 1, 2)) * u.domain.cell_volume)
+    return Quaternion.from_array(prod.sum(axis=(1, 2, 3)) * u.domain.cell_volume)
 
 
 def sc_inner(u: QField, v: QField) -> float:
@@ -248,13 +250,14 @@ def l2_norm(u: QField) -> float:
 
 def _diff(vals: np.ndarray, axis: int, h: float, backward: bool = False,
           ghost: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Every one-sided difference: (v[k+1] - v[k]) / h along `axis`,
-    placed at k (forward) or k + 1 (backward), into `out` (new if None).
-    The layer left over repeats its neighbour (the fallback rows of D+/D-)
-    or, with `ghost`, differences a zero ghost value beyond the face."""
+    """Every one-sided difference: (v[k+1] - v[k]) / h along `axis` of the
+    last three axes of vals (leading axes batched), placed at k (forward)
+    or k + 1 (backward), into `out` (new if None). The layer left over
+    repeats its neighbour (the fallback rows of D+/D-) or, with `ghost`,
+    differences a zero ghost value beyond the face."""
     if out is None:
         out = np.empty(vals.shape)
-    v, d = vals.swapaxes(0, axis), out.swapaxes(0, axis)
+    v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
     if backward:
         np.subtract(v[1:], v[:-1], out=d[1:])
         d[0] = v[0] if ghost else d[1]
@@ -281,18 +284,18 @@ def lq_norm(u: QField, q: float = 1.25) -> float:
     """L^q norm; q restricted to (1, 3/2) or q = 2."""
     if not (1.0 < q < 1.5 or q == 2.0):
         raise ValueError("q must satisfy 1 < q < 3/2 (or q = 2)")
-    mag = np.sqrt((u.values**2).sum(axis=-1))
+    mag = np.sqrt((u.values**2).sum(axis=0))
     return float((mag**q).sum() * u.domain.cell_volume) ** (1.0 / q)
 
 
 def trace_boundary(u: QField) -> BoundaryData:
     """Sample the cell adjacent to each boundary face."""
     c = u.domain.face_cell
-    return BoundaryData(u.domain, u.values[c[:, 0], c[:, 1], c[:, 2], :].copy())
+    return BoundaryData(u.domain, u.values[:, c[:, 0], c[:, 1], c[:, 2]].T.copy())
 
 
 def zero_boundary(u: QField, width: int = 1) -> QField:
     """Zero the boundary collar (discrete membership in H^1 with zero trace)."""
     out = u.copy()
-    out.values[u.domain.collar_mask(width)] = 0.0
+    out.values[:, u.domain.collar_mask(width)] = 0.0
     return out

@@ -2,7 +2,8 @@
 key = value manifests, and per-iteration convergence logs.
 
 All floating-point output uses 17 significant digits, so every file
-round-trips through the matching reader bit-exactly.
+round-trips through the matching reader bit-exactly. Files hold one
+quaternion per row; only this module turns QField storage into rows.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def write_vtk(path, field: QField, name: str = "q") -> None:
     """Legacy-ASCII VTK structured-points file with one 4-component array."""
     dom = field.domain
     n1, n2, n3 = dom.n
-    # VTK iterates x fastest; move axis order to (k, j, i)
-    flat = field.values.transpose(2, 1, 0, 3).reshape(-1, 4)
+    # VTK iterates x fastest: rows in (k, j, i) order, one quaternion each
+    flat = field.values.transpose(3, 2, 1, 0).reshape(-1, 4)
     with open(path, "w", newline="\n") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write(f"{name}\n")
@@ -56,9 +57,17 @@ def write_vtk(path, field: QField, name: str = "q") -> None:
 
 
 def read_vtk(path) -> QField:
-    """Read a field written by write_vtk."""
+    """Read a field written by write_vtk; ValueError naming the file for
+    any defect of its header or data."""
     with open(path) as f:
         lines = f.read().split("\n")
+    try:
+        return _parse_vtk(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_vtk(lines: list[str]) -> QField:
     dims = org = spc = None
     data_start = None
     for i, ln in enumerate(lines):
@@ -75,10 +84,10 @@ def read_vtk(path) -> QField:
             data_start = i + 1
             break
     if dims is None or org is None or spc is None or data_start is None:
-        raise ValueError(f"{path}: not a structured-points field file")
+        raise ValueError("not a structured-points field file")
     if len(spc) != 3 or spc[1:] != spc[:2]:
-        raise ValueError(f"{path}: SPACING {' '.join(map(str, spc))} is not "
-                         "one cell size repeated for the three axes")
+        raise ValueError(f"SPACING {' '.join(map(str, spc))} is not one "
+                         "cell size repeated for the three axes")
     n1, n2, n3 = dims
     tokens = " ".join(lines[data_start:]).split()
     try:
@@ -88,24 +97,24 @@ def read_vtk(path) -> QField:
             try:
                 np.array(tokens[i:i + 4], dtype=float)
             except ValueError as exc:
-                raise ValueError(f"{path}: data row {i // 4}: {exc}") from None
+                raise ValueError(f"data row {i // 4}: {exc}") from None
         raise
     if vals.size != 4 * n1 * n2 * n3:
-        raise ValueError(f"{path}: {vals.size} data values, DIMENSIONS "
+        raise ValueError(f"{vals.size} data values, DIMENSIONS "
                          f"{n1} {n2} {n3} needs {4 * n1 * n2 * n3}")
     vals = vals.reshape(-1, 4)
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if bad.size:
-        raise ValueError(f"{path}: non-finite value in data row {bad[0]}: "
+        raise ValueError(f"non-finite value in data row {bad[0]}: "
                          f"{vals[bad[0]].tolist()}")
-    vals = vals.reshape(n3, n2, n1, 4).transpose(2, 1, 0, 3)
+    vals = vals.reshape(n3, n2, n1, 4).transpose(3, 2, 1, 0)
     dom = build_domain(org - 0.5 * spc[0], np.asarray(dims) * spc[0], dims)
     return QField(dom, vals)
 
 
 def write_csv(path, field: QField) -> None:
     """Flat CSV with columns (cell index, s, v1, v2, v3), C cell order."""
-    _write_indexed_rows(path, "index", field.values.reshape(-1, 4))
+    _write_indexed_rows(path, "index", field.values.reshape(4, -1).T)
 
 
 _BLOCK_ROWS = 256
@@ -163,7 +172,7 @@ def _read_indexed_rows(path, count: int) -> np.ndarray:
 def read_csv(path, domain: VoxelDomain) -> QField:
     """Read a field written by write_csv onto a known domain."""
     vals = _read_indexed_rows(path, domain.num_cells)
-    return QField(domain, vals.reshape(domain.shape + (4,)))
+    return QField(domain, vals.T.reshape((4,) + domain.shape))
 
 
 def write_boundary_csv(path, data: BoundaryData) -> None:

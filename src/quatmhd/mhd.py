@@ -1,8 +1,9 @@
 """Stationary incompressible viscous MHD: nonlinear terms, strong and weak
 residuals, the TQT integral-form right-hand sides (each takes the fields it
 reads, not a state), the linearized map TQT Sc(u~D) of the Schauder scheme
-on component arrays (_convect_solve, and its transpose for the norm), and
-the discrete Leray projection.
+(_convect_solve, and its transpose for the norm), and the discrete Leray
+projection. convective and _convect_solve share one advection kernel,
+_advect, which reads the stored components-first arrays without a copy.
 
 The integral form's TQT is the collar-Dirichlet solve (OperatorSet.TQT), and
 its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu, Cauchy
@@ -11,8 +12,9 @@ bracket, momentum_bracket(u, lorentz(B)), computed once per outer step. The
 boundary term of B is the vector part of the harmonic extension of the
 face data.
 
-Conventions. States are cell-centered quaternion fields with u, B pure
-vectors and p scalar, zero-mean. Sc(aD)w is realized as the advection
+Conventions. States are cell-centered quaternion fields, values (4, n1, n2,
+n3), with u, B pure vectors (values[1:]) and p scalar (values[0]),
+zero-mean. Sc(aD)w is realized as the advection
 (a.grad)w with central differences; D^2 is realized as -laplacian via the
 factorization of the Laplacian. The coefficient exponents of the integral
 form differ between the source schemes and are selected by exponent_mode:
@@ -101,12 +103,12 @@ class MHDState:
         for name, f in (("u", self.u), ("B", self.B)):
             if not f.is_pure(1e-14 * max(1.0, np.abs(f.values).max())):
                 raise ValueError(f"{name} must be a pure vector field")
-        if np.abs(self.p.values[..., 1:]).max(initial=0.0) > 0:
+        if np.abs(self.p.values[1:]).max(initial=0.0) > 0:
             raise ValueError("p must be scalar-valued")
         # the zero-mean normalization of the pressure, on a copy: the
         # caller's field stays as given
         self.p = self.p.copy()
-        self.p.values[..., 0] -= self.p.values[..., 0].mean()
+        self.p.values[0] -= self.p.values[0].mean()
 
     @staticmethod
     def zeros(domain: VoxelDomain) -> "MHDState":
@@ -126,32 +128,25 @@ def convective(a: QField, w: QField) -> QField:
     """Advection (a.grad)w with central differences, the realization of
     the scalar-part operator Sc(aD) applied to w."""
     _require_pure(a, "advection field a")
-    h = a.domain.h
-    out = np.zeros_like(w.values)
+    return QField(a.domain, _advect(a.values[1:], w.values, a.domain.h))
+
+
+def _advect(a: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """sum_i a_i D^c_i v over the last three axes of v, leading axes
+    batched: a the vector part of an advection field, shape (3,) + the
+    domain's, and D^c_i the centered difference _dcen."""
+    out = np.zeros(v.shape)
     for i in range(3):
-        out += a.values[..., 1 + i:2 + i] * _dcen(w.values, i, h)
-    return QField(a.domain, out)
-
-
-def _advection(ut: QField) -> np.ndarray:
-    """The three components of the advection field u~, shape (3,) + the
-    domain's."""
-    _require_pure(ut, "advection field u~")
-    return np.ascontiguousarray(ut.values[..., 1:].transpose(3, 0, 1, 2))
+        out += a[i] * _dcen(v, i, h)
+    return out
 
 
 def _convect_solve(a: np.ndarray, v: np.ndarray,
                    ops: OperatorSet) -> np.ndarray:
-    """A v = L^-1 sum_i a_i D^c_i v over the last three axes of v, leading
-    axes batched: a = _advection(u~), D^c_i the centered difference _dcen,
-    L^-1 the collar solve. TQT Sc(u~D) acts on each quaternion component
-    by A; the sum runs in convective's order, so each component equals
-    that of TQT(convective(u~, .)) bit for bit."""
-    h = ops.domain.h
-    out = np.zeros(v.shape)
-    for i in range(3):
-        out += a[i] * _dcen(v, v.ndim - 3 + i, h)
-    return ops._collar_solve(out)
+    """A v = L^-1 _advect(a, v), a = u~.values[1:], L^-1 the collar solve.
+    TQT Sc(u~D) acts on each quaternion component by A, so each component
+    equals that of TQT(convective(u~, .)) bit for bit."""
+    return ops._collar_solve(_advect(a, v, ops.domain.h))
 
 
 def _convect_solve_T(a: np.ndarray, w: np.ndarray,
@@ -174,7 +169,7 @@ def _lorentz_of(B: QField, DB: QField, mu0: float) -> QField:
     too."""
     _require_pure(B, "B")
     prod = qmul_arr(DB.values, B.values)
-    prod[..., 0] = 0.0
+    prod[0] = 0.0
     return QField(B.domain, prod / mu0)
 
 
@@ -187,7 +182,7 @@ def _dirac_scalar(p: QField) -> QField:
     """D applied to a scalar field: the forward-difference gradient."""
     out = np.zeros_like(p.values)
     for i in range(3):
-        _diff(p.values[..., 0], i, p.domain.h, out=out[..., 1 + i])
+        _diff(p.values[0], i, p.domain.h, out=out[1 + i])
     return QField(p.domain, out)
 
 
@@ -195,7 +190,7 @@ def _interior_norm(arr: np.ndarray, domain: VoxelDomain) -> float:
     """L2 norm over the non-collar cells (the one-sided fallback layers are
     excluded from residual measurements)."""
     mask = ~domain.collar_mask(1)
-    return float(np.sqrt((arr[mask] ** 2).sum() * domain.cell_volume))
+    return float(np.sqrt((arr[..., mask] ** 2).sum() * domain.cell_volume))
 
 
 def residual_strong(state: MHDState, params: MHDParams,
@@ -223,10 +218,9 @@ def residual_weak(state: MHDState, params: MHDParams, test_v: QField,
     operators: sc_inner(D+ a, D+ v)."""
     _require_pure(test_v, "test_v")
     _require_pure(test_w, "test_w")
-    if np.abs(test_v.values[test_v.domain.collar_mask(1)]).max(initial=0.0) > 0:
-        raise ValueError("test fields must vanish on the boundary collar")
-    if np.abs(test_w.values[test_w.domain.collar_mask(1)]).max(initial=0.0) > 0:
-        raise ValueError("test fields must vanish on the boundary collar")
+    for t in (test_v, test_w):
+        if np.abs(t.values[:, t.domain.collar_mask(1)]).max(initial=0.0) > 0:
+            raise ValueError("test fields must vanish on the boundary collar")
     u, B, p = state.u, state.B, state.p
     r_mom = ((1.0 / params.Re) * sc_inner(dirac_fwd(u), dirac_fwd(test_v))
              - sc_inner(convective(u, u), test_v)
@@ -270,8 +264,7 @@ def tqt_rhs_p(bracket: QField, params: MHDParams,
     ghost-zero -div+ of three collar solves, the second half of
     OperatorSet.pressure_S."""
     out = np.zeros_like(bracket.values)
-    out[..., 0] = params.coeff_prhs() * ops._sc_dirac_solve(
-        bracket.values[..., 1:].transpose(3, 0, 1, 2))
+    out[0] = params.coeff_prhs() * ops._sc_dirac_solve(bracket.values[1:])
     return QField(bracket.domain, out)
 
 
@@ -282,7 +275,7 @@ def leray_project(u: QField, ops: OperatorSet) -> QField:
     _require_pure(u, "u")
     phi = ops.poisson_scalar(-div_fwd(u))
     pf = QField(u.domain, np.zeros_like(u.values))
-    pf.values[..., 0] = phi
+    pf.values[0] = phi
     return u - QField(u.domain, grad_bwd(pf).values)
 
 
@@ -295,7 +288,7 @@ def boundary_B_term(params: MHDParams, ops: OperatorSet) -> QField:
     if params.boundary_h is None:
         return QField.zeros(dom)
     out = harmonic_extension(params.boundary_h, ops)
-    out.values[..., 0] = 0.0  # B is a pure vector field
+    out.values[0] = 0.0  # B is a pure vector field
     return out
 
 
@@ -303,9 +296,8 @@ def harmonic_extension(g: BoundaryData, ops: OperatorSet) -> QField:
     """Componentwise discrete harmonic extension of boundary values g:
     solve the cell-centered Laplace problem with Dirichlet face data."""
     dom = ops.domain
-    rhs = np.zeros((dom.num_cells, 4))
-    flat = np.ravel_multi_index(tuple(dom.face_cell.T), dom.n)
+    rhs = np.zeros((4,) + dom.shape)
+    cells = (slice(None),) + tuple(dom.face_cell.T)
     # ghost anti-reflection: a face with value g contributes 2g/h^2
-    np.add.at(rhs, flat, 2.0 * g.values / dom.h**2)
-    out = np.stack([ops.poisson_faces(rhs[:, c]) for c in range(4)], axis=-1)
-    return QField(dom, out.reshape(dom.shape + (4,)))
+    np.add.at(rhs, cells, 2.0 * g.values.T / dom.h**2)
+    return QField(dom, ops.poisson_faces(rhs))

@@ -23,7 +23,8 @@ layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
 grad_bwd, div_fwd and curl_bwd, and differences a zero ghost value in
 bergman_Q and pressure_S. The centered difference (_dcen), its transpose
 (_dcen_T) and the second difference of the Laplacian are slice stencils of
-their own.
+their own. Every stencil acts on the last three axes of its array, leading
+axes (the four quaternion components, or a batch of them) batched.
 
 Integral operators (held by OperatorSet, which caches the Teodorescu
 kernel per domain)
@@ -101,16 +102,16 @@ _UNIT_MUL = [[(m[r].sum(), int(np.abs(m[r]).argmax())) for r in range(4)]
 
 def _require_three_cells(vals: np.ndarray, axis: int) -> None:
     """ValueError unless axis has the 3 cells a face stencil reads."""
-    if vals.shape[axis] < 3:
+    if vals.shape[axis - 3] < 3:
         raise ValueError(f"the face stencils read 3 cells per axis; axis "
-                         f"{axis} has {vals.shape[axis]}")
+                         f"{axis} has {vals.shape[axis - 3]}")
 
 
 def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered difference; one-sided second-order stencils at the faces."""
     _require_three_cells(vals, axis)
     out = np.empty(vals.shape)
-    v, d = vals.swapaxes(0, axis), out.swapaxes(0, axis)
+    v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
     np.subtract(v[2:], v[:-2], out=d[1:-1])
     d[0] = -3 * v[0] + 4 * v[1] - v[2]
     d[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
@@ -126,7 +127,7 @@ def _dcen_T(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     cells."""
     _require_three_cells(vals, axis)
     out = np.zeros(vals.shape)
-    v, d = vals.swapaxes(0, axis), out.swapaxes(0, axis)
+    v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
     d[2:] += v[1:-1]
     d[:-2] -= v[1:-1]
     d[0] -= 3 * v[0]
@@ -152,8 +153,8 @@ def _staggered(vals: np.ndarray, h: float, flip: bool = False,
     out = np.zeros_like(vals)
     for j in range(3):
         for r, (sign, c) in enumerate(_UNIT_MUL[j]):
-            v = vals[..., c]
-            out[..., r] += sign * (
+            v = vals[c]
+            out[r] += sign * (
                 _dcen(v, j, h) if central
                 else _diff(v, j, h, _BACKWARD[j, c] != flip, ghost))
     return out
@@ -181,15 +182,14 @@ def grad_bwd(u: QField) -> QField:
     """Backward-difference gradient of the scalar part, as a pure field."""
     out = np.zeros_like(u.values)
     for i in range(3):
-        _diff(u.values[..., 0], i, u.domain.h, backward=True,
-              out=out[..., 1 + i])
+        _diff(u.values[0], i, u.domain.h, backward=True, out=out[1 + i])
     return QField(u.domain, out)
 
 
 def div_fwd(u: QField) -> np.ndarray:
     """Forward-difference divergence of the vector part, scalar array."""
     h = u.domain.h
-    return sum(_diff(u.values[..., 1 + i], i, h) for i in range(3))
+    return sum(_diff(u.values[1 + i], i, h) for i in range(3))
 
 
 def curl_bwd(u: QField) -> QField:
@@ -197,11 +197,11 @@ def curl_bwd(u: QField) -> QField:
     away from the one-sided fallback layers."""
     h = u.domain.h
     v = u.values
-    d = lambda c, ax: _diff(v[..., 1 + c], ax, h, backward=True)
+    d = lambda c, ax: _diff(v[1 + c], ax, h, backward=True)
     out = np.zeros_like(v)
-    out[..., 1] = d(2, 1) - d(1, 2)
-    out[..., 2] = d(0, 2) - d(2, 0)
-    out[..., 3] = d(1, 0) - d(0, 1)
+    out[1] = d(2, 1) - d(1, 2)
+    out[2] = d(0, 2) - d(2, 0)
+    out[3] = d(1, 0) - d(0, 1)
     return QField(u.domain, out)
 
 
@@ -216,7 +216,7 @@ def _lap_interior(v: np.ndarray, h2: float) -> np.ndarray:
     second = np.empty(v.shape)
     for ax in range(3):
         _require_three_cells(v, ax)
-        w, s = v.swapaxes(0, ax), second.swapaxes(0, ax)
+        w, s = v.swapaxes(0, ax - 3), second.swapaxes(0, ax - 3)
         s[1:-1] = w[2:] - 2 * w[1:-1] + w[:-2]
         s[0] = w[0] - 2 * w[1] + w[2]
         s[-1] = w[-1] - 2 * w[-2] + w[-3]
@@ -268,12 +268,9 @@ class OperatorSet:
         self._check(f)
         n1, n2, n3 = self.domain.n
         pad = (2 * n1, 2 * n2, 2 * n3)
-        fh = [np.fft.rfftn(f.values[..., c], s=pad, axes=(0, 1, 2))
-              for c in range(4)]
-        out = np.stack(
-            [_irfft_head(c, pad, (n1, n2, n3), (0, 1, 2))
-             for c in _pure_left_mul(self._kernel_fft(), fh)],
-            axis=-1)
+        fh = [np.fft.rfftn(fc, s=pad, axes=(0, 1, 2)) for fc in f.values]
+        out = np.stack([_irfft_head(c, pad, (n1, n2, n3), (0, 1, 2))
+                        for c in _pure_left_mul(self._kernel_fft(), fh)])
         return QField(self.domain, out)
 
     # -- Cauchy -----------------------------------------------------------
@@ -292,9 +289,9 @@ class OperatorSet:
         self._check(g)
         dom = self.domain
         n, h = dom.n, dom.h
-        ng = qmul_arr(_pure(dom.face_normal), g.values)  # (M, 4)
+        ng = qmul_arr(_pure(dom.face_normal.T), g.values.T)  # (4, M)
         scale = self.sigma_F / (4.0 * np.pi) * dom.face_area
-        out = np.zeros(dom.shape + (4,))
+        out = np.zeros((4,) + dom.shape)
         start = 0
         for ax in range(3):
             tang = tuple(a for a in range(3) if a != ax)
@@ -303,26 +300,25 @@ class OperatorSet:
             block_shape = tuple(1 if a == ax else n[a] for a in range(3))
             for side in (0, 1):
                 stop = start + n[tang[0]] * n[tang[1]]
-                block = ng[start:stop].reshape(block_shape + (4,))
+                block = ng[:, start:stop].reshape((4,) + block_shape)
                 start = stop
                 offsets = [_wrapped(m) * h for m in n]
                 offsets[ax] = (np.arange(n[ax]) + 0.5 - side * n[ax]) * h
                 Kh = [np.fft.rfftn(Ki, s=pad, axes=tang)
                       for Ki in _kernel(offsets, scale)]
-                bh = [np.fft.rfftn(block[..., c], s=pad, axes=tang)
-                      for c in range(4)]
+                bh = [np.fft.rfftn(bc, s=pad, axes=tang) for bc in block]
                 for c, conv in enumerate(_pure_left_mul(Kh, bh)):
-                    out[..., c] += _irfft_head(conv, pad, keep, tang)
+                    out[c] += _irfft_head(conv, pad, keep, tang)
         return QField(dom, out)
 
     # -- Poisson / eigenvalues --------------------------------------------
 
     def poisson_scalar(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve -Lap u = rhs on the non-collar cells, zero in the collar.
+        """Solve -Lap u = rhs on the non-collar cells, zero in the collar,
+        over the last three axes of rhs, leading axes batched.
 
         The DST-I sine modes of the (n-2)^3 non-collar block vanish on the
         collar and diagonalize the 7-point stencil there."""
-        rhs = np.asarray(rhs, dtype=float).reshape(self.domain.shape)
         return self._collar_solve(rhs)
 
     def poisson_dirichlet(self, rhs: QField) -> QField:
@@ -330,11 +326,10 @@ class OperatorSet:
         collar; the stencil equation holds on the non-collar cells. The
         four components are solved in one batch."""
         self._check(rhs)
-        w = self._collar_solve(rhs.values.transpose(3, 0, 1, 2))
-        return QField(self.domain, np.ascontiguousarray(w.transpose(1, 2, 3, 0)))
+        return QField(self.domain, self._collar_solve(rhs.values))
 
     def _collar_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """poisson_scalar over the last three axes of rhs."""
+        """poisson_scalar, under the name the package's own solves call."""
         out = np.zeros(rhs.shape)
         inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
         if out[inner].size:  # an axis of two cells leaves no non-collar cell
@@ -344,12 +339,12 @@ class OperatorSet:
 
     def poisson_faces(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the cell-centered -Lap w = rhs with zero Dirichlet data on
-        the box faces (ghost anti-reflection); flat cell-major arrays.
+        the box faces (ghost anti-reflection), over the last three axes of
+        rhs, leading axes batched.
 
         The DST-II half-shifted sine modes sin(pi k (j + 1/2) / n) are odd
         about every face, so they diagonalize the stencil with ghost -u."""
-        rhs = np.reshape(rhs, self.domain.shape)
-        return _sine_solve(rhs, self._face_bases, self._face_symbol).ravel()
+        return _sine_solve(rhs, self._face_bases, self._face_symbol)
 
     def lambda_min(self) -> float:
         """Smallest eigenvalue of the cell-centered Dirichlet Laplacian
@@ -385,7 +380,7 @@ class OperatorSet:
         differences, and row 0 of the ghost-zero D+ of a field w is
         -div+ of its vector part. Between them, three Poisson solves in
         one batch. The sums run in _staggered's order, so the result
-        equals bergman_Q(p e0).values[..., 0] bit for bit."""
+        equals bergman_Q(p e0).values[0] bit for bit."""
         h = self.domain.h
         g = np.empty((3,) + self.domain.shape)
         for j in range(3):
@@ -489,8 +484,9 @@ def _top_eigenvalue(a, b) -> float:
 
 
 def _pure(vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(vec.shape[:-1] + (4,))
-    out[..., 1:] = vec
+    """The pure quaternion array with vector part vec, shape (3, ...)."""
+    out = np.zeros((4,) + vec.shape[1:])
+    out[1:] = vec
     return out
 
 

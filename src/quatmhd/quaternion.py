@@ -1,8 +1,9 @@
 """Real quaternion arithmetic.
 
-Scalar `Quaternion` values plus vectorized helpers acting on ``(..., 4)``
-arrays with component order (s, v1, v2, v3). The basis satisfies
-e1*e2 = -e2*e1 = e3 and e1^2 = e2^2 = e3^2 = -1.
+Scalar `Quaternion` values plus vectorized helpers acting on ``(4, ...)``
+arrays, the components (s, v1, v2, v3) on the leading axis, the layout of
+grid fields. The basis satisfies e1*e2 = -e2*e1 = e3 and
+e1^2 = e2^2 = e3^2 = -1.
 """
 
 from __future__ import annotations
@@ -69,25 +70,20 @@ LEFT_MUL.flags.writeable = False
 
 
 def qmul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product on (..., 4) arrays (broadcasting)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ],
-        axis=-1,
-    )
+    """Hamilton product on (4, ...) arrays (broadcasting)."""
+    a0, a1, a2, a3 = np.asarray(a, dtype=float)
+    b0, b1, b2, b3 = np.asarray(b, dtype=float)
+    return np.stack([
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    ])
 
 
 def conj_arr(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
+    out[1:] *= -1.0
     return out
 
 

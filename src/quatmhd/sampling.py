@@ -59,8 +59,7 @@ def _fourier_scalar(domain: VoxelDomain, rng, kmax: int) -> np.ndarray:
 def random_smooth(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     """Smooth random quaternion field, generically nonzero at the faces."""
     rng = _rng(seed)
-    vals = np.stack([_fourier_scalar(domain, rng, kmax) for _ in range(4)], axis=-1)
-    return QField(domain, vals)
+    return QField(domain, [_fourier_scalar(domain, rng, kmax) for _ in range(4)])
 
 
 def _bump(domain: VoxelDomain) -> np.ndarray:
@@ -71,7 +70,7 @@ def _bump(domain: VoxelDomain) -> np.ndarray:
 def random_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     """Smooth random field that decays to zero at the box faces."""
     u = random_smooth(domain, seed, kmax)
-    return QField(domain, u.values * _bump(domain)[..., None])
+    return QField(domain, u.values * _bump(domain))
 
 
 def random_pure_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
@@ -82,9 +81,9 @@ def random_pure_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     rng = _rng(seed)
     _fourier_draws(rng, kmax)
     bump = _bump(domain)
-    out = np.zeros(domain.shape + (4,))
+    out = np.zeros((4,) + domain.shape)
     for c in range(1, 4):
-        out[..., c] = _fourier_scalar(domain, rng, kmax) * bump
+        out[c] = _fourier_scalar(domain, rng, kmax) * bump
     return QField(domain, out)
 
 
@@ -96,7 +95,7 @@ def random_divfree(domain: VoxelDomain, seed=0) -> QField:
     x = domain.cell_centers()
     c = rng.standard_normal(3)
     s = rng.standard_normal((3, 3)) * (1.0 - np.eye(3))  # zero diagonal
-    out = np.zeros(domain.shape + (4,))
+    out = np.zeros((4,) + domain.shape)
     for i in range(3):
-        out[..., 1 + i] = c[i] + sum(s[i, j] * x[..., j] for j in range(3) if j != i)
+        out[1 + i] = c[i] + sum(s[i, j] * x[..., j] for j in range(3) if j != i)
     return QField(domain, out)

@@ -43,11 +43,10 @@ import numpy as np
 
 from .energy import energy
 from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
-from .mhd import (MHDParams, MHDState, _advection, _convect_solve,
-                  _convect_solve_T, _dirac_scalar, _lorentz_of,
-                  _require_pure, boundary_B_term, convective, leray_project,
-                  lorentz, momentum_bracket, residual_strong, tqt_rhs_B,
-                  tqt_rhs_p, tqt_rhs_u)
+from .mhd import (MHDParams, MHDState, _convect_solve, _convect_solve_T,
+                  _dirac_scalar, _lorentz_of, _require_pure, boundary_B_term,
+                  convective, leray_project, lorentz, momentum_bracket,
+                  residual_strong, tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
 from .operators import OperatorSet, _lanczos, _top_eigenvalue, dirac_fwd
 from .sampling import random_pure_bump
 
@@ -335,13 +334,10 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
     rounding.
     """
     dom = ops.domain
-    if np.abs(rhs.values[..., 1:]).max(initial=0.0) > 0:
+    if np.abs(rhs.values[1:]).max(initial=0.0) > 0:
         raise ValueError("pressure right-hand side must be scalar")
-
-    def S(parr: np.ndarray) -> np.ndarray:
-        return ops.pressure_S(parr.reshape(dom.shape)).ravel()
-
-    r0 = rhs.values[..., 0].ravel()
+    S = ops.pressure_S
+    r0 = rhs.values[0]
     if np.linalg.norm(r0) == 0.0:
         return QField.zeros(dom)
     x, iters = _minres(S, r0, _MINRES_TOL, maxit)
@@ -356,8 +352,8 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
             f"residual {normal_res / normal_ref:.3e} after {iters} MINRES "
             f"iterations{capped}")
     x -= x.mean()
-    out = np.zeros(dom.shape + (4,))
-    out[..., 0] = x.reshape(dom.shape)
+    out = np.zeros((4,) + dom.shape)
+    out[0] = x
     return QField(dom, out)
 
 
@@ -378,7 +374,8 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     about 1e+-154, as A^T A's entries would for |u~| beyond about 1e+-77.
     u~ = 0 gives 0.0. RuntimeError names the _NORM_MAXIT steps when they
     do not get there."""
-    a = _advection(ut)
+    _require_pure(ut, "advection field u~")
+    a = ut.values[1:]
     scale = float(np.abs(a).max(initial=0.0))
     if scale == 0.0:
         return 0.0
@@ -411,8 +408,9 @@ def _neumann_solve(ut: QField, c: float, norm: float, s: float, f: QField,
         raise ConditionViolation(f"Neumann series for {names[0]} refused: "
                                  f"{names[1]} = {q:.6g} >= 1", q)
     _require_pure(f, "Neumann right side")
-    a = _advection(ut)
-    x = term = s * ops._collar_solve(f.values[..., 1:].transpose(3, 0, 1, 2))
+    _require_pure(ut, "advection field u~")
+    a = ut.values[1:]
+    x = term = s * ops._collar_solve(f.values[1:])
     rnorm = np.sqrt((x * x).sum())
     used = 1
     for used in range(2, cfg.neumann_max_terms + 1):
@@ -422,7 +420,7 @@ def _neumann_solve(ut: QField, c: float, norm: float, s: float, f: QField,
                 < cfg.neumann_term_tol * max(rnorm, 1e-300)):
             break
     out = np.zeros(f.values.shape)
-    out[..., 1:] = x.transpose(1, 2, 3, 0)
+    out[1:] = x
     return QField(f.domain, out), q, used
 
 

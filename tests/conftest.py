@@ -106,9 +106,9 @@ class LatticePair:
         return step * ((g - a) * t).sum(-1) + 2.0 * A + (2.0 / 3.0) * B
 
     def _apply(self, f, flip):
-        ext = (self.A @ f.values.reshape(-1, 4)).reshape(
-            tuple(m + 2 for m in self.dom.n) + (4,))
-        inner = _staggered(ext, self.dom.h, flip=flip)[1:-1, 1:-1, 1:-1]
+        ext = (self.A @ f.values.reshape(4, -1).T).T.reshape(
+            (4,) + tuple(m + 2 for m in self.dom.n))
+        inner = _staggered(ext, self.dom.h, flip=flip)[:, 1:-1, 1:-1, 1:-1]
         return QField(self.dom, inner)
 
     def T_plus(self, f):

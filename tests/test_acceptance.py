@@ -43,7 +43,7 @@ def _right_inverse_err(ops, seed: int) -> float:
     f = random_smooth(dom, seed=seed, kmax=1)
     err = dirac_central(ops.teodorescu(f)) - f
     far = _far_mask(dom, 3.0)
-    return float(np.abs(err.values[far]).max() / np.abs(f.values).max())
+    return float(np.abs(err.values[:, far]).max() / np.abs(f.values).max())
 
 
 def _small_boundary(dom, eps=1e-5, seed=0) -> BoundaryData:
@@ -208,7 +208,7 @@ def test_criterion_07_energy(dom12, ops12):
     params = MHDParams(Re=2.0, Rm=3.0, mu0=0.5)
     J0 = energy(zero, zero, params).J
     u = QField.zeros(dom12)
-    u.values[..., 1:] = random_pure_bump(dom12, 7).values[..., 1:]
+    u.values[1:] = random_pure_bump(dom12, 7).values[1:]
     Ju = energy(u, zero, params).J
     visc_err = abs(Ju - l2_norm(dirac_fwd(u)) ** 2 / params.Re)
     rho = coercivity_radius(params, Cs=1.5)
@@ -257,7 +257,7 @@ def test_criterion_08_banach(dom12, ops12, small_data):
 def test_criterion_09_schauder(tmp_path, dom12, ops12, small_data):
     # refusal path: a warm start violating q1 < 1 must exit with code 2
     u0 = QField.zeros(dom12)
-    u0.values[..., 1] = np.sin(2 * np.pi * dom12.cell_centers()[..., 0])
+    u0.values[1] = np.sin(2 * np.pi * dom12.cell_centers()[..., 0])
     u_path = tmp_path / "u0.csv"
     write_csv(u_path, u0)
     h_path = tmp_path / "h.csv"

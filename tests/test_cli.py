@@ -194,7 +194,7 @@ def test_solve_exit_2_on_condition_violation(tmp_path, capsys):
     dom = build_domain((0, 0, 0), (1, 1, 1), 8)
     u0 = QField.zeros(dom)
     x = dom.cell_centers()
-    u0.values[..., 1] = np.sin(2 * np.pi * x[..., 0])
+    u0.values[1] = np.sin(2 * np.pi * x[..., 0])
     u_path = tmp_path / "u0.csv"
     write_csv(u_path, u0)
 

@@ -48,8 +48,8 @@ def test_energy_term_bookkeeping(dom12):
 
 def test_energy_rejects_non_pure(dom8):
     params = MHDParams(Re=1.0, Rm=1.0)
-    vals = np.zeros(dom8.shape + (4,))
-    vals[..., 0] = 1.0
+    vals = np.zeros((4,) + dom8.shape)
+    vals[0] = 1.0
     with pytest.raises(ValueError):
         energy(QField(dom8, vals), QField.zeros(dom8), params)
 

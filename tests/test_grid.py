@@ -9,8 +9,8 @@ from quatmhd.sampling import random_smooth
 
 
 def _const(dom, q):
-    vals = np.zeros(dom.shape + (4,))
-    vals[...] = q
+    vals = np.zeros((4,) + dom.shape)
+    vals[...] = np.reshape(q, (4, 1, 1, 1))
     return QField(dom, vals)
 
 
@@ -96,8 +96,8 @@ def test_l2_norm_linear_field(dom16):
     # u = x1 e1: integral of x^2 over the unit cube is 1/3 (midpoint rule
     # carries an O(h^2) defect)
     x1 = dom16.cell_centers()[..., 0]
-    vals = np.zeros(dom16.shape + (4,))
-    vals[..., 1] = x1
+    vals = np.zeros((4,) + dom16.shape)
+    vals[1] = x1
     assert l2_norm(QField(dom16, vals)) == pytest.approx(1 / np.sqrt(3),
                                                          rel=1e-3)
 
@@ -126,7 +126,7 @@ def test_zero_boundary_fixes_interior_fields(dom8):
     u = random_smooth(dom8, seed=5)
     vals = np.zeros_like(u.values)
     inner = ~dom8.collar_mask(1)
-    vals[inner] = u.values[inner]
+    vals[:, inner] = u.values[:, inner]
     w = QField(dom8, vals)
     assert np.array_equal(zero_boundary(w).values, w.values)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quatmhd.io as qio
-from quatmhd.grid import BoundaryData, QField, build_domain
+from quatmhd.grid import BoundaryData, QField, build_domain, trace_boundary
 from quatmhd.io import (CONVERGENCE_COLUMNS, read_boundary_csv, read_csv,
                         read_manifest, read_vtk, write_boundary_csv,
                         write_convergence_csv, write_csv, write_manifest,
@@ -86,9 +86,9 @@ def test_block_writers_match_row_by_row(tmp_path, monkeypatch, block_rows):
     dom = build_domain((0.1, -0.2, 0.3), (0.3, 0.9, 0.5), (3, 9, 5))
     rng = np.random.default_rng(4)
     special = [-0.0, 5e-324, 1e300, -1.0 / 3.0]
-    vals = rng.standard_normal(dom.shape + (4,))
+    vals = rng.standard_normal(dom.shape + (4,))  # one quaternion per cell
     vals.reshape(-1)[:len(special)] = special
-    field = QField(dom, vals)
+    field = QField(dom, np.moveaxis(vals, -1, 0))
     write_csv(tmp_path / "f.csv", field)
     _csv_writer_oracle(tmp_path / "ref.csv", ["index", "s", "v1", "v2", "v3"],
                        vals.reshape(-1, 4))
@@ -133,7 +133,7 @@ def test_boundary_csv_rejects_bad_rows(tmp_path, dom8, row):
 
 def test_vtk_rejects_non_finite(tmp_path, dom8):
     f = random_smooth(dom8, seed=0)
-    f.values[1, 0, 0, 2] = np.nan  # VTK order: x fastest, so data row 1
+    f.values[2, 1, 0, 0] = np.nan  # VTK order: x fastest, so data row 1
     path = tmp_path / "f.vtk"
     write_vtk(path, f)
     with pytest.raises(ValueError, match=r"f\.vtk.*data row 1"):
@@ -141,22 +141,30 @@ def test_vtk_rejects_non_finite(tmp_path, dom8):
 
 
 @pytest.mark.parametrize("edit, message", [
-    ("spacing", r"SPACING 0\.125 0\.25 0\.125 is not one cell size"),
+    ("SPACING 0.125 0.25 0.125",
+     r"SPACING 0\.125 0\.25 0\.125 is not one cell size"),
     ("rows", r"2032 data values, DIMENSIONS 8 8 8 needs 2048"),
     ("row_cut", r"2046 data values"),
     ("token", r"data row 511: could not convert string to float: 'abc'"),
-], ids=["spacing", "rows", "row_cut", "token"])
+    ("DIMENSIONS 8 8", r"not enough values to unpack"),
+    ("DIMENSIONS 8 8 x", r"invalid literal for int\(\)"),
+    ("ORIGIN 0 y 0", r"could not convert string to float: 'y'"),
+    ("SPACING 0.125 0.125 z", r"could not convert string to float: 'z'"),
+    ("SPACING 0 0 0", r"extent\[0\] must be a finite number > 0"),
+], ids=["spacing", "rows", "row_cut", "token", "dims_two", "dims_token",
+        "origin_token", "spacing_token", "spacing_zero"])
 def test_vtk_rejects_inconsistent_header(tmp_path, dom8, capsys, edit,
                                          message):
-    # a header the data do not match must not load as another grid
+    # a header the data do not match must not load as another grid, and
+    # every defect names the file
     import json
     from quatmhd.cli import main
     path = tmp_path / "u0.vtk"
     write_vtk(path, QField.zeros(dom8))
     lines = path.read_text().splitlines()
-    if edit == "spacing":
-        lines = [("SPACING 0.125 0.25 0.125" if ln.startswith("SPACING")
-                  else ln) for ln in lines]
+    if " " in edit:  # a replacement header line
+        key = edit.split()[0]
+        lines = [edit if ln.startswith(key) else ln for ln in lines]
     elif edit == "rows":
         lines = lines[:-4]
     elif edit == "row_cut":
@@ -201,5 +209,47 @@ def test_readers_require_every_index_once(tmp_path, dom8, reader, header,
         reader(path, dom8)
     shuffled = _rows(tmp_path / "y.csv", header,
                      [f"{i},0,1,2,{i}" for i in reversed(range(count))])
-    vals = reader(shuffled, dom8).values.reshape(count, 4)
-    assert np.array_equal(vals[:, 3], np.arange(count))
+    vals = reader(shuffled, dom8).values
+    v3 = vals[3].ravel() if reader is read_csv else vals[:, 3]
+    assert np.array_equal(v3, np.arange(count))
+
+
+def test_file_row_order_on_a_box(tmp_path):
+    # values encode (i, j, k, c) on a box whose three axes differ, so an
+    # i <-> k swap made alike in a writer and its reader shows in the rows
+    n1, n2, n3 = 3, 4, 5
+    dom = build_domain((0.0, 0.0, 0.0), (0.3, 0.4, 0.5), (n1, n2, n3))
+    c, i, j, k = np.indices((4, n1, n2, n3))
+    f = QField(dom, 1000 * i + 100 * j + 10 * k + c)
+    code = lambda i, j, k: (1000 * i + 100 * j + 10 * k)[:, None] + np.arange(4)
+
+    # CSV: row r is cell (i n2 + j) n3 + k
+    write_csv(tmp_path / "f.csv", f)
+    rows = np.loadtxt(tmp_path / "f.csv", delimiter=",", skiprows=1)
+    r = np.arange(dom.num_cells)
+    assert np.array_equal(rows[:, 0], r)
+    assert np.array_equal(rows[:, 1:], code(r // (n2 * n3), r // n3 % n2,
+                                            r % n3))
+    assert np.array_equal(read_csv(tmp_path / "f.csv", dom).values, f.values)
+
+    # VTK: x runs fastest, row r is cell i + n1 (j + n2 k)
+    write_vtk(tmp_path / "f.vtk", f)
+    text = (tmp_path / "f.vtk").read_text()
+    assert f"DIMENSIONS {n1} {n2} {n3}\n" in text
+    data = text.partition("LOOKUP_TABLE default\n")[2]
+    rows = np.array(data.split(), dtype=float).reshape(-1, 4)
+    assert np.array_equal(rows, code(r % n1, r // n1 % n2, r // (n1 * n2)))
+    assert np.array_equal(read_vtk(tmp_path / "f.vtk").values, f.values)
+
+    # faces: build_domain's order, one (axis, side) block after another,
+    # each in ij order over its two tangential axes; the first block is
+    # the x = 0 side, cells (0, j, k)
+    tr = trace_boundary(f)
+    write_boundary_csv(tmp_path / "h.csv", tr)
+    rows = np.loadtxt(tmp_path / "h.csv", delimiter=",", skiprows=1)
+    cell = dom.face_cell
+    assert np.array_equal(rows[:, 1:], code(*cell.T))
+    m = np.arange(n2 * n3)
+    assert np.array_equal(rows[:n2 * n3, 1:], code(0 * m, m // n3, m % n3))
+    assert np.array_equal(read_boundary_csv(tmp_path / "h.csv", dom).values,
+                          tr.values)

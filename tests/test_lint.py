@@ -226,3 +226,52 @@ def test_solve_path_names_no_continuum_operator(name):
     # the solvers, their brackets and the energy rows run on the lattice
     # pair (OperatorSet.TQT), the boundary-data branch included
     assert continuum_refs((SRC / name).read_text()) == []
+
+
+# the calls that move or copy a field array into another memory layout
+LAYOUT_CALLS = ("transpose", "moveaxis", "ascontiguousarray")
+
+
+def layout_calls(source: str) -> list[str]:
+    """The LAYOUT_CALLS a module makes, by attribute (a.transpose(...),
+    np.moveaxis(...)) or by bare name, outside QField's constructor, the
+    one place that makes field storage contiguous. A field is stored
+    components first, the layout every stencil and solve reads, so only
+    the file formats (io.py) turn it into rows."""
+    tree = ast.parse(source)
+    skip = {id(n) for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == "QField"
+            for f in c.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+            for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in skip:
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name in LAYOUT_CALLS:
+                found.append(name)
+    return sorted(found)
+
+
+def test_layout_calls_detected():
+    src = ("import numpy as np\n"
+           "from numpy import moveaxis\n"
+           "class QField:\n"
+           "    def __post_init__(self):\n"
+           "        self.values = np.ascontiguousarray(self.values)\n"
+           "    def copy(self):\n"
+           "        return np.ascontiguousarray(self.values.T)\n"
+           "def f(a):\n"
+           "    # a.transpose() in a comment, a.T and swapaxes are views\n"
+           "    b = a.T + a.swapaxes(0, 1)\n"
+           "    return a.transpose(3, 0, 1, 2), moveaxis(b, -1, 0)\n")
+    assert layout_calls(src) == ["ascontiguousarray", "moveaxis", "transpose"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "io.py"],
+                         ids=lambda p: p.name)
+def test_no_layout_calls(path):
+    assert layout_calls(path.read_text()) == []

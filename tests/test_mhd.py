@@ -12,14 +12,14 @@ from quatmhd.sampling import random_divfree, random_pure_bump
 
 
 def _pure_coord(dom, coord_axis, comp, scale=1.0):
-    vals = np.zeros(dom.shape + (4,))
-    vals[..., comp] = scale * dom.cell_centers()[..., coord_axis]
+    vals = np.zeros((4,) + dom.shape)
+    vals[comp] = scale * dom.cell_centers()[..., coord_axis]
     return QField(dom, vals)
 
 
 def _pure_const(dom, v):
-    vals = np.zeros(dom.shape + (4,))
-    vals[..., 1:] = v
+    vals = np.zeros((4,) + dom.shape)
+    vals[1:] = np.reshape(v, (3, 1, 1, 1))
     return QField(dom, vals)
 
 
@@ -48,29 +48,29 @@ def test_exponent_mode_tables():
 
 
 def test_state_purity_enforced(dom8):
-    vals = np.zeros(dom8.shape + (4,))
-    vals[..., 0] = 1.0
+    vals = np.zeros((4,) + dom8.shape)
+    vals[0] = 1.0
     with pytest.raises(ValueError):
         MHDState(QField(dom8, vals), QField.zeros(dom8), QField.zeros(dom8))
-    vals2 = np.zeros(dom8.shape + (4,))
-    vals2[..., 2] = 1.0
+    vals2 = np.zeros((4,) + dom8.shape)
+    vals2[2] = 1.0
     with pytest.raises(ValueError):
         MHDState(QField.zeros(dom8), QField.zeros(dom8), QField(dom8, vals2))
 
 
 def test_state_pressure_zero_mean(dom8):
-    vals = np.zeros(dom8.shape + (4,))
-    vals[..., 0] = 3.5
+    vals = np.zeros((4,) + dom8.shape)
+    vals[0] = 3.5
     st = MHDState(QField.zeros(dom8), QField.zeros(dom8), QField(dom8, vals))
-    assert abs(st.p.values[..., 0].mean()) <= 1e-14
+    assert abs(st.p.values[0].mean()) <= 1e-14
 
 
 def test_state_leaves_caller_pressure(dom8):
     # the zero-mean shift is applied to the state's own copy
     p = QField.zeros(dom8)
-    p.values[..., 0] = 1.0
+    p.values[0] = 1.0
     st = MHDState(QField.zeros(dom8), QField.zeros(dom8), p)
-    assert (p.values[..., 0] == 1.0).all()
+    assert (p.values[0] == 1.0).all()
     assert not st.p.values.any()
 
 
@@ -88,7 +88,7 @@ def test_convective_directional_derivative(dom8):
     a = _pure_const(dom8, (1.0, 0.0, 0.0))
     w = _pure_coord(dom8, 0, 2)  # x1 e2
     out = convective(a, w).values
-    assert np.allclose(out[_inner(dom8)], [0, 0, 1.0, 0], atol=1e-12)
+    assert np.allclose(out[:, _inner(dom8)].T, [0, 0, 1.0, 0], atol=1e-12)
 
 
 def test_convective_matches_componentwise_oracle(dom8):
@@ -98,16 +98,16 @@ def test_convective_matches_componentwise_oracle(dom8):
     h = dom8.h
     ref = np.zeros_like(out)
     for ax in range(3):
-        d = (np.roll(w.values, -1, axis=ax) - np.roll(w.values, 1, axis=ax)) \
-            / (2 * h)
-        ref += a.values[..., 1 + ax][..., None] * d
+        d = (np.roll(w.values, -1, axis=1 + ax)
+             - np.roll(w.values, 1, axis=1 + ax)) / (2 * h)
+        ref += a.values[1 + ax] * d
     inner = _inner(dom8)
-    assert np.abs(out[inner] - ref[inner]).max() <= 1e-12
+    assert np.abs(out[:, inner] - ref[:, inner]).max() <= 1e-12
 
 
 def test_convective_rejects_non_pure(dom8):
-    vals = np.zeros(dom8.shape + (4,))
-    vals[..., 0] = 1.0
+    vals = np.zeros((4,) + dom8.shape)
+    vals[0] = 1.0
     with pytest.raises(ValueError):
         convective(QField(dom8, vals), QField.zeros(dom8))
 
@@ -123,8 +123,8 @@ def test_lorentz_linear_field(dom8):
     out = lorentz(B, 1.0).values
     x2 = dom8.cell_centers()[..., 1]
     inner = _inner(dom8)
-    assert np.allclose(out[..., 2][inner], -x2[inner], atol=1e-12)
-    assert np.allclose(out[..., 0][inner], 0.0, atol=1e-12)
+    assert np.allclose(out[2][inner], -x2[inner], atol=1e-12)
+    assert np.allclose(out[0][inner], 0.0, atol=1e-12)
 
 
 def test_lorentz_matches_cross_product_form(dom8):
@@ -134,20 +134,20 @@ def test_lorentz_matches_cross_product_form(dom8):
     # oracle: classical (curl B) x B with the backward-difference curl and
     # the forward-difference divergence of the staggered D+
     h = dom8.h
-    f = [(np.roll(B.values[..., 1:], -1, axis=ax)
-          - B.values[..., 1:]) / h for ax in range(3)]
-    b = [(B.values[..., 1:]
-          - np.roll(B.values[..., 1:], 1, axis=ax)) / h for ax in range(3)]
-    curl = np.stack([b[1][..., 2] - b[2][..., 1],
-                     b[2][..., 0] - b[0][..., 2],
-                     b[0][..., 1] - b[1][..., 0]], axis=-1)
-    div = f[0][..., 0] + f[1][..., 1] + f[2][..., 2]
+    f = [(np.roll(B.values[1:], -1, axis=1 + ax)
+          - B.values[1:]) / h for ax in range(3)]
+    b = [(B.values[1:]
+          - np.roll(B.values[1:], 1, axis=1 + ax)) / h for ax in range(3)]
+    curl = np.stack([b[1][2] - b[2][1],
+                     b[2][0] - b[0][2],
+                     b[0][1] - b[1][0]])
+    div = f[0][0] + f[1][1] + f[2][2]
     # Vec((DB)B) = (curl B) x B - (div B) B; the div term vanishes only in
     # the continuum, so the discrete oracle keeps it
-    ref = (np.cross(curl, B.values[..., 1:])
-           - div[..., None] * B.values[..., 1:]) / mu0
+    ref = (np.cross(curl, B.values[1:], axis=0)
+           - div * B.values[1:]) / mu0
     inner = _inner(dom8, 2)
-    assert np.abs(out[..., 1:][inner] - ref[inner]).max() <= 1e-10
+    assert np.abs(out[1:][:, inner] - ref[:, inner]).max() <= 1e-10
     assert lorentz(B, mu0).is_pure()
 
 
@@ -180,8 +180,8 @@ def test_residual_strong_matches_classical_assembly(dom12):
     params = MHDParams(Re=2.0, Rm=3.0, mu0=1.5)
     u = random_pure_bump(dom12, seed=6)
     B = random_pure_bump(dom12, seed=7)
-    pv = np.zeros(dom12.shape + (4,))
-    pv[..., 0] = random_pure_bump(dom12, seed=8).values[..., 1]
+    pv = np.zeros((4,) + dom12.shape)
+    pv[0] = random_pure_bump(dom12, seed=8).values[1]
     st = MHDState(u, B, QField(dom12, pv))
     mom, ind, divu, divB = residual_strong(st, params, None)
     # oracle: assemble each residual from its classical vector-calculus terms
@@ -211,8 +211,8 @@ def test_residual_weak_pressure_orthogonality(dom12):
     # interior-supported potential (backward differences commute)
     A = zero_boundary(random_pure_bump(dom12, seed=11), width=3)
     v = curl_bwd(A)
-    pv = np.zeros(dom12.shape + (4,))
-    pv[..., 0] = random_pure_bump(dom12, seed=12).values[..., 1]
+    pv = np.zeros((4,) + dom12.shape)
+    pv[0] = random_pure_bump(dom12, seed=12).values[1]
     p = QField(dom12, pv)
     gap = abs(sc_inner(_dirac_scalar(p), v))
     assert gap <= 1e-8 * l2_norm(p) * l2_norm(v)
@@ -221,7 +221,7 @@ def test_residual_weak_pressure_orthogonality(dom12):
 def test_residual_weak_rejects_bad_tests(dom8):
     params = MHDParams(Re=1.0, Rm=1.0)
     bad = random_pure_bump(dom8, seed=13)
-    bad.values[0, 0, 0, 1] = 1.0  # nonzero on the collar
+    bad.values[1, 0, 0, 0] = 1.0  # nonzero on the collar
     good = zero_boundary(random_pure_bump(dom8, seed=14), width=1)
     with pytest.raises(ValueError):
         residual_weak(MHDState.zeros(dom8), params, bad, good)
@@ -245,8 +245,8 @@ def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
     # one TQT of c_u bracket - c_p Dp against TQT applied to each term
     from quatmhd.mhd import _dirac_scalar
     params = MHDParams(Re=1.7, Rm=0.6, mu0=1.3, exponent_mode=mode)
-    pv = np.zeros(dom8.shape + (4,))
-    pv[..., 0] = random_pure_bump(dom8, seed=25).values[..., 1]
+    pv = np.zeros((4,) + dom8.shape)
+    pv[0] = random_pure_bump(dom8, seed=25).values[1]
     st = MHDState(random_pure_bump(dom8, seed=23),
                   random_pure_bump(dom8, seed=24), QField(dom8, pv))
     bracket = (params.mu0 * lorentz(st.B, params.mu0)
@@ -274,11 +274,11 @@ def test_tqt_rhs_p_independent_recomputation(dom8, ops8, lattice_pair):
     bracket = lorentz(st.B, 1.0) - convective(st.u, st.u)
     got = tqt_rhs_p(momentum_bracket(st.u, lorentz(st.B, params.mu0),
                                      params), params, ops8)
-    assert not got.values[..., 1:].any()
+    assert not got.values[1:].any()
     ref = params.coeff_prhs() * ops8.bergman_Q(
-        lattice_pair(dom8).T_minus(bracket)).values[..., 0]
+        lattice_pair(dom8).T_minus(bracket)).values[0]
     scale = np.abs(ref).max()
-    assert np.abs(got.values[..., 0] - ref).max() <= 1e-12 * scale
+    assert np.abs(got.values[0] - ref).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +294,12 @@ def test_leray_fixes_divfree(dom12, ops12):
 
 def test_leray_kills_gradients(dom12, ops12):
     phi = zero_boundary(random_pure_bump(dom12, seed=19), width=2)
-    sv = np.zeros(dom12.shape + (4,))
-    sv[..., 0] = phi.values[..., 1]
+    sv = np.zeros((4,) + dom12.shape)
+    sv[0] = phi.values[1]
     from quatmhd.operators import grad_bwd
     g = grad_bwd(QField(dom12, sv))
     gv = np.zeros_like(g.values)
-    gv[..., 1:] = g.values[..., 1:]
+    gv[1:] = g.values[1:]
     gradf = QField(dom12, gv)
     out = leray_project(gradf, ops12)
     from quatmhd.mhd import _interior_norm
@@ -328,7 +328,7 @@ def test_harmonic_extension_matches_boundary(dom12, ops12):
     g = BoundaryData(dom12, np.tile([0.0, 1.0, -2.0, 0.5],
                                     (dom12.num_faces, 1)))
     H = harmonic_extension(g, ops12)
-    assert np.allclose(H.values, [0.0, 1.0, -2.0, 0.5], atol=1e-10)
+    assert np.allclose(H.values.T, [0.0, 1.0, -2.0, 0.5], atol=1e-10)
 
 
 def test_boundary_B_term_zero_data(dom8, ops8):

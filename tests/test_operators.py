@@ -19,8 +19,8 @@ from quatmhd.sampling import random_bump, random_smooth
 
 
 def _coord_field(dom, coord_axis, comp):
-    vals = np.zeros(dom.shape + (4,))
-    vals[..., comp] = dom.cell_centers()[..., coord_axis]
+    vals = np.zeros((4,) + dom.shape)
+    vals[comp] = dom.cell_centers()[..., coord_axis]
     return QField(dom, vals)
 
 
@@ -43,12 +43,12 @@ def _cauchy_dense(ops, g):
     dom = ops.domain
     x = dom.cell_centers().reshape(-1, 1, 3)
     d = x - dom.face_center[None]                       # (N, M, 3)
-    k = np.zeros(d.shape[:2] + (4,))
-    k[..., 1:] = d / ((d**2).sum(-1) ** 1.5)[..., None]
-    ng = qmul_arr(_pure(dom.face_normal), g.values)     # (M, 4)
-    out = qmul_arr(k, ng[None]).sum(axis=1)
+    k = np.zeros((4,) + d.shape[:2])
+    k[1:] = (d / ((d**2).sum(-1) ** 1.5)[..., None]).transpose(2, 0, 1)
+    ng = qmul_arr(_pure(dom.face_normal.T), g.values.T)  # (4, M)
+    out = qmul_arr(k, ng[:, None]).sum(axis=2)
     out *= ops.sigma_F / (4.0 * np.pi) * dom.face_area
-    return out.reshape(dom.shape + (4,))
+    return out.reshape((4,) + dom.shape)
 
 
 def _poisson_matrix_collar(dom):
@@ -131,11 +131,11 @@ def _diff_matrix(n, kind):
 
 
 def _apply_rows(m, v, axis):
-    """_diff_matrix m applied along `axis` of v between two zero ghost
-    layers, row by row: each output is the sum of its row's nonzero terms.
-    On integer data every term and sum is exact, so the result is the
-    stencil's bit for bit, signed zeros included."""
-    v = np.moveaxis(v, axis, 0)
+    """_diff_matrix m applied along `axis` of the last three axes of v
+    between two zero ghost layers, row by row: each output is the sum of
+    its row's nonzero terms. On integer data every term and sum is exact,
+    so the result is the stencil's bit for bit, signed zeros included."""
+    v = np.moveaxis(v, axis - 3, 0)
     zero = np.zeros((1,) + v.shape[1:])
     v = np.concatenate([zero, v, zero])
     out = np.empty((m.shape[0],) + v.shape[1:])
@@ -145,7 +145,7 @@ def _apply_rows(m, v, axis):
         for c in cols[1:]:
             acc = acc + row[c] * v[c]
         out[i] = acc
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(out, 0, axis - 3)
 
 
 def _integer_data(rng, shape):
@@ -156,8 +156,8 @@ def _integer_data(rng, shape):
 
 
 def _staggered_matrix(dom, fwd, bwd, adjoint):
-    """Sparse matrix of the staggered Dirac pair on cell-major flattened
-    fields, quaternion component innermost. D+ (adjoint False) takes the
+    """Sparse matrix of the staggered Dirac pair on flattened (4, n1, n2,
+    n3) fields, quaternion component outermost. D+ (adjoint False) takes the
     STAGGER difference of each input component and multiplies by e_j; D-
     multiplies by e_j first and takes the flipped difference of each
     output component."""
@@ -172,7 +172,7 @@ def _staggered_matrix(dom, fwd, bwd, adjoint):
             pick[c, c] = 1.0
             unit = pick @ LEFT_MUL[1 + j] if adjoint else LEFT_MUL[1 + j] @ pick
             out = out + sparse.kron(
-                sparse.kron(sparse.kron(mats[0], mats[1]), mats[2]), unit)
+                unit, sparse.kron(sparse.kron(mats[0], mats[1]), mats[2]))
     return sparse.csr_matrix(out)
 
 
@@ -180,10 +180,10 @@ def _ghost_zero_phi(dom):
     """D+ with ghost-zero differences on zero-collar fields, as a dense
     matrix whose columns are its values on the non-collar unit fields."""
     cols = []
-    for k in np.flatnonzero(np.repeat(~dom.collar_mask(1).ravel(), 4)):
+    for k in np.flatnonzero(np.tile(~dom.collar_mask(1).ravel(), 4)):
         e = np.zeros(4 * dom.num_cells)
         e[k] = 1.0
-        cols.append(_staggered(e.reshape(dom.shape + (4,)), dom.h,
+        cols.append(_staggered(e.reshape((4,) + dom.shape), dom.h,
                                ghost=True).ravel())
     return np.array(cols).T
 
@@ -197,7 +197,7 @@ def test_staggered_pair_matches_matrix(n):
     dom = _box(n).domain
     rng = np.random.default_rng(15)
     # nonzero on the collar, so the fallback and ghost rows are exercised
-    vals = rng.standard_normal(dom.shape + (4,))
+    vals = rng.standard_normal((4,) + dom.shape)
     u = QField(dom, vals)
     ghost = lambda flip: _staggered(vals, dom.h, flip, ghost=True).ravel()
     cases = [
@@ -221,7 +221,7 @@ def test_staggered_pair_matches_matrix(n):
     assert dirac_central(u).values.tobytes() == ref.tobytes()
     # the stencils themselves, bit for bit their dense 1-D matrices, on
     # integer data with -0.0 entries and h = 1/2, every row exact
-    v = _integer_data(rng, dom.shape + (4,))
+    v = _integer_data(rng, (4,) + dom.shape)
     for ax in range(3):
         for kind, backward, ghost0 in [("fwd", False, False),
                                        ("bwd", True, False),
@@ -256,13 +256,13 @@ def test_dirac_fwd_is_div_grad_curl(dom8):
     u = random_smooth(dom8, seed=6)
     du = dirac_fwd(u).values
     ref = _dirac_scalar(u).values + curl_bwd(u).values
-    ref[..., 0] = -div_fwd(u)
+    ref[0] = -div_fwd(u)
     assert np.abs(du - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dirac_constant_is_zero(dom8):
-    vals = np.zeros(dom8.shape + (4,))
-    vals[...] = (1.0, -2.0, 0.5, 3.0)
+    vals = np.zeros((4,) + dom8.shape)
+    vals[...] = np.reshape((1.0, -2.0, 0.5, 3.0), (4, 1, 1, 1))
     for op in (dirac_fwd, dirac_bwd, dirac_central):
         assert not op(QField(dom8, vals)).values.any()
 
@@ -271,29 +271,29 @@ def test_dirac_linear_divergence(dom8):
     # u = x1 e1: Du = -div u = -1 (scalar part), no curl
     du = dirac_fwd(_coord_field(dom8, 0, 1)).values
     inner = _interior(dom8)
-    assert np.allclose(du[inner], [-1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(du[:, inner].T, [-1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_dirac_linear_curl(dom8):
     # u = x2 e1: curl (x2, 0, 0) = (0, 0, -1)
     du = dirac_fwd(_coord_field(dom8, 1, 1)).values
     inner = _interior(dom8)
-    assert np.allclose(du[inner], [0.0, 0.0, 0.0, -1.0], atol=1e-12)
+    assert np.allclose(du[:, inner].T, [0.0, 0.0, 0.0, -1.0], atol=1e-12)
 
 
 def test_dirac_div_curl_split(dom8):
     u = random_smooth(dom8, seed=0)
     pure = u.values.copy()
-    pure[..., 0] = 0.0
+    pure[0] = 0.0
     u = QField(dom8, pure)
     du = dirac_fwd(u)
     # oracle: componentwise forward-difference div and curl
     h = dom8.h
-    d = [(np.roll(u.values[..., 1 + ax], -1, axis=ax)
-          - u.values[..., 1 + ax]) / h for ax in range(3)]
+    d = [(np.roll(u.values[1 + ax], -1, axis=ax)
+          - u.values[1 + ax]) / h for ax in range(3)]
     div = d[0] + d[1] + d[2]
     inner = _interior(dom8, 2)
-    assert np.allclose(du.values[..., 0][inner], -div[inner], atol=1e-10)
+    assert np.allclose(du.values[0][inner], -div[inner], atol=1e-10)
 
 
 @pytest.mark.parametrize("n, extent, axis", [
@@ -307,18 +307,18 @@ def test_face_stencils_refuse_two_cell_axis(n, extent, axis, op):
     # the one-sided face rows read three layers; a 2-cell axis has two
     dom = build_domain((0.0, 0.0, 0.0), extent, n)
     u = random_smooth(dom, seed=0)
-    u.values[..., 0] = 0.0
+    u.values[0] = 0.0
     with pytest.raises(ValueError, match=f"axis {axis} has 2"):
         op(u)
 
 
 def test_laplacian_quadratic(dom8):
     # scalar x1^2 has exact 7-point Laplacian 2 in the interior
-    vals = np.zeros(dom8.shape + (4,))
-    vals[..., 0] = dom8.cell_centers()[..., 0] ** 2
+    vals = np.zeros((4,) + dom8.shape)
+    vals[0] = dom8.cell_centers()[..., 0] ** 2
     lap = laplacian(QField(dom8, vals)).values
     inner = _interior(dom8)
-    assert np.allclose(lap[inner], [2.0, 0.0, 0.0, 0.0], atol=1e-10)
+    assert np.allclose(lap[:, inner].T, [2.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_laplacian_matches_stencil(dom8):
@@ -326,17 +326,17 @@ def test_laplacian_matches_stencil(dom8):
     lap = laplacian(u).values
     v = u.values
     h2 = dom8.h ** 2
-    stencil = (np.roll(v, 1, 0) + np.roll(v, -1, 0)
-               + np.roll(v, 1, 1) + np.roll(v, -1, 1)
-               + np.roll(v, 1, 2) + np.roll(v, -1, 2) - 6 * v) / h2
+    stencil = (np.roll(v, 1, 1) + np.roll(v, -1, 1)
+               + np.roll(v, 1, 2) + np.roll(v, -1, 2)
+               + np.roll(v, 1, 3) + np.roll(v, -1, 3) - 6 * v) / h2
     inner = _interior(dom8)
-    scale = np.abs(stencil[inner]).max()
-    assert np.abs(lap[inner] - stencil[inner]).max() <= 1e-12 * scale
+    scale = np.abs(stencil[:, inner]).max()
+    assert np.abs(lap[:, inner] - stencil[:, inner]).max() <= 1e-12 * scale
     # with the face rows, bit for bit the dense 1-D second differences, on
     # integer data with -0.0 entries, h = 1/2 and an axis of 3 cells
     rng = np.random.default_rng(16)
     for n in BOXES[:3]:
-        v = _integer_data(rng, n + (4,))
+        v = _integer_data(rng, (4,) + n)
         ref = np.zeros_like(v)
         for ax in range(3):
             ref += _apply_rows(_diff_matrix(n[ax], "second"), v, ax) / 0.25
@@ -364,10 +364,10 @@ def test_teodorescu_odd_kernel_center():
     from quatmhd.grid import build_domain
     dom = build_domain((0, 0, 0), (1, 1, 1), 9)
     ops = OperatorSet(dom)
-    vals = np.zeros(dom.shape + (4,))
-    vals[..., 0] = 1.0
+    vals = np.zeros((4,) + dom.shape)
+    vals[0] = 1.0
     out = ops.teodorescu(QField(dom, vals))
-    assert np.allclose(out.values[4, 4, 4], 0.0, atol=1e-13)
+    assert np.allclose(out.values[:, 4, 4, 4], 0.0, atol=1e-13)
 
 
 def test_dirac_teodorescu_right_inverse(ops16):
@@ -378,7 +378,7 @@ def test_dirac_teodorescu_right_inverse(ops16):
     lo = np.asarray(dom.origin)
     hi = lo + np.asarray(dom.n) * dom.h
     far = np.minimum(centers - lo, hi - centers).min(axis=-1) >= 3 * dom.h
-    assert np.abs(err.values[far]).max() <= 0.05 * np.abs(f.values).max()
+    assert np.abs(err.values[:, far]).max() <= 0.05 * np.abs(f.values).max()
 
 
 @pytest.mark.parametrize("n", BOXES)
@@ -386,16 +386,16 @@ def test_teodorescu_matches_cropped_irfftn(n):
     # the pruned inverse FFT gives bit for bit the full irfftn, cropped,
     # on a full quaternion input and on a pure one
     ops = _box(n)
-    full = np.random.default_rng(5).standard_normal(ops.domain.shape + (4,))
+    full = np.random.default_rng(5).standard_normal((4,) + ops.domain.shape)
     pure = full.copy()
-    pure[..., 0] = 0.0
+    pure[0] = 0.0
     pad = tuple(2 * m for m in n)
     for vals in (full, pure):
-        fh = [np.fft.rfftn(vals[..., c], s=pad, axes=(0, 1, 2))
+        fh = [np.fft.rfftn(vals[c], s=pad, axes=(0, 1, 2))
               for c in range(4)]
         ref = np.stack(
             [np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n[0], :n[1], :n[2]]
-             for c in _pure_left_mul(ops._kernel_fft(), fh)], axis=-1)
+             for c in _pure_left_mul(ops._kernel_fft(), fh)])
         assert np.array_equal(ops.teodorescu(QField(ops.domain, vals)).values,
                               ref)
 
@@ -424,12 +424,12 @@ def test_cauchy_zero(ops8):
 
 def test_cauchy_reproduces_constants(ops16):
     dom = ops16.domain
-    vals = np.zeros(dom.shape + (4,))
+    vals = np.zeros((4,) + dom.shape)
     c = (1.0, 0.5, -0.25, 2.0)
-    vals[...] = c
+    vals[...] = np.reshape(c, (4, 1, 1, 1))
     out = ops16.cauchy(trace_boundary(QField(dom, vals)))
     mid = tuple(n // 2 for n in dom.n)
-    assert np.allclose(out.values[mid], c, rtol=0.02)
+    assert np.allclose(out.values[(slice(None),) + mid], c, rtol=0.02)
 
 
 @pytest.mark.parametrize("n", BOXES)
@@ -479,10 +479,10 @@ def test_poisson_scalar_matches_sparse_lu(n):
 def test_poisson_faces_matches_sparse_lu(n):
     ops = _box(n)
     dom = ops.domain
-    rhs = np.random.default_rng(14).standard_normal(dom.num_cells)
-    ref = splu(sparse.csc_matrix(_poisson_matrix_faces(dom))).solve(rhs)
+    rhs = np.random.default_rng(14).standard_normal(dom.shape)
+    ref = splu(sparse.csc_matrix(_poisson_matrix_faces(dom))).solve(rhs.ravel())
     got = ops.poisson_faces(rhs)
-    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("m", range(1, 18))
@@ -504,8 +504,8 @@ def test_poisson_dirichlet_is_componentwise(ops12):
     rhs = random_smooth(ops12.domain, seed=16, kmax=3)
     got = ops12.poisson_dirichlet(rhs).values
     for c in range(4):
-        ref = ops12.poisson_scalar(rhs.values[..., c])
-        assert np.abs(got[..., c] - ref).max() <= 1e-15 * np.abs(ref).max()
+        ref = ops12.poisson_scalar(rhs.values[c])
+        assert np.abs(got[c] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_poisson_eigenfunction(ops16):
@@ -520,11 +520,11 @@ def test_poisson_eigenfunction(ops16):
     eig = np.zeros(dom.shape)
     eig[1:-1, 1:-1, 1:-1] = s[:, None, None] * s[None, :, None] * s[None, None, :]
     lam = 3 * (4 / h**2) * math.sin(np.pi / (2 * (m + 1))) ** 2
-    rhs = np.zeros(dom.shape + (4,))
-    rhs[..., 0] = eig
+    rhs = np.zeros((4,) + dom.shape)
+    rhs[0] = eig
     w = ops16.poisson_dirichlet(QField(dom, rhs))
-    assert np.allclose(w.values[..., 0], eig / lam, atol=1e-10)
-    assert not w.values[..., 1:].any()
+    assert np.allclose(w.values[0], eig / lam, atol=1e-10)
+    assert not w.values[1:].any()
 
 
 def test_poisson_residual(ops12):
@@ -533,11 +533,11 @@ def test_poisson_residual(ops12):
     w = ops12.poisson_dirichlet(rhs)
     res = laplacian(w) + rhs
     inner = _interior(dom)
-    num = np.sqrt((res.values[inner] ** 2).sum())
-    den = np.sqrt((rhs.values[inner] ** 2).sum())
+    num = np.sqrt((res.values[:, inner] ** 2).sum())
+    den = np.sqrt((rhs.values[:, inner] ** 2).sum())
     assert num <= 1e-10 * den
     # the collar of the solution is exactly zero (discrete H^1_0)
-    assert not w.values[dom.collar_mask(1)].any()
+    assert not w.values[:, dom.collar_mask(1)].any()
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +562,9 @@ def test_q_matches_real_gram_oracle():
         dom = ops.domain
         phi = _ghost_zero_phi(dom)
         gram = phi.T @ phi
-        full = rng.standard_normal(dom.shape + (4,))
-        scalar = np.zeros(dom.shape + (4,))
-        scalar[..., 0] = rng.standard_normal(dom.shape)  # pressure_recover input
+        full = rng.standard_normal((4,) + dom.shape)
+        scalar = np.zeros((4,) + dom.shape)
+        scalar[0] = rng.standard_normal(dom.shape)  # pressure_recover input
         for vals in (full, scalar):
             ref = (phi @ np.linalg.solve(gram, phi.T @ vals.ravel())
                    ).reshape(vals.shape)
@@ -583,9 +583,9 @@ def test_pressure_S_matches_bergman_Q(n):
     signed = np.where(p > 0.5, -0.0, np.where(p < -0.5, 0.0, p))
     signed[:, 1] = -0.0
     for q in (p, signed):
-        f = np.zeros(ops.domain.shape + (4,))
-        f[..., 0] = q
-        ref = ops.bergman_Q(QField(ops.domain, f)).values[..., 0]
+        f = np.zeros((4,) + ops.domain.shape)
+        f[0] = q
+        ref = ops.bergman_Q(QField(ops.domain, f)).values[0]
         got = ops.pressure_S(q)
         assert got.tobytes() == ref.tobytes()
         assert got.any() == (min(n) > 2)  # (2, 6, 6) has no non-collar cell
@@ -603,8 +603,8 @@ def test_p_nearly_fixes_constants(ops8, ops12, ops16):
     # non-collar cell, so the discrete pair does too, to rounding
     for ops in (ops8, ops12, ops16):
         dom = ops.domain
-        vals = np.zeros(dom.shape + (4,))
-        vals[...] = (0.3, -1.2, 0.7, 0.1)
+        vals = np.zeros((4,) + dom.shape)
+        vals[...] = np.reshape((0.3, -1.2, 0.7, 0.1), (4, 1, 1, 1))
         c = QField(dom, vals)
         assert l2_norm(ops.bergman_Q(c)) <= 1e-14 * l2_norm(c)
         assert l2_norm(ops.bergman_P(c) - c) <= 1e-14 * l2_norm(c)
@@ -640,7 +640,8 @@ def test_lambda_min_is_top_of_face_solve(n):
     # eigenvalue of the assembled face solve, which checks that solve
     ops = _box((n,) * 3 if isinstance(n, int) else n)
     size = ops.domain.num_cells
-    M = np.array([ops.poisson_faces(e) for e in np.eye(size)]).T
+    M = np.array([ops.poisson_faces(e.reshape(ops.domain.shape)).ravel()
+                  for e in np.eye(size)]).T
     assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
     top = np.linalg.eigvalsh(M)[-1]
     assert abs(1.0 / ops.lambda_min() - top) <= 1e-12 * top
@@ -681,7 +682,7 @@ def test_op_norm_matches_dense_eigenvalue():
     dom = build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 6)
     ops = OperatorSet(dom)
     size = dom.num_cells * 4
-    cols = [ops.TQT(QField(dom, e.reshape(dom.shape + (4,)))).values.ravel()
+    cols = [ops.TQT(QField(dom, e.reshape((4,) + dom.shape))).values.ravel()
             for e in np.eye(size)]
     A = np.array(cols).T
     assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
@@ -751,6 +752,6 @@ def test_div_fwd_of_gradient_consistent(ops8):
     phi = zero_boundary(random_bump(dom, seed=5), width=2)
     g = dirac_fwd(phi)
     pv = np.zeros_like(g.values)
-    pv[..., 1:] = g.values[..., 1:]
+    pv[1:] = g.values[1:]
     div = div_fwd(QField(dom, pv))
     assert div.shape == dom.shape

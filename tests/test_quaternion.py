@@ -98,20 +98,20 @@ def test_multiplicativity_of_norm():
 
 def test_qmul_arr_broadcasts():
     rng = np.random.default_rng(6)
-    a = rng.standard_normal((3, 5, 4))
-    b = rng.standard_normal((3, 5, 4))
+    a = rng.standard_normal((4, 3, 5))
+    b = rng.standard_normal((4, 3, 5))
     out = qmul_arr(a, b)
     for i in range(3):
         for j in range(5):
-            ref = qmul(Quaternion(*a[i, j]), Quaternion(*b[i, j]))
-            assert np.allclose(out[i, j], ref.as_array(), atol=1e-14)
+            ref = qmul(Quaternion(*a[:, i, j]), Quaternion(*b[:, i, j]))
+            assert np.allclose(out[:, i, j], ref.as_array(), atol=1e-14)
 
 
 def test_left_mul_matrices_match_qmul():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((10, 4))
     for k in range(4):
-        assert np.array_equal(x @ LEFT_MUL[k].T, qmul_arr(np.eye(4)[k], x))
+        assert np.array_equal(x @ LEFT_MUL[k].T, qmul_arr(np.eye(4)[k], x.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +151,9 @@ def test_chi_of_units():
 def test_chi_homomorphism_and_adjoint():
     rng = np.random.default_rng(9)
     p, q = rng.standard_normal((2, 10, 4))
-    assert np.allclose(_chi(qmul_arr(p, q)), _chi(p) @ _chi(q),
+    assert np.allclose(_chi(qmul_arr(p.T, q.T).T), _chi(p) @ _chi(q),
                        rtol=0, atol=1e-14)
-    assert np.array_equal(_chi(conj_arr(q)),
+    assert np.array_equal(_chi(conj_arr(q.T).T),
                           np.conj(np.swapaxes(_chi(q), -1, -2)))
 
 
@@ -162,7 +162,7 @@ def test_chi_acts_as_left_multiplication():
     q, x = rng.standard_normal((2, 10, 4))
     by_chi = _from_cpair(np.einsum("...ij,...j->...i", _chi(q),
                                    _to_cpair(x)))
-    assert np.allclose(by_chi, qmul_arr(q, x), rtol=0, atol=1e-14)
+    assert np.allclose(by_chi, qmul_arr(q.T, x.T).T, rtol=0, atol=1e-14)
     for k in range(4):
         unit = _from_cpair(np.einsum("ij,...j->...i", _chi(np.eye(4)[k]),
                                      _to_cpair(x)))

@@ -157,9 +157,9 @@ def test_pressure_recover_rejects_vector_rhs(dom12, ops12):
 
 def test_pressure_recover_manufactured(dom12, ops12):
     def S(parr):
-        f = np.zeros(dom12.shape + (4,))
-        f[..., 0] = parr
-        return ops12.bergman_Q(QField(dom12, f)).values[..., 0]
+        f = np.zeros((4,) + dom12.shape)
+        f[0] = parr
+        return ops12.bergman_Q(QField(dom12, f)).values[0]
 
     rng = np.random.default_rng(3)
     # manufacture p0 inside range(S): S is symmetric positive semidefinite,
@@ -167,12 +167,12 @@ def test_pressure_recover_manufactured(dom12, ops12):
     # lie in that kernel, so every S(x) is already zero-mean
     p0 = S(rng.standard_normal(dom12.shape))
     assert abs(p0.mean()) <= 1e-12 * np.linalg.norm(p0)
-    rhs = np.zeros(dom12.shape + (4,))
-    rhs[..., 0] = S(p0)
+    rhs = np.zeros((4,) + dom12.shape)
+    rhs[0] = S(p0)
     p = pressure_recover(QField(dom12, rhs), ops12)
-    err = np.linalg.norm(p.values[..., 0] - p0) / np.linalg.norm(p0)
+    err = np.linalg.norm(p.values[0] - p0) / np.linalg.norm(p0)
     assert err <= 1e-6
-    assert abs(p.values[..., 0].mean()) <= 1e-12
+    assert abs(p.values[0].mean()) <= 1e-12
 
 
 def _pressure_operator(n):
@@ -181,9 +181,9 @@ def _pressure_operator(n):
     ops = OperatorSet(dom)
 
     def S(parr):
-        f = np.zeros(dom.shape + (4,))
-        f[..., 0] = parr.reshape(dom.shape)
-        return ops.bergman_Q(QField(dom, f)).values[..., 0].ravel()
+        f = np.zeros((4,) + dom.shape)
+        f[0] = parr.reshape(dom.shape)
+        return ops.bergman_Q(QField(dom, f)).values[0].ravel()
     return dom, S
 
 
@@ -223,16 +223,16 @@ def test_minres_matches_scipy_least_squares(n):
 def test_pressure_recover_rejects_rhs_outside_range(dom8, ops8):
     # a random scalar field has a component in the kernel of S: no p
     # solves Sc(Q p) = rhs, and the normal-residual gate says so
-    rhs = np.zeros(dom8.shape + (4,))
-    rhs[..., 0] = np.random.default_rng(20).standard_normal(dom8.shape)
+    rhs = np.zeros((4,) + dom8.shape)
+    rhs[0] = np.random.default_rng(20).standard_normal(dom8.shape)
     with pytest.raises(RuntimeError, match="normal-equation residual"):
         pressure_recover(QField(dom8, rhs), ops8, maxit=200)
 
 
 def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
     # every S apply goes through pressure_S, not the 4-component Q
-    rhs = np.zeros(dom8.shape + (4,))
-    rhs[..., 0] = ops8.bergman_Q(random_pure_bump(dom8, seed=6)).values[..., 0]
+    rhs = np.zeros((4,) + dom8.shape)
+    rhs[0] = ops8.bergman_Q(random_pure_bump(dom8, seed=6)).values[0]
     ref = pressure_recover(QField(dom8, rhs), ops8)
 
     def no_full_Q(self, f):
@@ -245,8 +245,8 @@ def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
 
 
 def test_pressure_recover_names_the_iteration_cap(dom12, ops12):
-    rhs = np.zeros(dom12.shape + (4,))
-    rhs[..., 0] = ops12.bergman_Q(random_pure_bump(dom12, seed=4)).values[..., 0]
+    rhs = np.zeros((4,) + dom12.shape)
+    rhs[0] = ops12.bergman_Q(random_pure_bump(dom12, seed=4)).values[0]
     with pytest.raises(RuntimeError, match=r"after 1 MINRES iterations, "
                                            r"the cap maxit=1"):
         pressure_recover(QField(dom12, rhs), ops12, maxit=1)
@@ -261,9 +261,9 @@ def test_neumann_zero_linearization(dom12, ops12):
     cfg = SolverConfig(method="schauder_neumann")
     zero = MHDState.zeros(dom12)
     B = random_pure_bump(dom12, seed=1)
-    pv = np.zeros(dom12.shape + (4,))
-    pv[..., 0] = random_pure_bump(dom12, seed=2).values[..., 1]
-    pv[..., 0] -= pv[..., 0].mean()
+    pv = np.zeros((4,) + dom12.shape)
+    pv[0] = random_pure_bump(dom12, seed=2).values[1]
+    pv[0] -= pv[..., 0].mean()
     p = QField(dom12, pv)
     u, q1, terms = neumann_apply_u(zero.u, lorentz(B, params.mu0), p, params,
                                    ops12, cfg, convection_norm(zero.u, ops12))
@@ -279,9 +279,9 @@ def test_neumann_residual(dom12, ops12):
     cfg = SolverConfig(method="schauder_neumann")
     ut = 0.1 * random_pure_bump(dom12, seed=3)
     st = MHDState(ut, random_pure_bump(dom12, seed=4), QField.zeros(dom12))
-    pv = np.zeros(dom12.shape + (4,))
-    pv[..., 0] = random_pure_bump(dom12, seed=5).values[..., 1]
-    pv[..., 0] -= pv[..., 0].mean()
+    pv = np.zeros((4,) + dom12.shape)
+    pv[0] = random_pure_bump(dom12, seed=5).values[1]
+    pv[0] -= pv[..., 0].mean()
     p = QField(dom12, pv)
     norm = convection_norm(ut, ops12)
     u, q1, _ = neumann_apply_u(ut, lorentz(st.B, params.mu0), p, params,
@@ -331,7 +331,7 @@ def _dense_convection_map(ut, ops):
     dom = ops.domain
     eye = np.eye(4 * math.prod(dom.shape))
     return np.stack([ops.TQT(convective(ut, QField(dom, e.reshape(
-        dom.shape + (4,))))).values.ravel() for e in eye], axis=1)
+        (4,) + dom.shape)))).values.ravel() for e in eye], axis=1)
 
 
 @pytest.mark.parametrize("n, extent", [(6, (1.0, 1.0, 1.0)),
@@ -627,7 +627,7 @@ def test_exact_harmonic_solution(n, method):
                        boundary_h=h)
     state, report = SOLVE[method](params, ops,
                                   SolverConfig(method=method, tol=1e-12))
-    ref = QField(dom, _xyz_field(dom.cell_centers(), eps))
+    ref = QField(dom, np.moveaxis(_xyz_field(dom.cell_centers(), eps), -1, 0))
     assert report.converged
     assert l2_norm(state.B - ref) <= 1e-12 * l2_norm(ref)
     assert l2_norm(state.u) <= 1e-12 * l2_norm(ref)
