@@ -74,10 +74,13 @@ def _parse_vtk(lines: list[str]) -> QField:
         t = ln.split()
         if not t:
             continue
+        if t[0] in ("DIMENSIONS", "ORIGIN") and len(t) != 4:
+            raise ValueError(f"{ln.strip()} does not hold exactly three "
+                             "values")
         if t[0] == "DIMENSIONS":
-            dims = tuple(int(v) for v in t[1:4])
+            dims = tuple(int(v) for v in t[1:])
         elif t[0] == "ORIGIN":
-            org = np.array([float(v) for v in t[1:4]])
+            org = np.array([float(v) for v in t[1:]])
         elif t[0] == "SPACING":
             spc = [float(v) for v in t[1:]]
         elif t[0] == "LOOKUP_TABLE":

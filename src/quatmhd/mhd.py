@@ -243,17 +243,28 @@ def tqt_rhs_u(bracket: QField, p: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
     """Right-hand side of the velocity row of the integral form:
     c_u TQT bracket - c_p TQT D p, bracket = Vec((DB)B) - Sc(uD)u
-    (momentum_bracket). TQT is linear, so it is applied once, to
-    c_u bracket - c_p D p."""
-    return ops.TQT(params.coeff_u() * bracket
-                   - params.coeff_p() * _dirac_scalar(p))
+    (momentum_bracket). TQT is linear, so it is applied once, to the pure
+    field c_u bracket - c_p D p (_tqt_pure)."""
+    return _tqt_pure(params.coeff_u() * bracket
+                     - params.coeff_p() * _dirac_scalar(p), ops)
 
 
 def tqt_rhs_B(u: QField, B: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
-    """Right-hand side of the magnetic row: c_B TQT[Sc(BD)u - Sc(uD)B]."""
+    """Right-hand side of the magnetic row: c_B TQT[Sc(BD)u - Sc(uD)B],
+    the bracket pure for pure u and B (_tqt_pure)."""
     bracket = convective(B, u) - convective(u, B)
-    return params.coeff_B() * ops.TQT(bracket)
+    return params.coeff_B() * _tqt_pure(bracket, ops)
+
+
+def _tqt_pure(f: QField, ops: OperatorSet) -> QField:
+    """TQT f for a pure f. TQT solves each component alone, so only the
+    three vector components are solved, in one batch, as the Neumann
+    series do; the scalar part stays zero."""
+    _require_pure(f, "TQT right side")
+    out = np.zeros(f.values.shape)
+    out[1:] = ops._collar_solve(f.values[1:])
+    return QField(f.domain, out)
 
 
 def tqt_rhs_p(bracket: QField, params: MHDParams,
@@ -261,8 +272,9 @@ def tqt_rhs_p(bracket: QField, params: MHDParams,
     """Scalar right-hand side of the pressure equation, c Sc(QT bracket)
     with bracket = Vec((DB)B) - Sc(uD)u. Q T = D+_gz L^-1 for the lattice
     pair of OperatorSet.TQT, so this is c Sc(D+_gz L^-1 bracket): the
-    ghost-zero -div+ of three collar solves, the second half of
-    OperatorSet.pressure_S."""
+    ghost-zero -div+ of three collar solves, which
+    OperatorSet._sc_dirac_solve applies as the sine transform of the
+    bracket's non-collar block and the second pass of pressure_S."""
     out = np.zeros_like(bracket.values)
     out[0] = params.coeff_prhs() * ops._sc_dirac_solve(bracket.values[1:])
     return QField(bracket.domain, out)

@@ -21,7 +21,8 @@ which a forward difference on every component does not.
 Every one-sided difference is grid._diff, forward or backward. The face
 layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
 grad_bwd, div_fwd and curl_bwd, and differences a zero ghost value in
-bergman_Q and pressure_S. The centered difference (_dcen), its transpose
+bergman_Q; pressure_S holds its ghost-zero differences inside per-axis
+matrices (_grad_factors). The centered difference (_dcen), its transpose
 (_dcen_T) and the second difference of the Laplacian are slice stencils of
 their own. Every stencil acts on the last three axes of its array, leading
 axes (the four quaternion components, or a batch of them) batched.
@@ -40,8 +41,11 @@ kernel per domain)
         component, so Q = D+ L^-1 D- is two stencils around four DST-I
         Poisson solves
     pressure_S       : the pressure operator p -> Sc(Q(p e0)) on scalar
-        arrays, applied as the gradient grad- p, three DST-I solves and the
-        divergence -div+ of their result, bit for bit Q's scalar part
+        arrays, sum_j A_j^T Lambda^-1 A_j with A_j the DST-I transform of
+        the backward difference along axis j on the non-collar block:
+        two passes of per-axis matrix products around one divide by the
+        DST-I symbol, Q's scalar part to rounding (bergman_Q is its test
+        oracle)
     poisson_dirichlet : cell-centered Poisson solve with a zero boundary
         collar, in the DST-I sine basis of the non-collar block
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
@@ -248,6 +252,9 @@ class OperatorSet:
         n, h = np.asarray(domain.n), domain.h
         self._collar_bases = [_dst1(m) for m in n - 2]
         self._collar_symbol = _dirichlet_symbol(h, n - 2, n - 1)
+        # the per-axis factors of the pressure operator (_grad_factors)
+        self._grad_factors = [_grad_factors(B, a, h)
+                              for a, B in enumerate(self._collar_bases)]
         self._face_bases = [_dst2(m) for m in n]
         self._face_symbol = _dirichlet_symbol(h, n, n)
 
@@ -378,26 +385,30 @@ class OperatorSet:
         _BACKWARD[j, 0] and _BACKWARD[j, j + 1] are False. So the
         ghost-zero D- of p e0 is the pure field (0, grad- p), backward
         differences, and row 0 of the ghost-zero D+ of a field w is
-        -div+ of its vector part. Between them, three Poisson solves in
-        one batch. The sums run in _staggered's order, so the result
-        equals bergman_Q(p e0).values[0] bit for bit."""
-        h = self.domain.h
-        g = np.empty((3,) + self.domain.shape)
-        for j in range(3):
-            _diff(p, j, h, backward=True, ghost=True, out=g[j])
-        return self._sc_dirac_solve(g)
+        -div+ of its vector part: S = -sum_j d+_j L^-1 d-_j. The collar
+        solve is L^-1 = R^T Phi Lambda^-1 Phi R (R the restriction to the
+        non-collar cells, Phi the symmetric DST-I of _collar_bases) and
+        the ghost-zero -d+_j is the transpose of d-_j, so
+        S = sum_j A_j^T Lambda^-1 A_j with A_j = Phi R d-_j. A_j is a
+        product of per-axis factors (_grad_factors), so an apply is two
+        passes of three matrix products (_chain, _chain_T) around one
+        divide by the symbol. It equals bergman_Q(p e0).values[0] to
+        rounding."""
+        y = _chain(p, self._grad_factors)
+        y /= self._collar_symbol
+        return _chain_T(y, self._grad_factors)
 
     def _sc_dirac_solve(self, g: np.ndarray) -> np.ndarray:
         """Sc(D+_gz L^-1 v) for a field v with vector components g, shape
         (3,) + the domain's; row 0 of D+ reads no scalar part. That is the
-        ghost-zero -div+ of the three collar solves of g, one batch."""
-        h = self.domain.h
-        w = self._collar_solve(g)
-        out = np.zeros(self.domain.shape)
-        scratch = np.empty(self.domain.shape)
-        for j in range(3):
-            out -= _diff(w[j], j, h, ghost=True, out=scratch)
-        return out
+        ghost-zero -div+ of the three collar solves of g: sum_j A_j^T
+        Lambda^-1 Phi R g_j in the notation of pressure_S, the sine
+        transform of the non-collar block of g followed by pressure_S's
+        second pass."""
+        y = g[:, 1:-1, 1:-1, 1:-1]
+        if y.size:  # an axis of two cells leaves no non-collar cell
+            y = _along_axes(y, self._collar_bases)
+        return _chain_T(y / self._collar_symbol, self._grad_factors)
 
     def bergman_P(self, f: QField) -> QField:
         """Complementary (Bergman) projection P = I - Q; its range contains
@@ -459,19 +470,24 @@ def _lanczos(apply_A, v):
         v_prev, v, beta = v, w, beta_next
 
 
-def _top_eigenvalue(a, b) -> float:
+def _top_eigenvalue(a, b, lo: float = -np.inf, rtol: float = 0.0) -> float:
     """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
     a and off-diagonal b, by bisection between Gershgorin bounds: the
     Sturm sequence d_i = a_i - x - b_{i-1}^2 / d_{i-1} has as many
-    negative terms as the matrix has eigenvalues below x. Plain floats, so
-    no LAPACK call, whose first use costs about 0.5 MiB of workspace."""
+    negative terms as the matrix has eigenvalues below x. A given `lo`, a
+    value known not to exceed the eigenvalue (such as the largest Ritz
+    value of a leading block, which interlacing puts below), raises the
+    lower bound. The bisection stops once the bracket is no wider than
+    rtol times its larger end, or at adjacent floats (rtol = 0), and
+    returns its upper end. Plain floats, so no LAPACK call, whose first
+    use costs about 0.5 MiB of workspace."""
     r = [abs(x) for x in b] + [0.0]
-    lo = min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    lo = max(lo, min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r)))
     hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
-    while True:
+    while hi - lo > rtol * max(abs(lo), abs(hi)):
         x = 0.5 * (lo + hi)
         if not lo < x < hi:
-            return hi
+            break
         below, d = 0, 1.0
         for i, ai in enumerate(a):
             d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
@@ -481,6 +497,7 @@ def _top_eigenvalue(a, b) -> float:
             hi = x
         else:
             lo = x
+    return hi
 
 
 def _pure(vec: np.ndarray) -> np.ndarray:
@@ -558,6 +575,43 @@ def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     x = np.matmul(mats[0], x.reshape(-1, m0, m1 * m2))
     x = np.matmul(mats[1], x.reshape(-1, m1, m2))
     return (x.reshape(-1, m2) @ mats[2].T).reshape(shape)
+
+
+def _grad_factors(B: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The factors along `axis` of the pressure operator's A_j = Phi R d-_j
+    (OperatorSet.pressure_S), as a (3, m, m + 2) stack for the m x m DST-I
+    matrix B of that axis: row j is B times the ghost-zero backward
+    difference restricted to cells 1..m when j == axis, and B times that
+    restriction otherwise. Rows 1..m of the difference read no ghost
+    value."""
+    m = len(B)
+    R = np.eye(m, m + 2, k=1)
+    out = np.empty((3, m, m + 2))
+    out[:] = B @ R
+    out[axis] = B @ ((R - np.eye(m, m + 2)) / h)
+    return out
+
+
+def _chain(x: np.ndarray, mats) -> np.ndarray:
+    """The stack of A_j x, j = 0, 1, 2, for a scalar array x of shape
+    (n0, n1, n2): mats[a][j], of shape (m_a, n_a), applied along axis a.
+    Returns shape (3, m0, m1, m2); the j = 0..2 products of the first axis
+    are one GEMM."""
+    (m0, n0), (m1, n1), (m2, n2) = (c.shape[1:] for c in mats)
+    y = mats[0].reshape(3 * m0, n0) @ x.reshape(n0, n1 * n2)
+    y = mats[1][:, None] @ y.reshape(3, m0, n1, n2)
+    y = y.reshape(3, m0 * m1, n2) @ mats[2].swapaxes(1, 2)
+    return y.reshape(3, m0, m1, m2)
+
+
+def _chain_T(y: np.ndarray, mats) -> np.ndarray:
+    """sum_j A_j^T y[j], the transpose of _chain: the sum over j is the
+    inner dimension of the last GEMM."""
+    (m0, n0), (m1, n1), (m2, n2) = (c.shape[1:] for c in mats)
+    x = y.reshape(3, m0 * m1, m2) @ mats[2]
+    x = mats[1].swapaxes(1, 2)[:, None] @ x.reshape(3, m0, m1, n2)
+    x = mats[0].reshape(3 * m0, n0).T @ x.reshape(3 * m0, n1 * n2)
+    return x.reshape(n0, n1, n2)
 
 
 def _sine_solve(rhs: np.ndarray, bases, symbol: np.ndarray) -> np.ndarray:

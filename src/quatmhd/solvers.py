@@ -75,11 +75,13 @@ __all__ = [
 
 # stop rules: the relative MINRES residual of pressure_recover, and the
 # relative-change stop, step cap and start seed of the Lanczos estimate in
-# convection_norm.
+# convection_norm, and the relative width at which its Ritz value
+# bisection stops.
 _MINRES_TOL = 1e-12
 _NORM_TOL = 1e-6
 _NORM_MAXIT = 100
 _NORM_SEED = 0
+_RITZ_TOL = 1e-13
 
 
 class ConditionViolation(RuntimeError):
@@ -317,8 +319,8 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
 
     S: p -> Sc(Q(p)) is symmetric positive semidefinite with a nontrivial
     kernel (scalar fields whose embedding is Bergman-monogenic, the
-    constants among them). Each apply is ops.pressure_S: a gradient, three
-    Poisson solves and a divergence, not a full 4-component Q. The
+    constants among them). Each apply is ops.pressure_S: two passes of
+    per-axis DST-I matrix products, not a full 4-component Q. The
     solvers' right-hand sides, scalar parts of Q applies, lie in range(S):
     <p, Sc(Q f)> = <Q p, f> = 0 for p in the kernel. For those, MINRES
     (_minres) started from zero keeps all iterates in range(S) and
@@ -369,7 +371,9 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     That is taken as the largest Ritz value (_top_eigenvalue) of the
     Lanczos recurrence (_lanczos) of A^T A from a seeded random scalar
     field, once a step moves it by <= _NORM_TOL relative or the recurrence
-    ends. A is linear in u~, so it runs on u~ / max|u~|: the Sturm
+    ends. Each Ritz value is bisected up from the previous one, which
+    interlacing keeps below it, to a relative width of _RITZ_TOL. A is
+    linear in u~, so it runs on u~ / max|u~|: the Sturm
     sequence squares the off-diagonal, which under- or overflows beyond
     about 1e+-154, as A^T A's entries would for |u~| beyond about 1e+-77.
     u~ = 0 gives 0.0. RuntimeError names the _NORM_MAXIT steps when they
@@ -386,7 +390,7 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     alpha, beta, top = [], [], 0.0
     for _, (_, al, _, b) in zip(range(_NORM_MAXIT), steps):
         alpha.append(al)
-        prev, top = top, _top_eigenvalue(alpha, beta)
+        prev, top = top, _top_eigenvalue(alpha, beta, top, _RITZ_TOL)
         if abs(top - prev) <= _NORM_TOL * top or b == 0.0:
             return scale * math.sqrt(top)
         beta.append(b)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
-from quatmhd.grid import QField, build_domain
+from quatmhd.grid import QField, _diff, build_domain
 from quatmhd.operators import OperatorSet, _staggered
 
 
@@ -122,3 +122,32 @@ class LatticePair:
 def lattice_pair():
     """LatticePair, called on a domain."""
     return LatticePair
+
+
+class StencilPressure:
+    """The pressure operator and the pressure right side as the stencil
+    composition that OperatorSet.pressure_S and _sc_dirac_solve replace:
+    the ghost-zero backward gradient, three collar solves in one batch and
+    the ghost-zero -div+ of their result."""
+
+    @staticmethod
+    def sc_dirac_solve(ops, g):
+        h = ops.domain.h
+        w = ops._collar_solve(g)
+        out = np.zeros(ops.domain.shape)
+        for j in range(3):
+            out -= _diff(w[j], j, h, ghost=True)
+        return out
+
+    @classmethod
+    def S(cls, ops, p):
+        h = ops.domain.h
+        g = np.stack([_diff(p, j, h, backward=True, ghost=True)
+                      for j in range(3)])
+        return cls.sc_dirac_solve(ops, g)
+
+
+@pytest.fixture(scope="session")
+def stencil_pressure():
+    """StencilPressure, the slow path of the pressure operator."""
+    return StencilPressure

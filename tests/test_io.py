@@ -146,13 +146,18 @@ def test_vtk_rejects_non_finite(tmp_path, dom8):
     ("rows", r"2032 data values, DIMENSIONS 8 8 8 needs 2048"),
     ("row_cut", r"2046 data values"),
     ("token", r"data row 511: could not convert string to float: 'abc'"),
-    ("DIMENSIONS 8 8", r"not enough values to unpack"),
+    ("DIMENSIONS 8 8", r"DIMENSIONS 8 8 does not hold exactly three"),
+    ("DIMENSIONS 8 8 8 9",
+     r"DIMENSIONS 8 8 8 9 does not hold exactly three values"),
     ("DIMENSIONS 8 8 x", r"invalid literal for int\(\)"),
     ("ORIGIN 0 y 0", r"could not convert string to float: 'y'"),
+    ("ORIGIN 0.0625 0.0625 0.0625 7",
+     r"ORIGIN 0\.0625 0\.0625 0\.0625 7 does not hold exactly three"),
     ("SPACING 0.125 0.125 z", r"could not convert string to float: 'z'"),
     ("SPACING 0 0 0", r"extent\[0\] must be a finite number > 0"),
-], ids=["spacing", "rows", "row_cut", "token", "dims_two", "dims_token",
-        "origin_token", "spacing_token", "spacing_zero"])
+], ids=["spacing", "rows", "row_cut", "token", "dims_two", "dims_four",
+        "dims_token", "origin_token", "origin_four", "spacing_token",
+        "spacing_zero"])
 def test_vtk_rejects_inconsistent_header(tmp_path, dom8, capsys, edit,
                                          message):
     # a header the data do not match must not load as another grid, and

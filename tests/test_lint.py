@@ -275,3 +275,49 @@ def test_layout_calls_detected():
                          ids=lambda p: p.name)
 def test_no_layout_calls(path):
     assert layout_calls(path.read_text()) == []
+
+
+# the stencil and solve calls the pressure path replaced by matrix chains
+PRESSURE_METHODS = ("pressure_S", "_sc_dirac_solve")
+STENCIL_SOLVES = ("_diff", "_collar_solve")
+
+
+def pressure_path_calls(source: str) -> list[str]:
+    """"method.name" for each STENCIL_SOLVES call, bare or by attribute, in
+    the body of a PRESSURE_METHODS function of a module's classes. The
+    pressure operator and its right side apply OperatorSet's per-axis
+    matrix chains, so neither a difference stencil nor a collar solve
+    belongs in them."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for f in cls.body:
+            if (isinstance(f, ast.FunctionDef)
+                    and f.name in PRESSURE_METHODS):
+                for node in ast.walk(f):
+                    if isinstance(node, ast.Call):
+                        g = node.func
+                        name = (g.id if isinstance(g, ast.Name)
+                                else g.attr if isinstance(g, ast.Attribute)
+                                else None)
+                        if name in STENCIL_SOLVES:
+                            found.append(f"{f.name}.{name}")
+    return sorted(found)
+
+
+def test_pressure_path_calls_detected():
+    src = ("class Ops:\n"
+           "    def pressure_S(self, p):\n"
+           "        # _diff(p) in a comment\n"
+           "        return self._collar_solve(_diff(p, 0, 1.0))\n"
+           "    def _sc_dirac_solve(self, g):\n"
+           "        return g\n"
+           "    def poisson_scalar(self, rhs):\n"
+           "        return self._collar_solve(rhs)\n")
+    assert pressure_path_calls(src) == ["pressure_S._collar_solve",
+                                        "pressure_S._diff"]
+
+
+def test_pressure_path_is_matrix_chains():
+    assert pressure_path_calls((SRC / "operators.py").read_text()) == []

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quatmhd.grid import (BoundaryData, QField, l2_norm, sc_inner,
-                          trace_boundary, zero_boundary)
+from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
+                          sc_inner, trace_boundary, zero_boundary)
 from quatmhd.mhd import (MHDParams, MHDState, M_of, boundary_B_term,
                          convective, harmonic_extension, leray_project,
                          lorentz, momentum_bracket, residual_strong,
@@ -279,6 +279,52 @@ def test_tqt_rhs_p_independent_recomputation(dom8, ops8, lattice_pair):
         lattice_pair(dom8).T_minus(bracket)).values[0]
     scale = np.abs(ref).max()
     assert np.abs(got.values[0] - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10), (3, 9, 5), (2, 6, 6)])
+def test_tqt_rhs_p_matches_stencil_path(n, stencil_pressure):
+    # the sine transform and pressure_S's second pass against the ghost-zero
+    # -div+ of three collar solves, written out as stencils
+    from quatmhd.operators import OperatorSet
+    dom = build_domain((0.1, -0.2, 0.3), tuple(0.1 * m for m in n), n)
+    ops = OperatorSet(dom)
+    params = MHDParams(Re=1.3, Rm=0.8, mu0=2.0, exponent_mode="mixed")
+    vals = np.zeros((4,) + n)
+    vals[1:] = np.random.default_rng(26).standard_normal((3,) + n)
+    got = tqt_rhs_p(QField(dom, vals), params, ops)
+    assert not got.values[1:].any()
+    ref = params.coeff_prhs() * stencil_pressure.sc_dirac_solve(ops, vals[1:])
+    assert np.abs(got.values[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert got.values.any() == (min(n) > 2)
+
+
+@pytest.mark.parametrize("mode", ["linear", "squared", "mixed"])
+def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
+    # the velocity and magnetic rows solve the three vector components of
+    # their pure brackets: byte for byte the 4-component TQT
+    from quatmhd.mhd import _dirac_scalar
+    params = MHDParams(Re=1.7, Rm=0.6, mu0=1.3, exponent_mode=mode)
+    pv = np.zeros((4,) + dom8.shape)
+    pv[0] = random_pure_bump(dom8, seed=27).values[2]
+    st = MHDState(random_pure_bump(dom8, seed=28),
+                  random_pure_bump(dom8, seed=29), QField(dom8, pv))
+    bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
+    ref = ops8.TQT(params.coeff_u() * bracket
+                   - params.coeff_p() * _dirac_scalar(st.p))
+    got = tqt_rhs_u(bracket, st.p, params, ops8)
+    assert got.values.tobytes() == ref.values.tobytes()
+    ref = params.coeff_B() * ops8.TQT(convective(st.B, st.u)
+                                      - convective(st.u, st.B))
+    got = tqt_rhs_B(st.u, st.B, params, ops8)
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_tqt_rhs_rejects_non_pure_bracket(dom8, ops8):
+    params = MHDParams(Re=1.0, Rm=1.0)
+    bracket = random_pure_bump(dom8, seed=30)
+    bracket.values[0] = 1.0
+    with pytest.raises(ValueError, match="TQT right side"):
+        tqt_rhs_u(bracket, QField.zeros(dom8), params, ops8)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,22 @@ def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
     assert ref.values.any()
 
 
+@pytest.mark.parametrize("dom", ["dom8", "dom12", "dom16"])
+def test_minres_iterations_match_stencil_path(dom, request, stencil_pressure):
+    # MINRES over the matrix-chain pressure_S runs as many iterations as
+    # over the stencil composition it replaced, on a fixed right side in
+    # range(S), and lands on the same p
+    from quatmhd.solvers import _MINRES_TOL
+    dom = request.getfixturevalue(dom)
+    ops = OperatorSet(dom)
+    b = ops.bergman_Q(random_pure_bump(dom, seed=6)).values[0]
+    got, iters = _minres(ops.pressure_S, b, _MINRES_TOL, 2000)
+    ref, ref_iters = _minres(lambda p: stencil_pressure.S(ops, p), b,
+                             _MINRES_TOL, 2000)
+    assert iters == ref_iters < 2000
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_pressure_recover_names_the_iteration_cap(dom12, ops12):
     rhs = np.zeros((4,) + dom12.shape)
     rhs[0] = ops12.bergman_Q(random_pure_bump(dom12, seed=4)).values[0]
@@ -364,6 +380,28 @@ def test_convection_norm_cap_raises(ops8, dom8, monkeypatch):
     with pytest.raises(RuntimeError, match="convection_norm: Lanczos not "
                                            "converged after 2 steps"):
         convection_norm(random_pure_bump(dom8, seed=3), ops8)
+
+
+@pytest.mark.parametrize("dom", ["dom8", "dom12"])
+def test_convection_norm_ritz_bisection(dom, request, monkeypatch):
+    # every Ritz value of convection_norm, bisected up from the previous
+    # one to a relative width of 1e-13, against the full bisection from the
+    # Gershgorin bounds on the same Lanczos tridiagonal
+    import quatmhd.solvers as solvers
+    from quatmhd.operators import _top_eigenvalue
+    dom = request.getfixturevalue(dom)
+    calls = []
+
+    def recorded(a, b, lo, rtol):
+        top = _top_eigenvalue(a, b, lo, rtol)
+        calls.append((list(a), list(b), top))
+        return top
+    monkeypatch.setattr(solvers, "_top_eigenvalue", recorded)
+    convection_norm(random_pure_bump(dom, seed=3), OperatorSet(dom))
+    assert len(calls) >= 5
+    for a, b, top in calls:
+        ref = _top_eigenvalue(a, b)
+        assert abs(top - ref) <= 1e-13 * ref
 
 
 def test_neumann_refuses_large_q(dom12, ops12):
@@ -510,12 +548,15 @@ def test_apply_budget(dom8, monkeypatch):
     # and the kernel transform is never built. Warm Banach and Schauder
     # solves (3 outer steps each): TQT is the collar solve and QT is
     # D+_gz L^-1, so neither T nor Q is applied. The collar solves of each
-    # Schauder step are pinned too: 1 + 41 or 42 for the pressure right
-    # side and MINRES, 18, 22 and 18 for the 9, 11 and 9 Lanczos steps of
-    # convection_norm, 4 + 4, 3 + 3 and 2 + 2 Neumann terms, and the two
-    # projections
+    # Schauder step are pinned too: 18, 22 and 18 for the 9, 11 and 9
+    # Lanczos steps of convection_norm, 4 + 4, 3 + 3 and 2 + 2 Neumann
+    # terms, and the two projections. The pressure right side and the
+    # pressure operator make none: their sine transforms are the matrix
+    # chains of pressure_S, applied 38 + 3, 39 + 3 and 39 + 3 times by
+    # MINRES and its normal-residual gate
     import quatmhd.solvers as solvers
-    counts = {"teodorescu": 0, "bergman_Q": 0, "_collar_solve": 0}
+    counts = {"teodorescu": 0, "bergman_Q": 0, "_collar_solve": 0,
+              "pressure_S": 0}
     for name in counts:
         method = getattr(OperatorSet, name)
 
@@ -534,23 +575,24 @@ def test_apply_budget(dom8, monkeypatch):
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
     assert ops._khat is None
-    # collar solves per Schauder step, read at the start of the next step
-    # and at the end
+    # collar solves and pressure_S applies per Schauder step, read at the
+    # start of the next step and at the end
     per_step, bracket = [], solvers.momentum_bracket
 
     def step_start(*args):
-        per_step.append(counts["_collar_solve"])
+        per_step.append((counts["_collar_solve"], counts["pressure_S"]))
         return bracket(*args)
     monkeypatch.setattr(solvers, "momentum_bracket", step_start)
-    counts.update(_collar_solve=0)
+    counts.update(_collar_solve=0, pressure_S=0)
     _, report = schauder_solve(
         params, ops, SolverConfig(method="schauder_neumann", tol=1e-10),
         init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
     assert ops._khat is None
-    per_step.append(counts["_collar_solve"])
-    assert np.diff(per_step).tolist() == [70, 73, 67]
+    per_step.append((counts["_collar_solve"], counts["pressure_S"]))
+    assert np.diff(per_step, axis=0).tolist() == [[28, 41], [30, 42],
+                                                  [24, 42]]
 
 
 def _count_brackets(monkeypatch):
