@@ -16,11 +16,11 @@ Conventions. States are cell-centered quaternion fields, values (4, n1, n2,
 n3), with u, B pure vectors (values[1:]) and p scalar (values[0]),
 zero-mean. Sc(aD)w is realized as the advection
 (a.grad)w with central differences; D^2 is realized as -laplacian via the
-factorization of the Laplacian. The coefficient exponents of the integral
-form differ between the source schemes and are selected by exponent_mode:
-"linear" (Re, Rm on the nonlinear terms), "squared" (Re^2, Rm^2), or
-"mixed" (linear on the nonlinear velocity term, squared on the pressure
-term, as displayed for the contraction scheme).
+factorization of the Laplacian. D p of a scalar p is grad_bwd, the
+adjoint of the div+ inside pressure_S. exponent_mode selects the exponents
+(a, b, c) of c_u = Re^a/mu0, c_p = Re^b, c_B = Rm^c that every row, residual
+and series reads: "linear" (1, 1, 1), "squared" (2, 2, 2) or "mixed"
+(1, 2, 2), as displayed for the contraction scheme.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BoundaryData, QField, VoxelDomain, _diff, _finite,
-                   sc_inner)
+from .grid import BoundaryData, QField, VoxelDomain, _finite, sc_inner
 from .operators import (OperatorSet, _dcen, _dcen_T, dirac_fwd, div_fwd,
                         grad_bwd, laplacian)
 from .quaternion import qmul_arr
@@ -51,7 +50,7 @@ __all__ = [
     "boundary_B_term",
 ]
 
-_MODES = ("linear", "squared", "mixed")
+_EXPONENTS = {"linear": (1, 1, 1), "squared": (2, 2, 2), "mixed": (1, 2, 2)}
 
 
 @dataclass
@@ -67,28 +66,24 @@ class MHDParams:
     def __post_init__(self):
         for name in ("Re", "Rm", "mu0"):
             _finite(getattr(self, name), name, low=0.0)
-        if self.exponent_mode not in _MODES:
-            raise ValueError(f"exponent_mode must be one of {_MODES}")
+        if self.exponent_mode not in _EXPONENTS:
+            raise ValueError(f"exponent_mode must be in {tuple(_EXPONENTS)}")
 
     def coeff_u(self) -> float:
-        """Coefficient of the nonlinear bracket in the u equation."""
-        return {"linear": self.Re, "squared": self.Re**2,
-                "mixed": self.Re}[self.exponent_mode] / self.mu0
+        """Coefficient c_u = Re^a/mu0 of the bracket in the u equation."""
+        return self.Re ** _EXPONENTS[self.exponent_mode][0] / self.mu0
 
     def coeff_p(self) -> float:
-        """Coefficient of the pressure term in the u equation."""
-        return {"linear": self.Re, "squared": self.Re**2,
-                "mixed": self.Re**2}[self.exponent_mode]
+        """Coefficient c_p = Re^b of the pressure term in the u equation."""
+        return self.Re ** _EXPONENTS[self.exponent_mode][1]
 
     def coeff_B(self) -> float:
-        """Coefficient of the nonlinear bracket in the B equation."""
-        return {"linear": self.Rm, "squared": self.Rm**2,
-                "mixed": self.Rm**2}[self.exponent_mode]
+        """Coefficient c_B = Rm^c of the bracket in the B equation."""
+        return self.Rm ** _EXPONENTS[self.exponent_mode][2]
 
     def coeff_prhs(self) -> float:
-        """Coefficient of the pressure-equation right-hand side."""
-        return {"linear": 1.0, "squared": 1.0,
-                "mixed": self.Re}[self.exponent_mode] / self.mu0
+        """Coefficient c_u/c_p of the pressure-equation right-hand side."""
+        return self.coeff_u() / self.coeff_p()
 
 
 @dataclass
@@ -146,7 +141,7 @@ def _convect_solve(a: np.ndarray, v: np.ndarray,
     """A v = L^-1 _advect(a, v), a = u~.values[1:], L^-1 the collar solve.
     TQT Sc(u~D) acts on each quaternion component by A, so each component
     equals that of TQT(convective(u~, .)) bit for bit."""
-    return ops._collar_solve(_advect(a, v, ops.domain.h))
+    return ops.poisson_scalar(_advect(a, v, ops.domain.h))
 
 
 def _convect_solve_T(a: np.ndarray, w: np.ndarray,
@@ -154,7 +149,7 @@ def _convect_solve_T(a: np.ndarray, w: np.ndarray,
     """A^T w = sum_i D^c_i^T (a_i L^-1 w), the transpose of _convect_solve
     on scalar arrays (L^-1 is symmetric)."""
     h = ops.domain.h
-    s = ops._collar_solve(w)
+    s = ops.poisson_scalar(w)
     return sum(_dcen_T(a[i] * s, i, h) for i in range(3))
 
 
@@ -178,14 +173,6 @@ def M_of(u: QField, B: QField, mu0: float) -> QField:
     return convective(u, u) - lorentz(B, mu0)
 
 
-def _dirac_scalar(p: QField) -> QField:
-    """D applied to a scalar field: the forward-difference gradient."""
-    out = np.zeros_like(p.values)
-    for i in range(3):
-        _diff(p.values[0], i, p.domain.h, out=out[1 + i])
-    return QField(p.domain, out)
-
-
 def _interior_norm(arr: np.ndarray, domain: VoxelDomain) -> float:
     """L2 norm over the non-collar cells (the one-sided fallback layers are
     excluded from residual measurements)."""
@@ -196,13 +183,17 @@ def _interior_norm(arr: np.ndarray, domain: VoxelDomain) -> float:
 def residual_strong(state: MHDState, params: MHDParams,
                     ops: OperatorSet) -> tuple[float, float, float, float]:
     """L2 norms (over non-collar cells) of the momentum residual
-    (1/Re) D^2 u - Sc(uD)u + Dp - (1/mu0) Vec((DB)B), the induction residual
-    (1/Rm) D^2 B + Sc(uD)B - Sc(BD)u, and of div u, div B."""
+    (1/(c_u mu0)) D^2 u + (1/mu0) Sc(uD)u + (c_p/(c_u mu0)) Dp - lor, the
+    induction residual (1/c_B) D^2 B + Sc(uD)B - Sc(BD)u (the rows the
+    solvers solve), and of div u, div B; lor = (1/mu0) Vec((DB)B)."""
     u, B, p = state.u, state.B, state.p
     dom = u.domain
-    mom = (-(1.0 / params.Re) * laplacian(u) - convective(u, u)
-           + _dirac_scalar(p) - lorentz(B, params.mu0))
-    ind = (-(1.0 / params.Rm) * laplacian(B) + convective(u, B)
+    cu_mu0 = params.coeff_u() * params.mu0
+    mom = (-(1.0 / cu_mu0) * laplacian(u)
+           + (1.0 / params.mu0) * convective(u, u)
+           + (params.coeff_p() / cu_mu0) * grad_bwd(p)
+           - lorentz(B, params.mu0))
+    ind = (-(1.0 / params.coeff_B()) * laplacian(B) + convective(u, B)
            - convective(B, u))
     return (_interior_norm(mom.values, dom),
             _interior_norm(ind.values, dom),
@@ -212,21 +203,23 @@ def residual_strong(state: MHDState, params: MHDParams,
 
 def residual_weak(state: MHDState, params: MHDParams, test_v: QField,
                   test_w: QField) -> tuple[float, float]:
-    """Weak residuals of the momentum and induction rows against
-    zero-boundary test fields (test_w additionally divergence-free).
-    Viscous terms are integrated by parts onto the adjoint-pair Dirac
-    operators: sc_inner(D+ a, D+ v)."""
+    """Weak residuals of the momentum and induction rows of
+    residual_strong against zero-boundary test fields (test_w additionally
+    divergence-free). Viscous terms are integrated by parts onto the
+    adjoint-pair Dirac operators: sc_inner(D+ a, D+ v)."""
     _require_pure(test_v, "test_v")
     _require_pure(test_w, "test_w")
     for t in (test_v, test_w):
         if np.abs(t.values[:, t.domain.collar_mask(1)]).max(initial=0.0) > 0:
             raise ValueError("test fields must vanish on the boundary collar")
     u, B, p = state.u, state.B, state.p
-    r_mom = ((1.0 / params.Re) * sc_inner(dirac_fwd(u), dirac_fwd(test_v))
-             - sc_inner(convective(u, u), test_v)
-             + sc_inner(_dirac_scalar(p), test_v)
+    cu_mu0 = params.coeff_u() * params.mu0
+    r_mom = ((1.0 / cu_mu0) * sc_inner(dirac_fwd(u), dirac_fwd(test_v))
+             + (1.0 / params.mu0) * sc_inner(convective(u, u), test_v)
+             + (params.coeff_p() / cu_mu0) * sc_inner(grad_bwd(p), test_v)
              - sc_inner(lorentz(B, params.mu0), test_v))
-    r_ind = ((1.0 / params.Rm) * sc_inner(dirac_fwd(B), dirac_fwd(test_w))
+    r_ind = ((1.0 / params.coeff_B())
+             * sc_inner(dirac_fwd(B), dirac_fwd(test_w))
              + sc_inner(convective(u, B), test_w)
              - sc_inner(convective(B, u), test_w))
     return r_mom, r_ind
@@ -243,10 +236,11 @@ def tqt_rhs_u(bracket: QField, p: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
     """Right-hand side of the velocity row of the integral form:
     c_u TQT bracket - c_p TQT D p, bracket = Vec((DB)B) - Sc(uD)u
-    (momentum_bracket). TQT is linear, so it is applied once, to the pure
-    field c_u bracket - c_p D p (_tqt_pure)."""
+    (momentum_bracket), D p = grad_bwd(p). TQT is linear, so it is applied
+    once, to the pure field c_u bracket - c_p D p (_tqt_pure). For the p of
+    pressure_recover the result is div+-free on the non-collar cells."""
     return _tqt_pure(params.coeff_u() * bracket
-                     - params.coeff_p() * _dirac_scalar(p), ops)
+                     - params.coeff_p() * grad_bwd(p), ops)
 
 
 def tqt_rhs_B(u: QField, B: QField, params: MHDParams,
@@ -263,7 +257,7 @@ def _tqt_pure(f: QField, ops: OperatorSet) -> QField:
     series do; the scalar part stays zero."""
     _require_pure(f, "TQT right side")
     out = np.zeros(f.values.shape)
-    out[1:] = ops._collar_solve(f.values[1:])
+    out[1:] = ops.poisson_scalar(f.values[1:])
     return QField(f.domain, out)
 
 

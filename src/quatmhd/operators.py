@@ -197,8 +197,8 @@ def div_fwd(u: QField) -> np.ndarray:
 
 
 def curl_bwd(u: QField) -> QField:
-    """Backward-difference curl of the vector part; div_fwd(curl_bwd) = 0
-    away from the one-sided fallback layers."""
+    """Backward-difference curl of the vector part; its backward (not
+    forward) divergence vanishes away from the one-sided fallback layers."""
     h = u.domain.h
     v = u.values
     d = lambda c, ax: _diff(v[1 + c], ax, h, backward=True)
@@ -326,23 +326,19 @@ class OperatorSet:
 
         The DST-I sine modes of the (n-2)^3 non-collar block vanish on the
         collar and diagonalize the 7-point stencil there."""
-        return self._collar_solve(rhs)
-
-    def poisson_dirichlet(self, rhs: QField) -> QField:
-        """Componentwise solve of laplacian(w) = -rhs with a zero boundary
-        collar; the stencil equation holds on the non-collar cells. The
-        four components are solved in one batch."""
-        self._check(rhs)
-        return QField(self.domain, self._collar_solve(rhs.values))
-
-    def _collar_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """poisson_scalar, under the name the package's own solves call."""
         out = np.zeros(rhs.shape)
         inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
         if out[inner].size:  # an axis of two cells leaves no non-collar cell
             out[inner] = _sine_solve(rhs[inner], self._collar_bases,
                                      self._collar_symbol)
         return out
+
+    def poisson_dirichlet(self, rhs: QField) -> QField:
+        """Componentwise solve of laplacian(w) = -rhs with a zero boundary
+        collar; the stencil equation holds on the non-collar cells. The
+        four components are solved in one batch."""
+        self._check(rhs)
+        return QField(self.domain, self.poisson_scalar(rhs.values))
 
     def poisson_faces(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the cell-centered -Lap w = rhs with zero Dirichlet data on

@@ -10,11 +10,12 @@ with the pressure recovered from Sc(Qp) = c Sc(QT[...]) by MINRES. TQT is
 the collar-Dirichlet Poisson solve and QT is D+_gz L^-1 (OperatorSet.TQT),
 so neither scheme applies the Teodorescu, Cauchy or Bergman operators.
 TQT solves each component alone, so it maps the pure brackets of pure
-iterates to pure fields.
+iterates to pure fields. D p is grad_bwd, the adjoint of the div+ in
+pressure_S, so u_n is div+-free and only B is Leray-projected.
 The Schauder scheme linearizes at (u~, B~) and inverts the two operators
 I + c TQT Sc(u~ D) by truncated Neumann series (neumann_apply_u and
-neumann_apply_B, given u~ and the one convection_norm(u~) both scale),
-refusing when the series ratio q = c convection_norm(u~) is >= 1.
+neumann_apply_B, given u~ and the one convection_norm(u~) both scale, c
+being c_u and c_B), refusing when q = c convection_norm(u~) is >= 1.
 TQT Sc(u~D) acts on each quaternion component by the same scalar map
 A v = L^-1 sum_i u~_i D^c_i v (D^c_i the centered difference, L^-1 the
 collar solve). So convection_norm is ||A||, from Lanczos on A^T A, and
@@ -44,10 +45,11 @@ import numpy as np
 from .energy import energy
 from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
 from .mhd import (MHDParams, MHDState, _convect_solve, _convect_solve_T,
-                  _dirac_scalar, _lorentz_of, _require_pure, boundary_B_term,
-                  convective, leray_project, lorentz, momentum_bracket,
-                  residual_strong, tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
-from .operators import OperatorSet, _lanczos, _top_eigenvalue, dirac_fwd
+                  _lorentz_of, _require_pure, boundary_B_term, convective,
+                  leray_project, lorentz, momentum_bracket, residual_strong,
+                  tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
+from .operators import (OperatorSet, _lanczos, _top_eigenvalue, dirac_fwd,
+                        grad_bwd)
 from .sampling import random_pure_bump
 
 __all__ = [
@@ -398,10 +400,10 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
                        f"{_NORM_MAXIT} steps")
 
 
-def _neumann_solve(ut: QField, c: float, norm: float, s: float, f: QField,
+def _neumann_solve(ut: QField, c: float, norm: float, f: QField,
                    ops: OperatorSet, cfg: SolverConfig,
                    names: tuple[str, str]) -> tuple[QField, float, int]:
-    """Solve [I + c TQT Sc(u~D)] x = s TQT f by truncated Neumann series
+    """Solve [I + c TQT Sc(u~D)] x = TQT f by truncated Neumann series
     for a pure f; returns (x, q, terms used), x pure. q = c norm >= 1
     raises ConditionViolation, before any solve, naming the unknown and q
     by `names`, e.g. ("u", "q1"). The map acts on each component alike
@@ -414,7 +416,7 @@ def _neumann_solve(ut: QField, c: float, norm: float, s: float, f: QField,
     _require_pure(f, "Neumann right side")
     _require_pure(ut, "advection field u~")
     a = ut.values[1:]
-    x = term = s * ops._collar_solve(f.values[1:])
+    x = term = ops.poisson_scalar(f.values[1:])
     rnorm = np.sqrt((x * x).sum())
     used = 1
     for used in range(2, cfg.neumann_max_terms + 1):
@@ -431,21 +433,23 @@ def _neumann_solve(ut: QField, c: float, norm: float, s: float, f: QField,
 def neumann_apply_u(ut: QField, lor: QField, p: QField, params: MHDParams,
                     ops: OperatorSet, cfg: SolverConfig,
                     norm: float) -> tuple[QField, float, int]:
-    """Solve [I + (Re^2/mu0) TQT Sc(u~D)] u = Re^2 TQT[lor - Dp] by Neumann
-    series, lor = lorentz(B, mu0) = (1/mu0) Vec((DB)B); returns (u, q1,
-    terms used). Refuses when q1 >= 1. `norm` is convection_norm(u~, ops)."""
-    return _neumann_solve(ut, params.Re**2 / params.mu0, norm, params.Re**2,
-                          lor - _dirac_scalar(p), ops, cfg, ("u", "q1"))
+    """Solve [I + c_u TQT Sc(u~D)] u = TQT[c_u mu0 lor - c_p Dp] by Neumann
+    series, lor = lorentz(B, mu0), Dp = grad_bwd(p); returns (u, q1, terms
+    used). Refuses when q1 >= 1. `norm` is convection_norm(u~, ops)."""
+    c_u = params.coeff_u()
+    f = c_u * params.mu0 * lor - params.coeff_p() * grad_bwd(p)
+    return _neumann_solve(ut, c_u, norm, f, ops, cfg, ("u", "q1"))
 
 
 def neumann_apply_B(ut: QField, Bt: QField, u: QField, params: MHDParams,
                     ops: OperatorSet, cfg: SolverConfig,
                     norm: float) -> tuple[QField, float, int]:
-    """Solve [I + Rm^2 TQT Sc(u~D)] B = Rm^2 TQT Sc(B~D) u by Neumann
+    """Solve [I + c_B TQT Sc(u~D)] B = c_B TQT Sc(B~D) u by Neumann
     series; returns (B, q2, terms used). Refuses when q2 >= 1.
     `norm` is convection_norm(u~, ops)."""
-    return _neumann_solve(ut, params.Rm**2, norm, params.Rm**2,
-                          convective(Bt, u), ops, cfg, ("B", "q2"))
+    c_B = params.coeff_B()
+    return _neumann_solve(ut, c_B, norm, c_B * convective(Bt, u), ops, cfg,
+                          ("B", "q2"))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +469,8 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     conditions(report, hist_u, hist_B), the scheme's checks on the H1 norm
     histories (initial state first). The loop stops
     once the relative change falls below cfg.tol (report.converged) and
-    raises DivergenceError on a 1e3-fold norm blow-up or on a state change
-    that grew 5 steps in a row."""
+    raises DivergenceError on a 1e3-fold norm blow-up, before any row of
+    the new fields, or on a state change that grew 5 steps in a row."""
     state = init.copy() if init is not None else MHDState.zeros(ops.domain)
     B_bd = (boundary_B_term(params, ops) if params.boundary_h is not None
             else None)
@@ -481,11 +485,15 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         p = pressure_recover(tqt_rhs_p(bracket, params, ops), ops)
         u, B, entries = update(prev, p, lor, bracket, B_bd)
         del lor, bracket  # two full fields, not read by the rows below
+        hist_u.append(h1_norm(u))
+        hist_B.append(h1_norm(B))
+        if hist_u[-1] + hist_B[-1] > 1e3 * max(1.0, hist_u[0] + hist_B[0]):
+            raise DivergenceError(
+                f"state norm blow-up at iteration {n}: "
+                f"{hist_u[-1] + hist_B[-1]:.3g}")
         state = MHDState(u, B, p)
         du, dB, dp = (h1_norm(u - prev.u), h1_norm(B - prev.B),
                       l2_norm(state.p - prev.p))
-        hist_u.append(h1_norm(u))
-        hist_B.append(h1_norm(B))
         row = {"iter": n, "du": du, "dB": dB, "dp": dp, **entries}
         if constants is not None:
             row["cond1"] = check_cond1(hist_u[-1], constants, params.Rm)
@@ -502,10 +510,6 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         if (du + dB + dp) / scale < cfg.tol:
             report.converged = True
             break
-        if hist_u[-1] + hist_B[-1] > 1e3 * max(1.0, hist_u[0] + hist_B[0]):
-            raise DivergenceError(
-                f"state norm blow-up at iteration {n}: "
-                f"{hist_u[-1] + hist_B[-1]:.3g}")
         if n >= 2 and sum(report.state_changes[-1]) > sum(report.state_changes[-2]):
             grow += 1
             if grow >= 5:
@@ -526,20 +530,25 @@ def banach_inner_B(u_n: QField, B_init: QField, params: MHDParams,
                    boundary: QField | None = None) -> tuple[QField, int, float]:
     """Inner iteration B^(i) = c_B TQT[Sc(B^(i-1)D)u_n - Sc(u_nD)B^(i-1)]
     (+ fixed boundary term). Returns (B, iterations, last contraction ratio).
-    Non-contraction (check via check_cond1) shows up as ratio >= 1."""
+    Non-contraction (check via check_cond1) shows up as ratio >= 1; an H1
+    norm above 1e3 max(1, ||B_init||_H1) raises DivergenceError."""
     B = B_init.copy()
+    limit = 1e3 * max(1.0, h1_norm(B))
     prev_change = math.nan
     ratio = 0.0
     for i in range(1, cfg.max_inner + 1):
         B_new = tqt_rhs_B(u_n, B, params, ops)
         if boundary is not None:
             B_new = B_new + boundary
+        norm = h1_norm(B_new)
+        if norm > limit:
+            raise DivergenceError(f"inner B blow-up at step {i}: {norm:.3g}")
         change = h1_norm(B_new - B)
         if prev_change and not math.isnan(prev_change):
             ratio = change / prev_change
         prev_change = change
         B = B_new
-        if change <= cfg.tol * max(1.0, h1_norm(B)):
+        if change <= cfg.tol * max(1.0, norm):
             return B, i, ratio
     return B, cfg.max_inner, ratio
 
@@ -551,12 +560,12 @@ def banach_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     """Outer contraction iteration of the integral form.
 
     Each step recovers p_n from the previous state, updates u_n explicitly
-    and runs the inner B iteration, projecting u_n and B_n onto
-    divergence-free fields. With a constants bundle, the per-step Lipschitz
-    constant L_n is evaluated from the iterate history and logged with the
-    Theorem 2 bound at u_n and the Theorem 4 conditions."""
+    (div+-free, see tqt_rhs_u) and runs the inner B iteration, projecting
+    B_n onto divergence-free fields. With a constants bundle, the per-step
+    Lipschitz constant L_n is evaluated from the iterate history and logged
+    with the Theorem 2 bound at u_n and the Theorem 4 conditions."""
     def update(prev, p, lor, bracket, B_bd):
-        u = leray_project(tqt_rhs_u(bracket, p, params, ops), ops)
+        u = tqt_rhs_u(bracket, p, params, ops)
         B, _, _ = banach_inner_B(u, prev.B, params, ops, cfg, boundary=B_bd)
         return u, leray_project(B, ops), {}
 
@@ -584,8 +593,9 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                    constants: ConstantsBundle | None = None,
                    ) -> tuple[MHDState, ConvergenceReport]:
     """Outer fixed-point loop on the linearization map (u~, B~) -> (u, B),
-    with the linear solves done by truncated Neumann series and u and B
-    projected onto divergence-free fields. The ratios q1, q2 and the
+    with the linear solves done by truncated Neumann series and B
+    projected onto divergence-free fields (u is div+-free at the fixed
+    point, by banach_solve's pressure pairing). The ratios q1, q2 and the
     Theorem 2 bound at u~ are logged every step; a measured series ratio
     q >= 1 raises ConditionViolation."""
     def update(prev, p, lor, bracket, B_bd):
@@ -594,7 +604,6 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         # Both return pure fields
         norm = convection_norm(prev.u, ops)
         u, q1, _ = neumann_apply_u(prev.u, lor, p, params, ops, cfg, norm)
-        u = leray_project(u, ops)
         B, q2, _ = neumann_apply_B(prev.u, prev.B, u, params, ops, cfg, norm)
         if B_bd is not None:
             B = B + B_bd

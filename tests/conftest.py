@@ -37,28 +37,34 @@ def ops16(dom16):
 
 
 @pytest.fixture
-def prescribed_projection(monkeypatch):
-    """Install a Leray projection that returns scales[k] g on its k-th call,
-    whatever it is given, in place of the one the solvers call; g is a fixed
-    pure field of H1 norm 1e-3 and the last scale repeats.
+def prescribed_iterates(monkeypatch):
+    """Make the k-th new iterate scales[k] g, whatever the scheme computes:
+    g is a fixed pure field of H1 norm 1e-3 and the last scale repeats.
 
-    Both schemes project u, then B, once per outer step, so step n of either
-    scheme sets u = scales[2n-2] g and B = scales[2n-1] g. That drives the
-    shared outer loop along a prescribed norm history."""
+    Each outer step of either scheme makes u in its velocity row
+    (tqt_rhs_u for Banach, neumann_apply_u for Schauder), then B in its
+    Leray projection; both draw from one counter, so step n sets
+    u = scales[2n-2] g and B = scales[2n-1] g. That drives the shared
+    outer loop along a prescribed norm history."""
     from quatmhd.grid import h1_norm
     from quatmhd.sampling import random_pure_bump
 
     def install(scales):
         calls = []
 
-        def project(f, ops):
+        def next_iterate(f):
             g = random_pure_bump(f.domain, seed=12)
             g = (1e-3 / h1_norm(g)) * g
             k = min(len(calls), len(scales) - 1)
             calls.append(k)
             return scales[k] * g
 
-        monkeypatch.setattr("quatmhd.solvers.leray_project", project)
+        monkeypatch.setattr("quatmhd.solvers.tqt_rhs_u",
+                            lambda bracket, *args: next_iterate(bracket))
+        monkeypatch.setattr("quatmhd.solvers.neumann_apply_u",
+                            lambda ut, *args: (next_iterate(ut), 0.0, 1))
+        monkeypatch.setattr("quatmhd.solvers.leray_project",
+                            lambda f, ops: next_iterate(f))
     return install
 
 
@@ -133,7 +139,7 @@ class StencilPressure:
     @staticmethod
     def sc_dirac_solve(ops, g):
         h = ops.domain.h
-        w = ops._collar_solve(g)
+        w = ops.poisson_scalar(g)
         out = np.zeros(ops.domain.shape)
         for j in range(3):
             out -= _diff(w[j], j, h, ghost=True)

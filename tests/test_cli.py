@@ -286,10 +286,10 @@ def test_solve_exit_3_names_the_norm_cap(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("method", ["banach", "schauder_neumann"])
-def test_solve_exit_3_on_divergence(tmp_path, capsys, prescribed_projection,
+def test_solve_exit_3_on_divergence(tmp_path, capsys, prescribed_iterates,
                                     method):
     # the second outer step blows the state norm up past 1e3
-    prescribed_projection([1.0, 1.0, 1e6])
+    prescribed_iterates([1.0, 1.0, 1e6])
     cfg = _write_config(tmp_path / "run.json", tmp_path / "out", n=8,
                         method=method, solver_extra={"max_inner": 2})
     rc = main(["solve", "--config", str(cfg)])

@@ -279,7 +279,7 @@ def test_no_layout_calls(path):
 
 # the stencil and solve calls the pressure path replaced by matrix chains
 PRESSURE_METHODS = ("pressure_S", "_sc_dirac_solve")
-STENCIL_SOLVES = ("_diff", "_collar_solve")
+STENCIL_SOLVES = ("_diff", "poisson_scalar")
 
 
 def pressure_path_calls(source: str) -> list[str]:
@@ -310,13 +310,13 @@ def test_pressure_path_calls_detected():
     src = ("class Ops:\n"
            "    def pressure_S(self, p):\n"
            "        # _diff(p) in a comment\n"
-           "        return self._collar_solve(_diff(p, 0, 1.0))\n"
+           "        return self.poisson_scalar(_diff(p, 0, 1.0))\n"
            "    def _sc_dirac_solve(self, g):\n"
            "        return g\n"
-           "    def poisson_scalar(self, rhs):\n"
-           "        return self._collar_solve(rhs)\n")
-    assert pressure_path_calls(src) == ["pressure_S._collar_solve",
-                                        "pressure_S._diff"]
+           "    def poisson_dirichlet(self, rhs):\n"
+           "        return self.poisson_scalar(rhs)\n")
+    assert pressure_path_calls(src) == ["pressure_S._diff",
+                                        "pressure_S.poisson_scalar"]
 
 
 def test_pressure_path_is_matrix_chains():

@@ -7,7 +7,8 @@ from quatmhd.mhd import (MHDParams, MHDState, M_of, boundary_B_term,
                          convective, harmonic_extension, leray_project,
                          lorentz, momentum_bracket, residual_strong,
                          residual_weak, tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
-from quatmhd.operators import dirac_fwd, div_fwd
+from quatmhd.grid import _diff
+from quatmhd.operators import OperatorSet, dirac_fwd, div_fwd, grad_bwd
 from quatmhd.sampling import random_divfree, random_pure_bump
 
 
@@ -39,12 +40,14 @@ def test_params_validation():
 
 
 def test_exponent_mode_tables():
-    p = MHDParams(Re=2.0, Rm=3.0, mu0=0.5, exponent_mode="linear")
-    assert (p.coeff_u(), p.coeff_p(), p.coeff_B()) == (4.0, 2.0, 3.0)
-    p = MHDParams(Re=2.0, Rm=3.0, mu0=0.5, exponent_mode="squared")
-    assert (p.coeff_u(), p.coeff_p(), p.coeff_B()) == (8.0, 4.0, 9.0)
-    p = MHDParams(Re=2.0, Rm=3.0, mu0=0.5, exponent_mode="mixed")
-    assert (p.coeff_u(), p.coeff_p(), p.coeff_B()) == (4.0, 4.0, 9.0)
+    # c_u = Re^a/mu0, c_p = Re^b, c_B = Rm^c, and the pressure right side
+    # c_u/c_p: 1/mu0 in "linear" and "squared", 1/(Re mu0) in "mixed"
+    for mode, coeffs in (("linear", (4.0, 2.0, 3.0)),
+                         ("squared", (8.0, 4.0, 9.0)),
+                         ("mixed", (4.0, 4.0, 9.0))):
+        p = MHDParams(Re=2.0, Rm=3.0, mu0=0.5, exponent_mode=mode)
+        assert (p.coeff_u(), p.coeff_p(), p.coeff_B()) == coeffs
+        assert p.coeff_prhs() == coeffs[0] / coeffs[1]
 
 
 def test_state_purity_enforced(dom8):
@@ -175,26 +178,41 @@ def test_residual_strong_trivial_states(dom8):
 
 
 def test_residual_strong_matches_classical_assembly(dom12):
-    from quatmhd.mhd import _dirac_scalar, _interior_norm
+    from quatmhd.mhd import _interior_norm
     from quatmhd.operators import laplacian
-    params = MHDParams(Re=2.0, Rm=3.0, mu0=1.5)
     u = random_pure_bump(dom12, seed=6)
     B = random_pure_bump(dom12, seed=7)
     pv = np.zeros((4,) + dom12.shape)
     pv[0] = random_pure_bump(dom12, seed=8).values[1]
     st = MHDState(u, B, QField(dom12, pv))
-    mom, ind, divu, divB = residual_strong(st, params, None)
-    # oracle: assemble each residual from its classical vector-calculus terms
-    mom_ref = (-(1.0 / params.Re) * laplacian(u).values
-               - convective(u, u).values
-               + _dirac_scalar(st.p).values
-               - lorentz(B, params.mu0).values)
-    ind_ref = (-(1.0 / params.Rm) * laplacian(B).values
-               + convective(u, B).values - convective(B, u).values)
-    assert mom == pytest.approx(_interior_norm(mom_ref, dom12), rel=1e-10)
-    assert ind == pytest.approx(_interior_norm(ind_ref, dom12), rel=1e-10)
-    assert divu == pytest.approx(_interior_norm(div_fwd(u), dom12), rel=1e-10)
-    assert divB == pytest.approx(_interior_norm(div_fwd(B), dom12), rel=1e-10)
+    # grad- p by np.diff, undefined on the collar layer the norms skip
+    gradp = np.zeros((4,) + dom12.shape)
+    for i in range(3):
+        gradp[1 + i] = np.diff(st.p.values[0], axis=i,
+                               prepend=np.nan) / dom12.h
+    for mode, (a, b, c) in (("linear", (1, 1, 1)), ("squared", (2, 2, 2)),
+                            ("mixed", (1, 2, 2))):
+        params = MHDParams(Re=2.0, Rm=3.0, mu0=1.5, exponent_mode=mode)
+        mom, ind, divu, divB = residual_strong(st, params, None)
+        # oracle: the velocity row
+        # -Lap u = (Re^a/mu0)(Vec((DB)B) - (u.grad)u) - Re^b grad- p
+        # divided by Re^a and the magnetic row at Rm^c, each term
+        # assembled from its classical vector-calculus form
+        Re_a, mu0 = params.Re**a, params.mu0
+        mom_ref = (-(1.0 / Re_a) * laplacian(u).values
+                   + (1.0 / mu0) * convective(u, u).values
+                   + params.Re**b / Re_a * gradp
+                   - lorentz(B, mu0).values)
+        ind_ref = (-(1.0 / params.Rm**c) * laplacian(B).values
+                   + convective(u, B).values - convective(B, u).values)
+        assert mom == pytest.approx(_interior_norm(mom_ref, dom12),
+                                    rel=1e-10)
+        assert ind == pytest.approx(_interior_norm(ind_ref, dom12),
+                                    rel=1e-10)
+        assert divu == pytest.approx(_interior_norm(div_fwd(u), dom12),
+                                     rel=1e-10)
+        assert divB == pytest.approx(_interior_norm(div_fwd(B), dom12),
+                                     rel=1e-10)
 
 
 def test_residual_weak_zero_state(dom8):
@@ -205,17 +223,30 @@ def test_residual_weak_zero_state(dom8):
 
 
 def test_residual_weak_pressure_orthogonality(dom12):
-    from quatmhd.mhd import _dirac_scalar
-    from quatmhd.operators import curl_bwd
-    # exactly div_bwd-free zero-boundary test field: backward curl of an
-    # interior-supported potential (backward differences commute)
-    A = zero_boundary(random_pure_bump(dom12, seed=11), width=3)
-    v = curl_bwd(A)
+    # the adjoint of grad_bwd on zero-collar fields is -div+, so the
+    # pressure term of residual_weak vanishes on a div+-free test field:
+    # the forward curl of a potential supported away from the collar
+    # (forward differences commute)
+    A = zero_boundary(random_pure_bump(dom12, seed=11), width=3).values[1:]
+    d = lambda c, ax: _diff(A[c], ax, dom12.h)
+    vv = np.zeros((4,) + dom12.shape)
+    vv[1] = d(2, 1) - d(1, 2)
+    vv[2] = d(0, 2) - d(2, 0)
+    vv[3] = d(1, 0) - d(0, 1)
+    v = QField(dom12, vv)
+    assert not vv[:, dom12.collar_mask(1)].any()
     pv = np.zeros((4,) + dom12.shape)
     pv[0] = random_pure_bump(dom12, seed=12).values[1]
     p = QField(dom12, pv)
-    gap = abs(sc_inner(_dirac_scalar(p), v))
-    assert gap <= 1e-8 * l2_norm(p) * l2_norm(v)
+    gap = abs(sc_inner(grad_bwd(p), v))
+    assert gap <= 1e-12 * l2_norm(grad_bwd(p)) * l2_norm(v)
+    # so the weak momentum residual does not see p at all
+    params = MHDParams(Re=2.0, Rm=3.0, mu0=1.5)
+    u, B = random_pure_bump(dom12, seed=13), random_pure_bump(dom12, seed=14)
+    w = zero_boundary(random_pure_bump(dom12, seed=15), width=1)
+    r0 = residual_weak(MHDState(u, B, QField.zeros(dom12)), params, v, w)[0]
+    r1 = residual_weak(MHDState(u, B, p), params, v, w)[0]
+    assert r1 == pytest.approx(r0, rel=1e-12)
 
 
 def test_residual_weak_rejects_bad_tests(dom8):
@@ -243,7 +274,6 @@ def test_tqt_rhs_zero_state(dom8, ops8):
 @pytest.mark.parametrize("mode", ["linear", "squared", "mixed"])
 def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
     # one TQT of c_u bracket - c_p Dp against TQT applied to each term
-    from quatmhd.mhd import _dirac_scalar
     params = MHDParams(Re=1.7, Rm=0.6, mu0=1.3, exponent_mode=mode)
     pv = np.zeros((4,) + dom8.shape)
     pv[0] = random_pure_bump(dom8, seed=25).values[1]
@@ -252,10 +282,26 @@ def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
     bracket = (params.mu0 * lorentz(st.B, params.mu0)
                - convective(st.u, st.u))
     ref = (params.coeff_u() * ops8.TQT(bracket)
-           - params.coeff_p() * ops8.TQT(_dirac_scalar(st.p)))
+           - params.coeff_p() * ops8.TQT(grad_bwd(st.p)))
     bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
     got = tqt_rhs_u(bracket, st.p, params, ops8)
     assert l2_norm(got - ref) <= 1e-13 * l2_norm(ref)
+
+
+@pytest.mark.parametrize("mode", ["linear", "squared", "mixed"])
+def test_tqt_rhs_u_is_divergence_free(dom12, ops12, mode):
+    # with p from the pressure equation, c_u TQT bracket - c_p TQT grad- p
+    # has div+ = 0 on the non-collar cells: grad_bwd is the adjoint of the
+    # div+ that pressure_S pairs it with, and c_prhs = c_u/c_p
+    from quatmhd.mhd import _interior_norm
+    from quatmhd.solvers import pressure_recover
+    params = MHDParams(Re=3.0, Rm=2.0, mu0=1.7, exponent_mode=mode)
+    u, B = random_pure_bump(dom12, seed=31), random_pure_bump(dom12, seed=32)
+    bracket = momentum_bracket(u, lorentz(B, params.mu0), params)
+    p = pressure_recover(tqt_rhs_p(bracket, params, ops12), ops12)
+    out = tqt_rhs_u(bracket, p, params, ops12)
+    div = dom12.h * _interior_norm(div_fwd(out), dom12)
+    assert div <= 1e-11 * l2_norm(out)
 
 
 def test_tqt_rhs_B_vanishes_without_velocity(dom8, ops8):
@@ -302,7 +348,6 @@ def test_tqt_rhs_p_matches_stencil_path(n, stencil_pressure):
 def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
     # the velocity and magnetic rows solve the three vector components of
     # their pure brackets: byte for byte the 4-component TQT
-    from quatmhd.mhd import _dirac_scalar
     params = MHDParams(Re=1.7, Rm=0.6, mu0=1.3, exponent_mode=mode)
     pv = np.zeros((4,) + dom8.shape)
     pv[0] = random_pure_bump(dom8, seed=27).values[2]
@@ -310,7 +355,7 @@ def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
                   random_pure_bump(dom8, seed=29), QField(dom8, pv))
     bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
     ref = ops8.TQT(params.coeff_u() * bracket
-                   - params.coeff_p() * _dirac_scalar(st.p))
+                   - params.coeff_p() * grad_bwd(st.p))
     got = tqt_rhs_u(bracket, st.p, params, ops8)
     assert got.values.tobytes() == ref.values.tobytes()
     ref = params.coeff_B() * ops8.TQT(convective(st.B, st.u)

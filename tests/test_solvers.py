@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
-                          l2_norm, lq_norm)
+                          l2_norm, lq_norm, trace_boundary)
 from quatmhd.mhd import (MHDParams, MHDState, convective, leray_project,
                          lorentz, residual_strong)
-from quatmhd.operators import OperatorSet, dirac_fwd
-from quatmhd.sampling import random_pure_bump
+from quatmhd.operators import OperatorSet, dirac_fwd, grad_bwd
+from quatmhd.sampling import random_pure_bump, random_smooth
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
                              banach_solve,
@@ -273,7 +273,8 @@ def test_pressure_recover_names_the_iteration_cap(dom12, ops12):
 # ---------------------------------------------------------------------------
 
 def test_neumann_zero_linearization(dom12, ops12):
-    params = MHDParams(Re=1.0, Rm=1.0)
+    # mixed mode: c_u = Re/mu0 and c_p = Re^2 from the table
+    params = MHDParams(Re=1.3, Rm=0.7, mu0=1.7, exponent_mode="mixed")
     cfg = SolverConfig(method="schauder_neumann")
     zero = MHDState.zeros(dom12)
     B = random_pure_bump(dom12, seed=1)
@@ -284,14 +285,15 @@ def test_neumann_zero_linearization(dom12, ops12):
     u, q1, terms = neumann_apply_u(zero.u, lorentz(B, params.mu0), p, params,
                                    ops12, cfg, convection_norm(zero.u, ops12))
     assert q1 == 0.0 and terms <= 2
-    from quatmhd.mhd import _dirac_scalar
-    ref = params.Re**2 * ops12.TQT(lorentz(B, params.mu0) - _dirac_scalar(p))
+    ref = ops12.TQT(params.Re * lorentz(B, params.mu0)
+                    - params.Re**2 * grad_bwd(p))
     assert l2_norm(u - ref) <= 1e-13 * max(l2_norm(ref), 1e-300)
 
 
 def test_neumann_residual(dom12, ops12):
-    # with a nonzero linearization point, (I + A)u reproduces the right side
-    params = MHDParams(Re=1.0, Rm=1.0)
+    # with a nonzero linearization point, (I + A)u reproduces the right side;
+    # mixed mode: c_u = Re/mu0, c_p = Re^2, c_B = Rm^2
+    params = MHDParams(Re=1.3, Rm=0.9, mu0=1.7, exponent_mode="mixed")
     cfg = SolverConfig(method="schauder_neumann")
     ut = 0.1 * random_pure_bump(dom12, seed=3)
     st = MHDState(ut, random_pure_bump(dom12, seed=4), QField.zeros(dom12))
@@ -303,9 +305,9 @@ def test_neumann_residual(dom12, ops12):
     u, q1, _ = neumann_apply_u(ut, lorentz(st.B, params.mu0), p, params,
                                ops12, cfg, norm)
     assert q1 < 0.9
-    from quatmhd.mhd import _dirac_scalar
-    c = params.Re**2 / params.mu0
-    r = params.Re**2 * ops12.TQT(lorentz(st.B, params.mu0) - _dirac_scalar(p))
+    c = params.Re / params.mu0
+    r = ops12.TQT(params.Re * lorentz(st.B, params.mu0)
+                  - params.Re**2 * grad_bwd(p))
     lhs = u + c * ops12.TQT(convective(ut, u))
     assert l2_norm(lhs - r) <= 1e-8 * l2_norm(r)
 
@@ -318,7 +320,7 @@ def test_neumann_residual(dom12, ops12):
 
 def test_schauder_one_norm_estimate_per_step(dom8, ops8, monkeypatch):
     # both Neumann series scale the same map v -> TQT Sc(u~D) v, so one
-    # convection_norm per outer step gives q2 = (Rm^2 mu0 / Re^2) q1
+    # convection_norm per outer step gives q2 = (c_B / c_u) q1
     import quatmhd.solvers as solvers
     calls = []
     norm = solvers.convection_norm
@@ -335,7 +337,7 @@ def test_schauder_one_norm_estimate_per_step(dom8, ops8, monkeypatch):
     cfg = SolverConfig(method="schauder_neumann", max_outer=3)
     _, report = schauder_solve(params, ops8, cfg, init=init)
     assert len(calls) == report.iterations == len(report.rows) >= 2
-    scale = params.Rm**2 * params.mu0 / params.Re**2
+    scale = params.coeff_B() / params.coeff_u()
     for row in report.rows:
         assert 0.0 < row["q1"] < 1.0
         assert row["q2"] == pytest.approx(scale * row["q1"], rel=1e-12)
@@ -502,11 +504,11 @@ SOLVE = {"banach": banach_solve, "schauder_neumann": schauder_solve}
 
 
 @pytest.mark.parametrize("method", SOLVE)
-def test_outer_loop_aborts_on_norm_blow_up(ops8, prescribed_projection,
+def test_outer_loop_aborts_on_norm_blow_up(ops8, prescribed_iterates,
                                            method):
     # step 2 sets ||u||_H1 + ||B||_H1 = 2e3 > 1e3 max(1, initial norms = 0);
     # without the guard the state stops changing and the loop converges
-    prescribed_projection([1.0, 1.0, 1e6])
+    prescribed_iterates([1.0, 1.0, 1e6])
     params = MHDParams(Re=1.0, Rm=1.0)
     cfg = SolverConfig(method=method, max_outer=10, max_inner=2)
     with pytest.raises(DivergenceError,
@@ -515,12 +517,12 @@ def test_outer_loop_aborts_on_norm_blow_up(ops8, prescribed_projection,
 
 
 @pytest.mark.parametrize("method", SOLVE)
-def test_outer_loop_aborts_on_growing_changes(ops8, prescribed_projection,
+def test_outer_loop_aborts_on_growing_changes(ops8, prescribed_iterates,
                                               method):
-    # u and B grow by 1.2 per projection: the state change grows from
+    # u and B grow by 1.2 per iterate: the state change grows from
     # step 3 on while the norms stay far below the blow-up bound, so the
     # fifth growing step in a row, step 7, aborts
-    prescribed_projection([1.2**k for k in range(40)])
+    prescribed_iterates([1.2**k for k in range(40)])
     params = MHDParams(Re=1.0, Rm=1.0)
     cfg = SolverConfig(method=method, max_outer=10)
     with pytest.raises(DivergenceError,
@@ -547,15 +549,15 @@ def test_apply_budget(dom8, monkeypatch):
     # closed form and every Cs ratio is a lattice one, so no T is applied
     # and the kernel transform is never built. Warm Banach and Schauder
     # solves (3 outer steps each): TQT is the collar solve and QT is
-    # D+_gz L^-1, so neither T nor Q is applied. The collar solves of each
-    # Schauder step are pinned too: 18, 22 and 18 for the 9, 11 and 9
-    # Lanczos steps of convection_norm, 4 + 4, 3 + 3 and 2 + 2 Neumann
-    # terms, and the two projections. The pressure right side and the
-    # pressure operator make none: their sine transforms are the matrix
-    # chains of pressure_S, applied 38 + 3, 39 + 3 and 39 + 3 times by
-    # MINRES and its normal-residual gate
+    # D+_gz L^-1, so neither T nor Q is applied. The collar solves
+    # (poisson_scalar) of each Schauder step are pinned too: 18, 14 and 14
+    # for the 9, 7 and 7 Lanczos steps of convection_norm, 4 + 4, 3 + 3
+    # and 2 + 2 Neumann terms, and the one projection, of B. The pressure
+    # right side and the pressure operator make none: their sine
+    # transforms are the matrix chains of pressure_S, applied 38 + 3 times
+    # a step by MINRES and its normal-residual gate
     import quatmhd.solvers as solvers
-    counts = {"teodorescu": 0, "bergman_Q": 0, "_collar_solve": 0,
+    counts = {"teodorescu": 0, "bergman_Q": 0, "poisson_scalar": 0,
               "pressure_S": 0}
     for name in counts:
         method = getattr(OperatorSet, name)
@@ -580,19 +582,19 @@ def test_apply_budget(dom8, monkeypatch):
     per_step, bracket = [], solvers.momentum_bracket
 
     def step_start(*args):
-        per_step.append((counts["_collar_solve"], counts["pressure_S"]))
+        per_step.append((counts["poisson_scalar"], counts["pressure_S"]))
         return bracket(*args)
     monkeypatch.setattr(solvers, "momentum_bracket", step_start)
-    counts.update(_collar_solve=0, pressure_S=0)
+    counts.update(poisson_scalar=0, pressure_S=0)
     _, report = schauder_solve(
         params, ops, SolverConfig(method="schauder_neumann", tol=1e-10),
         init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
     assert ops._khat is None
-    per_step.append((counts["_collar_solve"], counts["pressure_S"]))
-    assert np.diff(per_step, axis=0).tolist() == [[28, 41], [30, 42],
-                                                  [24, 42]]
+    per_step.append((counts["poisson_scalar"], counts["pressure_S"]))
+    assert np.diff(per_step, axis=0).tolist() == [[27, 41], [21, 41],
+                                                  [19, 41]]
 
 
 def _count_brackets(monkeypatch):
@@ -673,3 +675,54 @@ def test_exact_harmonic_solution(n, method):
     assert report.converged
     assert l2_norm(state.B - ref) <= 1e-12 * l2_norm(ref)
     assert l2_norm(state.u) <= 1e-12 * l2_norm(ref)
+
+
+@pytest.fixture(scope="module")
+def probe_data(dom12):
+    """Smooth random face data of order one on the unit cube, n = 12: the
+    data drive a flow, so the pressure enters the velocity row."""
+    return trace_boundary(random_smooth(dom12, 5))
+
+
+@pytest.mark.parametrize("mu0", [1.0, 1.7])
+@pytest.mark.parametrize("mode", ["linear", "squared", "mixed"])
+def test_schemes_solve_one_momentum_row(ops12, probe_data, mode, mu0):
+    # both schemes solve the momentum row of the mode's table to rounding
+    # and agree in u; the rest of their gap is the placement of the Leray
+    # step on B, which the two schemes apply at different points
+    params = MHDParams(Re=3.0, Rm=3.0, mu0=mu0, exponent_mode=mode,
+                       boundary_h=probe_data)
+    u = {}
+    for method, solve in SOLVE.items():
+        state, report = solve(params, ops12,
+                              SolverConfig(method=method, tol=1e-12))
+        assert report.converged
+        lor = l2_norm(lorentz(state.B, mu0))
+        assert report.final_residuals[0] <= 1e-9 * lor
+        u[method] = state.u
+    gap = l2_norm(u["banach"] - u["schauder_neumann"])
+    assert gap <= 2e-3 * l2_norm(u["banach"])
+
+
+@pytest.mark.parametrize("method, scales, Re", [
+    pytest.param("banach", None, 30.0, id="banach-inner-B"),
+    pytest.param("schauder_neumann", [1.0, 1.0, 1e150], 1.0,
+                 id="schauder_neumann-prescribed")])
+def test_diverging_solve_warns_nothing(ops12, probe_data,
+                                       prescribed_iterates, method, scales,
+                                       Re):
+    # a diverging solve ends in DivergenceError alone, before a norm,
+    # residual or energy row of the grown fields overflows. On the probe
+    # data in mixed mode at Re = Rm = 30 the Banach inner B iteration grows
+    # without bound; a prescribed step to 1e150 g puts fields whose squares
+    # overflow into the outer loop
+    import warnings
+    if scales is not None:
+        prescribed_iterates(scales)
+    params = MHDParams(Re=Re, Rm=Re, exponent_mode="mixed",
+                       boundary_h=probe_data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="blow-up"):
+            SOLVE[method](params, ops12,
+                          SolverConfig(method=method, tol=1e-12))
