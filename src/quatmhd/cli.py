@@ -273,19 +273,19 @@ def cmd_solve(cfg, out_dir: Path) -> int:
     with open(out_dir / "energy.csv", "w", newline="") as f:
         columns = [c.name for c in fields(EnergyReport)]
         f.write(",".join(["iter"] + columns) + "\n")
-        for i, row in enumerate(report.energy_rows, start=1):
-            f.write(",".join([str(i)] + [_fmt_value(getattr(row, c))
-                                         for c in columns]) + "\n")
+        for row in report.rows:
+            f.write(",".join([str(row["iter"])]
+                             + [_fmt_value(getattr(row["energy"], c))
+                                for c in columns]) + "\n")
 
-    res = report.final_residuals
+    last = report.rows[-1]
     manifest = {
         "Re": params.Re, "Rm": params.Rm, "mu0": params.mu0,
         "exponent_mode": params.exponent_mode,
         "method": solver_cfg.method, "tol": solver_cfg.tol,
         "n": domain.n[0], "h": domain.h, "seed": cfg["seed"],
         "iterations": report.iterations, "converged": report.converged,
-        "res_mom": res[0], "res_ind": res[1],
-        "divu": res[2], "divB": res[3],
+        **{k: last[k] for k in ("res_mom", "res_ind", "divu", "divB")},
     }
     write_manifest(out_dir / "manifest.txt", manifest)
     if not report.converged:
@@ -293,7 +293,7 @@ def cmd_solve(cfg, out_dir: Path) -> int:
               file=sys.stderr)
         return 3
     print(f"converged in {report.iterations} iterations; "
-          f"residuals mom={res[0]:.3e} ind={res[1]:.3e}")
+          f"residuals mom={last['res_mom']:.3e} ind={last['res_ind']:.3e}")
     return 0
 
 

@@ -5,12 +5,12 @@ reads, not a state), the linearized map TQT Sc(u~D) of the Schauder scheme
 projection. convective and _convect_solve share one advection kernel,
 _advect, which reads the stored components-first arrays without a copy.
 
-The integral form's TQT is the collar-Dirichlet solve (OperatorSet.TQT), and
-its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu, Cauchy
-or Bergman operators. The velocity row and the pressure equation share one
-bracket, momentum_bracket(u, lorentz(B)), computed once per outer step. The
-boundary term of B is the vector part of the harmonic extension of the
-face data.
+The integral form's TQT is the collar-Dirichlet solve (poisson_dirichlet),
+and its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu,
+Cauchy or Bergman operators. The velocity row and the pressure equation
+share one bracket, momentum_bracket(u, lorentz(B)), computed once per outer
+step. The boundary term of B is the vector part of the harmonic extension
+of the face data.
 
 Conventions. States are cell-centered quaternion fields, values (4, n1, n2,
 n3), with u, B pure vectors (values[1:]) and p scalar (values[0]),
@@ -180,8 +180,8 @@ def _interior_norm(arr: np.ndarray, domain: VoxelDomain) -> float:
     return float(np.sqrt((arr[..., mask] ** 2).sum() * domain.cell_volume))
 
 
-def residual_strong(state: MHDState, params: MHDParams,
-                    ops: OperatorSet) -> tuple[float, float, float, float]:
+def residual_strong(state: MHDState,
+                    params: MHDParams) -> tuple[float, float, float, float]:
     """L2 norms (over non-collar cells) of the momentum residual
     (1/(c_u mu0)) D^2 u + (1/mu0) Sc(uD)u + (c_p/(c_u mu0)) Dp - lor, the
     induction residual (1/c_B) D^2 B + Sc(uD)B - Sc(BD)u (the rows the
@@ -265,7 +265,7 @@ def tqt_rhs_p(bracket: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
     """Scalar right-hand side of the pressure equation, c Sc(QT bracket)
     with bracket = Vec((DB)B) - Sc(uD)u. Q T = D+_gz L^-1 for the lattice
-    pair of OperatorSet.TQT, so this is c Sc(D+_gz L^-1 bracket): the
+    pair of poisson_dirichlet, so this is c Sc(D+_gz L^-1 bracket): the
     ghost-zero -div+ of three collar solves, which
     OperatorSet._sc_dirac_solve applies as the sine transform of the
     bracket's non-collar block and the second pass of pressure_S."""

@@ -47,15 +47,14 @@ kernel per domain)
         DST-I symbol, Q's scalar part to rounding (bergman_Q is its test
         oracle)
     poisson_dirichlet : cell-centered Poisson solve with a zero boundary
-        collar, in the DST-I sine basis of the non-collar block
+        collar, in the DST-I sine basis of the non-collar block; it is the
+        composition T Q T of the solvers (see its docstring)
     poisson_faces    : Poisson solve with homogeneous Dirichlet faces
         (ghost anti-reflection), in the DST-II sine basis of the whole box
     lambda_min       : smallest Dirichlet eigenvalue, the smallest entry of
         the DST-II symbol of poisson_faces
-    TQT              : the composition T Q T of the solvers, which is the
-        collar-Dirichlet solve poisson_dirichlet (see OperatorSet.TQT)
-    op_norm_TQT      : its operator norm, one over the smallest entry of the
-        DST-I symbol of poisson_dirichlet
+    op_norm_TQT      : the operator norm of TQT = poisson_dirichlet, one
+        over the smallest entry of its DST-I symbol
 
 teodorescu, cauchy and bergman_P are the sampled continuum operators. They
 serve the identity checks of verify and the acceptance criteria; neither
@@ -336,7 +335,18 @@ class OperatorSet:
     def poisson_dirichlet(self, rhs: QField) -> QField:
         """Componentwise solve of laplacian(w) = -rhs with a zero boundary
         collar; the stencil equation holds on the non-collar cells. The
-        four components are solved in one batch."""
+        four components are solved in one batch.
+
+        This is the composition T Q T of the integral form. With G the
+        lattice Green function of the 7-point -Lap_h and A f = h^2 G*f on
+        the box plus one ghost layer, T+ = D- A is a right inverse of D+
+        and T- = D+ A one of D-. Q = D+_gz L^-1 D-_gz, _gz for ghost-zero
+        differences. On the non-collar cells D-_gz reads only box cells
+        and D- D+ = -Lap_h, so Q T- f = D+_gz L^-1 f. L^-1 f vanishes on
+        the collar, so D+_gz of it is the exact D+ of its zero extension,
+        and convolution commutes with differences: T+ Q T- = L^-1. This
+        is the discrete form of TQT = (-Lap)^-1; the tests check it to
+        rounding against T+ and T- built from G."""
         self._check(rhs)
         return QField(self.domain, self.poisson_scalar(rhs.values))
 
@@ -412,21 +422,6 @@ class OperatorSet:
         return f - self.bergman_Q(f)
 
     # -- the solvers' composition ------------------------------------------
-
-    def TQT(self, f: QField) -> QField:
-        """The composition T Q T of the integral form: the collar-Dirichlet
-        solve poisson_dirichlet(f).
-
-        With G the lattice Green function of the 7-point -Lap_h and
-        A f = h^2 G*f on the box plus one ghost layer, T+ = D- A is a right
-        inverse of D+ and T- = D+ A one of D-. Q = D+_gz L^-1 D-_gz, _gz
-        for ghost-zero differences. On the non-collar cells D-_gz reads
-        only box cells and D- D+ = -Lap_h, so Q T- f = D+_gz L^-1 f. L^-1 f
-        vanishes on the collar, so D+_gz of it is the exact D+ of its zero
-        extension, and convolution commutes with differences: T+ Q T- =
-        L^-1. This is the discrete form of TQT = (-Lap)^-1; the tests check
-        it to rounding against T+ and T- built from G."""
-        return self.poisson_dirichlet(f)
 
     def op_norm_TQT(self) -> float:
         """L2 operator norm of TQT = poisson_dirichlet: one over the

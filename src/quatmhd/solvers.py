@@ -7,10 +7,10 @@ explicit updates
     B_n : inner iteration  B^(i) = c_B TQT[Sc(B^(i-1)D)u_n - Sc(u_nD)B^(i-1)]
 
 with the pressure recovered from Sc(Qp) = c Sc(QT[...]) by MINRES. TQT is
-the collar-Dirichlet Poisson solve and QT is D+_gz L^-1 (OperatorSet.TQT),
-so neither scheme applies the Teodorescu, Cauchy or Bergman operators.
-TQT solves each component alone, so it maps the pure brackets of pure
-iterates to pure fields. D p is grad_bwd, the adjoint of the div+ in
+the collar-Dirichlet Poisson solve (poisson_dirichlet) and QT is
+D+_gz L^-1, so neither scheme applies the Teodorescu, Cauchy or Bergman
+operators. TQT solves each component alone, so it maps the pure brackets
+of pure iterates to pure fields. D p is grad_bwd, the adjoint of the div+ in
 pressure_S, so u_n is div+-free and only B is Leray-projected.
 The Schauder scheme linearizes at (u~, B~) and inverts the two operators
 I + c TQT Sc(u~ D) by truncated Neumann series (neumann_apply_u and
@@ -27,7 +27,7 @@ once, recovers the pressure from the bracket, calls the scheme's update
 for (u, B), and owns
 the change, residual, energy and condition rows, the tol stop and the
 divergence guards. The schemes differ only in the update and in their own
-row entries.
+row entries. A solve's ConvergenceReport is these rows and the tol flag.
 
 Constants (C1, Cs, CD, Cu, k) are estimated once per domain: C1,
 lambda_min and k = ||TQT|| from the closed-form discrete Dirichlet spectra,
@@ -84,6 +84,8 @@ _NORM_TOL = 1e-6
 _NORM_MAXIT = 100
 _NORM_SEED = 0
 _RITZ_TOL = 1e-13
+# the number of random field pairs estimate_constants samples
+_SAMPLES = 30
 
 
 class ConditionViolation(RuntimeError):
@@ -138,25 +140,21 @@ class SolverConfig:
 
 @dataclass
 class ConvergenceReport:
-    iterations: int = 0
-    converged: bool = False                             # met cfg.tol
-    state_changes: list = field(default_factory=list)   # (du, dB, dp) in H1/H1/L2
-    Ln: list = field(default_factory=list)
-    theorem4_ok: bool = False
-    F_const: float = math.nan
-    C3: float = math.nan
-    C4: float = math.nan
-    final_residuals: tuple = ()
-    rows: list = field(default_factory=list)            # convergence-CSV dicts
-    energy_rows: list = field(default_factory=list)     # an EnergyReport each
+    """The record of one solve: a row per outer step (the convergence-CSV
+    dict, plus that step's EnergyReport under "energy")."""
+    converged: bool = False  # met cfg.tol
+    rows: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.rows)
 
 
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
 
-def estimate_constants(ops: OperatorSet, samples: int = 30,
-                       seed: int = 0) -> ConstantsBundle:
+def estimate_constants(ops: OperatorSet, seed: int = 0) -> ConstantsBundle:
     """Estimate the bundle of norm constants on the domain of ops.
 
     C1 = 1/lambda_min and k = ||TQT|| = op_norm_TQT() are closed forms
@@ -170,14 +168,12 @@ def estimate_constants(ops: OperatorSet, samples: int = 30,
     smallest sampled ||Du||^2 / ||u||_H1^2 (a coercivity constant is a
     lower bound).
     """
-    if samples < 10:
-        raise ValueError("need at least 10 samples")
     lam = ops.lambda_min()
     C1 = 1.0 / lam
     k = ops.op_norm_TQT()
     rng = np.random.default_rng(seed)
     ratios_s, ratios_d, ratios_c = [], [], []
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         u = random_pure_bump(ops.domain, rng)
         B = random_pure_bump(ops.domain, rng)
         uh, Bh = h1_norm(u), h1_norm(B)
@@ -466,7 +462,7 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     update(prev, p, lor, bracket, B_bd) -> (u, B, row entries); B_bd is
     the boundary term of B, None for zero data. With a
     constants bundle the row also gets cond1 at the new u and
-    conditions(report, hist_u, hist_B), the scheme's checks on the H1 norm
+    conditions(hist_u, hist_B), the scheme's checks on the H1 norm
     histories (initial state first). The loop stops
     once the relative change falls below cfg.tol (report.converged) and
     raises DivergenceError on a 1e3-fold norm blow-up, before any row of
@@ -492,33 +488,34 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                 f"state norm blow-up at iteration {n}: "
                 f"{hist_u[-1] + hist_B[-1]:.3g}")
         state = MHDState(u, B, p)
-        du, dB, dp = (h1_norm(u - prev.u), h1_norm(B - prev.B),
-                      l2_norm(state.p - prev.p))
-        row = {"iter": n, "du": du, "dB": dB, "dp": dp, **entries}
+        row = {"iter": n, "du": h1_norm(u - prev.u),
+               "dB": h1_norm(B - prev.B), "dp": l2_norm(state.p - prev.p),
+               **entries}
         if constants is not None:
             row["cond1"] = check_cond1(hist_u[-1], constants, params.Rm)
-            row.update(conditions(report, hist_u, hist_B))
-        res = residual_strong(state, params, ops)
+            row.update(conditions(hist_u, hist_B))
+        res = residual_strong(state, params)
         erep = energy(u, B, params, Cs=constants.Cs if constants else None)
-        row.update(Jenergy=erep.J, res_mom=res[0], res_ind=res[1],
-                   divu=res[2], divB=res[3])
-        report.energy_rows.append(erep)
+        row.update(energy=erep, Jenergy=erep.J, res_mom=res[0],
+                   res_ind=res[1], divu=res[2], divB=res[3])
         report.rows.append(row)
-        report.state_changes.append((du, dB, dp))
-        report.iterations = n
         scale = max(1.0, hist_u[-1] + hist_B[-1] + l2_norm(state.p))
-        if (du + dB + dp) / scale < cfg.tol:
+        if _change(row) / scale < cfg.tol:
             report.converged = True
             break
-        if n >= 2 and sum(report.state_changes[-1]) > sum(report.state_changes[-2]):
+        if n >= 2 and _change(row) > _change(report.rows[-2]):
             grow += 1
             if grow >= 5:
                 raise DivergenceError(
                     f"state change grew 5 consecutive steps at iteration {n}")
         else:
             grow = 0
-    report.final_residuals = res  # of the last row, i.e. of `state`
     return state, report
+
+
+def _change(row: dict) -> float:
+    """The step's state change du + dB + dp of a report row."""
+    return row["du"] + row["dB"] + row["dp"]
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +566,12 @@ def banach_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         B, _, _ = banach_inner_B(u, prev.B, params, ops, cfg, boundary=B_bd)
         return u, leray_project(B, ops), {}
 
-    def conditions(report, hist_u, hist_B):
+    def conditions(hist_u, hist_B):
         C3 = hist_u[-2] + (hist_u[-3] if len(hist_u) > 2 else 0.0)
         C4 = hist_B[-2] + (hist_B[-3] if len(hist_B) > 2 else 0.0)
         F = 2.0 * constants.Cs * (hist_B[-1] + hist_B[-2])
-        Ln = lipschitz_Ln(constants, C3, C4, F, params)
         ok4, _ = check_theorem4(constants, params, max(hist_B))
-        report.Ln.append(Ln)
-        report.C3, report.C4, report.F_const = C3, C4, F
-        report.theorem4_ok = ok4
-        return {"Ln": Ln, "thm4": ok4,
+        return {"Ln": lipschitz_Ln(constants, C3, C4, F, params), "thm4": ok4,
                 "thm2": check_schauder_bound(hist_u[-1], constants, params)}
 
     return _outer_loop(params, ops, cfg, init, constants, update, conditions)
@@ -609,7 +602,7 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
             B = B + B_bd
         return u, leray_project(B, ops), {"q1": q1, "q2": q2}
 
-    def conditions(report, hist_u, hist_B):
+    def conditions(hist_u, hist_B):
         return {"thm2": check_schauder_bound(hist_u[-2], constants, params)}
 
     return _outer_loop(params, ops, cfg, init, constants, update, conditions)

@@ -232,14 +232,14 @@ def test_criterion_08_banach(dom12, ops12, small_data):
         and not state0.B.values.any()
 
     params, bundle, state, report = small_data
-    thm4_ok = report.theorem4_ok
+    thm4_ok = report.rows[-1]["thm4"]
     # L_n bounds the velocity-sequence contraction ||u_n - u_{n-1}||; check
     # every step whose previous change is nonzero against max L_n * 1.1
-    Lmax = max(report.Ln) if report.Ln else math.inf
-    dus = [t[0] for t in report.state_changes]
+    Lmax = max((r["Ln"] for r in report.rows), default=math.inf)
+    dus = [r["du"] for r in report.rows]
     ratios = [dus[i] / dus[i - 1] for i in range(1, len(dus)) if dus[i - 1] > 0]
     contraction_ok = len(ratios) >= 2 and all(r <= 1.1 * Lmax for r in ratios)
-    res = residual_strong(state, params, ops12)
+    res = residual_strong(state, params)
     scale_u = max(1.0, h1_norm(state.u))
     scale_B = max(1.0, h1_norm(state.B))
     res_ok = res[0] / scale_u <= 1e-5 and res[1] / scale_B <= 1e-5

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -218,6 +219,28 @@ def test_solve_small_data_deterministic(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out2)]) == 0
     for name in ("convergence.csv", "energy.csv", "u.csv", "B.csv", "p.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["banach", "schauder_neumann"])
+def test_solve_manifest_and_energy_match_convergence_rows(tmp_path, method):
+    # the manifest's iteration count and residuals are the row count and
+    # the last row of convergence.csv; energy.csv has one row per step
+    h = _small_boundary_file(tmp_path, n=8)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, n=8, method=method,
+                        boundary=str(h))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    manifest = read_manifest(out / "manifest.txt")
+    with open(out / "convergence.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    with open(out / "energy.csv", newline="") as f:
+        energy = list(csv.DictReader(f))
+    assert len(rows) >= 2
+    assert manifest["iterations"] == str(len(rows))
+    for key in ("res_mom", "res_ind", "divu", "divB"):
+        assert manifest[key] == rows[-1][key]
+    assert [r["iter"] for r in energy] == [r["iter"] for r in rows]
+    assert [r["J"] for r in energy] == [r["Jenergy"] for r in rows]
 
 
 def test_solve_roundtrip_state(tmp_path):

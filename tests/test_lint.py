@@ -224,7 +224,7 @@ def test_continuum_refs_detected():
 @pytest.mark.parametrize("name", ["solvers.py", "mhd.py", "energy.py"])
 def test_solve_path_names_no_continuum_operator(name):
     # the solvers, their brackets and the energy rows run on the lattice
-    # pair (OperatorSet.TQT), the boundary-data branch included
+    # pair (poisson_dirichlet), the boundary-data branch included
     assert continuum_refs((SRC / name).read_text()) == []
 
 

@@ -171,10 +171,10 @@ def test_M_of_recomposition(dom8):
 def test_residual_strong_trivial_states(dom8):
     params = MHDParams(Re=1.0, Rm=1.0)
     zero = MHDState.zeros(dom8)
-    assert residual_strong(zero, params, None) == (0.0, 0.0, 0.0, 0.0)
+    assert residual_strong(zero, params) == (0.0, 0.0, 0.0, 0.0)
     st = MHDState(QField.zeros(dom8), _pure_const(dom8, (1.0, -2.0, 0.5)),
                   QField.zeros(dom8))
-    assert residual_strong(st, params, None) == (0.0, 0.0, 0.0, 0.0)
+    assert residual_strong(st, params) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_residual_strong_matches_classical_assembly(dom12):
@@ -193,7 +193,7 @@ def test_residual_strong_matches_classical_assembly(dom12):
     for mode, (a, b, c) in (("linear", (1, 1, 1)), ("squared", (2, 2, 2)),
                             ("mixed", (1, 2, 2))):
         params = MHDParams(Re=2.0, Rm=3.0, mu0=1.5, exponent_mode=mode)
-        mom, ind, divu, divB = residual_strong(st, params, None)
+        mom, ind, divu, divB = residual_strong(st, params)
         # oracle: the velocity row
         # -Lap u = (Re^a/mu0)(Vec((DB)B) - (u.grad)u) - Re^b grad- p
         # divided by Re^a and the magnetic row at Rm^c, each term
@@ -281,8 +281,8 @@ def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
                   random_pure_bump(dom8, seed=24), QField(dom8, pv))
     bracket = (params.mu0 * lorentz(st.B, params.mu0)
                - convective(st.u, st.u))
-    ref = (params.coeff_u() * ops8.TQT(bracket)
-           - params.coeff_p() * ops8.TQT(grad_bwd(st.p)))
+    ref = (params.coeff_u() * ops8.poisson_dirichlet(bracket)
+           - params.coeff_p() * ops8.poisson_dirichlet(grad_bwd(st.p)))
     bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
     got = tqt_rhs_u(bracket, st.p, params, ops8)
     assert l2_norm(got - ref) <= 1e-13 * l2_norm(ref)
@@ -354,12 +354,12 @@ def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
     st = MHDState(random_pure_bump(dom8, seed=28),
                   random_pure_bump(dom8, seed=29), QField(dom8, pv))
     bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
-    ref = ops8.TQT(params.coeff_u() * bracket
-                   - params.coeff_p() * grad_bwd(st.p))
+    ref = ops8.poisson_dirichlet(params.coeff_u() * bracket
+                                 - params.coeff_p() * grad_bwd(st.p))
     got = tqt_rhs_u(bracket, st.p, params, ops8)
     assert got.values.tobytes() == ref.values.tobytes()
-    ref = params.coeff_B() * ops8.TQT(convective(st.B, st.u)
-                                      - convective(st.u, st.B))
+    ref = params.coeff_B() * ops8.poisson_dirichlet(
+        convective(st.B, st.u) - convective(st.u, st.B))
     got = tqt_rhs_B(st.u, st.B, params, ops8)
     assert got.values.tobytes() == ref.values.tobytes()
 

@@ -686,8 +686,8 @@ def test_op_norm_matches_dense_eigenvalue():
     dom = build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 6)
     ops = OperatorSet(dom)
     size = dom.num_cells * 4
-    cols = [ops.TQT(QField(dom, e.reshape((4,) + dom.shape))).values.ravel()
-            for e in np.eye(size)]
+    cols = [ops.poisson_dirichlet(QField(dom, e.reshape((4,) + dom.shape)))
+            .values.ravel() for e in np.eye(size)]
     A = np.array(cols).T
     assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
     ref = np.linalg.eigvalsh(A)[-1]
@@ -698,7 +698,8 @@ def test_op_norm_without_non_collar_cells():
     # an axis of two cells leaves TQT = poisson_dirichlet zero
     ops = _box((2, 6, 6))
     assert ops.op_norm_TQT() == 0.0
-    assert not ops.TQT(random_smooth(ops.domain, seed=0)).values.any()
+    f = random_smooth(ops.domain, seed=0)
+    assert not ops.poisson_dirichlet(f).values.any()
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +724,6 @@ def test_lattice_pair_identities(n, lattice_pair):
         qt = ops.bergman_Q(pair.T_minus(f))
         assert _rel(qt, d_plus_gz(L)) <= 1e-12
         assert _rel(pair.T_plus(qt), L) <= 1e-12
-        assert _rel(ops.TQT(f), pair.T_plus(qt)) <= 1e-12
         w = zero_boundary(random_bump(dom, seed=seed + 2), width=1)
         assert _rel(pair.T_plus(d_plus_gz(w)), w) <= 1e-12
 
