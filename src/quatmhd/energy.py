@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .grid import QField, h1_norm, l2_norm, sc_inner
-from .mhd import MHDParams, convective, lorentz
+from .mhd import MHDParams, _derive, _Derived
 from .operators import dirac_fwd
 
 __all__ = [
@@ -39,16 +39,24 @@ def energy(u: QField, B: QField, params: MHDParams,
     """Evaluate J(u, B) and its four terms. When the Poisson constant Cs is
     supplied, the coercivity radius and flag are evaluated at ||B||_H1;
     otherwise rho_max is NaN and the flag false."""
+    return _energy_of(u, B, params, Cs, _derive(u, B, params.mu0),
+                      None if Cs is None else h1_norm(B))
+
+
+def _energy_of(u: QField, B: QField, params: MHDParams, Cs: float | None,
+               d: _Derived, B_h1: float | None) -> EnergyReport:
+    """energy(u, B, params, Cs) from the state's mhd._derive fields d and
+    B_h1 = ||B||_H1 (read only with Cs)."""
     viscous_u = l2_norm(dirac_fwd(u)) ** 2 / params.Re
-    viscous_B = l2_norm(dirac_fwd(B)) ** 2 / params.Rm
-    lor = sc_inner(lorentz(B, params.mu0), u)
-    ind = sc_inner(convective(u, B) - convective(B, u), B)
+    viscous_B = d.DB_l2 ** 2 / params.Rm
+    lor = sc_inner(d.lor, u)
+    ind = sc_inner(d.uB - d.Bu, B)
     J = viscous_u - lor + viscous_B + ind
     if Cs is None:
         ok, rho = False, math.nan
     else:
         rho = coercivity_radius(params, Cs)
-        ok = is_coercive(h1_norm(B), params, Cs)
+        ok = is_coercive(B_h1, params, Cs)
     return EnergyReport(J, viscous_u, viscous_B, lor, ind, ok, rho)
 
 

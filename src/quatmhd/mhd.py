@@ -7,10 +7,13 @@ _advect, which reads the stored components-first arrays without a copy.
 
 The integral form's TQT is the collar-Dirichlet solve (poisson_dirichlet),
 and its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu,
-Cauchy or Bergman operators. The velocity row and the pressure equation
-share one bracket, momentum_bracket(u, lorentz(B)), computed once per outer
-step. The boundary term of B is the vector part of the harmonic extension
-of the face data.
+Cauchy or Bergman operators. _derive computes what the rows of a state
+(u, B) read, once: D+B, the Lorentz force from it, and the advections
+(u, u), (u, B) and (B, u). residual_strong and energy derive through it,
+and the outer loop shares one derivation between a state's residual and
+energy rows and the next step's bracket, momentum_bracket(lor, uu), which
+the velocity row and the pressure equation share. The boundary term of B
+is the vector part of the harmonic extension of the face data.
 
 Conventions. States are cell-centered quaternion fields, values (4, n1, n2,
 n3), with u, B pure vectors (values[1:]) and p scalar (values[0]),
@@ -26,12 +29,14 @@ and series reads: "linear" (1, 1, 1), "squared" (2, 2, 2) or "mixed"
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, _finite, sc_inner
-from .operators import (OperatorSet, _dcen, _dcen_T, dirac_fwd, div_fwd,
-                        grad_bwd, laplacian)
+from .grid import (BoundaryData, QField, VoxelDomain, _finite, l2_norm,
+                   sc_inner)
+from .operators import (OperatorSet, _dcen, _dcen_T, _first_live, dirac_fwd,
+                        div_fwd, grad_bwd, laplacian)
 from .quaternion import qmul_arr
 
 __all__ = [
@@ -121,16 +126,22 @@ def _require_pure(f: QField, what: str) -> None:
 
 def convective(a: QField, w: QField) -> QField:
     """Advection (a.grad)w with central differences, the realization of
-    the scalar-part operator Sc(aD) applied to w."""
+    the scalar-part operator Sc(aD) applied to w. A scalar part of w that
+    is identically zero is not differenced (_first_live)."""
     _require_pure(a, "advection field a")
-    return QField(a.domain, _advect(a.values[1:], w.values, a.domain.h))
+    out = np.zeros(w.values.shape)
+    lo = _first_live(w.values)
+    _advect(a.values[1:], w.values[lo:], a.domain.h, out[lo:])
+    return QField(a.domain, out)
 
 
-def _advect(a: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+def _advect(a: np.ndarray, v: np.ndarray, h: float,
+            out: np.ndarray | None = None) -> np.ndarray:
     """sum_i a_i D^c_i v over the last three axes of v, leading axes
-    batched: a the vector part of an advection field, shape (3,) + the
-    domain's, and D^c_i the centered difference _dcen."""
-    out = np.zeros(v.shape)
+    batched, added to out (zeros if None): a the vector part of an
+    advection field, shape (3,) + the domain's, and D^c_i the centered
+    difference _dcen."""
+    out = np.zeros(v.shape) if out is None else out
     for i in range(3):
         out += a[i] * _dcen(v, i, h)
     return out
@@ -173,11 +184,34 @@ def M_of(u: QField, B: QField, mu0: float) -> QField:
     return convective(u, u) - lorentz(B, mu0)
 
 
-def _interior_norm(arr: np.ndarray, domain: VoxelDomain) -> float:
-    """L2 norm over the non-collar cells (the one-sided fallback layers are
-    excluded from residual measurements)."""
-    mask = ~domain.collar_mask(1)
-    return float(np.sqrt((arr[..., mask] ** 2).sum() * domain.cell_volume))
+class _Derived(NamedTuple):
+    """What the residual row, the energy row and the next outer step's
+    bracket read of one state (u, B) (_derive)."""
+
+    DB_l2: float  # l2_norm(dirac_fwd(B))
+    lor: QField   # lorentz(B, mu0), from that D+B
+    uu: QField    # convective(u, u)
+    uB: QField    # convective(u, B)
+    Bu: QField    # convective(B, u)
+
+
+def _derive(u: QField, B: QField, mu0: float) -> _Derived:
+    """Derive each entry of _Derived once. D+B is computed once, for its
+    norm and the Lorentz force, and not kept."""
+    DB = dirac_fwd(B)
+    return _Derived(l2_norm(DB), _lorentz_of(B, DB, mu0), convective(u, u),
+                    convective(u, B), convective(B, u))
+
+
+def _interior_norm(arr: np.ndarray, domain: VoxelDomain,
+                   interior: np.ndarray | None = None) -> float:
+    """L2 norm over the non-collar cells, the boolean mask `interior`
+    (~domain.collar_mask(1), built if None): the one-sided fallback layers
+    are excluded from residual measurements."""
+    if interior is None:
+        interior = ~domain.collar_mask(1)
+    return float(np.sqrt((arr[..., interior] ** 2).sum()
+                         * domain.cell_volume))
 
 
 def residual_strong(state: MHDState,
@@ -186,19 +220,26 @@ def residual_strong(state: MHDState,
     (1/(c_u mu0)) D^2 u + (1/mu0) Sc(uD)u + (c_p/(c_u mu0)) Dp - lor, the
     induction residual (1/c_B) D^2 B + Sc(uD)B - Sc(BD)u (the rows the
     solvers solve), and of div u, div B; lor = (1/mu0) Vec((DB)B)."""
+    return _residuals(state, params,
+                      _derive(state.u, state.B, params.mu0))
+
+
+def _residuals(state: MHDState, params: MHDParams,
+               d: _Derived) -> tuple[float, float, float, float]:
+    """residual_strong(state, params) from the state's _derive fields d."""
     u, B, p = state.u, state.B, state.p
     dom = u.domain
+    interior = ~dom.collar_mask(1)
     cu_mu0 = params.coeff_u() * params.mu0
-    mom = (-(1.0 / cu_mu0) * laplacian(u)
-           + (1.0 / params.mu0) * convective(u, u)
-           + (params.coeff_p() / cu_mu0) * grad_bwd(p)
-           - lorentz(B, params.mu0))
-    ind = (-(1.0 / params.coeff_B()) * laplacian(B) + convective(u, B)
-           - convective(B, u))
-    return (_interior_norm(mom.values, dom),
-            _interior_norm(ind.values, dom),
-            _interior_norm(div_fwd(u), dom),
-            _interior_norm(div_fwd(B), dom))
+    # each residual field is freed once its norm is taken
+    mom = _interior_norm((-(1.0 / cu_mu0) * laplacian(u)
+                          + (1.0 / params.mu0) * d.uu
+                          + (params.coeff_p() / cu_mu0) * grad_bwd(p)
+                          - d.lor).values, dom, interior)
+    ind = _interior_norm((-(1.0 / params.coeff_B()) * laplacian(B) + d.uB
+                          - d.Bu).values, dom, interior)
+    return (mom, ind, _interior_norm(div_fwd(u), dom, interior),
+            _interior_norm(div_fwd(B), dom, interior))
 
 
 def residual_weak(state: MHDState, params: MHDParams, test_v: QField,
@@ -225,11 +266,11 @@ def residual_weak(state: MHDState, params: MHDParams, test_v: QField,
     return r_mom, r_ind
 
 
-def momentum_bracket(u: QField, lor: QField, params: MHDParams) -> QField:
-    """Vec((DB)B) - Sc(uD)u, as mu0 lor - convective(u, u) from the Lorentz
-    force lor = lorentz(B, mu0): the bracket that the velocity row and the
-    pressure equation share."""
-    return params.mu0 * lor - convective(u, u)
+def momentum_bracket(lor: QField, uu: QField, params: MHDParams) -> QField:
+    """Vec((DB)B) - Sc(uD)u, as mu0 lor - uu from the Lorentz force
+    lor = lorentz(B, mu0) and uu = convective(u, u): the bracket that the
+    velocity row and the pressure equation share."""
+    return params.mu0 * lor - uu
 
 
 def tqt_rhs_u(bracket: QField, p: QField, params: MHDParams,

@@ -143,6 +143,16 @@ def _dcen_T(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _first_live(vals: np.ndarray) -> int:
+    """The first component of a 4-component array that a componentwise
+    stencil must difference: 1 when component 0 is identically zero (u, B
+    and every other pure field), else 0. Skipping that component changes
+    no bit of a stencil's result: each output accumulates from +0.0, an
+    accumulation from +0.0 never reaches -0.0, and adding +-0.0 to any
+    other value leaves it unchanged."""
+    return 0 if vals[0].any() else 1
+
+
 def _staggered(vals: np.ndarray, h: float, flip: bool = False,
                ghost: bool = False, central: bool = False) -> np.ndarray:
     """sum_j e_j d_j vals. d_j is the one-sided _diff, backward on the
@@ -152,10 +162,14 @@ def _staggered(vals: np.ndarray, h: float, flip: bool = False,
     constant on the component pairs e_j swaps, so d_j commutes with the
     multiplication. With ghost-zero differences (backward = -forward^T,
     e_j^T = -e_j) the transpose of _staggered(., flip) is thus
-    _staggered(., not flip)."""
+    _staggered(., not flip). A component 0 that is identically zero (a
+    pure field) is not differenced (_first_live)."""
     out = np.zeros_like(vals)
+    lo = _first_live(vals)
     for j in range(3):
         for r, (sign, c) in enumerate(_UNIT_MUL[j]):
+            if c < lo:
+                continue
             v = vals[c]
             out[r] += sign * (
                 _dcen(v, j, h) if central
@@ -210,12 +224,18 @@ def curl_bwd(u: QField) -> QField:
 
 def laplacian(u: QField) -> QField:
     """Centered 7-point Laplacian applied to every component, with one-sided
-    second-difference stencils on the face layers."""
-    return QField(u.domain, _lap_interior(u.values, u.domain.h**2))
+    second-difference stencils on the face layers. A component 0 that is
+    identically zero is not differenced (_first_live)."""
+    out = np.zeros(u.values.shape)
+    lo = _first_live(u.values)
+    _lap_interior(u.values[lo:], u.domain.h**2, out[lo:])
+    return QField(u.domain, out)
 
 
-def _lap_interior(v: np.ndarray, h2: float) -> np.ndarray:
-    out = np.zeros_like(v)
+def _lap_interior(v: np.ndarray, h2: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The 7-point Laplacian of v, added to out (zeros if None)."""
+    out = np.zeros(v.shape) if out is None else out
     second = np.empty(v.shape)
     for ax in range(3):
         _require_three_cells(v, ax)

@@ -45,11 +45,10 @@ def _fourier_draws(rng, kmax: int) -> list[tuple]:
              rng.standard_normal()) for _ in range(4)]
 
 
-def _fourier_scalar(domain: VoxelDomain, rng, kmax: int) -> np.ndarray:
+def _fourier_scalar(s: list[np.ndarray], rng, kmax: int) -> np.ndarray:
     """Low-order random trigonometric polynomial on the unit cube, a sum of
-    separable products of 1-D cosines."""
-    s = _unit_coords(domain)
-    out = np.zeros(domain.shape)
+    separable products of 1-D cosines of the _unit_coords s."""
+    out = np.zeros(tuple(len(x) for x in s))
     for k, phase, amp in _fourier_draws(rng, kmax):
         out += amp * _outer3(
             [np.cos(2 * np.pi * k[i] * s[i] + phase[i]) for i in range(3)])
@@ -59,18 +58,20 @@ def _fourier_scalar(domain: VoxelDomain, rng, kmax: int) -> np.ndarray:
 def random_smooth(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     """Smooth random quaternion field, generically nonzero at the faces."""
     rng = _rng(seed)
-    return QField(domain, [_fourier_scalar(domain, rng, kmax) for _ in range(4)])
+    s = _unit_coords(domain)
+    return QField(domain, [_fourier_scalar(s, rng, kmax) for _ in range(4)])
 
 
-def _bump(domain: VoxelDomain) -> np.ndarray:
-    """C^1 cutoff prod_i (4 s_i (1 - s_i))^3 vanishing at the faces."""
-    return _outer3([(4.0 * s * (1.0 - s)) ** 3 for s in _unit_coords(domain)])
+def _bump(s: list[np.ndarray]) -> np.ndarray:
+    """C^1 cutoff prod_i (4 s_i (1 - s_i))^3 of the _unit_coords s,
+    vanishing at the faces."""
+    return _outer3([(4.0 * x * (1.0 - x)) ** 3 for x in s])
 
 
 def random_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     """Smooth random field that decays to zero at the box faces."""
     u = random_smooth(domain, seed, kmax)
-    return QField(domain, u.values * _bump(domain))
+    return QField(domain, u.values * _bump(_unit_coords(domain)))
 
 
 def random_pure_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
@@ -78,13 +79,21 @@ def random_pure_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     scalar part zeroed. The scalar part's numbers are still drawn, so that
     the random stream and the vector part stay those of random_bump, but
     that part is not built."""
-    rng = _rng(seed)
-    _fourier_draws(rng, kmax)
-    bump = _bump(domain)
-    out = np.zeros((4,) + domain.shape)
-    for c in range(1, 4):
-        out[c] = _fourier_scalar(domain, rng, kmax) * bump
-    return QField(domain, out)
+    return next(_pure_bumps(domain, _rng(seed), kmax))
+
+
+def _pure_bumps(domain: VoxelDomain, rng: np.random.Generator,
+                kmax: int = 2):
+    """The random_pure_bump fields of successive draws from rng, without
+    end; the coordinates and the cutoff are built once."""
+    s = _unit_coords(domain)
+    bump = _bump(s)
+    while True:
+        _fourier_draws(rng, kmax)
+        out = np.zeros((4,) + domain.shape)
+        for c in range(1, 4):
+            out[c] = _fourier_scalar(s, rng, kmax) * bump
+        yield QField(domain, out)
 
 
 def random_divfree(domain: VoxelDomain, seed=0) -> QField:

@@ -21,11 +21,12 @@ A v = L^-1 sum_i u~_i D^c_i v (D^c_i the centered difference, L^-1 the
 collar solve). So convection_norm is ||A||, from Lanczos on A^T A, and
 each series runs on the three vector components as one batch.
 
-Both schemes run one outer loop, _outer_loop. It computes the Lorentz
-force of the previous B and from it the bracket Vec((DB)B) - Sc(uD)u
-once, recovers the pressure from the bracket, calls the scheme's update
-for (u, B), and owns
-the change, residual, energy and condition rows, the tol stop and the
+Both schemes run one outer loop, _outer_loop. It derives each state's
+D+B, Lorentz force and advections once (mhd._derive), for the state's
+residual and energy rows and for the next step's bracket
+Vec((DB)B) - Sc(uD)u. Each step recovers the pressure from that bracket,
+calls the scheme's update for (u, B), and writes the change, residual,
+energy and condition rows; the loop owns the tol stop and the
 divergence guards. The schemes differ only in the update and in their own
 row entries. A solve's ConvergenceReport is these rows and the tol flag.
 
@@ -42,15 +43,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy
+from .energy import _energy_of
 from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
 from .mhd import (MHDParams, MHDState, _convect_solve, _convect_solve_T,
-                  _lorentz_of, _require_pure, boundary_B_term, convective,
-                  leray_project, lorentz, momentum_bracket, residual_strong,
-                  tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
+                  _derive, _lorentz_of, _require_pure, _residuals,
+                  boundary_B_term, convective, leray_project, lorentz,
+                  momentum_bracket, tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
 from .operators import (OperatorSet, _lanczos, _top_eigenvalue, dirac_fwd,
                         grad_bwd)
-from .sampling import random_pure_bump
+from .sampling import _pure_bumps
 
 __all__ = [
     "ConstantsBundle",
@@ -171,11 +172,10 @@ def estimate_constants(ops: OperatorSet, seed: int = 0) -> ConstantsBundle:
     lam = ops.lambda_min()
     C1 = 1.0 / lam
     k = ops.op_norm_TQT()
-    rng = np.random.default_rng(seed)
+    fields = _pure_bumps(ops.domain, np.random.default_rng(seed))
     ratios_s, ratios_d, ratios_c = [], [], []
     for _ in range(_SAMPLES):
-        u = random_pure_bump(ops.domain, rng)
-        B = random_pure_bump(ops.domain, rng)
+        u, B = next(fields), next(fields)
         uh, Bh = h1_norm(u), h1_norm(B)
         if uh == 0.0 or Bh == 0.0:
             continue
@@ -457,8 +457,11 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                 update, conditions) -> tuple[MHDState, ConvergenceReport]:
     """The outer fixed-point iteration of both schemes.
 
-    Each step computes lor = lorentz(prev.B) and from it bracket =
-    momentum_bracket(prev.u, lor), recovers p from the bracket and calls
+    Each new state's D+B, Lorentz force lor and advections uu, uB, Bu
+    are derived once (mhd._derive), for its residual and energy rows; of
+    the initial state only lor and uu are computed, before step 1. Step n
+    builds bracket = momentum_bracket from the lor and uu of prev, the
+    previous state, recovers p from the bracket and calls
     update(prev, p, lor, bracket, B_bd) -> (u, B, row entries); B_bd is
     the boundary term of B, None for zero data. With a
     constants bundle the row also gets cond1 at the new u and
@@ -473,11 +476,13 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     report = ConvergenceReport()
     hist_u = [h1_norm(state.u)]
     hist_B = [h1_norm(state.B)]
+    # the initial state has no rows: only its bracket's two fields
+    lor, uu = lorentz(state.B, params.mu0), convective(state.u, state.u)
     grow = 0
     for n in range(1, cfg.max_outer + 1):
         prev = state
-        lor = lorentz(prev.B, params.mu0)
-        bracket = momentum_bracket(prev.u, lor, params)
+        bracket = momentum_bracket(lor, uu, params)
+        del uu
         p = pressure_recover(tqt_rhs_p(bracket, params, ops), ops)
         u, B, entries = update(prev, p, lor, bracket, B_bd)
         del lor, bracket  # two full fields, not read by the rows below
@@ -491,11 +496,17 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         row = {"iter": n, "du": h1_norm(u - prev.u),
                "dB": h1_norm(B - prev.B), "dp": l2_norm(state.p - prev.p),
                **entries}
+        del prev  # three full fields, not read by the rows below
         if constants is not None:
             row["cond1"] = check_cond1(hist_u[-1], constants, params.Rm)
             row.update(conditions(hist_u, hist_B))
-        res = residual_strong(state, params)
-        erep = energy(u, B, params, Cs=constants.Cs if constants else None)
+        derived = _derive(u, B, params.mu0)
+        res = _residuals(state, params, derived)
+        erep = _energy_of(u, B, params, constants.Cs if constants else None,
+                          derived, hist_B[-1])
+        # the next step reads lor and uu; uB and Bu are freed here
+        lor, uu = derived.lor, derived.uu
+        del derived
         row.update(energy=erep, Jenergy=erep.J, res_mom=res[0],
                    res_ind=res[1], divu=res[2], divB=res[3])
         report.rows.append(row)

@@ -265,7 +265,8 @@ def test_residual_weak_rejects_bad_tests(dom8):
 def test_tqt_rhs_zero_state(dom8, ops8):
     params = MHDParams(Re=1.0, Rm=1.0)
     zero = MHDState.zeros(dom8)
-    bracket = momentum_bracket(zero.u, lorentz(zero.B, params.mu0), params)
+    bracket = momentum_bracket(lorentz(zero.B, params.mu0),
+                               convective(zero.u, zero.u), params)
     assert not tqt_rhs_u(bracket, zero.p, params, ops8).values.any()
     assert not tqt_rhs_B(zero.u, zero.B, params, ops8).values.any()
     assert not tqt_rhs_p(bracket, params, ops8).values.any()
@@ -283,7 +284,8 @@ def test_tqt_rhs_u_single_apply(dom8, ops8, mode):
                - convective(st.u, st.u))
     ref = (params.coeff_u() * ops8.poisson_dirichlet(bracket)
            - params.coeff_p() * ops8.poisson_dirichlet(grad_bwd(st.p)))
-    bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
+    bracket = momentum_bracket(lorentz(st.B, params.mu0),
+                               convective(st.u, st.u), params)
     got = tqt_rhs_u(bracket, st.p, params, ops8)
     assert l2_norm(got - ref) <= 1e-13 * l2_norm(ref)
 
@@ -297,7 +299,8 @@ def test_tqt_rhs_u_is_divergence_free(dom12, ops12, mode):
     from quatmhd.solvers import pressure_recover
     params = MHDParams(Re=3.0, Rm=2.0, mu0=1.7, exponent_mode=mode)
     u, B = random_pure_bump(dom12, seed=31), random_pure_bump(dom12, seed=32)
-    bracket = momentum_bracket(u, lorentz(B, params.mu0), params)
+    bracket = momentum_bracket(lorentz(B, params.mu0), convective(u, u),
+                               params)
     p = pressure_recover(tqt_rhs_p(bracket, params, ops12), ops12)
     out = tqt_rhs_u(bracket, p, params, ops12)
     div = dom12.h * _interior_norm(div_fwd(out), dom12)
@@ -318,8 +321,9 @@ def test_tqt_rhs_p_independent_recomputation(dom8, ops8, lattice_pair):
     st = MHDState(random_pure_bump(dom8, seed=16),
                   random_pure_bump(dom8, seed=17), QField.zeros(dom8))
     bracket = lorentz(st.B, 1.0) - convective(st.u, st.u)
-    got = tqt_rhs_p(momentum_bracket(st.u, lorentz(st.B, params.mu0),
-                                     params), params, ops8)
+    got = tqt_rhs_p(momentum_bracket(lorentz(st.B, params.mu0),
+                                     convective(st.u, st.u), params),
+                    params, ops8)
     assert not got.values[1:].any()
     ref = params.coeff_prhs() * ops8.bergman_Q(
         lattice_pair(dom8).T_minus(bracket)).values[0]
@@ -353,7 +357,8 @@ def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
     pv[0] = random_pure_bump(dom8, seed=27).values[2]
     st = MHDState(random_pure_bump(dom8, seed=28),
                   random_pure_bump(dom8, seed=29), QField(dom8, pv))
-    bracket = momentum_bracket(st.u, lorentz(st.B, params.mu0), params)
+    bracket = momentum_bracket(lorentz(st.B, params.mu0),
+                               convective(st.u, st.u), params)
     ref = ops8.poisson_dirichlet(params.coeff_u() * bracket
                                  - params.coeff_p() * grad_bwd(st.p))
     got = tqt_rhs_u(bracket, st.p, params, ops8)

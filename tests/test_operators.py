@@ -8,14 +8,15 @@ from scipy.sparse.linalg import splu
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
 from quatmhd.grid import _diff
-from quatmhd.mhd import convective
-from quatmhd.operators import (_dcen, _dcen_T, _dst1, _dst2, _irfft_head,
-                               _lap_interior, _lanczos, _pure, _pure_left_mul,
-                               _staggered, _top_eigenvalue, curl_bwd,
+from quatmhd.mhd import _advect, convective
+from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _dcen, _dcen_T, _dst1,
+                               _dst2, _irfft_head, _lap_interior, _lanczos,
+                               _pure, _pure_left_mul, _staggered,
+                               _top_eigenvalue, curl_bwd,
                                dirac_bwd, dirac_central, dirac_fwd, div_fwd,
                                laplacian, OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
-from quatmhd.sampling import random_bump, random_smooth
+from quatmhd.sampling import random_bump, random_pure_bump, random_smooth
 
 
 def _coord_field(dom, coord_axis, comp):
@@ -343,6 +344,52 @@ def test_laplacian_matches_stencil(dom8):
         for ax in range(3):
             ref += _apply_rows(_diff_matrix(n[ax], "second"), v, ax) / 0.25
         assert _lap_interior(v, 0.25).tobytes() == ref.tobytes()
+
+
+def _staggered_all(vals, h, flip=False, ghost=False, central=False):
+    """_staggered differencing all four components, the zero ones too."""
+    out = np.zeros_like(vals)
+    for j in range(3):
+        for r, (sign, c) in enumerate(_UNIT_MUL[j]):
+            out[r] += sign * (
+                _dcen(vals[c], j, h) if central
+                else _diff(vals[c], j, h, _BACKWARD[j, c] != flip, ghost))
+    return out
+
+
+def _pure_fields(dom):
+    """Seeded pure fields with entries of both signs; the last one has a
+    scalar part of -0.0 on a third of the cells."""
+    fields = [random_pure_bump(dom, seed=s) for s in (3, 4)]
+    vals = random_smooth(dom, seed=5).values.copy()
+    vals[0] = np.where(np.random.default_rng(5).random(dom.shape) < 0.3,
+                       -0.0, 0.0)
+    return fields + [QField(dom, vals)]
+
+
+@pytest.mark.parametrize("n", BOXES[:3])
+def test_pure_field_stencils_match_all_components(n):
+    # on a field whose scalar part is identically zero the stencils skip
+    # that component; the result is the four-component computation's, bit
+    # for bit, signed zeros included
+    dom = build_domain((0.1, -0.2, 0.3), tuple(0.1 * m for m in n), n)
+    h = dom.h
+    fields = _pure_fields(dom)
+    for u in fields:
+        v = u.values
+        for kw in [{}, {"flip": True}, {"ghost": True},
+                   {"flip": True, "ghost": True}, {"central": True}]:
+            ref = _staggered_all(v, h, **kw).tobytes()
+            assert _staggered(v, h, **kw).tobytes() == ref, kw
+        assert (dirac_fwd(u).values.tobytes()
+                == _staggered_all(v, h).tobytes())
+        assert (dirac_bwd(u).values.tobytes()
+                == _staggered_all(v, h, flip=True).tobytes())
+        assert (laplacian(u).values.tobytes()
+                == _lap_interior(v, h**2).tobytes())
+        for a in fields:
+            ref = _advect(a.values[1:], v, h)
+            assert convective(a, u).values.tobytes() == ref.tobytes()
 
 
 def test_adjoint_pairing(dom12):

@@ -39,7 +39,7 @@ def test_separable_sampling_matches_3d_formula(origin, extent, n):
         assert np.array_equal(np.broadcast_to(s.reshape(shape), dom.shape),
                               s3[..., i])
     bump = np.prod((4.0 * s3 * (1.0 - s3)) ** 3, axis=-1)
-    assert np.array_equal(_bump(dom), bump)
+    assert np.array_equal(_bump(_unit_coords(dom)), bump)
     rng = np.random.default_rng(7)
     smooth = np.stack([_fourier_scalar_3d(dom, rng, 2) for _ in range(4)])
     assert np.array_equal(random_smooth(dom, seed=7).values, smooth)

@@ -605,54 +605,124 @@ def test_apply_budget(dom8, monkeypatch):
                                                   [19, 41]]
 
 
+def test_stencil_budget(dom8, ops8, monkeypatch):
+    # the one-sided (grid._diff) and centered (operators._dcen)
+    # differences of warm n = 8 solves per outer step, read at the start of
+    # each step and at the end as in test_apply_budget, so that a field
+    # derived twice shows up here. A pure field's scalar part is not
+    # differenced: D+B takes 9 _diff, an advection 3 _dcen. A Banach step
+    # takes 51 _diff and 9 _dcen, plus 6 and 6 per inner B iteration (2 in
+    # step 1, then 1). Of those, the derived fields of the new state take
+    # 9 and 9 (one D+B, three advections) and its energy row's D+u 9
+    # _diff. Deriving them again for each row and for the bracket would
+    # take 93 and 18
+    import quatmhd.grid as grid
+    import quatmhd.mhd as mhd
+    import quatmhd.operators as operators
+    import quatmhd.solvers as solvers
+    counts = {"_diff": 0, "_dcen": 0}
+    for name, source, modules in (("_diff", grid, (grid, operators)),
+                                  ("_dcen", operators, (operators, mhd))):
+        def counted(*args, _name=name, _fn=getattr(source, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    per_step, bracket = [], solvers.momentum_bracket
+
+    def step_start(*args):
+        per_step.append((counts["_diff"], counts["_dcen"]))
+        return bracket(*args)
+    monkeypatch.setattr(solvers, "momentum_bracket", step_start)
+    params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
+    got = {}
+    for method in SOLVE:
+        per_step.clear()
+        _, report = SOLVE[method](
+            params, ops8, SolverConfig(method=method, tol=1e-10),
+            init=_warm_state(dom8))
+        assert report.iterations == 3
+        per_step.append((counts["_diff"], counts["_dcen"]))
+        got[method] = np.diff(per_step, axis=0).tolist()
+    assert got == {"banach": [[63, 21], [57, 15], [57, 15]],
+                   "schauder_neumann": [[48, 57], [48, 45], [48, 39]]}
+
+
+@pytest.mark.parametrize("method", SOLVE)
+@pytest.mark.parametrize("start", ["warm", "boundary"])
+def test_rows_match_standalone_residual_and_energy(dom8, ops8, method,
+                                                   start):
+    # the loop derives each state's fields once and shares them between
+    # its rows; every row equals residual_strong and energy evaluated
+    # alone on that step's state, bit for bit. The state of step k is the
+    # result of the same solve cut at max_outer = k
+    from quatmhd.energy import energy
+    if start == "warm":
+        init, h = _warm_state(dom8), None
+    else:
+        init, h = None, _small_boundary(dom8, 1e-5)
+    params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed", boundary_h=h)
+    c = estimate_constants(ops8, seed=3)
+    run = lambda k: SOLVE[method](
+        params, ops8, SolverConfig(method=method, tol=1e-10, max_outer=k),
+        init=init, constants=c)
+    _, report = run(100)
+    assert report.converged and report.iterations >= 2
+    for k, row in enumerate(report.rows, start=1):
+        state, _ = run(k)
+        assert (row["res_mom"], row["res_ind"], row["divu"],
+                row["divB"]) == residual_strong(state, params)
+        assert row["energy"] == energy(state.u, state.B, params, c.Cs)
+
+
 def _count_brackets(monkeypatch):
-    """Count the convective(u, u) and lorentz calls of mhd, solvers and
-    energy, under the names those modules look them up by."""
-    import quatmhd.energy as energy
+    """Count the convective(u, u) calls and the Lorentz products
+    (_lorentz_of, which lorentz calls too) of mhd and solvers, under the
+    names those modules look them up by."""
     import quatmhd.mhd as mhd
     import quatmhd.solvers as solvers
     counts = {"convective_uu": 0, "lorentz": 0}
-    convective_, lorentz_ = mhd.convective, mhd.lorentz
+    convective_, lorentz_of_ = mhd.convective, mhd._lorentz_of
 
     def counted_convective(a, w):
         counts["convective_uu"] += a is w
         return convective_(a, w)
 
-    def counted_lorentz(B, mu0):
+    def counted_lorentz(B, DB, mu0):
         counts["lorentz"] += 1
-        return lorentz_(B, mu0)
+        return lorentz_of_(B, DB, mu0)
 
-    for module in (mhd, solvers, energy):
+    for module in (mhd, solvers):
         monkeypatch.setattr(module, "convective", counted_convective)
-        monkeypatch.setattr(module, "lorentz", counted_lorentz)
+        monkeypatch.setattr(module, "_lorentz_of", counted_lorentz)
     return counts
 
 
 def test_banach_bracket_once_per_step(dom8, ops8, monkeypatch):
-    # the bracket Vec((DB)B) - Sc(uD)u of the pressure equation and of the
-    # velocity update is built once per outer step: one convective(u, u)
-    # and one lorentz, plus one of each in the step's residual_strong and
-    # one lorentz in its energy row. The inner B loop advects only (u, B)
-    # pairs
+    # each state's Lorentz force and convective(u, u) are computed once:
+    # the initial state's before step 1, and each new state's in
+    # mhd._derive for its residual and energy rows, which the next step's
+    # bracket reuses. So a K-step solve evaluates each K + 1 times. The
+    # inner B loop advects only (u, B) pairs
     counts = _count_brackets(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     _, report = banach_solve(params, ops8, SolverConfig(tol=1e-10),
                              init=_warm_state(dom8))
     assert report.iterations == 3
-    assert counts == {"convective_uu": 2 * 3, "lorentz": 3 * 3}
+    assert counts == {"convective_uu": 3 + 1, "lorentz": 3 + 1}
 
 
 def test_schauder_lorentz_once_per_step(dom8, ops8, monkeypatch):
     # the Lorentz force of the bracket is also the u series' right side,
-    # so a Schauder step evaluates lorentz once, plus once each in its
-    # residual_strong and energy row
+    # so a K-step Schauder solve evaluates it K + 1 times too, as the
+    # Banach solve does
     counts = _count_brackets(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     _, report = schauder_solve(
         params, ops8, SolverConfig(method="schauder_neumann", tol=1e-10),
         init=_warm_state(dom8))
     assert report.iterations == 3
-    assert counts == {"convective_uu": 2 * 3, "lorentz": 3 * 3}
+    assert counts == {"convective_uu": 3 + 1, "lorentz": 3 + 1}
 
 
 def _xyz_field(x, eps):
