@@ -248,31 +248,66 @@ def l2_norm(u: QField) -> float:
     return float(np.sqrt((u.values**2).sum() * u.domain.cell_volume))
 
 
+def _stride(vals: np.ndarray, axis: int) -> int:
+    """The distance, in entries of the C-order flat buffer, between
+    neighbours along `axis` of the last three axes of vals."""
+    return math.prod(vals.shape[vals.ndim + axis - 2:])
+
+
+def _first_live(vals: np.ndarray) -> int:
+    """The first component of an array of components that a componentwise
+    stencil must difference: 0 when component 0 has a nonzero entry, 1
+    when it is identically zero (u, B and every other pure field), and
+    len(vals) when no entry is live, every one being +0.0 (all bits zero,
+    as in the zero state of a cold start). Skipping changes no bit of a
+    stencil's result: each output accumulates from +0.0, an accumulation
+    from +0.0 never reaches -0.0, and adding +-0.0 to any other value
+    leaves it unchanged; an output written by a difference of +0.0
+    values (grad_bwd) is +0.0 too. A zero array holding a -0.0 entry
+    returns 1 and is differenced."""
+    if vals[0].any():
+        return 0
+    bits = vals.view(np.uint64)
+    return 1 if bits[1:].any() or bits[0].any() else len(vals)
+
+
 def _diff(vals: np.ndarray, axis: int, h: float, backward: bool = False,
           ghost: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Every one-sided difference: (v[k+1] - v[k]) / h along `axis` of the
     last three axes of vals (leading axes batched), placed at k (forward)
-    or k + 1 (backward), into `out` (new if None). The layer left over
-    repeats its neighbour (the fallback rows of D+/D-) or, with `ghost`,
-    differences a zero ghost value beyond the face."""
+    or k + 1 (backward), into `out` (new if None; ValueError unless it is
+    C-contiguous). The layer left over repeats its neighbour (the fallback
+    rows of D+/D-) or, with `ghost`, differences a zero ghost value beyond
+    the face.
+
+    The differences are one subtraction over the flat C-order buffers:
+    the neighbour of entry i along `axis` is entry i + s, s = _stride. The
+    rows whose i + s wraps into the next line lie on the face layer that
+    the edge rule then overwrites, so every entry sees the same operations
+    as in a per-axis slice form, bit for bit."""
     if out is None:
         out = np.empty(vals.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("_diff writes into a C-contiguous out")
+    s = _stride(vals, axis)
+    f, g = vals.reshape(-1), out.reshape(-1)
+    np.subtract(f[s:], f[:-s], out=g[s:] if backward else g[:-s])
     v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
     if backward:
-        np.subtract(v[1:], v[:-1], out=d[1:])
         d[0] = v[0] if ghost else d[1]
+    elif ghost:
+        np.subtract(0.0, v[-1], out=d[-1])  # +0.0 for v = +0.0
     else:
-        np.subtract(v[1:], v[:-1], out=d[:-1])
-        if ghost:
-            np.subtract(0.0, v[-1], out=d[-1])  # +0.0 for v = +0.0
-        else:
-            d[-1] = d[-2]
+        d[-1] = d[-2]
     out /= h
     return out
 
 
 def h1_norm(u: QField) -> float:
-    """Sobolev H1 norm with forward-difference derivatives."""
+    """Sobolev H1 norm with forward-difference derivatives; 0.0 without
+    differencing when no entry is live (_first_live)."""
+    if _first_live(u.values) == len(u.values):
+        return 0.0
     h = u.domain.h
     total = (u.values**2).sum()
     for ax in range(3):

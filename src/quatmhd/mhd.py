@@ -33,10 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (BoundaryData, QField, VoxelDomain, _finite, l2_norm,
-                   sc_inner)
-from .operators import (OperatorSet, _dcen, _dcen_T, _first_live, dirac_fwd,
-                        div_fwd, grad_bwd, laplacian)
+from .grid import (BoundaryData, QField, VoxelDomain, _finite, _first_live,
+                   l2_norm, sc_inner)
+from .operators import (OperatorSet, _dcen, _dcen_T, dirac_fwd, div_fwd,
+                        grad_bwd, laplacian)
 from .quaternion import qmul_arr
 
 __all__ = [
@@ -127,11 +127,13 @@ def _require_pure(f: QField, what: str) -> None:
 def convective(a: QField, w: QField) -> QField:
     """Advection (a.grad)w with central differences, the realization of
     the scalar-part operator Sc(aD) applied to w. A scalar part of w that
-    is identically zero is not differenced (_first_live)."""
+    is identically zero is not differenced, and the result is +0.0 without
+    differencing when no entry of a or of w is live (_first_live)."""
     _require_pure(a, "advection field a")
     out = np.zeros(w.values.shape)
     lo = _first_live(w.values)
-    _advect(a.values[1:], w.values[lo:], a.domain.h, out[lo:])
+    if lo < len(out) and _first_live(a.values) < len(a.values):
+        _advect(a.values[1:], w.values[lo:], a.domain.h, out[lo:])
     return QField(a.domain, out)
 
 
@@ -295,10 +297,12 @@ def tqt_rhs_B(u: QField, B: QField, params: MHDParams,
 def _tqt_pure(f: QField, ops: OperatorSet) -> QField:
     """TQT f for a pure f. TQT solves each component alone, so only the
     three vector components are solved, in one batch, as the Neumann
-    series do; the scalar part stays zero."""
+    series do; the scalar part stays zero. An f with no live entry
+    (_first_live) gives +0.0 without the solve."""
     _require_pure(f, "TQT right side")
     out = np.zeros(f.values.shape)
-    out[1:] = ops.poisson_scalar(f.values[1:])
+    if _first_live(f.values) < len(out):
+        out[1:] = ops.poisson_scalar(f.values[1:])
     return QField(f.domain, out)
 
 

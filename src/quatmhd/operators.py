@@ -22,10 +22,16 @@ Every one-sided difference is grid._diff, forward or backward. The face
 layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
 grad_bwd, div_fwd and curl_bwd, and differences a zero ghost value in
 bergman_Q; pressure_S holds its ghost-zero differences inside per-axis
-matrices (_grad_factors). The centered difference (_dcen), its transpose
-(_dcen_T) and the second difference of the Laplacian are slice stencils of
-their own. Every stencil acts on the last three axes of its array, leading
-axes (the four quaternion components, or a batch of them) batched.
+matrices (_grad_factors). The centered difference (_dcen) and the second
+difference of the Laplacian are stencils of their own. These three take
+their interior rows along an axis in one subtraction over the flat C-order
+buffer, shifted by the axis's stride, and then overwrite the face layer,
+where the rows that wrap across a line land; the transpose _dcen_T, whose
+face rows accumulate, is a per-axis slice stencil. Every stencil acts on
+the last three axes of its array, leading axes (the four quaternion
+components, or a batch of them) batched. The Dirac operators, laplacian
+and grad_bwd skip the components, or the whole array, that
+grid._first_live finds identically zero.
 
 Integral operators (held by OperatorSet, which caches the Teodorescu
 kernel per domain)
@@ -72,7 +78,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, _diff
+from .grid import (BoundaryData, QField, VoxelDomain, _diff, _first_live,
+                   _stride)
 from .quaternion import LEFT_MUL, qmul_arr
 
 __all__ = [
@@ -111,11 +118,16 @@ def _require_three_cells(vals: np.ndarray, axis: int) -> None:
 
 
 def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered difference; one-sided second-order stencils at the faces."""
+    """Centered difference; one-sided second-order stencils at the faces.
+    The centered rows are one subtraction over the flat buffers, as in
+    grid._diff: the rows that wrap across a line lie on the face layers,
+    which the one-sided stencils then overwrite."""
     _require_three_cells(vals, axis)
     out = np.empty(vals.shape)
+    s = _stride(vals, axis)
+    f = vals.reshape(-1)
+    np.subtract(f[2 * s:], f[:-2 * s], out=out.reshape(-1)[s:-s])
     v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
-    np.subtract(v[2:], v[:-2], out=d[1:-1])
     d[0] = -3 * v[0] + 4 * v[1] - v[2]
     d[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
     out /= 2 * h
@@ -127,7 +139,8 @@ def _dcen_T(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     The centered rows 1..m-2 give out[k] = v[k-1] - v[k+1], each term only
     where it reads such a row; the face rows (-3, 4, -1) and (1, -4, 3)
     add v[0] and v[-1] times their weights to the first and last three
-    cells."""
+    cells. The face rows add to the centered ones, so this stencil keeps
+    the per-axis slice form."""
     _require_three_cells(vals, axis)
     out = np.zeros(vals.shape)
     v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
@@ -143,16 +156,6 @@ def _dcen_T(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def _first_live(vals: np.ndarray) -> int:
-    """The first component of a 4-component array that a componentwise
-    stencil must difference: 1 when component 0 is identically zero (u, B
-    and every other pure field), else 0. Skipping that component changes
-    no bit of a stencil's result: each output accumulates from +0.0, an
-    accumulation from +0.0 never reaches -0.0, and adding +-0.0 to any
-    other value leaves it unchanged."""
-    return 0 if vals[0].any() else 1
-
-
 def _staggered(vals: np.ndarray, h: float, flip: bool = False,
                ghost: bool = False, central: bool = False) -> np.ndarray:
     """sum_j e_j d_j vals. d_j is the one-sided _diff, backward on the
@@ -163,7 +166,8 @@ def _staggered(vals: np.ndarray, h: float, flip: bool = False,
     multiplication. With ghost-zero differences (backward = -forward^T,
     e_j^T = -e_j) the transpose of _staggered(., flip) is thus
     _staggered(., not flip). A component 0 that is identically zero (a
-    pure field) is not differenced (_first_live)."""
+    pure field) is not differenced, nor is an array with no live entry
+    (grid._first_live)."""
     out = np.zeros_like(vals)
     lo = _first_live(vals)
     for j in range(3):
@@ -196,8 +200,11 @@ def dirac_central(u: QField) -> QField:
 
 
 def grad_bwd(u: QField) -> QField:
-    """Backward-difference gradient of the scalar part, as a pure field."""
+    """Backward-difference gradient of the scalar part, as a pure field;
+    +0.0 without differencing when no entry of u is live (_first_live)."""
     out = np.zeros_like(u.values)
+    if _first_live(u.values) == len(out):
+        return QField(u.domain, out)
     for i in range(3):
         _diff(u.values[0], i, u.domain.h, backward=True, out=out[1 + i])
     return QField(u.domain, out)
@@ -225,24 +232,34 @@ def curl_bwd(u: QField) -> QField:
 def laplacian(u: QField) -> QField:
     """Centered 7-point Laplacian applied to every component, with one-sided
     second-difference stencils on the face layers. A component 0 that is
-    identically zero is not differenced (_first_live)."""
+    identically zero is not differenced, nor is an array with no live
+    entry (_first_live)."""
     out = np.zeros(u.values.shape)
     lo = _first_live(u.values)
-    _lap_interior(u.values[lo:], u.domain.h**2, out[lo:])
+    if lo < len(out):
+        _lap_interior(u.values[lo:], u.domain.h**2, out[lo:])
     return QField(u.domain, out)
 
 
 def _lap_interior(v: np.ndarray, h2: float,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """The 7-point Laplacian of v, added to out (zeros if None)."""
+    """The 7-point Laplacian of v, added to out (zeros if None). Along
+    each axis the centered rows (w[k+1] - 2 w[k]) + w[k-1] are taken over
+    the flat buffers, as in _dcen, before the face rows overwrite the
+    wrapped ones."""
     out = np.zeros(v.shape) if out is None else out
     second = np.empty(v.shape)
+    f, g = v.reshape(-1), second.reshape(-1)
     for ax in range(3):
         _require_three_cells(v, ax)
-        w, s = v.swapaxes(0, ax - 3), second.swapaxes(0, ax - 3)
-        s[1:-1] = w[2:] - 2 * w[1:-1] + w[:-2]
-        s[0] = w[0] - 2 * w[1] + w[2]
-        s[-1] = w[-1] - 2 * w[-2] + w[-3]
+        s = _stride(v, ax)
+        mid = g[s:-s]
+        np.multiply(f[s:-s], 2, out=mid)
+        np.subtract(f[2 * s:], mid, out=mid)
+        mid += f[:-2 * s]
+        w, e = v.swapaxes(0, ax - 3), second.swapaxes(0, ax - 3)
+        e[0] = w[0] - 2 * w[1] + w[2]
+        e[-1] = w[-1] - 2 * w[-2] + w[-3]
         second /= h2
         out += second
     return out

@@ -303,7 +303,13 @@ def _minres(apply_A, b: np.ndarray, tol: float,
             return x, it
         cs, sn = gbar / gamma, beta_next / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w_prev, w = w, (v - eps_prev * w_prev - delta * w) / gamma
+        # the new direction (v - eps_prev w_prev - delta w) / gamma, built
+        # in place in the w_prev buffer
+        w_prev *= eps_prev
+        np.subtract(v, w_prev, out=w_prev)
+        w_prev -= delta * w
+        w_prev /= gamma
+        w_prev, w = w, w_prev
         x += phi * w
         if (abs(phibar) <= tol * bnorm or beta_next == 0.0
                 or np.hypot(gbar, dbar) <= tol * np.sqrt(tnorm2)):
@@ -462,8 +468,9 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     the initial state only lor and uu are computed, before step 1. Step n
     builds bracket = momentum_bracket from the lor and uu of prev, the
     previous state, recovers p from the bracket and calls
-    update(prev, p, lor, bracket, B_bd) -> (u, B, row entries); B_bd is
-    the boundary term of B, None for zero data. With a
+    update(prev, p, lor, bracket, B_bd, B_h1) -> (u, B, row entries);
+    B_bd is the boundary term of B, None for zero data, and B_h1 the H1
+    norm of prev.B, the last entry of its history. With a
     constants bundle the row also gets cond1 at the new u and
     conditions(hist_u, hist_B), the scheme's checks on the H1 norm
     histories (initial state first). The loop stops
@@ -484,7 +491,7 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         bracket = momentum_bracket(lor, uu, params)
         del uu
         p = pressure_recover(tqt_rhs_p(bracket, params, ops), ops)
-        u, B, entries = update(prev, p, lor, bracket, B_bd)
+        u, B, entries = update(prev, p, lor, bracket, B_bd, hist_B[-1])
         del lor, bracket  # two full fields, not read by the rows below
         hist_u.append(h1_norm(u))
         hist_B.append(h1_norm(B))
@@ -533,15 +540,16 @@ def _change(row: dict) -> float:
 # contraction (Banach) scheme
 # ---------------------------------------------------------------------------
 
-def banach_inner_B(u_n: QField, B_init: QField, params: MHDParams,
-                   ops: OperatorSet, cfg: SolverConfig,
+def banach_inner_B(u_n: QField, B_init: QField, B_init_h1: float,
+                   params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                    boundary: QField | None = None) -> tuple[QField, int, float]:
     """Inner iteration B^(i) = c_B TQT[Sc(B^(i-1)D)u_n - Sc(u_nD)B^(i-1)]
     (+ fixed boundary term). Returns (B, iterations, last contraction ratio).
     Non-contraction (check via check_cond1) shows up as ratio >= 1; an H1
-    norm above 1e3 max(1, ||B_init||_H1) raises DivergenceError."""
+    norm above 1e3 max(1, B_init_h1) raises DivergenceError, B_init_h1
+    being h1_norm(B_init), which the outer loop already holds."""
     B = B_init.copy()
-    limit = 1e3 * max(1.0, h1_norm(B))
+    limit = 1e3 * max(1.0, B_init_h1)
     prev_change = math.nan
     ratio = 0.0
     for i in range(1, cfg.max_inner + 1):
@@ -572,9 +580,10 @@ def banach_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     B_n onto divergence-free fields. With a constants bundle, the per-step
     Lipschitz constant L_n is evaluated from the iterate history and logged
     with the Theorem 2 bound at u_n and the Theorem 4 conditions."""
-    def update(prev, p, lor, bracket, B_bd):
+    def update(prev, p, lor, bracket, B_bd, B_h1):
         u = tqt_rhs_u(bracket, p, params, ops)
-        B, _, _ = banach_inner_B(u, prev.B, params, ops, cfg, boundary=B_bd)
+        B, _, _ = banach_inner_B(u, prev.B, B_h1, params, ops, cfg,
+                                 boundary=B_bd)
         return u, leray_project(B, ops), {}
 
     def conditions(hist_u, hist_B):
@@ -602,7 +611,7 @@ def schauder_solve(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     point, by banach_solve's pressure pairing). The ratios q1, q2 and the
     Theorem 2 bound at u~ are logged every step; a measured series ratio
     q >= 1 raises ConditionViolation."""
-    def update(prev, p, lor, bracket, B_bd):
+    def update(prev, p, lor, bracket, B_bd, _B_h1):
         # both series linearize at prev.u: one norm estimate serves both;
         # the u series reads the bracket's Lorentz force, not the bracket.
         # Both return pure fields

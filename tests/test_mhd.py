@@ -3,12 +3,14 @@ import pytest
 
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
-from quatmhd.mhd import (MHDParams, MHDState, M_of, boundary_B_term,
-                         convective, harmonic_extension, leray_project,
-                         lorentz, momentum_bracket, residual_strong,
-                         residual_weak, tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
+from quatmhd.mhd import (MHDParams, MHDState, M_of, _advect, _tqt_pure,
+                         boundary_B_term, convective, harmonic_extension,
+                         leray_project, lorentz, momentum_bracket,
+                         residual_strong, residual_weak, tqt_rhs_B, tqt_rhs_p,
+                         tqt_rhs_u)
 from quatmhd.grid import _diff
-from quatmhd.operators import OperatorSet, dirac_fwd, div_fwd, grad_bwd
+from quatmhd.operators import (OperatorSet, _sine_solve, dirac_fwd, div_fwd,
+                               grad_bwd)
 from quatmhd.sampling import random_divfree, random_pure_bump
 
 
@@ -367,6 +369,35 @@ def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
         convective(st.B, st.u) - convective(st.u, st.B))
     got = tqt_rhs_B(st.u, st.B, params, ops8)
     assert got.values.tobytes() == ref.values.tobytes()
+
+
+def _zero_pure_fields(dom):
+    """Identically zero pure fields: every entry +0.0, which convective and
+    _tqt_pure skip, and one with -0.0 on about a third of the cells of its
+    vector part, which they compute."""
+    signed = np.zeros((4,) + dom.shape)
+    signed[1:][np.random.default_rng(8).random((3,) + dom.shape) < 0.3] = -0.0
+    return [QField.zeros(dom), QField(dom, signed)]
+
+
+def test_zero_operands_match_full_computation(dom8, ops8):
+    # convective with either argument zero, and the TQT solve of a zero
+    # right side, give the full computation's result bit for bit, signed
+    # zeros included; the full computations are _advect on all four
+    # components and the collar solve's sine transforms called directly
+    h = dom8.h
+    w = random_pure_bump(dom8, seed=31)
+    for z in _zero_pure_fields(dom8):
+        for a, v in ((z, w), (w, z), (z, z)):
+            ref = _advect(a.values[1:], v.values, h)
+            assert convective(a, v).values.tobytes() == ref.tobytes()
+            assert not np.signbit(ref).any()
+        ref = np.zeros((4,) + dom8.shape)
+        inner = (slice(1, None),) + (slice(1, -1),) * 3
+        ref[inner] = _sine_solve(z.values[inner], ops8._collar_bases,
+                                 ops8._collar_symbol)
+        assert _tqt_pure(z, ops8).values.tobytes() == ref.tobytes()
+        assert not np.signbit(ref).any()
 
 
 def test_tqt_rhs_rejects_non_pure_bracket(dom8, ops8):

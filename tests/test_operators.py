@@ -5,8 +5,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
-                          sc_inner, trace_boundary, zero_boundary)
+from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
+                          l2_norm, sc_inner, trace_boundary, zero_boundary)
 from quatmhd.grid import _diff
 from quatmhd.mhd import _advect, convective
 from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _dcen, _dcen_T, _dst1,
@@ -14,7 +14,7 @@ from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _dcen, _dcen_T, _dst1,
                                _pure, _pure_left_mul, _staggered,
                                _top_eigenvalue, curl_bwd,
                                dirac_bwd, dirac_central, dirac_fwd, div_fwd,
-                               laplacian, OperatorSet)
+                               grad_bwd, laplacian, OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_pure_bump, random_smooth
 
@@ -252,6 +252,98 @@ def test_dcen_transpose_matches_dense_matrix(m, axis):
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _diff_slices(vals, axis, h, backward=False, ghost=False, out=None):
+    """grid._diff in per-axis slice form, the oracle of its flat pass."""
+    if out is None:
+        out = np.empty(vals.shape)
+    v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
+    if backward:
+        np.subtract(v[1:], v[:-1], out=d[1:])
+        d[0] = v[0] if ghost else d[1]
+    else:
+        np.subtract(v[1:], v[:-1], out=d[:-1])
+        if ghost:
+            np.subtract(0.0, v[-1], out=d[-1])
+        else:
+            d[-1] = d[-2]
+    out /= h
+    return out
+
+
+def _dcen_slices(vals, axis, h):
+    """_dcen in per-axis slice form."""
+    out = np.empty(vals.shape)
+    v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
+    np.subtract(v[2:], v[:-2], out=d[1:-1])
+    d[0] = -3 * v[0] + 4 * v[1] - v[2]
+    d[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
+    out /= 2 * h
+    return out
+
+
+def _lap_slices(v, h2):
+    """_lap_interior in per-axis slice form."""
+    out = np.zeros(v.shape)
+    second = np.empty(v.shape)
+    for ax in range(3):
+        w, s = v.swapaxes(0, ax - 3), second.swapaxes(0, ax - 3)
+        s[1:-1] = w[2:] - 2 * w[1:-1] + w[:-2]
+        s[0] = w[0] - 2 * w[1] + w[2]
+        s[-1] = w[-1] - 2 * w[-2] + w[-3]
+        second /= h2
+        out += second
+    return out
+
+
+def _signed_data(rng, shape):
+    """Normal samples with about a fifth of the entries +0.0 or -0.0."""
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    v[rng.random(shape) < 0.1] = -0.0
+    return v
+
+
+# unequal axes, 3-cell axes, no batch axis and one or two leading batch
+# axes; _diff also on an axis of 2 cells
+CONTIGUOUS_SHAPES = [(3, 5, 4), (4, 3, 7, 6), (2, 3, 6, 3, 5)]
+
+
+@pytest.mark.parametrize("shape", CONTIGUOUS_SHAPES + [(4, 2, 6, 3)])
+def test_diff_matches_slice_form(shape):
+    # the one flat subtraction per difference equals the per-axis slices
+    # bit for bit, signed zeros included, forward and backward, with the
+    # fallback and the ghost rows, into a new array and into `out`
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    for v in (_signed_data(rng, shape), _integer_data(rng, shape)):
+        for axis in range(3):
+            for backward in (False, True):
+                for ghost in (False, True):
+                    ref = _diff_slices(v, axis, 0.3, backward, ghost)
+                    got = _diff(v, axis, 0.3, backward, ghost)
+                    assert got.tobytes() == ref.tobytes()
+                    out = np.full(shape, np.nan)
+                    assert _diff(v, axis, 0.3, backward, ghost,
+                                 out=out) is out
+                    assert out.tobytes() == ref.tobytes()
+
+
+def test_diff_rejects_non_contiguous_out():
+    v = np.ones((4, 5, 6))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _diff(v, 1, 0.5, out=np.empty((4, 5, 6, 2))[..., 0])
+
+
+@pytest.mark.parametrize("shape", CONTIGUOUS_SHAPES)
+def test_dcen_and_laplacian_match_slice_form(shape):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    for v in (_signed_data(rng, shape), _integer_data(rng, shape)):
+        for axis in range(3):
+            assert (_dcen(v, axis, 0.3).tobytes()
+                    == _dcen_slices(v, axis, 0.3).tobytes())
+        assert (_lap_interior(v, 0.09).tobytes()
+                == _lap_slices(v, 0.09).tobytes())
+
+
 def test_dirac_fwd_is_div_grad_curl(dom8):
     # D+ u = (-div+ u, grad+ u0 + curl- u), fallback rows included
     u = random_smooth(dom8, seed=6)
@@ -390,6 +482,55 @@ def test_pure_field_stencils_match_all_components(n):
         for a in fields:
             ref = _advect(a.values[1:], v, h)
             assert convective(a, u).values.tobytes() == ref.tobytes()
+
+
+def _zero_fields(dom):
+    """Identically zero fields: every entry +0.0, which the stencils skip,
+    and one with -0.0 on about a third of the cells of every component,
+    which they difference."""
+    signed = np.zeros((4,) + dom.shape)
+    signed[np.random.default_rng(7).random(signed.shape) < 0.3] = -0.0
+    return [QField.zeros(dom), QField(dom, signed)]
+
+
+@pytest.mark.parametrize("n", BOXES[:3])
+def test_zero_operands_match_full_computation(n):
+    # an identically zero operand gives, without differencing or solving,
+    # the full computation's result bit for bit, signed zeros included:
+    # +0.0 everywhere for an all-+0.0 operand. The full computations are
+    # the four-component _staggered, _lap_interior and _diff called
+    # directly
+    ops = _box(n)
+    dom, h = ops.domain, ops.domain.h
+    for z in _zero_fields(dom):
+        v = z.values
+        refs = {}
+        for kw in [{}, {"flip": True}, {"ghost": True},
+                   {"flip": True, "ghost": True}, {"central": True}]:
+            ref = refs[tuple(kw)] = _staggered_all(v, h, **kw)
+            assert _staggered(v, h, **kw).tobytes() == ref.tobytes(), kw
+        got = {"dirac_fwd": (dirac_fwd(z), refs[()]),
+               "dirac_bwd": (dirac_bwd(z), refs[("flip",)]),
+               "dirac_central": (dirac_central(z), refs[("central",)])}
+        w = ops.poisson_scalar(_staggered_all(v, h, flip=True, ghost=True))
+        got["bergman_Q"] = (ops.bergman_Q(z), _staggered_all(w, h,
+                                                             ghost=True))
+        got["laplacian"] = (laplacian(z), _lap_interior(v, h**2))
+        grad = np.zeros_like(v)
+        for i in range(3):
+            _diff(v[0], i, h, backward=True, out=grad[1 + i])
+        got["grad_bwd"] = (grad_bwd(z), grad)
+        for name, (field, ref) in got.items():
+            assert field.values.tobytes() == ref.tobytes(), name
+            # the all-+0.0 operand gives +0.0; on the signed one the
+            # gradient, which writes its differences, keeps -0.0 entries
+            assert np.signbit(ref).any() == (np.signbit(v).any()
+                                             and name == "grad_bwd"), name
+        total = (v**2).sum()
+        for ax in range(3):
+            total += (_diff(v, ax, h) ** 2).sum()
+        ref = float(np.sqrt(total * dom.cell_volume))
+        assert np.float64(h1_norm(z)).tobytes() == np.float64(ref).tobytes()
 
 
 def test_adjoint_pairing(dom12):

@@ -215,6 +215,47 @@ def test_minres_matches_scipy_least_squares(n):
     assert abs(res_got - best) <= 1e-8 * best
 
 
+def _minres_fresh(apply_A, b, tol, maxit):
+    """_minres with each new direction built as a new array, the oracle of
+    its in-place update."""
+    from quatmhd.operators import _lanczos
+    x = np.zeros_like(b)
+    bnorm = float(np.sqrt((b * b).sum()))
+    w_prev, w = np.zeros_like(b), np.zeros_like(b)
+    phibar, cs, sn, dbar, eps, tnorm2 = bnorm, -1.0, 0.0, 0.0, 0.0, 0.0
+    steps = zip(range(1, maxit + 1), _lanczos(apply_A, b))
+    for it, (v, alpha, beta, beta_next) in steps:
+        tnorm2 += alpha**2 + beta**2 + beta_next**2
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        eps_prev, eps, dbar = eps, sn * beta_next, -cs * beta_next
+        gamma = np.hypot(gbar, beta_next)
+        if gamma == 0.0:
+            return x, it
+        cs, sn = gbar / gamma, beta_next / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w_prev, w = w, (v - eps_prev * w_prev - delta * w) / gamma
+        x += phi * w
+        if (abs(phibar) <= tol * bnorm or beta_next == 0.0
+                or np.hypot(gbar, dbar) <= tol * np.sqrt(tnorm2)):
+            return x, it
+    return x, maxit
+
+
+@pytest.mark.parametrize("seed, tol", [(18, 1e-12), (19, 1e-8)])
+def test_minres_in_place_directions_match_fresh_arrays(dom8, ops8, seed,
+                                                       tol):
+    # a right side in range(S) and one outside it: same iterations, same
+    # x bit for bit
+    b = np.random.default_rng(seed).standard_normal(dom8.shape)
+    if seed == 18:
+        b = ops8.pressure_S(b)
+    got, iters = _minres(ops8.pressure_S, b, tol, 2000)
+    ref, ref_iters = _minres_fresh(ops8.pressure_S, b, tol, 2000)
+    assert iters == ref_iters < 2000
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_pressure_recover_rejects_rhs_outside_range(dom8, ops8):
     # a random scalar field has a component in the kernel of S: no p
     # solves Sc(Q p) = rhs, and the normal-residual gate says so
@@ -421,8 +462,8 @@ def test_neumann_refuses_large_q(dom12, ops12):
 def test_inner_B_zero_velocity(dom12, ops12):
     params = MHDParams(Re=1.0, Rm=1.0)
     cfg = SolverConfig()
-    B, iters, _ = banach_inner_B(QField.zeros(dom12),
-                                 random_pure_bump(dom12, seed=7),
+    B0 = random_pure_bump(dom12, seed=7)
+    B, iters, _ = banach_inner_B(QField.zeros(dom12), B0, h1_norm(B0),
                                  params, ops12, cfg)
     assert not B.values.any()
     assert iters <= 2
@@ -435,7 +476,8 @@ def test_inner_B_contraction_ratio(dom12, ops12):
     u = 0.05 * random_pure_bump(dom12, seed=8)
     assert check_cond1(h1_norm(u), c, params.Rm)
     B0 = random_pure_bump(dom12, seed=9)
-    B, iters, ratio = banach_inner_B(u, B0, params, ops12, cfg)
+    B, iters, ratio = banach_inner_B(u, B0, h1_norm(B0), params, ops12,
+                                     cfg)
     bound = 2 * params.Rm**2 * c.C1 * c.Cs * h1_norm(u)
     assert ratio <= bound * 1.1
     # fixed point: one more application reproduces B
@@ -605,22 +647,17 @@ def test_apply_budget(dom8, monkeypatch):
                                                   [19, 41]]
 
 
-def test_stencil_budget(dom8, ops8, monkeypatch):
-    # the one-sided (grid._diff) and centered (operators._dcen)
-    # differences of warm n = 8 solves per outer step, read at the start of
-    # each step and at the end as in test_apply_budget, so that a field
-    # derived twice shows up here. A pure field's scalar part is not
-    # differenced: D+B takes 9 _diff, an advection 3 _dcen. A Banach step
-    # takes 51 _diff and 9 _dcen, plus 6 and 6 per inner B iteration (2 in
-    # step 1, then 1). Of those, the derived fields of the new state take
-    # 9 and 9 (one D+B, three advections) and its energy row's D+u 9
-    # _diff. Deriving them again for each row and for the bracket would
-    # take 93 and 18
+def _count_stencils(monkeypatch):
+    """Count the one-sided (grid._diff) and centered (operators._dcen)
+    differences and the collar solves (OperatorSet.poisson_scalar), under
+    the names their callers look them up by. Returns the counts and a list
+    that gets (_diff, _dcen, poisson_scalar) at the start of each outer
+    step, as in test_apply_budget."""
     import quatmhd.grid as grid
     import quatmhd.mhd as mhd
     import quatmhd.operators as operators
     import quatmhd.solvers as solvers
-    counts = {"_diff": 0, "_dcen": 0}
+    counts = {"_diff": 0, "_dcen": 0, "poisson_scalar": 0}
     for name, source, modules in (("_diff", grid, (grid, operators)),
                                   ("_dcen", operators, (operators, mhd))):
         def counted(*args, _name=name, _fn=getattr(source, name), **kwargs):
@@ -628,12 +665,34 @@ def test_stencil_budget(dom8, ops8, monkeypatch):
             return _fn(*args, **kwargs)
         for module in modules:
             monkeypatch.setattr(module, name, counted)
+    solve = OperatorSet.poisson_scalar
+
+    def counted_solve(self, rhs):
+        counts["poisson_scalar"] += 1
+        return solve(self, rhs)
+    monkeypatch.setattr(OperatorSet, "poisson_scalar", counted_solve)
     per_step, bracket = [], solvers.momentum_bracket
 
     def step_start(*args):
-        per_step.append((counts["_diff"], counts["_dcen"]))
+        per_step.append(tuple(counts.values()))
         return bracket(*args)
     monkeypatch.setattr(solvers, "momentum_bracket", step_start)
+    return counts, per_step
+
+
+def test_stencil_budget(dom8, ops8, monkeypatch):
+    # the one-sided (grid._diff) and centered (operators._dcen)
+    # differences of warm n = 8 solves per outer step, read at the start of
+    # each step and at the end as in test_apply_budget, so that a field
+    # derived twice shows up here. A pure field's scalar part is not
+    # differenced: D+B takes 9 _diff, an advection 3 _dcen. A Banach step
+    # takes 48 _diff and 9 _dcen, plus 6 and 6 per inner B iteration (2 in
+    # step 1, then 1). Of those, the derived fields of the new state take
+    # 9 and 9 (one D+B, three advections) and its energy row's D+u 9
+    # _diff. Deriving them again for each row and for the bracket would
+    # take 90 and 18. The inner B loop reads the H1 norm of its start from
+    # the outer loop's history instead of differencing it again
+    counts, per_step = _count_stencils(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     got = {}
     for method in SOLVE:
@@ -642,10 +701,33 @@ def test_stencil_budget(dom8, ops8, monkeypatch):
             params, ops8, SolverConfig(method=method, tol=1e-10),
             init=_warm_state(dom8))
         assert report.iterations == 3
-        per_step.append((counts["_diff"], counts["_dcen"]))
-        got[method] = np.diff(per_step, axis=0).tolist()
-    assert got == {"banach": [[63, 21], [57, 15], [57, 15]],
+        per_step.append(tuple(counts.values()))
+        got[method] = np.diff(per_step, axis=0)[:, :2].tolist()
+    assert got == {"banach": [[60, 21], [54, 15], [54, 15]],
                    "schauder_neumann": [[48, 57], [48, 45], [48, 39]]}
+
+
+def test_cold_start_budget(dom8, ops8, monkeypatch):
+    # a cold Banach solve with face data starts from u = B = p = 0. The
+    # stencils, the TQT solves and the H1 norms skip identically zero
+    # operands (grid._first_live), so the zero state's H1 norms and
+    # bracket difference nothing, and step 1 makes no u solve and no inner
+    # B advection or solve: B is the boundary term twice. Counted as
+    # (_diff, _dcen, poisson_scalar) before step 1, then per step. Step
+    # 1's 36 _diff are the inner loop's three nonzero H1 norms (9), the
+    # Leray step (6) and the rows of the new state (21: the H1 norm of B
+    # and of its change, D+B, div u and div B), and its one collar solve
+    # is the Leray step's. Differencing the zero operands too would take
+    # (15, 3, 0) before step 1 and (60, 21, 4) in it, as in step 2
+    counts, per_step = _count_stencils(monkeypatch)
+    params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed",
+                       boundary_h=_small_boundary(dom8, 1e-5))
+    per_step.append(tuple(counts.values()))
+    _, report = banach_solve(params, ops8, SolverConfig(tol=1e-10))
+    assert report.converged
+    per_step.append(tuple(counts.values()))
+    assert np.diff(per_step, axis=0).tolist() == [[0, 0, 0], [36, 0, 1],
+                                                  [60, 21, 4]]
 
 
 @pytest.mark.parametrize("method", SOLVE)
