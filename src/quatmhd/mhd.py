@@ -120,7 +120,11 @@ class MHDState:
 
 
 def _require_pure(f: QField, what: str) -> None:
-    if not f.is_pure(1e-12 * max(1.0, np.abs(f.values).max())):
+    """ValueError unless f's scalar part is within 1e-12 of the field's
+    scale. An identically zero scalar part passes without the max over
+    the field that sets the scale; a NaN is nonzero and takes the test."""
+    if (f.values[0].any()
+            and not f.is_pure(1e-12 * max(1.0, np.abs(f.values).max()))):
         raise ValueError(f"{what} must be a pure vector field")
 
 
@@ -174,8 +178,11 @@ def lorentz(B: QField, mu0: float) -> QField:
 
 def _lorentz_of(B: QField, DB: QField, mu0: float) -> QField:
     """lorentz(B, mu0) from DB = dirac_fwd(B), for a caller that reads DB
-    too."""
+    too; +0.0 without the product when no entry of B is live
+    (_first_live)."""
     _require_pure(B, "B")
+    if _first_live(B.values) == len(B.values):
+        return QField.zeros(B.domain)
     prod = qmul_arr(DB.values, B.values)
     prod[0] = 0.0
     return QField(B.domain, prod / mu0)
@@ -313,9 +320,12 @@ def tqt_rhs_p(bracket: QField, params: MHDParams,
     pair of poisson_dirichlet, so this is c Sc(D+_gz L^-1 bracket): the
     ghost-zero -div+ of three collar solves, which
     OperatorSet._sc_dirac_solve applies as the sine transform of the
-    bracket's non-collar block and the second pass of pressure_S."""
+    bracket's non-collar block and the second pass of pressure_S. A
+    bracket with no live entry (_first_live) gives +0.0 without the
+    solve."""
     out = np.zeros_like(bracket.values)
-    out[0] = params.coeff_prhs() * ops._sc_dirac_solve(bracket.values[1:])
+    if _first_live(bracket.values) < len(out):
+        out[0] = params.coeff_prhs() * ops._sc_dirac_solve(bracket.values[1:])
     return QField(bracket.domain, out)
 
 

@@ -31,12 +31,13 @@ face rows accumulate, is a per-axis slice stencil. Every stencil acts on
 the last three axes of its array, leading axes (the four quaternion
 components, or a batch of them) batched. The Dirac operators, laplacian
 and grad_bwd skip the components, or the whole array, that
-grid._first_live finds identically zero.
+grid._first_live finds identically zero, and div_fwd a whole array.
 
-Integral operators (held by OperatorSet, which caches the Teodorescu
-kernel per domain)
+Integral operators (held by OperatorSet with the sine bases of its Poisson
+solves, all built in its constructor)
     teodorescu       : volume potential T, FFT convolution with the Cauchy
-        kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f
+        kernel x/(4*pi*|x|^3), sign calibrated so that D(Tf) = f; it and
+        cauchy share one padded convolution, _kernel_convolve
     cauchy           : boundary potential F over the voxel faces, sign
         calibrated so that F reproduces constants; per face block (one box
         side) a batch of 2-D FFT convolutions over the tangential axes, one
@@ -211,7 +212,10 @@ def grad_bwd(u: QField) -> QField:
 
 
 def div_fwd(u: QField) -> np.ndarray:
-    """Forward-difference divergence of the vector part, scalar array."""
+    """Forward-difference divergence of the vector part, scalar array;
+    +0.0 without differencing when no entry of u is live (_first_live)."""
+    if _first_live(u.values) == len(u.values):
+        return np.zeros(u.values.shape[1:])
     h = u.domain.h
     return sum(_diff(u.values[1 + i], i, h) for i in range(3))
 
@@ -266,13 +270,12 @@ def _lap_interior(v: np.ndarray, h2: float,
 
 
 # ---------------------------------------------------------------------------
-# operator set with cached kernels
+# operator set
 # ---------------------------------------------------------------------------
 
 class OperatorSet:
     """Integral operators on one fixed domain.
 
-    The Teodorescu kernel is built lazily and reused.
     The sign conventions are calibrated once: sigma_T from the identity
     D(T f) = f, sigma_F from reproduction of constants by the Cauchy
     transform. On this grid orientation they come out opposite."""
@@ -282,7 +285,6 @@ class OperatorSet:
 
     def __init__(self, domain: VoxelDomain):
         self.domain = domain
-        self._khat = None          # rfftn of the three kernel components
         # per-axis sine bases and stencil eigenvalues of the Poisson solves:
         # DST-I on the non-collar block, DST-II on the whole box
         n, h = np.asarray(domain.n), domain.h
@@ -296,25 +298,13 @@ class OperatorSet:
 
     # -- Teodorescu -------------------------------------------------------
 
-    def _kernel_fft(self):
-        if self._khat is not None:
-            return self._khat
-        n, h = self.domain.n, self.domain.h
-        pad = tuple(2 * m for m in n)
-        K = _kernel([_wrapped(m) * h for m in n],
-                    self.sigma_T / (4.0 * np.pi) * h**3)
-        self._khat = [np.fft.rfftn(Ki, s=pad, axes=(0, 1, 2)) for Ki in K]
-        return self._khat
-
     def teodorescu(self, f: QField) -> QField:
         """Volume potential T f, a right inverse of the Dirac operator."""
         self._check(f)
-        n1, n2, n3 = self.domain.n
-        pad = (2 * n1, 2 * n2, 2 * n3)
-        fh = [np.fft.rfftn(fc, s=pad, axes=(0, 1, 2)) for fc in f.values]
-        out = np.stack([_irfft_head(c, pad, (n1, n2, n3), (0, 1, 2))
-                        for c in _pure_left_mul(self._kernel_fft(), fh)])
-        return QField(self.domain, out)
+        n, h = self.domain.n, self.domain.h
+        return QField(self.domain, _kernel_convolve(
+            [_wrapped(m) * h for m in n], self.sigma_T / (4.0 * np.pi) * h**3,
+            f.values, (0, 1, 2)))
 
     # -- Cauchy -----------------------------------------------------------
 
@@ -338,8 +328,6 @@ class OperatorSet:
         start = 0
         for ax in range(3):
             tang = tuple(a for a in range(3) if a != ax)
-            pad = tuple(2 * n[a] for a in tang)
-            keep = tuple(n[a] for a in tang)
             block_shape = tuple(1 if a == ax else n[a] for a in range(3))
             for side in (0, 1):
                 stop = start + n[tang[0]] * n[tang[1]]
@@ -347,11 +335,7 @@ class OperatorSet:
                 start = stop
                 offsets = [_wrapped(m) * h for m in n]
                 offsets[ax] = (np.arange(n[ax]) + 0.5 - side * n[ax]) * h
-                Kh = [np.fft.rfftn(Ki, s=pad, axes=tang)
-                      for Ki in _kernel(offsets, scale)]
-                bh = [np.fft.rfftn(bc, s=pad, axes=tang) for bc in block]
-                for c, conv in enumerate(_pure_left_mul(Kh, bh)):
-                    out[c] += _irfft_head(conv, pad, keep, tang)
+                out += _kernel_convolve(offsets, scale, block, tang)
         return QField(dom, out)
 
     # -- Poisson / eigenvalues --------------------------------------------
@@ -550,19 +534,20 @@ def _kernel(offsets, scale: float) -> list[np.ndarray]:
         return [scale * np.where(r3 > 0, Di / r3, 0.0) for Di in D]
 
 
-def _irfft_head(X: np.ndarray, pad, keep, axes) -> np.ndarray:
-    """np.fft.irfftn(X, s=pad, axes=axes) cropped to its leading keep[i]
-    entries along each axes[i], computing only those. irfftn runs a complex
-    inverse pass along each axis in turn and the real one along the last.
-    Cutting every pass to the kept block before the next axis drops only
-    lines whose outputs the crop would discard; each remaining 1-D
-    transform is the same, so the result equals the crop bit for bit."""
-    def head(a, ax, m):
-        return a[(slice(None),) * ax + (slice(m),)]
-
-    for ax, p, m in zip(axes[:-1], pad[:-1], keep[:-1]):
-        X = head(np.fft.ifft(X, p, axis=ax), ax, m)
-    return head(np.fft.irfft(X, pad[-1], axis=axes[-1]), axes[-1], keep[-1])
+def _kernel_convolve(offsets, scale: float, f, axes) -> np.ndarray:
+    """The four components of the convolution pure(K) * f over `axes`, K
+    the kernel _kernel(offsets, scale). Along each axis in `axes` the
+    offsets are _wrapped, of length 2m, and f has m cells: kernel and f
+    are transformed on that doubled grid, where the circular convolution
+    is linear, and the inverse is cropped to its leading m entries. Along
+    any other axis kernel and f broadcast."""
+    pad = [len(offsets[a]) for a in axes]
+    crop = tuple(slice(len(o) // 2) if a in axes else slice(None)
+                 for a, o in enumerate(offsets))
+    Kh = [np.fft.rfftn(Ki, s=pad, axes=axes) for Ki in _kernel(offsets, scale)]
+    fh = [np.fft.rfftn(fc, s=pad, axes=axes) for fc in f]
+    return np.stack([np.fft.irfftn(c, s=pad, axes=axes)[crop]
+                     for c in _pure_left_mul(Kh, fh)])
 
 
 def _pure_left_mul(K, f) -> list:

@@ -3,14 +3,15 @@ import pytest
 
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
-from quatmhd.mhd import (MHDParams, MHDState, M_of, _advect, _tqt_pure,
-                         boundary_B_term, convective, harmonic_extension,
-                         leray_project, lorentz, momentum_bracket,
-                         residual_strong, residual_weak, tqt_rhs_B, tqt_rhs_p,
-                         tqt_rhs_u)
+from quatmhd.mhd import (MHDParams, MHDState, M_of, _advect, _require_pure,
+                         _tqt_pure, boundary_B_term, convective,
+                         harmonic_extension, leray_project, lorentz,
+                         momentum_bracket, residual_strong, residual_weak,
+                         tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
 from quatmhd.grid import _diff
 from quatmhd.operators import (OperatorSet, _sine_solve, dirac_fwd, div_fwd,
                                grad_bwd)
+from quatmhd.quaternion import qmul_arr
 from quatmhd.sampling import random_divfree, random_pure_bump
 
 
@@ -115,6 +116,21 @@ def test_convective_rejects_non_pure(dom8):
     vals[0] = 1.0
     with pytest.raises(ValueError):
         convective(QField(dom8, vals), QField.zeros(dom8))
+
+
+@pytest.mark.parametrize("scalar, pure", [(0.0, True), (1e-13, True),
+                                           (1e-11, False), (np.nan, False)])
+def test_require_pure_tolerance(dom8, scalar, pure):
+    # a scalar part is measured against 1e-12 max(1, max|f|); an
+    # identically zero one passes without that max, and a NaN fails
+    f = random_pure_bump(dom8, seed=4)
+    f.values[1:] /= np.abs(f.values).max()
+    f.values[0, 2, 3, 4] = scalar
+    if pure:
+        _require_pure(f, "f")
+    else:
+        with pytest.raises(ValueError, match="f must be a pure"):
+            _require_pure(f, "f")
 
 
 def test_lorentz_constant_field(dom8):
@@ -381,10 +397,12 @@ def _zero_pure_fields(dom):
 
 
 def test_zero_operands_match_full_computation(dom8, ops8):
-    # convective with either argument zero, and the TQT solve of a zero
-    # right side, give the full computation's result bit for bit, signed
-    # zeros included; the full computations are _advect on all four
-    # components and the collar solve's sine transforms called directly
+    # convective with either argument zero, and the TQT solve, the
+    # Lorentz force and the pressure right side of a zero operand, give
+    # the full computation's result bit for bit, signed zeros included;
+    # the full computations are _advect on all four components, the
+    # collar solve's sine transforms, qmul_arr and _sc_dirac_solve called
+    # directly
     h = dom8.h
     w = random_pure_bump(dom8, seed=31)
     for z in _zero_pure_fields(dom8):
@@ -398,6 +416,16 @@ def test_zero_operands_match_full_computation(dom8, ops8):
                                  ops8._collar_symbol)
         assert _tqt_pure(z, ops8).values.tobytes() == ref.tobytes()
         assert not np.signbit(ref).any()
+        # the Lorentz product and the pressure right side of a zero B and
+        # a zero bracket
+        ref = qmul_arr(dirac_fwd(z).values, z.values)
+        ref[0] = 0.0
+        ref /= 1.3
+        assert lorentz(z, 1.3).values.tobytes() == ref.tobytes()
+        params = MHDParams(Re=1.7, Rm=0.6, mu0=1.3)
+        ref = np.zeros((4,) + dom8.shape)
+        ref[0] = params.coeff_prhs() * ops8._sc_dirac_solve(z.values[1:])
+        assert tqt_rhs_p(z, params, ops8).values.tobytes() == ref.tobytes()
 
 
 def test_tqt_rhs_rejects_non_pure_bracket(dom8, ops8):

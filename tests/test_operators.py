@@ -10,9 +10,8 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
 from quatmhd.grid import _diff
 from quatmhd.mhd import _advect, convective
 from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _dcen, _dcen_T, _dst1,
-                               _dst2, _irfft_head, _lap_interior, _lanczos,
-                               _pure, _pure_left_mul, _staggered,
-                               _top_eigenvalue, curl_bwd,
+                               _dst2, _lap_interior, _lanczos, _pure,
+                               _staggered, _top_eigenvalue, curl_bwd,
                                dirac_bwd, dirac_central, dirac_fwd, div_fwd,
                                grad_bwd, laplacian, OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
@@ -49,6 +48,21 @@ def _cauchy_dense(ops, g):
     ng = qmul_arr(_pure(dom.face_normal.T), g.values.T)  # (4, M)
     out = qmul_arr(k, ng[:, None]).sum(axis=2)
     out *= ops.sigma_F / (4.0 * np.pi) * dom.face_area
+    return out.reshape((4,) + dom.shape)
+
+
+def _teodorescu_dense(ops, f):
+    """Direct sum of the Teodorescu kernel over every pair of distinct
+    cells."""
+    dom = ops.domain
+    x = dom.cell_centers().reshape(-1, 3)
+    d = x[:, None] - x[None]                            # (N, N, 3)
+    r3 = (d**2).sum(-1) ** 1.5
+    np.fill_diagonal(r3, np.inf)
+    k = np.zeros((4,) + d.shape[:2])
+    k[1:] = (d / r3[..., None]).transpose(2, 0, 1)
+    out = qmul_arr(k, f.values.reshape(4, 1, -1)).sum(axis=2)
+    out *= ops.sigma_T / (4.0 * np.pi) * dom.h**3
     return out.reshape((4,) + dom.shape)
 
 
@@ -520,6 +534,8 @@ def test_zero_operands_match_full_computation(n):
         for i in range(3):
             _diff(v[0], i, h, backward=True, out=grad[1 + i])
         got["grad_bwd"] = (grad_bwd(z), grad)
+        div = sum(_diff(v[1 + i], i, h) for i in range(3))
+        assert div_fwd(z).tobytes() == div.tobytes()
         for name, (field, ref) in got.items():
             assert field.values.tobytes() == ref.tobytes(), name
             # the all-+0.0 operand gives +0.0; on the signed one the
@@ -571,39 +587,17 @@ def test_dirac_teodorescu_right_inverse(ops16):
     assert np.abs(err.values[:, far]).max() <= 0.05 * np.abs(f.values).max()
 
 
+@pytest.mark.parametrize("part", ["full", "pure"])
 @pytest.mark.parametrize("n", BOXES)
-def test_teodorescu_matches_cropped_irfftn(n):
-    # the pruned inverse FFT gives bit for bit the full irfftn, cropped,
-    # on a full quaternion input and on a pure one
+def test_teodorescu_matches_dense_sum(n, part):
     ops = _box(n)
-    full = np.random.default_rng(5).standard_normal((4,) + ops.domain.shape)
-    pure = full.copy()
-    pure[0] = 0.0
-    pad = tuple(2 * m for m in n)
-    for vals in (full, pure):
-        fh = [np.fft.rfftn(vals[c], s=pad, axes=(0, 1, 2))
-              for c in range(4)]
-        ref = np.stack(
-            [np.fft.irfftn(c, s=pad, axes=(0, 1, 2))[:n[0], :n[1], :n[2]]
-             for c in _pure_left_mul(ops._kernel_fft(), fh)])
-        assert np.array_equal(ops.teodorescu(QField(ops.domain, vals)).values,
-                              ref)
-
-
-@pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2)])
-def test_irfft_head_two_axes(axes):
-    # the Cauchy layout: two transformed axes, the third one a batch
-    rng = np.random.default_rng(6)
-    pad, keep = [12, 10, 8], [6, 5, 4]
-    batch = 3 - sum(axes)
-    pad[batch] = keep[batch] = 7
-    shape = list(pad)
-    shape[axes[1]] = pad[axes[1]] // 2 + 1
-    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    crop = tuple(slice(keep[a]) for a in range(3))
-    ref = np.fft.irfftn(X, s=[pad[a] for a in axes], axes=axes)[crop]
-    got = _irfft_head(X, [pad[a] for a in axes], [keep[a] for a in axes], axes)
-    assert np.array_equal(got, ref)
+    vals = np.random.default_rng(5).standard_normal((4,) + ops.domain.shape)
+    if part == "pure":
+        vals[0] = 0.0
+    f = QField(ops.domain, vals)
+    ref = _teodorescu_dense(ops, f)
+    got = ops.teodorescu(f).values
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_cauchy_zero(ops8):

@@ -596,10 +596,10 @@ def _warm_state(dom):
 def test_apply_budget(dom8, monkeypatch):
     # T (a padded FFT convolution) and Q are the costliest applies; the
     # counts are pinned so that added applies show up here. Setup: k is a
-    # closed form and every Cs ratio is a lattice one, so no T is applied
-    # and the kernel transform is never built. Warm Banach and Schauder
-    # solves (3 outer steps each): TQT is the collar solve and QT is
-    # D+_gz L^-1, so neither T nor Q is applied. The collar solves
+    # closed form and every Cs ratio is a lattice one, so no T is applied.
+    # Warm Banach and Schauder solves (3 outer steps each): TQT is the
+    # collar solve and QT is D+_gz L^-1, so neither T nor Q is applied.
+    # The collar solves
     # (poisson_scalar) of each Schauder step are pinned too: 18, 14 and 14
     # for the 9, 7 and 7 Lanczos steps of convection_norm, 4 + 4, 3 + 3
     # and 2 + 2 Neumann terms, and the one projection, of B. The pressure
@@ -619,14 +619,12 @@ def test_apply_budget(dom8, monkeypatch):
     ops = OperatorSet(dom8)
     c = estimate_constants(ops, seed=3)
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
-    assert ops._khat is None
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     counts.update(teodorescu=0, bergman_Q=0)
     _, report = banach_solve(params, ops, SolverConfig(tol=1e-10),
                              init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
-    assert ops._khat is None
     # collar solves and pressure_S applies per Schauder step, read at the
     # start of the next step and at the end
     per_step, bracket = [], solvers.momentum_bracket
@@ -641,7 +639,6 @@ def test_apply_budget(dom8, monkeypatch):
         init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
-    assert ops._khat is None
     per_step.append((counts["poisson_scalar"], counts["pressure_S"]))
     assert np.diff(per_step, axis=0).tolist() == [[27, 41], [21, 41],
                                                   [19, 41]]
@@ -711,14 +708,15 @@ def test_cold_start_budget(dom8, ops8, monkeypatch):
     # a cold Banach solve with face data starts from u = B = p = 0. The
     # stencils, the TQT solves and the H1 norms skip identically zero
     # operands (grid._first_live), so the zero state's H1 norms and
-    # bracket difference nothing, and step 1 makes no u solve and no inner
-    # B advection or solve: B is the boundary term twice. Counted as
-    # (_diff, _dcen, poisson_scalar) before step 1, then per step. Step
-    # 1's 36 _diff are the inner loop's three nonzero H1 norms (9), the
-    # Leray step (6) and the rows of the new state (21: the H1 norm of B
-    # and of its change, D+B, div u and div B), and its one collar solve
-    # is the Leray step's. Differencing the zero operands too would take
-    # (15, 3, 0) before step 1 and (60, 21, 4) in it, as in step 2
+    # bracket difference nothing, and step 1 makes no u solve, no pressure
+    # right side, no div u and no inner B advection or solve: B is the
+    # boundary term twice. Counted as (_diff, _dcen, poisson_scalar)
+    # before step 1, then per step. Step 1's 33 _diff are the inner loop's
+    # three nonzero H1 norms (9), the Leray step (6) and the rows of the
+    # new state (18: the H1 norm of B and of its change, D+B and div B),
+    # and its one collar solve is the Leray step's. Differencing the zero
+    # operands too would take (15, 3, 0) before step 1 and (60, 21, 4) in
+    # it, as in step 2
     counts, per_step = _count_stencils(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed",
                        boundary_h=_small_boundary(dom8, 1e-5))
@@ -726,7 +724,7 @@ def test_cold_start_budget(dom8, ops8, monkeypatch):
     _, report = banach_solve(params, ops8, SolverConfig(tol=1e-10))
     assert report.converged
     per_step.append(tuple(counts.values()))
-    assert np.diff(per_step, axis=0).tolist() == [[0, 0, 0], [36, 0, 1],
+    assert np.diff(per_step, axis=0).tolist() == [[0, 0, 0], [33, 0, 1],
                                                   [60, 21, 4]]
 
 
