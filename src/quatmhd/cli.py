@@ -19,7 +19,7 @@ import ctypes
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,9 @@ import numpy as np
 from .energy import EnergyReport
 from .grid import (QField, _finite, _integer, build_domain, l2_norm, sc_inner,
                    zero_boundary)
-from .io import (_FMT, _fmt_value, read_boundary_csv, read_csv, read_vtk,
-                 write_convergence_csv, write_csv, write_manifest, write_vtk)
+from .io import (fmt_value, read_boundary_csv, read_state_file,
+                 write_convergence_csv, write_csv, write_manifest, write_table,
+                 write_vtk)
 from .mhd import MHDParams, MHDState, leray_project
 from .operators import (OperatorSet, dirac_bwd, dirac_central, dirac_fwd,
                         div_fwd, laplacian)
@@ -47,9 +48,9 @@ __all__ = ["main", "load_config", "cmd_verify", "cmd_constants", "cmd_solve"]
 _TOP_KEYS = ("domain", "params", "boundary_h", "solver", "output", "seed",
              "init_state", "norm_budget")
 _DOMAIN_KEYS = ("origin", "extent", "n")
-_PARAM_KEYS = ("Re", "Rm", "mu0", "exponent_mode")
-_SOLVER_KEYS = ("method", "tol", "max_outer", "max_inner",
-                "neumann_max_terms", "neumann_term_tol")
+_PARAM_KEYS = tuple(f.name for f in fields(MHDParams)
+                    if f.name != "boundary_h")  # boundary_h: a top-level key
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 
 
 def _check_keys(spec, known, what: str) -> None:
@@ -105,16 +106,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _read_state_file(path, domain) -> QField:
-    if not str(path).endswith(".vtk"):
-        return read_csv(path, domain)
-    field = read_vtk(path)
-    if not field.domain.same_grid(domain):
-        raise ValueError(f"{path}: grid of {field.domain.n} cells does not "
-                         "match the configured domain")
-    return field
-
-
 def _build(cfg, out_dir: Path, min_n: int = 2):
     """Check the grid has min_n cells per axis (3 for the centered
     differences of the advection term) and read and check every input file
@@ -131,12 +122,10 @@ def _build(cfg, out_dir: Path, min_n: int = 2):
     params = MHDParams(boundary_h=boundary, **cfg["params"])
     init = None
     if cfg["init_state"] is not None:
-        zero = QField.zeros(domain)
-        parts = {c: _read_state_file(p, domain)
+        parts = {c: read_state_file(p, domain)
                  for c, p in cfg["init_state"].items()}
-        init = MHDState(parts.get("u", zero.copy()),
-                        parts.get("B", zero.copy()),
-                        parts.get("p", zero.copy()))
+        init = MHDState(*(parts[c] if c in parts else QField.zeros(domain)
+                          for c in ("u", "B", "p")))
     out_dir.mkdir(parents=True, exist_ok=True)
     return domain, ops, params, init
 
@@ -211,7 +200,7 @@ def cmd_verify(cfg, out_dir: Path) -> int:
         ok = measured <= tol
         failures += not ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} "
-                     f"measured={_FMT % measured} tol={_FMT % tol}")
+                     f"measured={fmt_value(measured)} tol={fmt_value(tol)}")
     report = out_dir / "verify_report.txt"
     report.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -228,21 +217,17 @@ def cmd_verify(cfg, out_dir: Path) -> int:
 def cmd_constants(cfg, out_dir: Path) -> int:
     _, ops, params, _ = _build(cfg, out_dir, min_n=3)
     bundle = estimate_constants(ops, seed=cfg["seed"])
-    names = ["C1", "Cs", "CD", "Cu", "k", "lambda_min",
-             "cond1_threshold", "theorem2_threshold",
-             "theorem4_a_threshold", "theorem4_W", "theorem4_b_threshold"]
-    values = [bundle.C1, bundle.Cs, bundle.CD, bundle.Cu, bundle.k,
-              bundle.lambda_min, cond1_threshold(bundle, params.Rm),
-              schauder_threshold(bundle, params),
-              *theorem4_thresholds(bundle, params, cfg["norm_budget"])]
-    with open(out_dir / "constants.csv", "w", newline="\n") as f:
-        f.write(",".join(names) + "\n")
-        f.write(",".join(_FMT % v for v in values) + "\n")
-    text = [f"{name} = {_FMT % value}" for name, value in zip(names, values)]
-    text += [f"provenance[{key}] = {val}"
-             for key, val in sorted(bundle.provenance.items())]
-    (out_dir / "constants.txt").write_text("\n".join(text) + "\n")
-    print("\n".join(text[:6]))
+    row = asdict(bundle)  # the six constants, in field order
+    provenance = row.pop("provenance")
+    row["cond1_threshold"] = cond1_threshold(bundle, params.Rm)
+    row["theorem2_threshold"] = schauder_threshold(bundle, params)
+    row.update(zip(("theorem4_a_threshold", "theorem4_W",
+                    "theorem4_b_threshold"),
+                   theorem4_thresholds(bundle, params, cfg["norm_budget"])))
+    write_table(out_dir / "constants.csv", list(row), [row])
+    write_manifest(out_dir / "constants.txt", row | {
+        f"provenance[{k}]": v for k, v in sorted(provenance.items())})
+    print("\n".join(f"{k} = {fmt_value(row[k])}" for k in list(row)[:6]))
     return 0
 
 
@@ -270,24 +255,20 @@ def cmd_solve(cfg, out_dir: Path) -> int:
         write_vtk(out_dir / f"{comp}.vtk", fld, name=comp)
         write_csv(out_dir / f"{comp}.csv", fld)
     write_convergence_csv(out_dir / "convergence.csv", report.rows)
-    with open(out_dir / "energy.csv", "w", newline="") as f:
-        columns = [c.name for c in fields(EnergyReport)]
-        f.write(",".join(["iter"] + columns) + "\n")
-        for row in report.rows:
-            f.write(",".join([str(row["iter"])]
-                             + [_fmt_value(getattr(row["energy"], c))
-                                for c in columns]) + "\n")
+    write_table(out_dir / "energy.csv",
+                ["iter"] + [c.name for c in fields(EnergyReport)],
+                [{"iter": row["iter"], **asdict(row["energy"])}
+                 for row in report.rows])
 
     last = report.rows[-1]
-    manifest = {
+    write_manifest(out_dir / "manifest.txt", {
         "Re": params.Re, "Rm": params.Rm, "mu0": params.mu0,
         "exponent_mode": params.exponent_mode,
         "method": solver_cfg.method, "tol": solver_cfg.tol,
         "n": domain.n[0], "h": domain.h, "seed": cfg["seed"],
         "iterations": report.iterations, "converged": report.converged,
         **{k: last[k] for k in ("res_mom", "res_ind", "divu", "divB")},
-    }
-    write_manifest(out_dir / "manifest.txt", manifest)
+    })
     if not report.converged:
         print(f"no convergence within {solver_cfg.max_outer} iterations",
               file=sys.stderr)

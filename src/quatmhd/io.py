@@ -1,9 +1,10 @@
 """File formats: legacy-ASCII VTK structured points, flat CSV fields,
-key = value manifests, and per-iteration convergence logs.
+key = value manifests, and CSV tables (convergence, energy, constants).
 
-All floating-point output uses 17 significant digits, so every file
-round-trips through the matching reader bit-exactly. Files hold one
-quaternion per row; only this module turns QField storage into rows.
+All floating-point output uses 17 significant digits (fmt_value), so every
+file round-trips through the matching reader bit-exactly; every CSV ends
+its lines with \r\n. Field files hold one quaternion per row; only this
+module turns QField storage into rows.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ __all__ = [
     "read_csv",
     "write_boundary_csv",
     "read_boundary_csv",
+    "read_state_file",
+    "fmt_value",
     "write_manifest",
     "read_manifest",
+    "write_table",
     "CONVERGENCE_COLUMNS",
     "write_convergence_csv",
 ]
@@ -178,6 +182,18 @@ def read_csv(path, domain: VoxelDomain) -> QField:
     return QField(domain, vals.T.reshape((4,) + domain.shape))
 
 
+def read_state_file(path, domain: VoxelDomain) -> QField:
+    """Read an init-state field: VTK for a .vtk suffix, on the file's own
+    grid, which must be the domain's; CSV otherwise, onto the domain."""
+    if not str(path).endswith(".vtk"):
+        return read_csv(path, domain)
+    field = read_vtk(path)
+    if not field.domain.same_grid(domain):
+        raise ValueError(f"{path}: grid of {field.domain.n} cells does not "
+                         "match the configured domain")
+    return field
+
+
 def write_boundary_csv(path, data: BoundaryData) -> None:
     """Flat CSV with columns (face index, s, v1, v2, v3), canonical face
     order of the domain."""
@@ -190,7 +206,8 @@ def read_boundary_csv(path, domain: VoxelDomain) -> BoundaryData:
     return BoundaryData(domain, _read_indexed_rows(path, domain.num_faces))
 
 
-def _fmt_value(v) -> str:
+def fmt_value(v) -> str:
+    """true/false for a bool, 17 significant digits for a float, else str."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -202,27 +219,28 @@ def write_manifest(path, entries: dict) -> None:
     """key = value manifest, one entry per line."""
     with open(path, "w", newline="\n") as f:
         for k, v in entries.items():
-            f.write(f"{k} = {_fmt_value(v)}\n")
+            f.write(f"{k} = {fmt_value(v)}\n")
 
 
 def read_manifest(path) -> dict:
-    out = {}
+    """The key = value entries of a file, skipping blank and # lines."""
     with open(path) as f:
-        for ln in f:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            k, _, v = ln.partition("=")
-            out[k.strip()] = v.strip()
-    return out
+        pairs = [ln.partition("=") for ln in map(str.strip, f)
+                 if ln and not ln.startswith("#")]
+    return {k.strip(): v.strip() for k, _, v in pairs}
+
+
+def write_table(path, columns, rows) -> None:
+    """CSV table: the column names, then a row per mapping of rows, each cell
+    fmt_value of its column's entry, empty for a missing or None entry."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        for row in rows:
+            cells = (row.get(c) for c in columns)
+            w.writerow(["" if v is None else fmt_value(v) for v in cells])
 
 
 def write_convergence_csv(path, rows) -> None:
-    """Per-iteration convergence log; rows are dicts keyed by the fixed
-    column names (missing entries written as empty)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CONVERGENCE_COLUMNS)
-        for row in rows:
-            w.writerow([_fmt_value(row[c]) if c in row and row[c] is not None
-                        else "" for c in CONVERGENCE_COLUMNS])
+    """Per-iteration convergence log: write_table of CONVERGENCE_COLUMNS."""
+    write_table(path, CONVERGENCE_COLUMNS, rows)

@@ -101,8 +101,7 @@ class MHDState:
 
     def __post_init__(self):
         for name, f in (("u", self.u), ("B", self.B)):
-            if not f.is_pure(1e-14 * max(1.0, np.abs(f.values).max())):
-                raise ValueError(f"{name} must be a pure vector field")
+            _require_pure(f, name, 1e-14)
         if np.abs(self.p.values[1:]).max(initial=0.0) > 0:
             raise ValueError("p must be scalar-valued")
         # the zero-mean normalization of the pressure, on a copy: the
@@ -119,12 +118,12 @@ class MHDState:
         return MHDState(self.u.copy(), self.B.copy(), self.p.copy())
 
 
-def _require_pure(f: QField, what: str) -> None:
-    """ValueError unless f's scalar part is within 1e-12 of the field's
+def _require_pure(f: QField, what: str, rtol: float = 1e-12) -> None:
+    """ValueError unless f's scalar part is within rtol of the field's
     scale. An identically zero scalar part passes without the max over
     the field that sets the scale; a NaN is nonzero and takes the test."""
     if (f.values[0].any()
-            and not f.is_pure(1e-12 * max(1.0, np.abs(f.values).max()))):
+            and not f.is_pure(rtol * max(1.0, np.abs(f.values).max()))):
         raise ValueError(f"{what} must be a pure vector field")
 
 

@@ -186,6 +186,22 @@ def test_solve_zero_boundary(tmp_path):
     assert (out / "energy.csv").exists()
 
 
+def test_every_csv_ends_lines_with_crlf(tmp_path):
+    # the tables (convergence, energy, constants) and the field files all
+    # end their lines as csv.writer does
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, n=8)
+    assert main(["constants", "--config", str(cfg)]) == 0
+    assert main(["solve", "--config", str(cfg)]) == 0
+    names = sorted(p.name for p in out.glob("*.csv"))
+    assert names == ["B.csv", "constants.csv", "convergence.csv",
+                     "energy.csv", "p.csv", "u.csv"]
+    for name in names:
+        data = (out / name).read_bytes()
+        assert data.endswith(b"\r\n")
+        assert data.count(b"\n") == data.count(b"\r\n"), name
+
+
 def test_solve_exit_2_on_condition_violation(tmp_path, capsys):
     # Warm-start with an O(1) velocity so the very first linearization point
     # already violates the Neumann series ratio q1 < 1 at large Re.

@@ -6,9 +6,9 @@ import pytest
 import quatmhd.io as qio
 from quatmhd.grid import BoundaryData, QField, build_domain, trace_boundary
 from quatmhd.io import (CONVERGENCE_COLUMNS, read_boundary_csv, read_csv,
-                        read_manifest, read_vtk, write_boundary_csv,
-                        write_convergence_csv, write_csv, write_manifest,
-                        write_vtk)
+                        read_manifest, read_state_file, read_vtk,
+                        write_boundary_csv, write_convergence_csv, write_csv,
+                        write_manifest, write_table, write_vtk)
 from quatmhd.sampling import random_smooth
 
 
@@ -61,6 +61,41 @@ def test_convergence_csv(tmp_path):
     assert first["du"] == "0.5"
     assert first["cond1"] == "true"
     assert first["q1"] == ""  # missing entries are blank
+
+
+def test_table_writer_cells(tmp_path):
+    # blank cells for missing and None entries, true/false for booleans,
+    # 17 digits that read back bit for bit, and csv.writer's \r\n ends
+    rng = np.random.default_rng(5)
+    floats = [1.0 / 3.0, 5e-324, -0.0, 1e300, *rng.standard_normal(8)]
+    rows = [{"a": 1, "b": None, "c": True},
+            {"b": False, "c": "x"},
+            *({"a": i, "b": v} for i, v in enumerate(floats))]
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b", "c"], rows)
+    data = path.read_bytes()
+    assert data.count(b"\n") == data.count(b"\r\n") == len(rows) + 1
+    with open(path, newline="") as f:
+        back = list(csv.reader(f))
+    assert back[:3] == [["a", "b", "c"], ["1", "", "true"],
+                        ["", "false", "x"]]
+    assert [r[2] for r in back[3:]] == [""] * len(floats)
+    got = np.array([float(r[1]) for r in back[3:]])
+    assert np.array_equal(got.view(np.uint64), np.array(floats).view(np.uint64))
+
+
+def test_read_state_file_by_suffix(tmp_path, dom8):
+    f = random_smooth(dom8, seed=6)
+    write_csv(tmp_path / "f.csv", f)
+    write_vtk(tmp_path / "f.vtk", f)
+    for name in ("f.csv", "f.vtk"):
+        assert np.array_equal(read_state_file(tmp_path / name, dom8).values,
+                              f.values)
+    dom4 = build_domain((0, 0, 0), (1, 1, 1), 4)
+    write_vtk(tmp_path / "g.vtk", QField.zeros(dom4))
+    with pytest.raises(ValueError, match=r"g\.vtk: grid of \(4, 4, 4\) "
+                       "cells does not match the configured domain"):
+        read_state_file(tmp_path / "g.vtk", dom8)
 
 
 def test_write_is_deterministic(tmp_path, dom8):
@@ -177,8 +212,9 @@ def test_vtk_rejects_inconsistent_header(tmp_path, dom8, capsys, edit,
     else:
         lines[-1] = "0 0 abc 0"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"u0\.vtk: " + message):
-        read_vtk(path)
+    for reader in (read_vtk, lambda p: read_state_file(p, dom8)):
+        with pytest.raises(ValueError, match=r"u0\.vtk: " + message):
+            reader(path)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "domain": {"n": 8}, "params": {"Re": 1.0, "Rm": 1.0},

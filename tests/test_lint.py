@@ -45,6 +45,32 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def private_io_imports(source: str) -> list[str]:
+    """The _-prefixed names a module imports from the package's io module.
+    io keeps every file format, its number format included, behind
+    public writers and readers, so a front end needs none of its
+    private names."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module == "io"
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_private_io_imports_detected():
+    src = ("from .io import _FMT, write_table\n"
+           "from .grid import _integer\n"
+           "from io import _io\n"
+           "from . import io\n"
+           "def f():\n"
+           "    from .io import _fmt_value\n"
+           "    return _fmt_value(1.0) + _FMT\n")
+    assert private_io_imports(src) == ["_FMT", "_fmt_value"]
+
+
+def test_cli_imports_no_private_io_name():
+    assert private_io_imports((SRC / "cli.py").read_text()) == []
+
+
 def dead_private(sources: dict[str, str]) -> list[str]:
     """"module.name" of each private module-level function, class or
     assigned name of the modules `sources` (name -> source text) that no

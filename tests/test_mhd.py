@@ -62,6 +62,11 @@ def test_state_purity_enforced(dom8):
     vals2[2] = 1.0
     with pytest.raises(ValueError):
         MHDState(QField.zeros(dom8), QField.zeros(dom8), QField(dom8, vals2))
+    # a NaN in the scalar part is nonzero: it takes the test and fails it
+    vals3 = np.zeros((4,) + dom8.shape)
+    vals3[0, 1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="B must be a pure vector field"):
+        MHDState(QField.zeros(dom8), QField(dom8, vals3), QField.zeros(dom8))
 
 
 def test_state_pressure_zero_mean(dom8):
