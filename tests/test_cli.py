@@ -1,3 +1,4 @@
+import ast
 import csv
 import functools
 import json
@@ -86,6 +87,30 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_blas_default_precedes_every_import():
+    # OpenBLAS reads its thread timeout once, when NumPy loads it, so the
+    # default must be set before the package's first import
+    init = Path(__file__).resolve().parent.parent / "src/quatmhd/__init__.py"
+    body = ast.parse(init.read_text()).body
+    assert isinstance(body[0].value, ast.Constant)  # the docstring
+    assert [ast.unparse(stmt) for stmt in body[1:3]] == [
+        "import os",
+        "os.environ.setdefault('OPENBLAS_THREAD_TIMEOUT', '20')"]
+
+
+@pytest.mark.parametrize("given, expected", [(None, "20"), ("30", "30")])
+def test_import_sets_blas_timeout_default(given, expected):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    code = "import os, quatmhd; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == expected
 
 
 def test_verify_degenerate_grid(tmp_path):
@@ -257,6 +282,20 @@ def test_solve_manifest_and_energy_match_convergence_rows(tmp_path, method):
         assert manifest[key] == rows[-1][key]
     assert [r["iter"] for r in energy] == [r["iter"] for r in rows]
     assert [r["J"] for r in energy] == [r["Jenergy"] for r in rows]
+
+
+def test_solve_manifest_records_blas_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "7")
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, n=8)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    manifest = read_manifest(out / "manifest.txt")
+    assert {k: v for k, v in manifest.items() if k.startswith("blas_env")} == {
+        "blas_env[OPENBLAS_NUM_THREADS]": "1",
+        "blas_env[OMP_NUM_THREADS]": "unset",
+        "blas_env[OPENBLAS_THREAD_TIMEOUT]": "7"}
 
 
 def test_solve_roundtrip_state(tmp_path):
@@ -455,21 +494,16 @@ def test_allocator_setting_without_mallopt(monkeypatch, libc):
     assert cli._keep_freed_memory() is None
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4")
-                    or platform.libc_ver()[0] != "glibc",
-                    reason="counts the minor faults of a glibc process")
-def test_solve_does_not_refault_its_temporaries(tmp_path):
-    # Each step frees its fields and stencil temporaries, 250 KiB each at
-    # n = 20; unless the CLI keeps them in the heap, the next step faults
-    # them in again: 29k-34k minor faults for this Schauder solve, 6k
-    # with both glibc thresholds set. At n = 16 the two read about 5.7k,
-    # so n = 16 would not tell them apart.
+def _warm_config(tmp_path, n):
+    """A warm Schauder solve toward the zero state from random_divfree u
+    and B (seeds 0 and 1) of H1 norm 1e-3, as perfbench's warm-schauder
+    inputs at n cells per axis; returns the config path."""
     from quatmhd.grid import QField, h1_norm
     from quatmhd.io import write_csv
     from quatmhd.sampling import random_divfree
 
-    dom = build_domain((0, 0, 0), (1, 1, 1), 20)
-    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=20,
+    dom = build_domain((0, 0, 0), (1, 1, 1), n)
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=n,
                              method="schauder_neumann")
     cfg = json.loads(cfg_path.read_text())
     cfg["init_state"] = {}
@@ -479,6 +513,19 @@ def test_solve_does_not_refault_its_temporaries(tmp_path):
                   QField(dom, 1e-3 * f.values / h1_norm(f)))
         cfg["init_state"][comp] = str(tmp_path / f"{comp}0.csv")
     cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts the minor faults of a glibc process")
+def test_solve_does_not_refault_its_temporaries(tmp_path):
+    # Each step frees its fields and stencil temporaries, 250 KiB each at
+    # n = 20; unless the CLI keeps them in the heap, the next step faults
+    # them in again: 29k-34k minor faults for this Schauder solve, 6k
+    # with both glibc thresholds set. At n = 16 the two read about 5.7k,
+    # so n = 16 would not tell them apart.
+    cfg_path = _warm_config(tmp_path, 20)
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "quatmhd.cli", "solve", "--config",
@@ -487,3 +534,27 @@ def test_solve_does_not_refault_its_temporaries(tmp_path):
     _, status, usage = os.wait4(proc.pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert usage.ru_minflt < 20_000
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # One BLAS thread and OpenBLAS's default (one per core) write the same
+    # bytes. At n = 24 the solve's largest GEMMs are big enough for OpenBLAS
+    # to hand part of them to its second thread on a 2-core host (its
+    # worker woke about 60 times); at n = 20 it never wakes.
+    cfg_path = _warm_config(tmp_path, 24)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(key, None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"out{threads}"
+        subprocess.run([sys.executable, "-m", "quatmhd.cli", "solve",
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        outputs.append({name: (out / name).read_bytes() for name in
+                        ("u.csv", "B.csv", "p.csv", "convergence.csv",
+                         "energy.csv")})
+    assert outputs[0] == outputs[1]

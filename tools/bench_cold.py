@@ -20,9 +20,12 @@ banach_solve as solve_s, and records:
   centres;
 - outer_iters and converged.
 
-The file also records the machine, Python and NumPy versions and the
-BLAS/OpenMP thread environment. The numbers are single runs on a shared
-host; compare two files from the same machine, run one after the other.
+Each child imports quatmhd before NumPy and takes the CLI's allocator
+setting (`cli._keep_freed_memory`), so its times are those of a `quatmhd`
+run. The file also records the machine, Python and NumPy versions and the
+BLAS/OpenMP thread environment, with the defaults quatmhd sets. The
+numbers are single runs on a shared host; compare two files from the same
+machine, run one after the other.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EPS = 1e-5
 TOL = 1e-10
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "OMP_PROC_BIND", "OMP_PLACES")
+              "OMP_PROC_BIND", "OMP_PLACES", "OPENBLAS_THREAD_TIMEOUT")
 
 
 def _grad_psi(x):
@@ -56,14 +59,18 @@ def _grad_psi(x):
 
 
 def run_one(n: int) -> dict:
-    """The cold solve at n cells per axis, in this process."""
+    """The cold solve at n cells per axis, in this process, set up as the
+    CLI sets up its own: quatmhd imported before NumPy, so that its BLAS
+    default applies, and the CLI's allocator setting."""
     sys.path.insert(0, str(ROOT / "src"))
+    import quatmhd.cli
     import numpy as np
     from quatmhd.grid import BoundaryData, build_domain
     from quatmhd.mhd import MHDParams
     from quatmhd.operators import OperatorSet
     from quatmhd.solvers import SolverConfig, banach_solve, estimate_constants
 
+    quatmhd.cli._keep_freed_memory()
     dom = build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), n)
     faces = np.zeros((dom.num_faces, 4))
     faces[:, 1:] = _grad_psi(dom.face_center).T
@@ -90,6 +97,10 @@ def run_one(n: int) -> dict:
 
 
 def machine() -> dict:
+    """The host, the versions and the thread environment the children ran
+    under (quatmhd imported first, as in a child)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import quatmhd  # sets its defaults in os.environ
     import numpy as np
     mem = None
     try:
