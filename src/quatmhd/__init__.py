@@ -13,6 +13,16 @@ import os
 # the environment wins; once NumPy is loaded the setting does nothing.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
+import sys
+
+# The BLAS threading variables as OpenBLAS reads them when the imports
+# below load NumPy, for manifest.txt; "unknown" when NumPy was loaded
+# before this package and so read them at some earlier time.
+_BLAS_ENV = {k: "unknown" if "numpy" in sys.modules
+             else os.environ.get(k, "unset")
+             for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                       "OPENBLAS_THREAD_TIMEOUT")}
+
 from .quaternion import Quaternion, qmul, conj, sc, vec, product_split
 from .grid import (VoxelDomain, QField, BoundaryData, build_domain,
                    l2_inner, sc_inner, l2_norm, h1_norm, lq_norm,

@@ -18,13 +18,13 @@ import argparse
 import ctypes
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import _BLAS_ENV
 from .energy import EnergyReport
 from .grid import (QField, _finite, _integer, build_domain, l2_norm, sc_inner,
                    zero_boundary)
@@ -236,12 +236,6 @@ def cmd_constants(cfg, out_dir: Path) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-# the BLAS threading a solve runs under, as manifest.txt records it; the
-# package sets OPENBLAS_THREAD_TIMEOUT's default when it is imported
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-             "OPENBLAS_THREAD_TIMEOUT")
-
-
 def cmd_solve(cfg, out_dir: Path) -> int:
     solver_cfg = cfg["solver"]
     domain, ops, params, init = _build(cfg, out_dir, min_n=3)
@@ -275,7 +269,7 @@ def cmd_solve(cfg, out_dir: Path) -> int:
         "n": domain.n[0], "h": domain.h, "seed": cfg["seed"],
         "iterations": report.iterations, "converged": report.converged,
         **{k: last[k] for k in ("res_mom", "res_ind", "divu", "divB")},
-        **{f"blas_env[{k}]": os.environ.get(k, "unset") for k in _BLAS_ENV},
+        **{f"blas_env[{k}]": v for k, v in _BLAS_ENV.items()},
     })
     if not report.converged:
         print(f"no convergence within {solver_cfg.max_outer} iterations",

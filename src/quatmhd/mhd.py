@@ -28,6 +28,7 @@ and series reads: "linear" (1, 1, 1), "squared" (2, 2, 2) or "mixed"
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,6 +74,19 @@ class MHDParams:
             _finite(getattr(self, name), name, low=0.0)
         if self.exponent_mode not in _EXPONENTS:
             raise ValueError(f"exponent_mode must be in {tuple(_EXPONENTS)}")
+        # the coefficients scale every update; each must be a positive float
+        for name, coeff in (("c_u", self.coeff_u), ("c_p", self.coeff_p),
+                            ("c_B", self.coeff_B),
+                            ("c_u/c_p", self.coeff_prhs)):
+            try:
+                value = coeff()
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"coefficient {name} = {value:g} is not finite and "
+                    f"positive (Re={self.Re:g}, Rm={self.Rm:g}, "
+                    f"mu0={self.mu0:g}, exponent_mode={self.exponent_mode})")
 
     def coeff_u(self) -> float:
         """Coefficient c_u = Re^a/mu0 of the bracket in the u equation."""

@@ -66,9 +66,9 @@ solves, all built in its constructor)
 teodorescu, cauchy and bergman_P are the sampled continuum operators. They
 serve the identity checks of verify and the acceptance criteria; neither
 the constants nor any solver step applies them. The one Lanczos recurrence
-of the package, _lanczos, serves the pressure MINRES (solvers._minres) and
-the Schauder norm estimate (solvers.convection_norm), which takes its
-largest Ritz value by the Sturm bisection _top_eigenvalue.
+of the package, _lanczos, serves the Schauder norm estimate
+(solvers.convection_norm) alone, which takes its largest Ritz value by the
+Sturm bisection _top_eigenvalue.
 
 Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
 orthonormal 1-D basis matrices are built once per axis and applied along

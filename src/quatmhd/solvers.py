@@ -6,12 +6,12 @@ explicit updates
     u_n = c_u TQT[Vec((DB_{n-1})B_{n-1}) - Sc(u_{n-1}D)u_{n-1}] - c_p TQT D p_n
     B_n : inner iteration  B^(i) = c_B TQT[Sc(B^(i-1)D)u_n - Sc(u_nD)B^(i-1)]
 
-with the pressure recovered from Sc(Qp) = c Sc(QT[...]) by MINRES. TQT is
-the collar-Dirichlet Poisson solve (poisson_dirichlet) and QT is
-D+_gz L^-1, so neither scheme applies the Teodorescu, Cauchy or Bergman
-operators. TQT solves each component alone, so it maps the pure brackets
-of pure iterates to pure fields. D p is grad_bwd, the adjoint of the div+ in
-pressure_S, so u_n is div+-free and only B is Leray-projected.
+with the pressure recovered from Sc(Qp) = c Sc(QT[...]) by conjugate
+gradients. TQT is the collar-Dirichlet Poisson solve (poisson_dirichlet)
+and QT is D+_gz L^-1, so neither scheme applies the Teodorescu, Cauchy or
+Bergman operators. TQT solves each component alone, so it maps the pure
+brackets of pure iterates to pure fields. D p is grad_bwd, the adjoint of
+the div+ in pressure_S, so u_n is div+-free and only B is Leray-projected.
 The Schauder scheme linearizes at (u~, B~) and inverts the two operators
 I + c TQT Sc(u~ D) by truncated Neumann series (neumann_apply_u and
 neumann_apply_B, given u~ and the one convection_norm(u~) both scale, c
@@ -76,11 +76,11 @@ __all__ = [
     "schauder_solve",
 ]
 
-# stop rules: the relative MINRES residual of pressure_recover, and the
+# stop rules: the relative CG residual of pressure_recover, and the
 # relative-change stop, step cap and start seed of the Lanczos estimate in
 # convection_norm, and the relative width at which its Ritz value
 # bisection stops.
-_MINRES_TOL = 1e-12
+_CG_TOL = 1e-12
 _NORM_TOL = 1e-6
 _NORM_MAXIT = 100
 _NORM_SEED = 0
@@ -270,50 +270,34 @@ def check_theorem4(c: ConstantsBundle, params: MHDParams,
 # pressure recovery
 # ---------------------------------------------------------------------------
 
-def _minres(apply_A, b: np.ndarray, tol: float,
-            maxit: int) -> tuple[np.ndarray, int]:
-    """MINRES (Paige & Saunders 1975) for a symmetric A, no preconditioner,
-    started from x = 0; returns x and the number of iterations run. The
-    Lanczos vectors and the tridiagonal come from operators._lanczos
-    started at b; this is the QR update of that tridiagonal by Givens
-    rotations and the update of x.
-
-    Stops when the residual norm the recurrence carries is <= tol ||b||,
-    when the least-squares test ||A r|| <= tol ||A|| ||r|| holds (||A||
-    estimated by the Frobenius norm of the Lanczos tridiagonal, as in
-    SciPy's minres), or after maxit iterations. For b outside range(A)
-    only the second test can hold; x then drifts along the kernel of A
-    once the residual has converged, so that test must be met before the
-    drift spoils x (at tol >= 1e-9 on the pressure operator)."""
+def _cg(apply_A, b: np.ndarray, tol: float,
+        maxit: int) -> tuple[np.ndarray, int]:
+    """Conjugate gradients (Hestenes & Stiefel 1952) for a symmetric
+    positive semidefinite A, no preconditioner, from x = 0; returns x and
+    the iterations completed. Inner products and norms are elementwise
+    sums, as in operators._lanczos. Stops when ||r|| <= tol ||b||, after
+    maxit iterations, or when the curvature d.Ad of a direction d is not
+    positive (A d = 0, or NaN after an overflow). For b outside range(A)
+    x grows without bound, for the caller's residual check to reject."""
     x = np.zeros_like(b)
-    bnorm = float(np.sqrt((b * b).sum()))
-    if bnorm == 0.0:
+    rr = float((b * b).sum())
+    if rr == 0.0:
         return x, 0
-    w_prev, w = np.zeros_like(b), np.zeros_like(b)
-    phibar, cs, sn, dbar, eps, tnorm2 = bnorm, -1.0, 0.0, 0.0, 0.0, 0.0
-    steps = zip(range(1, maxit + 1), _lanczos(apply_A, b))
-    for it, (v, alpha, beta, beta_next) in steps:
-        tnorm2 += alpha**2 + beta**2 + beta_next**2
-        # previous Givens rotation on the new column of T, then a new one
-        delta = cs * dbar + sn * alpha
-        gbar = sn * dbar - cs * alpha
-        eps_prev, eps, dbar = eps, sn * beta_next, -cs * beta_next
-        gamma = np.hypot(gbar, beta_next)
-        if gamma == 0.0:  # A v = 0 and nothing left to reduce
+    stop = tol * math.sqrt(rr)
+    r, d = b.copy(), b.copy()
+    for it in range(1, maxit + 1):
+        Ad = apply_A(d)
+        curvature = float((d * Ad).sum())
+        if not curvature > 0.0:
+            return x, it - 1
+        alpha = rr / curvature
+        x += alpha * d
+        r -= alpha * Ad
+        rr, rr_prev = float((r * r).sum()), rr
+        if math.sqrt(rr) <= stop:
             return x, it
-        cs, sn = gbar / gamma, beta_next / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        # the new direction (v - eps_prev w_prev - delta w) / gamma, built
-        # in place in the w_prev buffer
-        w_prev *= eps_prev
-        np.subtract(v, w_prev, out=w_prev)
-        w_prev -= delta * w
-        w_prev /= gamma
-        w_prev, w = w, w_prev
-        x += phi * w
-        if (abs(phibar) <= tol * bnorm or beta_next == 0.0
-                or np.hypot(gbar, dbar) <= tol * np.sqrt(tnorm2)):
-            return x, it
+        d *= rr / rr_prev
+        d += r
     return x, maxit
 
 
@@ -326,18 +310,18 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
     constants among them). Each apply is ops.pressure_S: two passes of
     per-axis DST-I matrix products, not a full 4-component Q. The
     solvers' right-hand sides, scalar parts of Q applies, lie in range(S):
-    <p, Sc(Q f)> = <Q p, f> = 0 for p in the kernel. For those, MINRES
-    (_minres) started from zero keeps all iterates in range(S) and
-    returns the minimum-norm solution, stopping when its residual
-    estimate falls to _MINRES_TOL ||rhs|| or after maxit iterations. The
-    result must pass a 1e-8 gate on the normal-equation
-    residual S(S p - rhs), or RuntimeError names the iterations run and
-    whether maxit was reached. Any other right-hand side ends in that
-    RuntimeError: it meets neither MINRES test at _MINRES_TOL, and x
-    drifts along the kernel of S until maxit. The result is shifted to
-    zero mean, the normalization used for the pressure throughout;
-    range(S) is orthogonal to the constants, so that shift only removes
-    rounding.
+    <p, Sc(Q f)> = <Q p, f> = 0 for p in the kernel. For those, conjugate
+    gradients (_cg) started from zero keep all iterates in range(S) and
+    return the minimum-norm solution, stopping when the residual falls to
+    _CG_TOL ||rhs|| or after maxit iterations. The result must pass a 1e-8
+    gate on the normal-equation residual S(S p - rhs), or RuntimeError
+    names the iterations run and whether maxit was reached; a non-finite
+    residual fails the gate too. Any other right-hand side ends in that
+    RuntimeError: its part in the kernel of S is never reduced, and the
+    iterates grow until maxit or until a direction has no positive
+    curvature. The result is shifted to zero mean, the normalization used
+    for the pressure throughout; range(S) is orthogonal to the constants,
+    so that shift only removes rounding.
     """
     dom = ops.domain
     if np.abs(rhs.values[1:]).max(initial=0.0) > 0:
@@ -346,16 +330,15 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
     r0 = rhs.values[0]
     if np.linalg.norm(r0) == 0.0:
         return QField.zeros(dom)
-    x, iters = _minres(S, r0, _MINRES_TOL, maxit)
-    # normal-equation residual S(Sx - r); the projection of r onto
-    # range(S) is what a least-squares minimizer can match.
+    x, iters = _cg(S, r0, _CG_TOL, maxit)
+    # normal-equation residual S(Sx - r); `not <=` so that NaN fails
     normal_res = np.linalg.norm(S(S(x) - r0))
     normal_ref = np.linalg.norm(S(r0))
-    if normal_ref > 0 and normal_res > 1e-8 * normal_ref:
+    if normal_ref > 0 and not normal_res <= 1e-8 * normal_ref:
         capped = f", the cap maxit={maxit}" if iters >= maxit else ""
         raise RuntimeError(
             "pressure_recover did not converge: relative normal-equation "
-            f"residual {normal_res / normal_ref:.3e} after {iters} MINRES "
+            f"residual {normal_res / normal_ref:.3e} after {iters} CG "
             f"iterations{capped}")
     x -= x.mean()
     out = np.zeros((4,) + dom.shape)
@@ -481,21 +464,31 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     B_bd = (boundary_B_term(params, ops) if params.boundary_h is not None
             else None)
     report = ConvergenceReport()
-    hist_u = [h1_norm(state.u)]
-    hist_B = [h1_norm(state.B)]
-    # the initial state has no rows: only its bracket's two fields
-    lor, uu = lorentz(state.B, params.mu0), convective(state.u, state.u)
+    # an overflow reaches the norms as inf or NaN, which the guards below
+    # report, so the initial norms and each step up to its guard run
+    # without NumPy's overflow warnings
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet):
+        hist_u = [h1_norm(state.u)]
+        hist_B = [h1_norm(state.B)]
+        # the initial state has no rows: only its bracket's two fields
+        lor, uu = lorentz(state.B, params.mu0), convective(state.u, state.u)
+    limit = 1e3 * max(1.0, hist_u[0] + hist_B[0])
+    if not math.isfinite(limit):
+        raise DivergenceError("initial state norm ||u||_H1 + ||B||_H1 = "
+                              f"{hist_u[0] + hist_B[0]:.3g}")
     grow = 0
     for n in range(1, cfg.max_outer + 1):
         prev = state
-        bracket = momentum_bracket(lor, uu, params)
-        del uu
-        p = pressure_recover(tqt_rhs_p(bracket, params, ops), ops)
-        u, B, entries = update(prev, p, lor, bracket, B_bd, hist_B[-1])
-        del lor, bracket  # two full fields, not read by the rows below
-        hist_u.append(h1_norm(u))
-        hist_B.append(h1_norm(B))
-        if hist_u[-1] + hist_B[-1] > 1e3 * max(1.0, hist_u[0] + hist_B[0]):
+        with np.errstate(**quiet):
+            bracket = momentum_bracket(lor, uu, params)
+            del uu
+            p = pressure_recover(tqt_rhs_p(bracket, params, ops), ops)
+            u, B, entries = update(prev, p, lor, bracket, B_bd, hist_B[-1])
+            del lor, bracket  # two full fields, not read by the rows below
+            hist_u.append(h1_norm(u))
+            hist_B.append(h1_norm(B))
+        if not hist_u[-1] + hist_B[-1] <= limit:
             raise DivergenceError(
                 f"state norm blow-up at iteration {n}: "
                 f"{hist_u[-1] + hist_B[-1]:.3g}")
@@ -557,7 +550,7 @@ def banach_inner_B(u_n: QField, B_init: QField, B_init_h1: float,
         if boundary is not None:
             B_new = B_new + boundary
         norm = h1_norm(B_new)
-        if norm > limit:
+        if not norm <= limit:
             raise DivergenceError(f"inner B blow-up at step {i}: {norm:.3g}")
         change = h1_norm(B_new - B)
         if prev_change and not math.isnan(prev_change):

@@ -284,18 +284,35 @@ def test_solve_manifest_and_energy_match_convergence_rows(tmp_path, method):
     assert [r["J"] for r in energy] == [r["Jenergy"] for r in rows]
 
 
-def test_solve_manifest_records_blas_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "7")
-    out = tmp_path / "out"
-    cfg = _write_config(tmp_path / "run.json", out, n=8)
-    assert main(["solve", "--config", str(cfg)]) == 0
-    manifest = read_manifest(out / "manifest.txt")
+def test_solve_manifest_records_blas_env(tmp_path):
+    # the variables as they stood when the package set its default, before
+    # NumPy loaded OpenBLAS; a variable set by then wins over the default
+    cfg = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OPENBLAS_THREAD_TIMEOUT="7")
+    env.pop("OMP_NUM_THREADS", None)
+    subprocess.run([sys.executable, "-m", "quatmhd.cli", "solve",
+                    "--config", str(cfg)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    manifest = read_manifest(tmp_path / "out" / "manifest.txt")
     assert {k: v for k, v in manifest.items() if k.startswith("blas_env")} == {
         "blas_env[OPENBLAS_NUM_THREADS]": "1",
         "blas_env[OMP_NUM_THREADS]": "unset",
         "blas_env[OPENBLAS_THREAD_TIMEOUT]": "7"}
+
+
+def test_solve_manifest_blas_env_unknown_after_numpy(tmp_path, monkeypatch):
+    # conftest imports NumPy before the package, so OpenBLAS read the
+    # variables before the package could record them; setting them now
+    # changes nothing
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "run.json", out, n=8)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    manifest = read_manifest(out / "manifest.txt")
+    assert [v for k, v in manifest.items() if k.startswith("blas_env")] == [
+        "unknown"] * 3
 
 
 def test_solve_roundtrip_state(tmp_path):
@@ -335,9 +352,31 @@ def test_solve_exit_3_names_the_minres_cap(tmp_path, monkeypatch, capsys):
     rc = main(["solve", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "after 1 MINRES iterations, the cap maxit=1" in err
+    assert "after 1 CG iterations, the cap maxit=1" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")  # a NumPy overflow warning fails
+@pytest.mark.parametrize("amplitude, message", [
+    (1e200, "initial state norm ||u||_H1 + ||B||_H1 = inf"),
+    (1e150, "state norm blow-up at iteration 1: inf"),
+], ids=["1e200", "1e150"])
+def test_solve_exit_3_on_a_non_finite_norm(tmp_path, capsys, amplitude,
+                                           message):
+    # at 1e200 the initial H1 norm overflows; at 1e150 the first step does
+    from quatmhd.io import write_csv
+    from quatmhd.sampling import random_divfree
+    u = random_divfree(build_domain((0, 0, 0), (1, 1, 1), 8), seed=1)
+    write_csv(tmp_path / "u0.csv", amplitude / np.abs(u.values).max() * u)
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["init_state"] = {"u": str(tmp_path / "u0.csv")}
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["solve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"divergence abort: {message}\n"
 
 
 def test_solve_exit_3_names_the_norm_cap(tmp_path, monkeypatch, capsys):
@@ -445,6 +484,26 @@ def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     assert err.startswith("bad config:")  # caught by load_config itself
     assert key in err
     assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("Re, Rm, mode, name", [
+    (1e200, 1.0, "mixed", "c_p"),     # Re^2 overflows
+    (1e-200, 1.0, "mixed", "c_p"),    # Re^2 underflows to 0
+    (1.0, 1e200, "squared", "c_B"),   # Rm^2 overflows
+])
+def test_solve_rejects_coefficients_outside_float_range(tmp_path, capsys, Re,
+                                                        Rm, mode, name):
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8,
+                             Re=Re, Rm=Rm)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["params"]["exponent_mode"] = mode
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["solve", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"bad config: coefficient {name} = ")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 

@@ -16,7 +16,7 @@ from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              check_theorem4, convection_norm,
                              estimate_constants, lipschitz_Ln,
                              neumann_apply_B, neumann_apply_u,
-                             pressure_recover, schauder_solve, _minres)
+                             pressure_recover, schauder_solve, _cg)
 
 ALL_ONES = ConstantsBundle(C1=1.0, Cs=1.0, CD=1.0, Cu=1.0, k=1.0,
                            lambda_min=1.0)
@@ -184,76 +184,16 @@ def _pressure_operator(n):
 
 @pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10)])
 def test_minres_matches_scipy_consistent(n):
+    # on a consistent system _cg lands on SciPy's MINRES solution: both
+    # keep their iterates in range(S), so both return the minimum-norm x
     from scipy.sparse.linalg import LinearOperator, minres
     dom, S = _pressure_operator(n)
     b = S(np.random.default_rng(18).standard_normal(dom.num_cells))
     lin = LinearOperator((b.size, b.size), matvec=S, rmatvec=S)
     ref, info = minres(lin, b, rtol=1e-12, maxiter=2000)
-    got, iters = _minres(S, b, 1e-12, 2000)
+    got, iters = _cg(S, b, 1e-12, 2000)
     assert info == 0 and iters < 2000
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10)])
-def test_minres_matches_scipy_least_squares(n):
-    # a random scalar field has a component in the kernel of S, so
-    # S x = b is inconsistent; _minres must stop on its least-squares test
-    # ||S r|| <= rtol ||S|| ||r||, at the dense least-squares residual
-    from scipy.sparse.linalg import LinearOperator, minres
-    dom, S = _pressure_operator(n)
-    b = np.random.default_rng(19).standard_normal(dom.num_cells)
-    lin = LinearOperator((b.size, b.size), matvec=S, rmatvec=S)
-    ref, info = minres(lin, b, rtol=1e-8, maxiter=2000)
-    got, iters = _minres(S, b, 1e-8, 2000)
-    assert info == 0 and iters < 2000
-    M = np.stack([S(e) for e in np.eye(b.size)], axis=1)
-    best = np.linalg.norm(M @ np.linalg.lstsq(M, b, rcond=1e-10)[0] - b)
-    assert best >= 0.1 * np.linalg.norm(b)   # really inconsistent
-    res_ref = np.linalg.norm(S(ref) - b)
-    res_got = np.linalg.norm(S(got) - b)
-    assert abs(res_got - res_ref) <= 1e-8 * res_ref
-    assert abs(res_got - best) <= 1e-8 * best
-
-
-def _minres_fresh(apply_A, b, tol, maxit):
-    """_minres with each new direction built as a new array, the oracle of
-    its in-place update."""
-    from quatmhd.operators import _lanczos
-    x = np.zeros_like(b)
-    bnorm = float(np.sqrt((b * b).sum()))
-    w_prev, w = np.zeros_like(b), np.zeros_like(b)
-    phibar, cs, sn, dbar, eps, tnorm2 = bnorm, -1.0, 0.0, 0.0, 0.0, 0.0
-    steps = zip(range(1, maxit + 1), _lanczos(apply_A, b))
-    for it, (v, alpha, beta, beta_next) in steps:
-        tnorm2 += alpha**2 + beta**2 + beta_next**2
-        delta = cs * dbar + sn * alpha
-        gbar = sn * dbar - cs * alpha
-        eps_prev, eps, dbar = eps, sn * beta_next, -cs * beta_next
-        gamma = np.hypot(gbar, beta_next)
-        if gamma == 0.0:
-            return x, it
-        cs, sn = gbar / gamma, beta_next / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        w_prev, w = w, (v - eps_prev * w_prev - delta * w) / gamma
-        x += phi * w
-        if (abs(phibar) <= tol * bnorm or beta_next == 0.0
-                or np.hypot(gbar, dbar) <= tol * np.sqrt(tnorm2)):
-            return x, it
-    return x, maxit
-
-
-@pytest.mark.parametrize("seed, tol", [(18, 1e-12), (19, 1e-8)])
-def test_minres_in_place_directions_match_fresh_arrays(dom8, ops8, seed,
-                                                       tol):
-    # a right side in range(S) and one outside it: same iterations, same
-    # x bit for bit
-    b = np.random.default_rng(seed).standard_normal(dom8.shape)
-    if seed == 18:
-        b = ops8.pressure_S(b)
-    got, iters = _minres(ops8.pressure_S, b, tol, 2000)
-    ref, ref_iters = _minres_fresh(ops8.pressure_S, b, tol, 2000)
-    assert iters == ref_iters < 2000
-    assert got.tobytes() == ref.tobytes()
 
 
 def test_pressure_recover_rejects_rhs_outside_range(dom8, ops8):
@@ -263,6 +203,25 @@ def test_pressure_recover_rejects_rhs_outside_range(dom8, ops8):
     rhs[0] = np.random.default_rng(20).standard_normal(dom8.shape)
     with pytest.raises(RuntimeError, match="normal-equation residual"):
         pressure_recover(QField(dom8, rhs), ops8, maxit=200)
+
+
+def test_pressure_recover_never_returns_a_non_finite_pressure(dom8, ops8,
+                                                              monkeypatch):
+    # outside range(S) the CG iterates grow without bound; at the default
+    # maxit the gate still rejects them, and it rejects a NaN x too, whose
+    # residual compares False with any bound
+    import quatmhd.solvers as solvers
+    rhs = np.zeros((4,) + dom8.shape)
+    rhs[0] = np.random.default_rng(20).standard_normal(dom8.shape)
+    x, _ = _cg(ops8.pressure_S, rhs[0], solvers._CG_TOL, 2000)
+    assert np.isfinite(x).all()
+    with pytest.raises(RuntimeError, match="normal-equation residual"):
+        pressure_recover(QField(dom8, rhs), ops8)
+    rhs[0] = ops8.pressure_S(rhs[0])
+    monkeypatch.setattr(solvers, "_cg",
+                        lambda S, b, tol, maxit: (np.full_like(b, np.nan), 1))
+    with pytest.raises(RuntimeError, match="residual nan after 1 CG"):
+        pressure_recover(QField(dom8, rhs), ops8)
 
 
 def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
@@ -282,16 +241,16 @@ def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
 
 @pytest.mark.parametrize("dom", ["dom8", "dom12", "dom16"])
 def test_minres_iterations_match_stencil_path(dom, request, stencil_pressure):
-    # MINRES over the matrix-chain pressure_S runs as many iterations as
-    # over the stencil composition it replaced, on a fixed right side in
+    # CG over the matrix-chain pressure_S runs as many iterations as over
+    # the stencil composition it replaced, on a fixed right side in
     # range(S), and lands on the same p
-    from quatmhd.solvers import _MINRES_TOL
+    from quatmhd.solvers import _CG_TOL
     dom = request.getfixturevalue(dom)
     ops = OperatorSet(dom)
     b = ops.bergman_Q(random_pure_bump(dom, seed=6)).values[0]
-    got, iters = _minres(ops.pressure_S, b, _MINRES_TOL, 2000)
-    ref, ref_iters = _minres(lambda p: stencil_pressure.S(ops, p), b,
-                             _MINRES_TOL, 2000)
+    got, iters = _cg(ops.pressure_S, b, _CG_TOL, 2000)
+    ref, ref_iters = _cg(lambda p: stencil_pressure.S(ops, p), b, _CG_TOL,
+                         2000)
     assert iters == ref_iters < 2000
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -299,7 +258,7 @@ def test_minres_iterations_match_stencil_path(dom, request, stencil_pressure):
 def test_pressure_recover_names_the_iteration_cap(dom12, ops12):
     rhs = np.zeros((4,) + dom12.shape)
     rhs[0] = ops12.bergman_Q(random_pure_bump(dom12, seed=4)).values[0]
-    with pytest.raises(RuntimeError, match=r"after 1 MINRES iterations, "
+    with pytest.raises(RuntimeError, match=r"after 1 CG iterations, "
                                            r"the cap maxit=1"):
         pressure_recover(QField(dom12, rhs), ops12, maxit=1)
 
