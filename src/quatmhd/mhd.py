@@ -1,9 +1,9 @@
 """Stationary incompressible viscous MHD: nonlinear terms, strong and weak
 residuals, the TQT integral-form right-hand sides (each takes the fields it
 reads, not a state), the linearized map TQT Sc(u~D) of the Schauder scheme
-(_convect_solve, and its transpose for the norm), and the discrete Leray
-projection. convective and _convect_solve share one advection kernel,
-_advect, which reads the stored components-first arrays without a copy.
+(_convect_solve), and the discrete Leray projection. convective and
+_convect_solve share one advection kernel, _advect, which reads the stored
+components-first arrays without a copy.
 
 The integral form's TQT is the collar-Dirichlet solve (poisson_dirichlet),
 and its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu,
@@ -36,8 +36,8 @@ import numpy as np
 
 from .grid import (BoundaryData, QField, VoxelDomain, _finite, _first_live,
                    l2_norm, sc_inner)
-from .operators import (OperatorSet, _dcen, _dcen_T, dirac_fwd, div_fwd,
-                        grad_bwd, laplacian)
+from .operators import (OperatorSet, _dcen, dirac_fwd, div_fwd, grad_bwd,
+                        laplacian)
 from .quaternion import qmul_arr
 
 __all__ = [
@@ -172,15 +172,6 @@ def _convect_solve(a: np.ndarray, v: np.ndarray,
     TQT Sc(u~D) acts on each quaternion component by A, so each component
     equals that of TQT(convective(u~, .)) bit for bit."""
     return ops.poisson_scalar(_advect(a, v, ops.domain.h))
-
-
-def _convect_solve_T(a: np.ndarray, w: np.ndarray,
-                     ops: OperatorSet) -> np.ndarray:
-    """A^T w = sum_i D^c_i^T (a_i L^-1 w), the transpose of _convect_solve
-    on scalar arrays (L^-1 is symmetric)."""
-    h = ops.domain.h
-    s = ops.poisson_scalar(w)
-    return sum(_dcen_T(a[i] * s, i, h) for i in range(3))
 
 
 def lorentz(B: QField, mu0: float) -> QField:

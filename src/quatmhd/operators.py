@@ -65,10 +65,7 @@ solves, all built in its constructor)
 
 teodorescu, cauchy and bergman_P are the sampled continuum operators. They
 serve the identity checks of verify and the acceptance criteria; neither
-the constants nor any solver step applies them. The one Lanczos recurrence
-of the package, _lanczos, serves the Schauder norm estimate
-(solvers.convection_norm) alone, which takes its largest Ritz value by the
-Sturm bisection _top_eigenvalue.
+the constants nor any solver step applies them.
 
 Both Poisson solves diagonalize the 7-point stencil in a sine basis. The
 orthonormal 1-D basis matrices are built once per axis and applied along
@@ -454,62 +451,6 @@ class OperatorSet:
     def _check(self, f: QField) -> None:
         if not f.domain.same_grid(self.domain):
             raise ValueError("field domain does not match operator set")
-
-
-def _lanczos(apply_A, v):
-    """Lanczos recurrence of a symmetric operator apply_A started from the
-    nonzero array v. Yields (v_k, alpha_k, beta_k, beta_{k+1}) for
-    k = 1, 2, ..., where beta_1 = ||v||, v_1 = v / beta_1, v_0 = 0 and
-
-        A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1},
-
-    and ends after a zero beta_{k+1}. Inner products and norms are
-    elementwise sums over arrays of any shape; each step applies A once,
-    only when the consumer asks for it."""
-    beta = float(np.sqrt((v * v).sum()))
-    v, v_prev = v / beta, None
-    while True:
-        w = apply_A(v)
-        alpha = float((v * w).sum())
-        w = w - alpha * v
-        if v_prev is not None:
-            w -= beta * v_prev
-        beta_next = float(np.sqrt((w * w).sum()))
-        yield v, alpha, beta, beta_next
-        if beta_next == 0.0:
-            return
-        w /= beta_next
-        v_prev, v, beta = v, w, beta_next
-
-
-def _top_eigenvalue(a, b, lo: float = -np.inf, rtol: float = 0.0) -> float:
-    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
-    a and off-diagonal b, by bisection between Gershgorin bounds: the
-    Sturm sequence d_i = a_i - x - b_{i-1}^2 / d_{i-1} has as many
-    negative terms as the matrix has eigenvalues below x. A given `lo`, a
-    value known not to exceed the eigenvalue (such as the largest Ritz
-    value of a leading block, which interlacing puts below), raises the
-    lower bound. The bisection stops once the bracket is no wider than
-    rtol times its larger end, or at adjacent floats (rtol = 0), and
-    returns its upper end. Plain floats, so no LAPACK call, whose first
-    use costs about 0.5 MiB of workspace."""
-    r = [abs(x) for x in b] + [0.0]
-    lo = max(lo, min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r)))
-    hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
-    while hi - lo > rtol * max(abs(lo), abs(hi)):
-        x = 0.5 * (lo + hi)
-        if not lo < x < hi:
-            break
-        below, d = 0, 1.0
-        for i, ai in enumerate(a):
-            d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
-            d = d or -1e-300  # a zero pivot counts as negative
-            below += d < 0
-        if below == len(a):
-            hi = x
-        else:
-            lo = x
-    return hi
 
 
 def _pure(vec: np.ndarray) -> np.ndarray:

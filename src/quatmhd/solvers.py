@@ -21,6 +21,11 @@ A v = L^-1 sum_i u~_i D^c_i v (D^c_i the centered difference, L^-1 the
 collar solve). So convection_norm is ||A||, from Lanczos on A^T A, and
 each series runs on the three vector components as one batch.
 
+This module holds both Krylov methods of the package: conjugate
+gradients (_cg) for the pressure and the Lanczos recurrence, with the
+Sturm bisection of its Ritz values (_top_eigenvalue), for the
+convection norm.
+
 Both schemes run one outer loop, _outer_loop. It derives each state's
 D+B, Lorentz force and advections once (mhd._derive), for the state's
 residual and energy rows and for the next step's bracket
@@ -45,12 +50,11 @@ import numpy as np
 
 from .energy import _energy_of
 from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
-from .mhd import (MHDParams, MHDState, _convect_solve, _convect_solve_T,
-                  _derive, _lorentz_of, _require_pure, _residuals,
-                  boundary_B_term, convective, leray_project, lorentz,
-                  momentum_bracket, tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
-from .operators import (OperatorSet, _lanczos, _top_eigenvalue, dirac_fwd,
-                        grad_bwd)
+from .mhd import (MHDParams, MHDState, _convect_solve, _derive, _lorentz_of,
+                  _require_pure, _residuals, boundary_B_term, convective,
+                  leray_project, lorentz, momentum_bracket, tqt_rhs_B,
+                  tqt_rhs_p, tqt_rhs_u)
+from .operators import OperatorSet, _dcen_T, dirac_fwd, grad_bwd
 from .sampling import _pure_bumps
 
 __all__ = [
@@ -76,11 +80,14 @@ __all__ = [
     "schauder_solve",
 ]
 
-# stop rules: the relative CG residual of pressure_recover, and the
+# stop rules: the relative CG residual of pressure_recover and the CG
+# iterations without a new residual minimum after which it gives up (on
+# right sides in range(S) the residual falls at every iteration), and the
 # relative-change stop, step cap and start seed of the Lanczos estimate in
 # convection_norm, and the relative width at which its Ritz value
 # bisection stops.
 _CG_TOL = 1e-12
+_CG_STALL = 20
 _NORM_TOL = 1e-6
 _NORM_MAXIT = 100
 _NORM_SEED = 0
@@ -267,38 +274,79 @@ def check_theorem4(c: ConstantsBundle, params: MHDParams,
 
 
 # ---------------------------------------------------------------------------
-# pressure recovery
+# the Krylov methods: pressure recovery by conjugate gradients, the
+# convection norm by Lanczos
 # ---------------------------------------------------------------------------
 
 def _cg(apply_A, b: np.ndarray, tol: float,
-        maxit: int) -> tuple[np.ndarray, int]:
+        maxit: int) -> tuple[np.ndarray, int, str]:
     """Conjugate gradients (Hestenes & Stiefel 1952) for a symmetric
-    positive semidefinite A, no preconditioner, from x = 0; returns x and
-    the iterations completed. Inner products and norms are elementwise
-    sums, as in operators._lanczos. Stops when ||r|| <= tol ||b||, after
-    maxit iterations, or when the curvature d.Ad of a direction d is not
-    positive (A d = 0, or NaN after an overflow). For b outside range(A)
-    x grows without bound, for the caller's residual check to reject."""
+    positive semidefinite A, no preconditioner, from x = 0; returns x, the
+    iterations completed and why it stopped: "" once ||r|| <= tol ||b||,
+    else a phrase for the caller's message. It also stops after maxit
+    iterations, after _CG_STALL iterations without a new minimum of ||r||,
+    or when the curvature d.Ad of a direction d is not positive (A d = 0,
+    or NaN after an overflow). Inner products and norms are elementwise
+    sums, as in convection_norm. For b outside range(A) x grows without
+    bound while ||r|| stalls, for the caller's residual check to reject."""
     x = np.zeros_like(b)
     rr = float((b * b).sum())
     if rr == 0.0:
-        return x, 0
+        return x, 0, ""
     stop = tol * math.sqrt(rr)
     r, d = b.copy(), b.copy()
+    rr_min, since_min = rr, 0
     for it in range(1, maxit + 1):
         Ad = apply_A(d)
         curvature = float((d * Ad).sum())
         if not curvature > 0.0:
-            return x, it - 1
+            return x, it - 1, "a direction without positive curvature"
         alpha = rr / curvature
         x += alpha * d
         r -= alpha * Ad
         rr, rr_prev = float((r * r).sum()), rr
         if math.sqrt(rr) <= stop:
-            return x, it
+            return x, it, ""
+        if rr < rr_min:
+            rr_min, since_min = rr, 0
+        else:
+            since_min += 1
+            if since_min >= _CG_STALL:
+                return x, it, ("the residual stalled: no new minimum in "
+                               f"{_CG_STALL} iterations")
         d *= rr / rr_prev
         d += r
-    return x, maxit
+    return x, maxit, f"the cap maxit={maxit}"
+
+
+def _top_eigenvalue(a, b, lo: float = -np.inf, rtol: float = 0.0) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    a and off-diagonal b, by bisection between Gershgorin bounds: the
+    Sturm sequence d_i = a_i - x - b_{i-1}^2 / d_{i-1} has as many
+    negative terms as the matrix has eigenvalues below x. A given `lo`, a
+    value known not to exceed the eigenvalue (such as the largest Ritz
+    value of a leading block, which interlacing puts below), raises the
+    lower bound. The bisection stops once the bracket is no wider than
+    rtol times its larger end, or at adjacent floats (rtol = 0), and
+    returns its upper end. Plain floats, so no LAPACK call, whose first
+    use costs about 0.5 MiB of workspace."""
+    r = [abs(x) for x in b] + [0.0]
+    lo = max(lo, min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r)))
+    hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    while hi - lo > rtol * max(abs(lo), abs(hi)):
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            break
+        below, d = 0, 1.0
+        for i, ai in enumerate(a):
+            d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
+            d = d or -1e-300  # a zero pivot counts as negative
+            below += d < 0
+        if below == len(a):
+            hi = x
+        else:
+            lo = x
+    return hi
 
 
 def pressure_recover(rhs: QField, ops: OperatorSet,
@@ -315,13 +363,14 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
     return the minimum-norm solution, stopping when the residual falls to
     _CG_TOL ||rhs|| or after maxit iterations. The result must pass a 1e-8
     gate on the normal-equation residual S(S p - rhs), or RuntimeError
-    names the iterations run and whether maxit was reached; a non-finite
-    residual fails the gate too. Any other right-hand side ends in that
-    RuntimeError: its part in the kernel of S is never reduced, and the
-    iterates grow until maxit or until a direction has no positive
-    curvature. The result is shifted to zero mean, the normalization used
-    for the pressure throughout; range(S) is orthogonal to the constants,
-    so that shift only removes rounding.
+    names the iterations run and why CG stopped; a non-finite residual
+    fails the gate too. Any other right-hand side ends in that
+    RuntimeError: its part in the kernel of S is never reduced, so the
+    residual stalls while the iterates grow, and CG gives up after
+    _CG_STALL iterations without a new residual minimum. The result is
+    shifted to zero mean, the normalization used for the pressure
+    throughout; range(S) is orthogonal to the constants, so that shift
+    only removes rounding.
     """
     dom = ops.domain
     if np.abs(rhs.values[1:]).max(initial=0.0) > 0:
@@ -330,60 +379,72 @@ def pressure_recover(rhs: QField, ops: OperatorSet,
     r0 = rhs.values[0]
     if np.linalg.norm(r0) == 0.0:
         return QField.zeros(dom)
-    x, iters = _cg(S, r0, _CG_TOL, maxit)
+    x, iters, why = _cg(S, r0, _CG_TOL, maxit)
     # normal-equation residual S(Sx - r); `not <=` so that NaN fails
     normal_res = np.linalg.norm(S(S(x) - r0))
     normal_ref = np.linalg.norm(S(r0))
     if normal_ref > 0 and not normal_res <= 1e-8 * normal_ref:
-        capped = f", the cap maxit={maxit}" if iters >= maxit else ""
         raise RuntimeError(
             "pressure_recover did not converge: relative normal-equation "
             f"residual {normal_res / normal_ref:.3e} after {iters} CG "
-            f"iterations{capped}")
+            f"iterations{', ' + why if why else ''}")
     x -= x.mean()
     out = np.zeros((4,) + dom.shape)
     out[0] = x
     return QField(dom, out)
 
 
-# ---------------------------------------------------------------------------
-# operator-norm estimation of the linearized convection maps
-# ---------------------------------------------------------------------------
-
 def convection_norm(ut: QField, ops: OperatorSet) -> float:
     """L2 operator norm of v -> TQT Sc(u~D) v on quaternion fields.
 
     The map is the scalar map A of _convect_solve on each component, so
-    its norm is ||A||, the square root of the largest eigenvalue of A^T A.
-    That is taken as the largest Ritz value (_top_eigenvalue) of the
-    Lanczos recurrence (_lanczos) of A^T A from a seeded random scalar
-    field, once a step moves it by <= _NORM_TOL relative or the recurrence
-    ends. Each Ritz value is bisected up from the previous one, which
-    interlacing keeps below it, to a relative width of _RITZ_TOL. A is
-    linear in u~, so it runs on u~ / max|u~|: the Sturm
-    sequence squares the off-diagonal, which under- or overflows beyond
-    about 1e+-154, as A^T A's entries would for |u~| beyond about 1e+-77.
-    u~ = 0 gives 0.0. RuntimeError names the _NORM_MAXIT steps when they
-    do not get there."""
+    its norm is ||A||, the square root of the largest eigenvalue of A^T A,
+    with A^T w = sum_i D^c_i^T (u~_i L^-1 w) (_dcen_T; L^-1 is
+    symmetric). The Lanczos recurrence of A^T A from a seeded random
+    scalar field v_1 = v / ||v||,
+
+        A^T A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1},
+
+    with elementwise-sum inner products, builds the tridiagonal whose
+    largest eigenvalue (_top_eigenvalue) is the Ritz value; it is taken
+    once a step moves it by <= _NORM_TOL relative or beta_{k+1} = 0. Each
+    Ritz value is bisected up from the previous one, which interlacing
+    keeps below it, to a relative width of _RITZ_TOL. A is linear in u~,
+    so it runs on u~ / max|u~|: the Sturm sequence squares the
+    off-diagonal, which under- or overflows beyond about 1e+-154, as
+    A^T A's entries would for |u~| beyond about 1e+-77. u~ = 0 gives 0.0.
+    RuntimeError names the _NORM_MAXIT steps when they do not get there."""
     _require_pure(ut, "advection field u~")
     a = ut.values[1:]
     scale = float(np.abs(a).max(initial=0.0))
     if scale == 0.0:
         return 0.0
     a = a / scale
+    h = ops.domain.h
     v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
-    steps = _lanczos(
-        lambda x: _convect_solve_T(a, _convect_solve(a, x, ops), ops), v)
+    v = v / float(np.sqrt((v * v).sum()))
     alpha, beta, top = [], [], 0.0
-    for _, (_, al, _, b) in zip(range(_NORM_MAXIT), steps):
-        alpha.append(al)
+    for _ in range(_NORM_MAXIT):
+        s = ops.poisson_scalar(_convect_solve(a, v, ops))
+        w = sum(_dcen_T(a[i] * s, i, h) for i in range(3))
+        alpha.append(float((v * w).sum()))
+        w = w - alpha[-1] * v
+        if beta:
+            w -= beta[-1] * v_prev
+        b = float(np.sqrt((w * w).sum()))
         prev, top = top, _top_eigenvalue(alpha, beta, top, _RITZ_TOL)
         if abs(top - prev) <= _NORM_TOL * top or b == 0.0:
             return scale * math.sqrt(top)
         beta.append(b)
+        w /= b
+        v_prev, v = v, w
     raise RuntimeError("convection_norm: Lanczos not converged after "
                        f"{_NORM_MAXIT} steps")
 
+
+# ---------------------------------------------------------------------------
+# Neumann series solves of the linearized convection maps
+# ---------------------------------------------------------------------------
 
 def _neumann_solve(ut: QField, c: float, norm: float, f: QField,
                    ops: OperatorSet, cfg: SolverConfig,

@@ -10,10 +10,9 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
 from quatmhd.grid import _diff
 from quatmhd.mhd import _advect, convective
 from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _dcen, _dcen_T, _dst1,
-                               _dst2, _lap_interior, _lanczos, _pure,
-                               _staggered, _top_eigenvalue, curl_bwd,
-                               dirac_bwd, dirac_central, dirac_fwd, div_fwd,
-                               grad_bwd, laplacian, OperatorSet)
+                               _dst2, _lap_interior, _pure, _staggered,
+                               curl_bwd, dirac_bwd, dirac_central, dirac_fwd,
+                               div_fwd, grad_bwd, laplacian, OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_pure_bump, random_smooth
 
@@ -833,22 +832,9 @@ def test_lambda_min_is_top_of_face_solve(n):
     assert abs(1.0 / ops.lambda_min() - top) <= 1e-12 * top
 
 
-def test_lanczos_top_ritz_dense_spd():
-    rng = np.random.default_rng(21)
-    M = rng.standard_normal((12, 12))
-    A = M @ M.T + np.eye(12)
-    v = rng.standard_normal(12)
-    # the recurrence A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1}
-    steps = [s for _, s in zip(range(6), _lanczos(lambda x: A @ x, v))]
-    assert steps[0][2] == pytest.approx(np.linalg.norm(v), rel=1e-15)
-    for k in range(1, 5):
-        (vp, _, _, _), (vk, a, b, b_next), (vn, _, _, _) = steps[k - 1:k + 2]
-        assert np.abs(A @ vk - (b * vp + a * vk + b_next * vn)).max() \
-            <= 1e-12 * np.abs(A).max()
-
-
 @pytest.mark.parametrize("size", [1, 2, 5, 12])
 def test_top_eigenvalue_matches_eigvalsh(size):
+    from quatmhd.solvers import _top_eigenvalue
     rng = np.random.default_rng(size)
     a, b = rng.standard_normal(size), rng.standard_normal(size - 1)
     T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)

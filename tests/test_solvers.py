@@ -5,9 +5,9 @@ import pytest
 
 from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           l2_norm, lq_norm, trace_boundary)
-from quatmhd.mhd import (MHDParams, MHDState, convective, leray_project,
-                         lorentz, residual_strong)
-from quatmhd.operators import OperatorSet, dirac_fwd, grad_bwd
+from quatmhd.mhd import (MHDParams, MHDState, _convect_solve, convective,
+                         leray_project, lorentz, residual_strong)
+from quatmhd.operators import OperatorSet, _dcen_T, dirac_fwd, grad_bwd
 from quatmhd.sampling import random_pure_bump, random_smooth
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
@@ -16,7 +16,9 @@ from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              check_theorem4, convection_norm,
                              estimate_constants, lipschitz_Ln,
                              neumann_apply_B, neumann_apply_u,
-                             pressure_recover, schauder_solve, _cg)
+                             pressure_recover, schauder_solve, _cg,
+                             _NORM_MAXIT, _NORM_SEED, _NORM_TOL, _RITZ_TOL,
+                             _top_eigenvalue)
 
 ALL_ONES = ConstantsBundle(C1=1.0, Cs=1.0, CD=1.0, Cu=1.0, k=1.0,
                            lambda_min=1.0)
@@ -191,8 +193,8 @@ def test_minres_matches_scipy_consistent(n):
     b = S(np.random.default_rng(18).standard_normal(dom.num_cells))
     lin = LinearOperator((b.size, b.size), matvec=S, rmatvec=S)
     ref, info = minres(lin, b, rtol=1e-12, maxiter=2000)
-    got, iters = _cg(S, b, 1e-12, 2000)
-    assert info == 0 and iters < 2000
+    got, iters, why = _cg(S, b, 1e-12, 2000)
+    assert info == 0 and iters < 2000 and why == ""
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
@@ -213,15 +215,46 @@ def test_pressure_recover_never_returns_a_non_finite_pressure(dom8, ops8,
     import quatmhd.solvers as solvers
     rhs = np.zeros((4,) + dom8.shape)
     rhs[0] = np.random.default_rng(20).standard_normal(dom8.shape)
-    x, _ = _cg(ops8.pressure_S, rhs[0], solvers._CG_TOL, 2000)
+    x, _, _ = _cg(ops8.pressure_S, rhs[0], solvers._CG_TOL, 2000)
     assert np.isfinite(x).all()
     with pytest.raises(RuntimeError, match="normal-equation residual"):
         pressure_recover(QField(dom8, rhs), ops8)
     rhs[0] = ops8.pressure_S(rhs[0])
     monkeypatch.setattr(solvers, "_cg",
-                        lambda S, b, tol, maxit: (np.full_like(b, np.nan), 1))
+                        lambda S, b, tol, maxit: (np.full_like(b, np.nan), 1,
+                                                  ""))
     with pytest.raises(RuntimeError, match="residual nan after 1 CG"):
         pressure_recover(QField(dom8, rhs), ops8)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24])
+def test_pressure_recover_gives_up_on_a_stalled_residual(n, monkeypatch):
+    # outside range(S) the CG residual never falls below its first value
+    # (at n = 12 and 24 the curvature stays positive for all 2000
+    # iterations); CG gives up after _CG_STALL iterations without a new
+    # minimum, and the gate names the stall
+    dom = build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), n)
+    ops = OperatorSet(dom)
+    rhs = np.zeros((4,) + dom.shape)
+    rhs[0] = np.random.default_rng(20).standard_normal(dom.shape)
+    applies = []
+    apply_S = OperatorSet.pressure_S
+
+    def counted(self, p):
+        applies.append(1)
+        return apply_S(self, p)
+
+    monkeypatch.setattr(OperatorSet, "pressure_S", counted)
+    with pytest.raises(RuntimeError, match="the residual stalled"):
+        pressure_recover(QField(dom, rhs), ops)
+    assert len(applies) <= 100
+
+
+def test_cg_stops_at_a_direction_without_curvature():
+    # b in the kernel of A: the first direction has d.Ad = 0
+    x, iters, why = _cg(lambda d: 0.0 * d, np.ones(5), 1e-12, 10)
+    assert not x.any() and iters == 0
+    assert why == "a direction without positive curvature"
 
 
 def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
@@ -248,9 +281,9 @@ def test_minres_iterations_match_stencil_path(dom, request, stencil_pressure):
     dom = request.getfixturevalue(dom)
     ops = OperatorSet(dom)
     b = ops.bergman_Q(random_pure_bump(dom, seed=6)).values[0]
-    got, iters = _cg(ops.pressure_S, b, _CG_TOL, 2000)
-    ref, ref_iters = _cg(lambda p: stencil_pressure.S(ops, p), b, _CG_TOL,
-                         2000)
+    got, iters, _ = _cg(ops.pressure_S, b, _CG_TOL, 2000)
+    ref, ref_iters, _ = _cg(lambda p: stencil_pressure.S(ops, p), b, _CG_TOL,
+                            2000)
     assert iters == ref_iters < 2000
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -372,6 +405,69 @@ def test_convection_norm_is_linear_in_the_field(ops8, dom8, scale):
         convection_norm(ut, ops8), rel=1e-12)
 
 
+def _lanczos(apply_A, v):
+    """Lanczos recurrence of a symmetric apply_A from the nonzero array v,
+    as a generator of (v_k, alpha_k, beta_k, beta_{k+1}) with
+
+        A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1},
+
+    beta_1 = ||v||, ending after a zero beta_{k+1}. The slow-path oracle
+    of convection_norm's inline loop."""
+    beta = float(np.sqrt((v * v).sum()))
+    v, v_prev = v / beta, None
+    while True:
+        w = apply_A(v)
+        alpha = float((v * w).sum())
+        w = w - alpha * v
+        if v_prev is not None:
+            w -= beta * v_prev
+        beta_next = float(np.sqrt((w * w).sum()))
+        yield v, alpha, beta, beta_next
+        if beta_next == 0.0:
+            return
+        w /= beta_next
+        v_prev, v, beta = v, w, beta_next
+
+
+def _convect_solve_T(a, w, ops):
+    """A^T w = sum_i D^c_i^T (a_i L^-1 w), the transpose of
+    mhd._convect_solve on scalar arrays (L^-1 is symmetric)."""
+    s = ops.poisson_scalar(w)
+    return sum(_dcen_T(a[i] * s, i, ops.domain.h) for i in range(3))
+
+
+def _convection_norm_oracle(ut, ops):
+    """convection_norm composed from the Lanczos generator and the
+    transpose map, with the same stop rules."""
+    a = ut.values[1:]
+    scale = float(np.abs(a).max(initial=0.0))
+    a = a / scale
+    v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
+    steps = _lanczos(
+        lambda x: _convect_solve_T(a, _convect_solve(a, x, ops), ops), v)
+    alpha, beta, top = [], [], 0.0
+    for _, (_, al, _, b) in zip(range(_NORM_MAXIT), steps):
+        alpha.append(al)
+        prev, top = top, _top_eigenvalue(alpha, beta, top, _RITZ_TOL)
+        if abs(top - prev) <= _NORM_TOL * top or b == 0.0:
+            return scale * math.sqrt(top)
+        beta.append(b)
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("n, extent", [(8, (1.0, 1.0, 1.0)),
+                                       ((5, 7, 6), (0.5, 0.7, 0.6))])
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_convection_norm_matches_the_generator_oracle(n, extent, scale):
+    # the inline Lanczos loop does every operation of the generator
+    # composition in the same order, so the norm agrees bit for bit
+    dom = build_domain((0.1, -0.2, 0.3), extent, n)
+    ops = OperatorSet(dom)
+    for seed in (3, 4):
+        ut = scale * random_pure_bump(dom, seed=seed)
+        assert convection_norm(ut, ops) == _convection_norm_oracle(ut, ops)
+
+
 def test_convection_norm_cap_raises(ops8, dom8, monkeypatch):
     import quatmhd.solvers as solvers
     monkeypatch.setattr(solvers, "_NORM_MAXIT", 2)
@@ -386,7 +482,6 @@ def test_convection_norm_ritz_bisection(dom, request, monkeypatch):
     # one to a relative width of 1e-13, against the full bisection from the
     # Gershgorin bounds on the same Lanczos tridiagonal
     import quatmhd.solvers as solvers
-    from quatmhd.operators import _top_eigenvalue
     dom = request.getfixturevalue(dom)
     calls = []
 
@@ -402,16 +497,29 @@ def test_convection_norm_ritz_bisection(dom, request, monkeypatch):
         assert abs(top - ref) <= 1e-13 * ref
 
 
-def test_neumann_refuses_large_q(dom12, ops12):
-    # a huge Reynolds number pushes the series ratio past 1
-    params = MHDParams(Re=1e4, Rm=1.0)
+def test_neumann_refuses_large_q(dom12, ops12, monkeypatch):
+    # huge Reynolds numbers push both series ratios past 1; each series
+    # refuses before it applies a single collar solve
+    params = MHDParams(Re=1e4, Rm=1e4)
     cfg = SolverConfig(method="schauder_neumann")
-    st = MHDState(random_pure_bump(dom12, seed=6), QField.zeros(dom12),
-                  QField.zeros(dom12))
-    with pytest.raises(ConditionViolation) as err:
-        neumann_apply_u(st.u, st.B, st.p, params, ops12, cfg,
-                        convection_norm(st.u, ops12))
-    assert err.value.q >= 1.0
+    st = MHDState(random_pure_bump(dom12, seed=6),
+                  random_pure_bump(dom12, seed=7), QField.zeros(dom12))
+    norm = convection_norm(st.u, ops12)
+    solves = []
+    solve = OperatorSet.poisson_scalar
+
+    def counted(self, rhs):
+        solves.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(OperatorSet, "poisson_scalar", counted)
+    with pytest.raises(ConditionViolation) as err_u:
+        neumann_apply_u(st.u, lorentz(st.B, params.mu0), st.p, params,
+                        ops12, cfg, norm)
+    with pytest.raises(ConditionViolation) as err_B:
+        neumann_apply_B(st.u, st.B, st.u, params, ops12, cfg, norm)
+    assert err_u.value.q >= 1.0 and err_B.value.q >= 1.0
+    assert not solves
 
 
 # ---------------------------------------------------------------------------
