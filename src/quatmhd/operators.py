@@ -26,11 +26,12 @@ matrices (_grad_factors). The centered difference (_dcen) and the second
 difference of the Laplacian are stencils of their own. These three take
 their interior rows along an axis in one subtraction over the flat C-order
 buffer, shifted by the axis's stride, and then overwrite the face layer,
-where the rows that wrap across a line land; the transpose _dcen_T, whose
-face rows accumulate, is a per-axis slice stencil. Every stencil acts on
-the last three axes of its array, leading axes (the four quaternion
-components, or a batch of them) batched. The Dirac operators, laplacian
-and grad_bwd skip the components, or the whole array, that
+where the rows that wrap across a line land. The convection norm
+(solvers.convection_norm) applies _dcen and its transpose as per-axis
+matrices built from the stencil (_dcen_matrix, _along_axis). Every
+stencil acts on the last three axes of its array, leading axes (the four
+quaternion components, or a batch of them) batched. The Dirac operators,
+laplacian and grad_bwd skip the components, or the whole array, that
 grid._first_live finds identically zero, and div_fwd a whole array.
 
 Integral operators (held by OperatorSet with the sine bases of its Poisson
@@ -132,26 +133,14 @@ def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def _dcen_T(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Transpose of _dcen along axis, its one-sided face rows included.
-    The centered rows 1..m-2 give out[k] = v[k-1] - v[k+1], each term only
-    where it reads such a row; the face rows (-3, 4, -1) and (1, -4, 3)
-    add v[0] and v[-1] times their weights to the first and last three
-    cells. The face rows add to the centered ones, so this stencil keeps
-    the per-axis slice form."""
-    _require_three_cells(vals, axis)
-    out = np.zeros(vals.shape)
-    v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
-    d[2:] += v[1:-1]
-    d[:-2] -= v[1:-1]
-    d[0] -= 3 * v[0]
-    d[1] += 4 * v[0]
-    d[2] -= v[0]
-    d[-3] += v[-1]
-    d[-2] -= 4 * v[-1]
-    d[-1] += 3 * v[-1]
-    out /= 2 * h
-    return out
+def _dcen_matrix(m: int, axis: int, h: float) -> np.ndarray:
+    """The m x m matrix of _dcen along `axis` of m cells, its one-sided
+    face rows included: its columns are _dcen of the m unit vectors, so
+    the stencil defines it. Returned as the transposed view of the
+    contiguous stack of those results."""
+    shape = [m, 1, 1, 1]
+    shape[axis + 1] = m
+    return _dcen(np.eye(m).reshape(shape), axis, h).reshape(m, m).T
 
 
 def _staggered(vals: np.ndarray, h: float, flip: bool = False,
@@ -287,9 +276,14 @@ class OperatorSet:
         n, h = np.asarray(domain.n), domain.h
         self._collar_bases = [_dst1(m) for m in n - 2]
         self._collar_symbol = _dirichlet_symbol(h, n - 2, n - 1)
-        # the per-axis factors of the pressure operator (_grad_factors)
+        # the per-axis factors of the pressure operator (_grad_factors),
+        # and, by axis, the two transposed stacks that _chain (axis 2) and
+        # _chain_T (axis 1) multiply by, built contiguous
         self._grad_factors = [_grad_factors(B, a, h)
                               for a, B in enumerate(self._collar_bases)]
+        self._grad_factors_T = {
+            a: _grad_factors(self._collar_bases[a], a, h, transposed=True)
+            for a in (1, 2)}
         self._face_bases = [_dst2(m) for m in n]
         self._face_symbol = _dirichlet_symbol(h, n, n)
 
@@ -343,11 +337,18 @@ class OperatorSet:
 
         The DST-I sine modes of the (n-2)^3 non-collar block vanish on the
         collar and diagonalize the 7-point stencil there."""
+        return self._collar_solve(rhs, 1)
+
+    def _collar_solve(self, rhs: np.ndarray, power: int) -> np.ndarray:
+        """L^-power rhs, L the collar-Dirichlet -Lap of poisson_scalar, in
+        one DST-I pair on the non-collar block (_sine_solve). power = 2 is
+        poisson_scalar applied twice to rounding, without the inverse and
+        forward transforms between the two solves."""
         out = np.zeros(rhs.shape)
         inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
         if out[inner].size:  # an axis of two cells leaves no non-collar cell
             out[inner] = _sine_solve(rhs[inner], self._collar_bases,
-                                     self._collar_symbol)
+                                     self._collar_symbol, power)
         return out
 
     def poisson_dirichlet(self, rhs: QField) -> QField:
@@ -418,9 +419,9 @@ class OperatorSet:
         passes of three matrix products (_chain, _chain_T) around one
         divide by the symbol. It equals bergman_Q(p e0).values[0] to
         rounding."""
-        y = _chain(p, self._grad_factors)
+        y = _chain(p, self._grad_factors, self._grad_factors_T[2])
         y /= self._collar_symbol
-        return _chain_T(y, self._grad_factors)
+        return _chain_T(y, self._grad_factors, self._grad_factors_T[1])
 
     def _sc_dirac_solve(self, g: np.ndarray) -> np.ndarray:
         """Sc(D+_gz L^-1 v) for a field v with vector components g, shape
@@ -432,7 +433,8 @@ class OperatorSet:
         y = g[:, 1:-1, 1:-1, 1:-1]
         if y.size:  # an axis of two cells leaves no non-collar cell
             y = _along_axes(y, self._collar_bases)
-        return _chain_T(y / self._collar_symbol, self._grad_factors)
+        return _chain_T(y / self._collar_symbol, self._grad_factors,
+                        self._grad_factors_T[1])
 
     def bergman_P(self, f: QField) -> QField:
         """Complementary (Bergman) projection P = I - Q; its range contains
@@ -531,48 +533,83 @@ def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     return (x.reshape(-1, m2) @ mats[2].T).reshape(shape)
 
 
-def _grad_factors(B: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _along_axis(x: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
+    """M applied along `axis` of a three-axis array x: one GEMM for axes 0
+    and 2, a matmul batched over axis 0 for axis 1."""
+    m0, m1, m2 = x.shape
+    if axis == 0:
+        return (M @ x.reshape(m0, m1 * m2)).reshape(-1, m1, m2)
+    if axis == 1:
+        return M @ x
+    return (x.reshape(m0 * m1, m2) @ M.T).reshape(m0, m1, -1)
+
+
+def _grad_factors(B: np.ndarray, axis: int, h: float,
+                  transposed: bool = False) -> np.ndarray:
     """The factors along `axis` of the pressure operator's A_j = Phi R d-_j
     (OperatorSet.pressure_S), as a (3, m, m + 2) stack for the m x m DST-I
     matrix B of that axis: row j is B times the ghost-zero backward
     difference restricted to cells 1..m when j == axis, and B times that
     restriction otherwise. Rows 1..m of the difference read no ghost
-    value."""
+    value. `transposed` gives the (3, m + 2, m) stack of their transposes,
+    contiguous, as the products R^T B and ((R - E)/h)^T B: B is symmetric,
+    and each entry is the same sum of at most two nonzero terms, so the
+    stack equals the transposed view bit for bit."""
     m = len(B)
     R = np.eye(m, m + 2, k=1)
-    out = np.empty((3, m, m + 2))
-    out[:] = B @ R
-    out[axis] = B @ ((R - np.eye(m, m + 2)) / h)
+    D = (R - np.eye(m, m + 2)) / h
+    if transposed:
+        out = np.empty((3, m + 2, m))
+        out[:] = R.T @ B
+        out[axis] = D.T @ B
+    else:
+        out = np.empty((3, m, m + 2))
+        out[:] = B @ R
+        out[axis] = B @ D
     return out
 
 
-def _chain(x: np.ndarray, mats) -> np.ndarray:
+def _chain(x: np.ndarray, mats, last_T: np.ndarray) -> np.ndarray:
     """The stack of A_j x, j = 0, 1, 2, for a scalar array x of shape
-    (n0, n1, n2): mats[a][j], of shape (m_a, n_a), applied along axis a.
+    (n0, n1, n2): mats[a][j], of shape (m_a, n_a), applied along axis a,
+    the last axis by last_T, the contiguous stack of mats[2]'s transposes.
     Returns shape (3, m0, m1, m2); the j = 0..2 products of the first axis
     are one GEMM."""
     (m0, n0), (m1, n1), (m2, n2) = (c.shape[1:] for c in mats)
     y = mats[0].reshape(3 * m0, n0) @ x.reshape(n0, n1 * n2)
     y = mats[1][:, None] @ y.reshape(3, m0, n1, n2)
-    y = y.reshape(3, m0 * m1, n2) @ mats[2].swapaxes(1, 2)
+    y = y.reshape(3, m0 * m1, n2) @ last_T
     return y.reshape(3, m0, m1, m2)
 
 
-def _chain_T(y: np.ndarray, mats) -> np.ndarray:
-    """sum_j A_j^T y[j], the transpose of _chain: the sum over j is the
-    inner dimension of the last GEMM."""
+def _chain_T(y: np.ndarray, mats, mid_T: np.ndarray) -> np.ndarray:
+    """sum_j A_j^T y[j], the transpose of _chain, with mid_T the contiguous
+    stack of mats[1]'s transposes: the sum over j is the inner dimension
+    of the last GEMM."""
     (m0, n0), (m1, n1), (m2, n2) = (c.shape[1:] for c in mats)
     x = y.reshape(3, m0 * m1, m2) @ mats[2]
-    x = mats[1].swapaxes(1, 2)[:, None] @ x.reshape(3, m0, m1, n2)
+    x = mid_T[:, None] @ x.reshape(3, m0, m1, n2)
     x = mats[0].reshape(3 * m0, n0).T @ x.reshape(3 * m0, n1 * n2)
     return x.reshape(n0, n1, n2)
 
 
-def _sine_solve(rhs: np.ndarray, bases, symbol: np.ndarray) -> np.ndarray:
+def _sine_solve(rhs: np.ndarray, bases, symbol: np.ndarray,
+                power: int = 1) -> np.ndarray:
     """Solve a stencil system that the orthonormal sine bases diagonalize
-    with eigenvalues `symbol`, over the last three axes of rhs."""
-    return _along_axes(_along_axes(rhs, bases) / symbol,
+    with eigenvalues `symbol`, `power` times over, over the last three
+    axes of rhs: the forward transform, `power` in-place divides by the
+    symbol (_divided) and the inverse transform. The coefficients pass
+    from call to call without a local name, so each block is freed as
+    soon as the next product has read it."""
+    return _along_axes(_divided(_along_axes(rhs, bases), symbol, power),
                        [B.T for B in bases])
+
+
+def _divided(y: np.ndarray, symbol: np.ndarray, power: int) -> np.ndarray:
+    """y divided `power` times by symbol, in place; returns y."""
+    for _ in range(power):
+        y /= symbol
+    return y
 
 
 def _dirichlet_symbol(h: float, sizes, periods) -> np.ndarray:

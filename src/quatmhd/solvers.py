@@ -22,9 +22,14 @@ collar solve). So convection_norm is ||A||, from Lanczos on A^T A, and
 each series runs on the three vector components as one batch.
 
 This module holds both Krylov methods of the package: conjugate
-gradients (_cg) for the pressure and the Lanczos recurrence, with the
-Sturm bisection of its Ritz values (_top_eigenvalue), for the
-convection norm.
+gradients (_cg) for the pressure and the Lanczos recurrence, with
+safeguarded Newton for its Ritz values (_top_eigenvalue), for the
+convection norm. Each Lanczos step applies the centered differences and
+their transposes as per-axis matrix products and L^-2 as one
+sine-transform pair, and each CG step applies pressure_S, whose matrix
+chains read their transposed factors from contiguous stacks built once
+per OperatorSet. Both loops, and the Neumann series, update their
+vectors in place.
 
 Both schemes run one outer loop, _outer_loop. It derives each state's
 D+B, Lorentz force and advections once (mhd._derive), for the state's
@@ -54,7 +59,8 @@ from .mhd import (MHDParams, MHDState, _convect_solve, _derive, _lorentz_of,
                   _require_pure, _residuals, boundary_B_term, convective,
                   leray_project, lorentz, momentum_bracket, tqt_rhs_B,
                   tqt_rhs_p, tqt_rhs_u)
-from .operators import OperatorSet, _dcen_T, dirac_fwd, grad_bwd
+from .operators import (OperatorSet, _along_axis, _dcen_matrix, dirac_fwd,
+                        grad_bwd)
 from .sampling import _pure_bumps
 
 __all__ = [
@@ -84,8 +90,8 @@ __all__ = [
 # iterations without a new residual minimum after which it gives up (on
 # right sides in range(S) the residual falls at every iteration), and the
 # relative-change stop, step cap and start seed of the Lanczos estimate in
-# convection_norm, and the relative width at which its Ritz value
-# bisection stops.
+# convection_norm, and the relative bracket width at which its Ritz values
+# stop (_top_eigenvalue).
 _CG_TOL = 1e-12
 _CG_STALL = 20
 _NORM_TOL = 1e-6
@@ -287,8 +293,10 @@ def _cg(apply_A, b: np.ndarray, tol: float,
     iterations, after _CG_STALL iterations without a new minimum of ||r||,
     or when the curvature d.Ad of a direction d is not positive (A d = 0,
     or NaN after an overflow). Inner products and norms are elementwise
-    sums, as in convection_norm. For b outside range(A) x grows without
-    bound while ||r|| stalls, for the caller's residual check to reject."""
+    sums, as in convection_norm, and the updates are in place: apply_A
+    must return a new array, which _cg overwrites. For b outside range(A)
+    x grows without bound while ||r|| stalls, for the caller's residual
+    check to reject."""
     x = np.zeros_like(b)
     rr = float((b * b).sum())
     if rr == 0.0:
@@ -302,9 +310,12 @@ def _cg(apply_A, b: np.ndarray, tol: float,
         if not curvature > 0.0:
             return x, it - 1, "a direction without positive curvature"
         alpha = rr / curvature
-        x += alpha * d
-        r -= alpha * Ad
-        rr, rr_prev = float((r * r).sum()), rr
+        # alpha A d updates r in place in Ad, which then holds alpha d and
+        # r.r in turn: no buffer lives through the next apply_A
+        Ad *= alpha
+        r -= Ad
+        x += np.multiply(alpha, d, out=Ad)
+        rr, rr_prev = float(np.multiply(r, r, out=Ad).sum()), rr
         if math.sqrt(rr) <= stop:
             return x, it, ""
         if rr < rr_min:
@@ -319,34 +330,67 @@ def _cg(apply_A, b: np.ndarray, tol: float,
     return x, maxit, f"the cap maxit={maxit}"
 
 
-def _top_eigenvalue(a, b, lo: float = -np.inf, rtol: float = 0.0) -> float:
-    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
-    a and off-diagonal b, by bisection between Gershgorin bounds: the
-    Sturm sequence d_i = a_i - x - b_{i-1}^2 / d_{i-1} has as many
-    negative terms as the matrix has eigenvalues below x. A given `lo`, a
-    value known not to exceed the eigenvalue (such as the largest Ritz
-    value of a leading block, which interlacing puts below), raises the
-    lower bound. The bisection stops once the bracket is no wider than
-    rtol times its larger end, or at adjacent floats (rtol = 0), and
-    returns its upper end. Plain floats, so no LAPACK call, whose first
-    use costs about 0.5 MiB of workspace."""
+def _top_eigenvalue(a, b, rtol: float = 0.0) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix T with
+    diagonal a and off-diagonal b, by safeguarded Newton on its
+    characteristic polynomial p(x) = det(T - x I).
+
+    One pass of the LDL^T pivot recurrence d_i = a_i - x - b_{i-1}^2 /
+    d_{i-1} and of its derivative d_i' = b_{i-1}^2 d_{i-1}' / d_{i-1}^2 - 1
+    gives the Sturm count (T has as many eigenvalues below x as negative
+    pivots; a zero pivot counts as negative) and p'/p = sum_i d_i'/d_i.
+    Above every eigenvalue p'/p = sum_i 1/(x - lambda_i), so the Newton
+    point x - p/p' does not fall below lambda_max and x - len(a) p/p'
+    does not exceed it. From the Gershgorin upper bound the passes keep a
+    bracket [lo, hi] of those bounds and the Sturm counts. The next x is
+    the last Newton point if it lies inside the bracket and either in its
+    lower half or the bracket is already no wider than bisection's would
+    be after one pass more; else the midpoint. So where Newton converges
+    only linearly (a near-multiple top eigenvalue, or a start far above a
+    spread spectrum) the passes bisect. A Newton point that rounding puts
+    on or below lambda_max becomes the lower end; the next x is then
+    rtol/2 (at least one float) above it, where bisection from the
+    previous point would take up to a dozen passes to close the bracket.
+    The loop stops once the bracket is no wider than rtol times its
+    larger end, or at adjacent floats (rtol = 0). It returns the last
+    Newton point, else the upper end; a NaN or inf entry gives NaN
+    without a pass. Plain floats, so no LAPACK call, whose first use
+    costs about 0.5 MiB of workspace."""
+    if not all(map(math.isfinite, [*a, *b])):
+        return math.nan
+    n = len(a)
     r = [abs(x) for x in b] + [0.0]
-    lo = max(lo, min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r)))
+    lo = min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r))
     hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    x, newton, width = hi, None, hi - lo
     while hi - lo > rtol * max(abs(lo), abs(hi)):
-        x = 0.5 * (lo + hi)
+        below, d, dd, f = 0, 1.0, 0.0, 0.0
+        for i, ai in enumerate(a):
+            q = b[i - 1] * b[i - 1] / d if i else 0.0
+            dd = q * dd / d - 1.0
+            d = (ai - x - q) or -1e-300
+            below += d < 0
+            f += dd / d
+        if below < n:
+            lo = x
+        elif f > 0.0:
+            hi, newton = x, x - 1.0 / f
+            lo = max(lo, x - n / f)
+        else:
+            hi, newton = x, None
+        width *= 0.5  # bisection's bracket after as many passes
+        mid = 0.5 * (lo + hi)
+        if newton == lo:  # Newton landed on or below lambda_max by rounding
+            x = min(mid, max(lo + 0.5 * rtol * abs(lo),
+                             math.nextafter(lo, hi)))
+        elif (newton is not None and lo < newton < hi
+                and (newton <= mid or hi - lo <= 0.5 * width)):
+            x = newton
+        else:
+            x = mid
         if not lo < x < hi:
             break
-        below, d = 0, 1.0
-        for i, ai in enumerate(a):
-            d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
-            d = d or -1e-300  # a zero pivot counts as negative
-            below += d < 0
-        if below == len(a):
-            hi = x
-        else:
-            lo = x
-    return hi
+    return newton if newton is not None and lo <= newton <= hi else hi
 
 
 def pressure_recover(rhs: QField, ops: OperatorSet,
@@ -398,41 +442,51 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     """L2 operator norm of v -> TQT Sc(u~D) v on quaternion fields.
 
     The map is the scalar map A of _convect_solve on each component, so
-    its norm is ||A||, the square root of the largest eigenvalue of A^T A,
-    with A^T w = sum_i D^c_i^T (u~_i L^-1 w) (_dcen_T; L^-1 is
-    symmetric). The Lanczos recurrence of A^T A from a seeded random
-    scalar field v_1 = v / ||v||,
+    its norm is ||A||, the square root of the largest eigenvalue of
+    A^T A w = sum_i D^c_i^T (u~_i L^-2 sum_j u~_j D^c_j w) (L^-1 is
+    symmetric). D^c_i and its transpose are the m x m matrix of the
+    stencil _dcen along axis i (_dcen_matrix), each applied as one matrix
+    product (_along_axis), and L^-2 is one sine-transform pair with two
+    divides by the symbol (OperatorSet._collar_solve), not two collar
+    solves. So A equals _convect_solve's map to rounding. The Lanczos
+    recurrence of A^T A from a seeded random scalar field v_1 = v / ||v||,
 
         A^T A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1},
 
-    with elementwise-sum inner products, builds the tridiagonal whose
-    largest eigenvalue (_top_eigenvalue) is the Ritz value; it is taken
-    once a step moves it by <= _NORM_TOL relative or beta_{k+1} = 0. Each
-    Ritz value is bisected up from the previous one, which interlacing
-    keeps below it, to a relative width of _RITZ_TOL. A is linear in u~,
-    so it runs on u~ / max|u~|: the Sturm sequence squares the
+    with elementwise-sum inner products and in-place updates, builds the
+    tridiagonal whose largest eigenvalue (_top_eigenvalue, safeguarded
+    Newton to a relative _RITZ_TOL) is the Ritz value; it is taken once a
+    step moves it by <= _NORM_TOL relative or beta_{k+1} = 0. A is linear
+    in u~, so it runs on u~ / max|u~|: the pivot recurrence squares the
     off-diagonal, which under- or overflows beyond about 1e+-154, as
-    A^T A's entries would for |u~| beyond about 1e+-77. u~ = 0 gives 0.0.
-    RuntimeError names the _NORM_MAXIT steps when they do not get there."""
+    A^T A's entries would for |u~| beyond about 1e+-77. u~ = 0 gives 0.0;
+    a NaN or inf in u~ raises ValueError before any solve. RuntimeError
+    names the _NORM_MAXIT steps when they do not get there."""
     _require_pure(ut, "advection field u~")
     a = ut.values[1:]
     scale = float(np.abs(a).max(initial=0.0))
+    if not math.isfinite(scale):
+        raise ValueError("convection_norm: the advection field u~ has a "
+                         "non-finite entry")
     if scale == 0.0:
         return 0.0
     a = a / scale
-    h = ops.domain.h
+    D = [_dcen_matrix(m, i, ops.domain.h)
+         for i, m in enumerate(ops.domain.shape)]
     v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
     v = v / float(np.sqrt((v * v).sum()))
     alpha, beta, top = [], [], 0.0
     for _ in range(_NORM_MAXIT):
-        s = ops.poisson_scalar(_convect_solve(a, v, ops))
-        w = sum(_dcen_T(a[i] * s, i, h) for i in range(3))
-        alpha.append(float((v * w).sum()))
-        w = w - alpha[-1] * v
+        s = sum(a[i] * _along_axis(v, D[i], i) for i in range(3))
+        s = ops._collar_solve(s, 2)
+        w = sum(_along_axis(a[i] * s, D[i].T, i) for i in range(3))
+        # s, read only by w, holds v.w, alpha v, beta v_prev and w.w in turn
+        alpha.append(float(np.multiply(v, w, out=s).sum()))
+        w -= np.multiply(alpha[-1], v, out=s)
         if beta:
-            w -= beta[-1] * v_prev
-        b = float(np.sqrt((w * w).sum()))
-        prev, top = top, _top_eigenvalue(alpha, beta, top, _RITZ_TOL)
+            w -= np.multiply(beta[-1], v_prev, out=s)
+        b = float(np.sqrt(np.multiply(w, w, out=s).sum()))
+        prev, top = top, _top_eigenvalue(alpha, beta, _RITZ_TOL)
         if abs(top - prev) <= _NORM_TOL * top or b == 0.0:
             return scale * math.sqrt(top)
         beta.append(b)
@@ -462,12 +516,14 @@ def _neumann_solve(ut: QField, c: float, norm: float, f: QField,
     _require_pure(f, "Neumann right side")
     _require_pure(ut, "advection field u~")
     a = ut.values[1:]
-    x = term = ops.poisson_scalar(f.values[1:])
+    term = ops.poisson_scalar(f.values[1:])
+    x = term.copy()  # the sum, in place; term is overwritten below
     rnorm = np.sqrt((x * x).sum())
     used = 1
     for used in range(2, cfg.neumann_max_terms + 1):
-        term = -1.0 * (c * _convect_solve(a, term, ops))
-        x = x + term
+        term = _convect_solve(a, term, ops)
+        term *= -c
+        x += term
         if (np.sqrt((term * term).sum())
                 < cfg.neumann_term_tol * max(rnorm, 1e-300)):
             break

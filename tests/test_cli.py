@@ -342,7 +342,7 @@ def test_solve_exit_3_on_runtime_error(tmp_path, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_solve_exit_3_names_the_minres_cap(tmp_path, monkeypatch, capsys):
+def test_solve_exit_3_names_the_cg_cap(tmp_path, monkeypatch, capsys):
     import quatmhd.solvers as solvers
     monkeypatch.setattr(solvers, "pressure_recover",
                         functools.partial(solvers.pressure_recover, maxit=1))

@@ -9,10 +9,11 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           l2_norm, sc_inner, trace_boundary, zero_boundary)
 from quatmhd.grid import _diff
 from quatmhd.mhd import _advect, convective
-from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _dcen, _dcen_T, _dst1,
-                               _dst2, _lap_interior, _pure, _staggered,
-                               curl_bwd, dirac_bwd, dirac_central, dirac_fwd,
-                               div_fwd, grad_bwd, laplacian, OperatorSet)
+from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _along_axes,
+                               _along_axis, _dcen, _dcen_matrix, _dst1, _dst2,
+                               _lap_interior, _pure, _staggered, curl_bwd,
+                               dirac_bwd, dirac_central, dirac_fwd, div_fwd,
+                               grad_bwd, laplacian, OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_pure_bump, random_smooth
 
@@ -252,17 +253,21 @@ def test_staggered_pair_matches_matrix(n):
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_dcen_transpose_matches_dense_matrix(m, axis):
     # the dense matrix of _dcen on the whole array, its one-sided face rows
-    # included, columns from unit arrays
+    # included, columns from unit arrays, against the per-axis matrix
+    # _dcen_matrix applied along the axis, and its transpose
     shape = [4, 5, 3]
     shape[axis] = m
     shape = tuple(shape)
     eye = np.eye(math.prod(shape))
     M = np.stack([_dcen(e.reshape(shape), axis, 0.3).ravel() for e in eye],
                  axis=1)
+    D = _dcen_matrix(m, axis, 0.3)
+    assert D.shape == (m, m) and D.T.flags.c_contiguous
     w = np.random.default_rng(m + 10 * axis).standard_normal(shape)
-    got = _dcen_T(w, axis, 0.3).ravel()
-    ref = M.T @ w.ravel()
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    for got, ref in [(_along_axis(w, D, axis), M @ w.ravel()),
+                     (_along_axis(w, D.T, axis), M.T @ w.ravel())]:
+        assert got.shape == shape
+        assert np.abs(got.ravel() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _diff_slices(vals, axis, h, backward=False, ghost=False, out=None):
@@ -774,6 +779,46 @@ def test_pressure_S_matches_bergman_Q(n, stencil_pressure):
         assert np.abs(got - ref).max() <= tol
         assert np.abs(got - stencil_pressure.S(ops, q)).max() <= tol
         assert got.any() == (min(n) > 2)  # (2, 6, 6) has no non-collar cell
+
+
+def _chain_on_views(x, mats):
+    """The stack of A_j x as _chain computed it before its transposed
+    factors were built contiguous: the last axis reads mats[2] through a
+    strided swapaxes view. The test oracle of _chain."""
+    (m0, n0), (m1, n1), (m2, n2) = (c.shape[1:] for c in mats)
+    y = mats[0].reshape(3 * m0, n0) @ x.reshape(n0, n1 * n2)
+    y = mats[1][:, None] @ y.reshape(3, m0, n1, n2)
+    y = y.reshape(3, m0 * m1, n2) @ mats[2].swapaxes(1, 2)
+    return y.reshape(3, m0, m1, m2)
+
+
+def _chain_T_on_views(y, mats):
+    """sum_j A_j^T y[j] as _chain_T computed it on the swapaxes view of
+    mats[1]. The test oracle of _chain_T."""
+    (m0, n0), (m1, n1), (m2, n2) = (c.shape[1:] for c in mats)
+    x = y.reshape(3, m0 * m1, m2) @ mats[2]
+    x = mats[1].swapaxes(1, 2)[:, None] @ x.reshape(3, m0, m1, n2)
+    x = mats[0].reshape(3 * m0, n0).T @ x.reshape(3 * m0, n1 * n2)
+    return x.reshape(n0, n1, n2)
+
+
+@pytest.mark.parametrize("n", [(8, 8, 8), (5, 7, 6)])
+def test_pressure_chains_match_the_view_oracle(n):
+    # the contiguous transposed factor stacks equal the swapaxes views bit
+    # for bit, and so do pressure_S and _sc_dirac_solve built on them
+    ops = _box(n)
+    mats = ops._grad_factors
+    for a, stack in ops._grad_factors_T.items():
+        assert stack.flags.c_contiguous
+        assert np.array_equal(stack, mats[a].swapaxes(1, 2))
+    rng = np.random.default_rng(22)
+    p = rng.standard_normal(ops.domain.shape)
+    y = _chain_on_views(p, mats) / ops._collar_symbol
+    assert np.array_equal(ops.pressure_S(p), _chain_T_on_views(y, mats))
+    g = rng.standard_normal((3,) + ops.domain.shape)
+    y = _along_axes(g[:, 1:-1, 1:-1, 1:-1], ops._collar_bases)
+    assert np.array_equal(ops._sc_dirac_solve(g),
+                          _chain_T_on_views(y / ops._collar_symbol, mats))
 
 
 def test_q_fixes_gradient_fields(ops12):

@@ -7,7 +7,8 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           l2_norm, lq_norm, trace_boundary)
 from quatmhd.mhd import (MHDParams, MHDState, _convect_solve, convective,
                          leray_project, lorentz, residual_strong)
-from quatmhd.operators import OperatorSet, _dcen_T, dirac_fwd, grad_bwd
+from quatmhd.operators import (OperatorSet, _along_axis, _dcen_matrix,
+                               dirac_fwd, grad_bwd)
 from quatmhd.sampling import random_pure_bump, random_smooth
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
@@ -185,7 +186,7 @@ def _pressure_operator(n):
 
 
 @pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10)])
-def test_minres_matches_scipy_consistent(n):
+def test_cg_matches_scipy_consistent(n):
     # on a consistent system _cg lands on SciPy's MINRES solution: both
     # keep their iterates in range(S), so both return the minimum-norm x
     from scipy.sparse.linalg import LinearOperator, minres
@@ -273,7 +274,7 @@ def test_pressure_recover_applies_no_full_Q(dom8, ops8, monkeypatch):
 
 
 @pytest.mark.parametrize("dom", ["dom8", "dom12", "dom16"])
-def test_minres_iterations_match_stencil_path(dom, request, stencil_pressure):
+def test_cg_iterations_match_stencil_path(dom, request, stencil_pressure):
     # CG over the matrix-chain pressure_S runs as many iterations as over
     # the stencil composition it replaced, on a fixed right side in
     # range(S), and lands on the same p
@@ -429,26 +430,29 @@ def _lanczos(apply_A, v):
         v_prev, v, beta = v, w, beta_next
 
 
-def _convect_solve_T(a, w, ops):
-    """A^T w = sum_i D^c_i^T (a_i L^-1 w), the transpose of
-    mhd._convect_solve on scalar arrays (L^-1 is symmetric)."""
-    s = ops.poisson_scalar(w)
-    return sum(_dcen_T(a[i] * s, i, ops.domain.h) for i in range(3))
+def _normal_map(a, x, ops):
+    """A^T A x = sum_i D^c_i^T (a_i L^-2 sum_j a_j D^c_j x), with the
+    per-axis matrices of _dcen and the one-pair L^-2 of convection_norm:
+    L^-1 is symmetric, and A is mhd._convect_solve on scalar arrays."""
+    D = [_dcen_matrix(m, i, ops.domain.h)
+         for i, m in enumerate(ops.domain.shape)]
+    s = sum(a[i] * _along_axis(x, D[i], i) for i in range(3))
+    s = ops._collar_solve(s, 2)
+    return sum(_along_axis(a[i] * s, D[i].T, i) for i in range(3))
 
 
 def _convection_norm_oracle(ut, ops):
     """convection_norm composed from the Lanczos generator and the
-    transpose map, with the same stop rules."""
+    normal map, with the same stop rules."""
     a = ut.values[1:]
     scale = float(np.abs(a).max(initial=0.0))
     a = a / scale
     v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
-    steps = _lanczos(
-        lambda x: _convect_solve_T(a, _convect_solve(a, x, ops), ops), v)
+    steps = _lanczos(lambda x: _normal_map(a, x, ops), v)
     alpha, beta, top = [], [], 0.0
     for _, (_, al, _, b) in zip(range(_NORM_MAXIT), steps):
         alpha.append(al)
-        prev, top = top, _top_eigenvalue(alpha, beta, top, _RITZ_TOL)
+        prev, top = top, _top_eigenvalue(alpha, beta, _RITZ_TOL)
         if abs(top - prev) <= _NORM_TOL * top or b == 0.0:
             return scale * math.sqrt(top)
         beta.append(b)
@@ -468,6 +472,70 @@ def test_convection_norm_matches_the_generator_oracle(n, extent, scale):
         assert convection_norm(ut, ops) == _convection_norm_oracle(ut, ops)
 
 
+@pytest.mark.parametrize("n, extent", [(8, (1.0, 1.0, 1.0)),
+                                       ((5, 7, 6), (0.5, 0.7, 0.6))])
+def test_collar_solve_squared_is_two_poisson_solves(n, extent):
+    # one sine-transform pair with two divides by the symbol against two
+    # collar solves, for a scalar array and a batch of three
+    dom = build_domain((0.1, -0.2, 0.3), extent, n)
+    ops = OperatorSet(dom)
+    rng = np.random.default_rng(8)
+    for shape in (dom.shape, (3,) + dom.shape):
+        rhs = rng.standard_normal(shape)
+        ref = ops.poisson_scalar(ops.poisson_scalar(rhs))
+        got = ops._collar_solve(rhs, 2)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert not got[..., 0, :, :].any() and not got[..., -1].any()
+        assert np.array_equal(ops._collar_solve(rhs, 1),
+                              ops.poisson_scalar(rhs))
+
+
+@pytest.mark.parametrize("n, extent", [(8, (1.0, 1.0, 1.0)),
+                                       ((5, 7, 6), (0.5, 0.7, 0.6))])
+def test_convection_norm_map_matches_convect_solve(n, extent):
+    # the map A of convection_norm, on the per-axis matrices of _dcen,
+    # against the stencils of mhd._convect_solve to rounding, and the map
+    # through the transposed matrices against A's adjoint
+    dom = build_domain((0.1, -0.2, 0.3), extent, n)
+    ops = OperatorSet(dom)
+    rng = np.random.default_rng(9)
+    a, x, y = (rng.standard_normal(s) for s in
+               ((3,) + dom.shape, dom.shape, dom.shape))
+    D = [_dcen_matrix(m, i, dom.h) for i, m in enumerate(dom.shape)]
+    Ax = ops.poisson_scalar(sum(a[i] * _along_axis(x, D[i], i)
+                                for i in range(3)))
+    ref = _convect_solve(a, x, ops)
+    assert np.abs(Ax - ref).max() <= 1e-13 * np.abs(ref).max()
+    ATy = sum(_along_axis(a[i] * ops.poisson_scalar(y), D[i].T, i)
+              for i in range(3))
+    assert float((Ax * y).sum()) == pytest.approx(float((x * ATy).sum()),
+                                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_convection_norm_rejects_a_non_finite_field(ops8, dom8, bad,
+                                                    monkeypatch):
+    # a NaN or inf u~ is refused before any collar solve, without a NumPy
+    # warning, instead of running every Lanczos step on NaNs
+    import warnings
+    solves = []
+    solve = OperatorSet._collar_solve
+
+    def counted(self, rhs, power):
+        solves.append(power)
+        return solve(self, rhs, power)
+
+    monkeypatch.setattr(OperatorSet, "_collar_solve", counted)
+    ut = random_pure_bump(dom8, seed=3)
+    ut.values[2, 3, 4, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="advection field u~ has a "
+                                             "non-finite entry"):
+            convection_norm(ut, ops8)
+    assert not solves
+
+
 def test_convection_norm_cap_raises(ops8, dom8, monkeypatch):
     import quatmhd.solvers as solvers
     monkeypatch.setattr(solvers, "_NORM_MAXIT", 2)
@@ -476,25 +544,158 @@ def test_convection_norm_cap_raises(ops8, dom8, monkeypatch):
         convection_norm(random_pure_bump(dom8, seed=3), ops8)
 
 
-@pytest.mark.parametrize("dom", ["dom8", "dom12"])
-def test_convection_norm_ritz_bisection(dom, request, monkeypatch):
-    # every Ritz value of convection_norm, bisected up from the previous
-    # one to a relative width of 1e-13, against the full bisection from the
-    # Gershgorin bounds on the same Lanczos tridiagonal
+def _bisect_top(a, b, lo=-np.inf, rtol=0.0):
+    """The Sturm bisection _top_eigenvalue replaced, from the Gershgorin
+    bounds with lo raising the lower one, as convection_norm called it with
+    the previous Ritz value; returns the upper end and the passes of the
+    pivot recurrence."""
+    r = [abs(x) for x in b] + [0.0]
+    lo = max(lo, min(ai - ri - rj for ai, ri, rj in zip(a, [0.0] + r, r)))
+    hi = max(ai + ri + rj for ai, ri, rj in zip(a, [0.0] + r, r))
+    passes = 0
+    while hi - lo > rtol * max(abs(lo), abs(hi)):
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            break
+        passes += 1
+        below, d = 0, 1.0
+        for i, ai in enumerate(a):
+            d = ai - x - (b[i - 1] ** 2 / d if i else 0.0)
+            d = d or -1e-300
+            below += d < 0
+        if below == len(a):
+            hi = x
+        else:
+            lo = x
+    return hi, passes
+
+
+def _newton_top(a, b):
+    """_top_eigenvalue(a, b, _RITZ_TOL) and its passes of the pivot
+    recurrence, each one enumerate(a) in the solvers module."""
+    import builtins
     import quatmhd.solvers as solvers
-    dom = request.getfixturevalue(dom)
+    passes = []
+
+    def counted(seq):
+        passes.append(1)
+        return builtins.enumerate(seq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "enumerate", counted, raising=False)
+        top = _top_eigenvalue(a, b, _RITZ_TOL)
+    return top, len(passes)
+
+
+def _recorded_ritz_calls(run):
+    """(a, b, prev, Ritz value) of each _top_eigenvalue call of run(),
+    prev being the Ritz value of the call before it in the same norm
+    estimate (0 for the first), as convection_norm passed it to the
+    bisection that Newton replaced."""
+    import quatmhd.solvers as solvers
     calls = []
 
-    def recorded(a, b, lo, rtol):
-        top = _top_eigenvalue(a, b, lo, rtol)
-        calls.append((list(a), list(b), top))
-        return top
-    monkeypatch.setattr(solvers, "_top_eigenvalue", recorded)
-    convection_norm(random_pure_bump(dom, seed=3), OperatorSet(dom))
+    def recorded(a, b, rtol):
+        value = _top_eigenvalue(a, b, rtol)
+        prev = calls[-1][3] if calls and len(a) > 1 else 0.0
+        calls.append((list(a), list(b), prev, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_top_eigenvalue", recorded)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("dom", ["dom8", "dom12"])
+def test_convection_norm_ritz_newton(dom, request):
+    # every Ritz value of convection_norm against eigvalsh on the same
+    # Lanczos tridiagonal, to _RITZ_TOL relative, in no more passes of the
+    # pivot recurrence than the bisection up from the previous Ritz value
+    dom = request.getfixturevalue(dom)
+    calls = _recorded_ritz_calls(lambda: convection_norm(
+        random_pure_bump(dom, seed=3), OperatorSet(dom)))
     assert len(calls) >= 5
-    for a, b, top in calls:
-        ref = _top_eigenvalue(a, b)
-        assert abs(top - ref) <= 1e-13 * ref
+    for a, b, prev, top in calls:
+        ref = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1)
+                                 + np.diag(b, -1))[-1]
+        assert abs(top - ref) <= _RITZ_TOL * ref
+        got, passes = _newton_top(a, b)
+        assert got == top
+        assert passes <= _bisect_top(a, b, prev, _RITZ_TOL)[1]
+
+
+def _near_multiple_tops(k, m, gap, seed):
+    """The Lanczos tridiagonal of a k x k symmetric matrix whose top m
+    eigenvalues lie within gap of 1, the others spread over [0, 0.5]."""
+    rng = np.random.default_rng(seed)
+    lam = np.r_[np.linspace(0.0, 0.5, k - m), 1.0 - gap * rng.random(m - 1),
+                1.0]
+    Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    A = (Q * lam) @ Q.T
+    V = [np.ones(k) / math.sqrt(k)]
+    a, b = [], []
+    for j in range(k):
+        w = A @ V[-1]
+        a.append(float(V[-1] @ w))
+        for v in V:  # full reorthogonalization
+            w -= (v @ w) * v
+        if j < k - 1:
+            b.append(float(np.linalg.norm(w)))
+            V.append(w / b[-1])
+    return a, b
+
+
+def test_ritz_values_by_newton(dom16):
+    # the Newton Ritz value against eigvalsh, to _RITZ_TOL relative plus
+    # eigvalsh's own rounding, in no more passes of the pivot recurrence
+    # than the bisection it replaced: on the tridiagonals of warm n = 16
+    # Schauder solves (against the bisection from the previous Ritz value,
+    # as convection_norm ran it), those scaled by 1e+-100, and near-double
+    # and near-triple, double, simple and diagonal cases
+    def warm_solve():
+        _, report = schauder_solve(
+            MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed"),
+            OperatorSet(dom16),
+            SolverConfig(method="schauder_neumann", tol=1e-10),
+            init=_warm_state(dom16))
+        assert report.converged
+
+    recorded = [c[:3] for c in _recorded_ritz_calls(warm_solve)]
+    assert len(recorded) >= 20
+    cases = list(recorded)
+    for s in (1e-100, 1e100):
+        cases += [([s * x for x in a], [s * x for x in b], -np.inf)
+                  for a, b, _ in recorded[::4]]
+    for m, gap, seed in [(2, 1e-6, 0), (2, 1e-10, 1), (2, 1e-13, 2),
+                         (3, 1e-10, 3), (3, 1e-13, 4), (5, 1e-13, 5)]:
+        cases.append(_near_multiple_tops(13, m, gap, seed) + (-np.inf,))
+    cases += [([1.0, 1.0 + 1e-10, 0.5, 0.3], [0.0, 1e-3, 1e-3], -np.inf),
+              ([1.0, 0.5, 1.0], [0.0, 0.0], -np.inf),  # double, split
+              ([2.5], [], -np.inf), ([-2.5], [], -np.inf),
+              ([0.3, 1.2, 0.7, 1.2], [0.0, 0.0, 0.0], -np.inf),
+              ([float(abs(i - 10)) for i in range(21)], [1.0] * 20,
+               -np.inf)]  # Wilkinson's W21+, a near-double top
+    total = np.zeros(2, dtype=int)  # passes over the solves' tridiagonals
+    for k, (a, b, lo) in enumerate(cases):
+        T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        ref = np.linalg.eigvalsh(T)[-1]
+        top, passes = _newton_top(a, b)
+        _, bisected = _bisect_top(a, b, lo, _RITZ_TOL)
+        assert abs(top - ref) <= (_RITZ_TOL * abs(ref)
+                                  + 1e-15 * len(a) * np.abs(T).max())
+        assert passes <= bisected
+        if k < len(recorded):
+            total += (passes, bisected)
+    assert total[0] <= total[1] / 3
+
+
+def test_ritz_value_of_a_nan_tridiagonal():
+    # a NaN or inf entry, wherever it stands, gives NaN before any pass
+    for a, b in [([np.nan, 1.0], [1.0]), ([np.inf, 1.0], [1.0]),
+                 ([1.0, np.nan], [1.0]), ([1.0, 2.0, 3.0], [1.0, -np.inf])]:
+        top, passes = _newton_top(a, b)
+        assert passes == 0 and math.isnan(top)
 
 
 def test_neumann_refuses_large_q(dom12, ops12, monkeypatch):
@@ -666,23 +867,29 @@ def test_apply_budget(dom8, monkeypatch):
     # closed form and every Cs ratio is a lattice one, so no T is applied.
     # Warm Banach and Schauder solves (3 outer steps each): TQT is the
     # collar solve and QT is D+_gz L^-1, so neither T nor Q is applied.
-    # The collar solves
-    # (poisson_scalar) of each Schauder step are pinned too: 18, 14 and 14
-    # for the 9, 7 and 7 Lanczos steps of convection_norm, 4 + 4, 3 + 3
-    # and 2 + 2 Neumann terms, and the one projection, of B. The pressure
-    # right side and the pressure operator make none: their sine
-    # transforms are the matrix chains of pressure_S, applied 38 + 3 times
-    # a step by MINRES and its normal-residual gate
+    # The sine-transform solves of each Schauder step are pinned too: 9, 7
+    # and 7 L^-2 solves (_collar_solve(., 2)), one a Lanczos step of
+    # convection_norm, and 9, 7 and 5 collar solves (poisson_scalar) for
+    # 4 + 4, 3 + 3 and 2 + 2 Neumann terms and the one projection, of B.
+    # The pressure right side and the pressure operator make none: their
+    # sine transforms are the matrix chains of pressure_S, applied 38 + 3
+    # times a step by CG and its normal-residual gate
     import quatmhd.solvers as solvers
     counts = {"teodorescu": 0, "bergman_Q": 0, "poisson_scalar": 0,
-              "pressure_S": 0}
-    for name in counts:
+              "pressure_S": 0, "L^-2": 0}
+    for name in list(counts)[:4]:
         method = getattr(OperatorSet, name)
 
         def counted(self, f, _name=name, _method=method):
             counts[_name] += 1
             return _method(self, f)
         monkeypatch.setattr(OperatorSet, name, counted)
+    collar_solve = OperatorSet._collar_solve
+
+    def counted_pair(self, rhs, power):
+        counts["L^-2"] += power == 2
+        return collar_solve(self, rhs, power)
+    monkeypatch.setattr(OperatorSet, "_collar_solve", counted_pair)
     ops = OperatorSet(dom8)
     c = estimate_constants(ops, seed=3)
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
@@ -697,7 +904,8 @@ def test_apply_budget(dom8, monkeypatch):
     per_step, bracket = [], solvers.momentum_bracket
 
     def step_start(*args):
-        per_step.append((counts["poisson_scalar"], counts["pressure_S"]))
+        per_step.append((counts["poisson_scalar"], counts["L^-2"],
+                         counts["pressure_S"]))
         return bracket(*args)
     monkeypatch.setattr(solvers, "momentum_bracket", step_start)
     counts.update(poisson_scalar=0, pressure_S=0)
@@ -706,9 +914,10 @@ def test_apply_budget(dom8, monkeypatch):
         init=_warm_state(dom8), constants=c)
     assert report.converged and report.iterations == 3
     assert counts["teodorescu"] == counts["bergman_Q"] == 0
-    per_step.append((counts["poisson_scalar"], counts["pressure_S"]))
-    assert np.diff(per_step, axis=0).tolist() == [[27, 41], [21, 41],
-                                                  [19, 41]]
+    per_step.append((counts["poisson_scalar"], counts["L^-2"],
+                     counts["pressure_S"]))
+    assert np.diff(per_step, axis=0).tolist() == [[9, 9, 41], [7, 7, 41],
+                                                  [5, 7, 41]]
 
 
 def _count_stencils(monkeypatch):
@@ -755,7 +964,9 @@ def test_stencil_budget(dom8, ops8, monkeypatch):
     # 9 and 9 (one D+B, three advections) and its energy row's D+u 9
     # _diff. Deriving them again for each row and for the bracket would
     # take 90 and 18. The inner B loop reads the H1 norm of its start from
-    # the outer loop's history instead of differencing it again
+    # the outer loop's history instead of differencing it again. A
+    # Schauder step's convection_norm takes 3 _dcen, the unit-vector
+    # columns of its per-axis matrices, and no more per Lanczos step
     counts, per_step = _count_stencils(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     got = {}
@@ -768,7 +979,7 @@ def test_stencil_budget(dom8, ops8, monkeypatch):
         per_step.append(tuple(counts.values()))
         got[method] = np.diff(per_step, axis=0)[:, :2].tolist()
     assert got == {"banach": [[60, 21], [54, 15], [54, 15]],
-                   "schauder_neumann": [[48, 57], [48, 45], [48, 39]]}
+                   "schauder_neumann": [[48, 33], [48, 27], [48, 21]]}
 
 
 def test_cold_start_budget(dom8, ops8, monkeypatch):

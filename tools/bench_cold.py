@@ -1,4 +1,5 @@
-"""Cold Banach solve at several grid sizes; writes BENCH_cold.json.
+"""Cold Banach and warm Schauder solves at several grid sizes; writes
+BENCH_cold.json.
 
     python3 tools/bench_cold.py [--n 16 32 48 64] [--out BENCH_cold.json]
 
@@ -14,11 +15,18 @@ the face data B* at the face centres and a cold start (u = B = p = 0). It
 times OperatorSet plus estimate_constants (seed 0) as constants_s, then
 banach_solve as solve_s, and records:
 
-- peak_mib: ru_maxrss of the process, after the solve;
+- peak_mib: ru_maxrss of the process, after banach_solve;
 - res_ind_over_eps: the last row's induction residual divided by eps;
 - B_rel_err: ||B - B*|| / ||B*||, L2 over all cells, B* at the cell
   centres;
 - outer_iters and converged.
+
+Then, in the same process and on the same OperatorSet, it times one warm
+schauder_solve as schauder_solve_s, with the recipe of perfbench's warm
+workloads: zero face data, u and B the random_divfree fields of seeds 1
+and 2 scaled to H1 norm 1e-3, p = 0, Re = Rm = mu0 = 1, exponent_mode
+"mixed", tol 1e-10, the constants above; schauder_outer_iters and
+schauder_converged record how it ended. peak_mib is read before it.
 
 Each child imports quatmhd before NumPy and takes the CLI's allocator
 setting (`cli._keep_freed_memory`), so its times are those of a `quatmhd`
@@ -43,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EPS = 1e-5
 TOL = 1e-10
+WARM_H1 = 1e-3  # H1 norm of the warm Schauder start's u and B
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "OMP_PROC_BIND", "OMP_PLACES", "OPENBLAS_THREAD_TIMEOUT")
 
@@ -65,10 +74,12 @@ def run_one(n: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import quatmhd.cli
     import numpy as np
-    from quatmhd.grid import BoundaryData, build_domain
-    from quatmhd.mhd import MHDParams
+    from quatmhd.grid import BoundaryData, QField, build_domain, h1_norm
+    from quatmhd.mhd import MHDParams, MHDState
     from quatmhd.operators import OperatorSet
-    from quatmhd.solvers import SolverConfig, banach_solve, estimate_constants
+    from quatmhd.sampling import random_divfree
+    from quatmhd.solvers import (SolverConfig, banach_solve,
+                                 estimate_constants, schauder_solve)
 
     quatmhd.cli._keep_freed_memory()
     dom = build_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), n)
@@ -83,17 +94,28 @@ def run_one(n: int) -> dict:
     state, report = banach_solve(params, ops, SolverConfig(tol=TOL),
                                  constants=constants)
     t2 = time.perf_counter()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     exact = _grad_psi(dom.cell_centers())
     err = np.sqrt(((state.B.values[1:] - exact) ** 2).sum()
                   / (exact ** 2).sum())
+    warm = [random_divfree(dom, seed=s) for s in (1, 2)]
+    u0, B0 = [QField(dom, WARM_H1 / h1_norm(f) * f.values) for f in warm]
+    t3 = time.perf_counter()
+    _, warm_report = schauder_solve(
+        MHDParams(Re=1.0, Rm=1.0, mu0=1.0, exponent_mode="mixed"), ops,
+        SolverConfig(method="schauder_neumann", tol=TOL),
+        init=MHDState(u0, B0, QField.zeros(dom)), constants=constants)
+    t4 = time.perf_counter()
     return {"n": n, "constants_s": round(t1 - t0, 4),
             "solve_s": round(t2 - t1, 4),
-            "peak_mib": round(resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+            "peak_mib": round(peak, 1),
             "res_ind_over_eps": float(f"{report.rows[-1]['res_ind'] / EPS:.4g}"),
             "B_rel_err": float(f"{err:.4g}"),
             "outer_iters": report.iterations,
-            "converged": report.converged}
+            "converged": report.converged,
+            "schauder_solve_s": round(t4 - t3, 4),
+            "schauder_outer_iters": warm_report.iterations,
+            "schauder_converged": warm_report.converged}
 
 
 def machine() -> dict:
@@ -133,7 +155,9 @@ def main(argv=None) -> int:
         print(json.dumps(rows[-1]), flush=True)
     result = {"recipe": {"eps": EPS, "tol": TOL, "Re": 1.0, "Rm": 1.0,
                          "mu0": 1.0, "exponent_mode": "mixed",
-                         "start": "cold", "constants_seed": 0},
+                         "start": "cold", "constants_seed": 0,
+                         "schauder_start": "warm, random_divfree seeds 1 "
+                                           f"and 2 at H1 {WARM_H1:g}"},
               "machine": machine(), "rows": rows}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
