@@ -4,13 +4,16 @@ key = value manifests, and CSV tables (convergence, energy, constants).
 All floating-point output uses 17 significant digits (fmt_value), so every
 file round-trips through the matching reader bit-exactly; every CSV ends
 its lines with \r\n. Field files hold one quaternion per row; only this
-module turns QField storage into rows.
+module turns QField storage into rows. The CSV field readers parse with
+np.loadtxt and keep a csv.reader row scan to word every rejection.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import warnings
 
 import numpy as np
 
@@ -147,9 +150,55 @@ def _write_indexed_rows(path, index_name: str, vals: np.ndarray) -> None:
         _write_rows(f, rows, ",".join(["%d"] + [_FMT] * 4) + "\r\n")
 
 
+_ROW_DTYPE = np.dtype([("index", np.int64), ("values", np.float64, (4,))])
+
+
 def _read_indexed_rows(path, count: int) -> np.ndarray:
     """Rows (index, s, v1, v2, v3) after a header line: every index in
-    [0, count) exactly once, in any order, and every value finite."""
+    [0, count) exactly once, in any order, and every value finite.
+
+    np.loadtxt parses the rows in C, reading the file with universal
+    newlines, so that it splits the lines where csv.reader does. Where it
+    parses a file, its rows are those of the row scan (_scan_indexed_rows)
+    but for empty lines, which it skips and the line count then catches;
+    csv quoting it does not parse. A file that fails the line count or a
+    check of the indices and values, or that loadtxt does not decode or
+    parse, goes to the row scan, which accepts or rejects it, with its
+    message, as before."""
+    try:
+        with open(path) as f:
+            if _count_lines(f) != count + 1:
+                raise ValueError("not one line per row after the header")
+            f.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(f, dtype=_ROW_DTYPE, delimiter=",",
+                                  comments=None, skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return _scan_indexed_rows(path, count)
+    i, v = rows["index"], rows["values"]
+    seen = np.zeros(count, dtype=bool)
+    if len(rows) == count and ((i >= 0) & (i < count)).all():
+        seen[i] = True
+    if not (seen.all() and np.isfinite(v).all()):
+        return _scan_indexed_rows(path, count)
+    vals = np.empty((count, 4))
+    vals[i] = v
+    return vals
+
+
+def _count_lines(f) -> int:
+    """The lines of a text file from its position on, a last line without
+    its newline included; read in blocks, never whole."""
+    lines, last = 0, "\n"
+    for block in iter(functools.partial(f.read, 1 << 14), ""):
+        lines, last = lines + block.count("\n"), block[-1]
+    return lines + (last != "\n")
+
+
+def _scan_indexed_rows(path, count: int) -> np.ndarray:
+    """_read_indexed_rows by csv.reader and one float() per value, row by
+    row, naming the line of the first bad or repeated index."""
     vals = np.zeros((count, 4))
     seen = np.zeros(count, dtype=bool)
     with open(path, newline="") as f:

@@ -2,7 +2,11 @@
 
 All generators take a numpy Generator (or a seed) and return QFields. The
 "bump" variants vanish smoothly at the box faces, so their one-sided
-difference layers carry no O(1) spikes.
+difference layers carry no O(1) spikes. random_smooth, random_bump and
+random_pure_bump are one builder, _samples: each component is a sum of
+four separable products of 1-D factors, the cutoff and the amplitude
+folded into the factors. estimate_constants takes the factors along with
+each field and reads norms from them (solvers._separable_norms).
 """
 
 from __future__ import annotations
@@ -32,68 +36,68 @@ def _unit_coords(domain: VoxelDomain) -> list[np.ndarray]:
             for i, m in enumerate(domain.n)]
 
 
-def _outer3(f) -> np.ndarray:
-    """The 3-D array f[0][i] f[1][j] f[2][k] of three 1-D factors."""
-    return f[0][:, None, None] * f[1][None, :, None] * f[2][None, None, :]
+def _fourier_draws(rng, kmax: int) -> tuple[np.ndarray, ...]:
+    """The random wave numbers (4, 4, 3), phases (4, 4, 3) and amplitudes
+    (4, 4) of the four terms of each of the four components of one field,
+    drawn term by term, component by component."""
+    draws = [(rng.integers(0, kmax + 1, size=3),
+              rng.uniform(0, 2 * np.pi, size=3),
+              rng.standard_normal()) for _ in range(16)]
+    k, phase, amp = map(np.array, zip(*draws))
+    return k.reshape(4, 4, 3), phase.reshape(4, 4, 3), amp.reshape(4, 4)
 
 
-def _fourier_draws(rng, kmax: int) -> list[tuple]:
-    """The random (wave numbers, phases, amplitude) of the four terms of
-    one _fourier_scalar, in the order they are drawn."""
-    return [(rng.integers(0, kmax + 1, size=3),
-             rng.uniform(0, 2 * np.pi, size=3),
-             rng.standard_normal()) for _ in range(4)]
+def _samples(domain: VoxelDomain, rng: np.random.Generator, kmax: int = 2,
+             bump: bool = True, pure: bool = False):
+    """Without end, the fields of successive draws from rng, each with its
+    1-D factors. Component c is the sum over four terms t of
 
+        amp_t prod_i cos(2 pi k_ti s_i + phase_ti) b(s_i),
 
-def _fourier_scalar(s: list[np.ndarray], rng, kmax: int) -> np.ndarray:
-    """Low-order random trigonometric polynomial on the unit cube, a sum of
-    separable products of 1-D cosines of the _unit_coords s."""
-    out = np.zeros(tuple(len(x) for x in s))
-    for k, phase, amp in _fourier_draws(rng, kmax):
-        out += amp * _outer3(
-            [np.cos(2 * np.pi * k[i] * s[i] + phase[i]) for i in range(3)])
-    return out
+    s_i the _unit_coords and b(s) = (4 s (1 - s))^3 the C^1 cutoff that
+    vanishes at the faces (with `bump`; 1 without). factors[i][c, t] is
+    the factor of axis i, amp_t folded into axis 0, so component c is the
+    one product sum_t factors[0][c, t] (x) factors[1][c, t] (x)
+    factors[2][c, t]. With `pure` the scalar part and its factors stay
+    zero: its numbers are drawn, so that the vector part is that of the
+    full field, but it is not built. Yields (QField, factors), factors[i]
+    of shape (4, 4, n_i), component by term by cell."""
+    s = _unit_coords(domain)
+    cut = [(4.0 * x * (1.0 - x)) ** 3 if bump else 1.0 for x in s]
+    lo = 1 if pure else 0
+    while True:
+        k, phase, amp = _fourier_draws(rng, kmax)
+        factors = [np.cos(2 * np.pi * k[..., i, None] * s[i]
+                          + phase[..., i, None]) * cut[i] for i in range(3)]
+        factors[0] *= amp[..., None]
+        for f in factors:
+            f[:lo] = 0.0
+        # each component in one product over its terms, summed in einsum's
+        # own loop: a GEMM over 4 terms would wake BLAS threads for almost
+        # no work
+        vals = np.zeros((4,) + domain.shape)
+        for c in range(lo, 4):
+            np.einsum("tij,tk->ijk",
+                      factors[0][c, :, :, None] * factors[1][c, :, None, :],
+                      factors[2][c], out=vals[c])
+        yield QField(domain, vals), factors
 
 
 def random_smooth(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     """Smooth random quaternion field, generically nonzero at the faces."""
-    rng = _rng(seed)
-    s = _unit_coords(domain)
-    return QField(domain, [_fourier_scalar(s, rng, kmax) for _ in range(4)])
-
-
-def _bump(s: list[np.ndarray]) -> np.ndarray:
-    """C^1 cutoff prod_i (4 s_i (1 - s_i))^3 of the _unit_coords s,
-    vanishing at the faces."""
-    return _outer3([(4.0 * x * (1.0 - x)) ** 3 for x in s])
+    return next(_samples(domain, _rng(seed), kmax, bump=False))[0]
 
 
 def random_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
-    """Smooth random field that decays to zero at the box faces."""
-    u = random_smooth(domain, seed, kmax)
-    return QField(domain, u.values * _bump(_unit_coords(domain)))
+    """Smooth random field that decays to zero at the box faces: the
+    random_smooth field of the same seed times the cutoff, to rounding."""
+    return next(_samples(domain, _rng(seed), kmax))[0]
 
 
 def random_pure_bump(domain: VoxelDomain, seed=0, kmax: int = 2) -> QField:
     """Vector-valued (pure quaternion) bump field: random_bump with its
-    scalar part zeroed. The scalar part's numbers are still drawn, so that
-    the random stream and the vector part stay those of random_bump, but
-    that part is not built."""
-    return next(_pure_bumps(domain, _rng(seed), kmax))
-
-
-def _pure_bumps(domain: VoxelDomain, rng: np.random.Generator,
-                kmax: int = 2):
-    """The random_pure_bump fields of successive draws from rng, without
-    end; the coordinates and the cutoff are built once."""
-    s = _unit_coords(domain)
-    bump = _bump(s)
-    while True:
-        _fourier_draws(rng, kmax)
-        out = np.zeros((4,) + domain.shape)
-        for c in range(1, 4):
-            out[c] = _fourier_scalar(s, rng, kmax) * bump
-        yield QField(domain, out)
+    scalar part zeroed, bit for bit."""
+    return next(_samples(domain, _rng(seed), kmax, pure=True))[0]
 
 
 def random_divfree(domain: VoxelDomain, seed=0) -> QField:

@@ -43,7 +43,9 @@ row entries. A solve's ConvergenceReport is these rows and the tol flag.
 Constants (C1, Cs, CD, Cu, k) are estimated once per domain: C1,
 lambda_min and k = ||TQT|| from the closed-form discrete Dirichlet spectra,
 the rest as sampled extremal ratios of lattice operators with a x2 safety
-factor (estimate_constants). No constant applies the continuum T.
+factor (estimate_constants). The samples are separable, and their H1 and
+D+ norms come from Gram matrices of their 1-D factors (_separable_norms).
+No constant applies the continuum T.
 """
 
 from __future__ import annotations
@@ -54,14 +56,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import _energy_of
-from .grid import QField, _finite, _integer, h1_norm, l2_norm, lq_norm
+from .grid import (QField, _diff, _finite, _integer, h1_norm, l2_norm,
+                   lq_norm)
 from .mhd import (MHDParams, MHDState, _convect_solve, _derive, _lorentz_of,
                   _require_pure, _residuals, boundary_B_term, convective,
                   leray_project, lorentz, momentum_bracket, tqt_rhs_B,
                   tqt_rhs_p, tqt_rhs_u)
-from .operators import (OperatorSet, _along_axis, _dcen_matrix, dirac_fwd,
-                        grad_bwd)
-from .sampling import _pure_bumps
+from .operators import (_BACKWARD, _UNIT_MUL, OperatorSet, _along_axis,
+                        _dcen_matrix, dirac_fwd, grad_bwd)
+from .sampling import _samples
 
 __all__ = [
     "ConstantsBundle",
@@ -168,6 +171,65 @@ class ConvergenceReport:
 # constants
 # ---------------------------------------------------------------------------
 
+def _gram_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of ||u||_H1^2 and ||D+u||^2 of a pure u as pairs of
+    separable fields, for _separable_norms.
+
+    A field (sign, c, j, v) is sign times component u_c with its axis-j
+    factor differenced: v = 1 forward (h1_norm's difference), 2 backward,
+    0 not at all. On axis i its 1-D vectors are the rows
+    (v_i 3 + c - 1) 4 + t of _separable_norms' stack, t the term and v_i
+    = v on axis j, 0 on the others. Each quantity is a sum over groups of
+    ||sum of the group's fields||^2: ||u||_H1^2 has a group for u_c and
+    for each d_j u_c, ||D+u||^2 one per output component r of
+    sum_j e_j d_j u, the difference of each as _BACKWARD picks it.
+    Returns, per ordered pair (a, b) of fields of one group, the first
+    rows of a and of b on each axis, (P, 3) each, and the pair's product
+    of signs in the two quantities, (P, 2)."""
+    h1 = [[(1.0, c, 0, 0)] for c in (1, 2, 3)]
+    h1 += [[(1.0, c, j, 1)] for c in (1, 2, 3) for j in range(3)]
+    dplus = [[(sign, c, j, 2 if _BACKWARD[j, c] else 1)
+              for j in range(3) for sign, c in [_UNIT_MUL[j][r]] if c > 0]
+             for r in range(4)]
+
+    def first_rows(field):
+        _, c, j, v = field
+        return [((v if i == j else 0) * 3 + c - 1) * 4 for i in range(3)]
+
+    pairs = [(first_rows(a), first_rows(b), [a[0] * b[0] * (q == 0),
+                                             a[0] * b[0] * (q == 1)])
+             for q, groups in enumerate((h1, dplus))
+             for group in groups for a in group for b in group]
+    return tuple(np.array(x) for x in zip(*pairs))
+
+
+_PAIRS = _gram_pairs()
+
+
+def _separable_norms(factors: list[np.ndarray], h: float) -> np.ndarray:
+    """(||u||_H1, ||D+u||) of S pure fields from their 1-D factors,
+    factors[i] of shape (S, 4, 4, n_i) as sampling._samples gives them.
+
+    A difference along axis i of a sum of separable products acts on the
+    axis-i factor alone (fallback rows included), and an inner product of
+    two such sums is a sum of products of 1-D inner products. So both
+    squared norms are sums, over the pairs of _gram_pairs, of products of
+    entries of three Gram matrices: per sample and axis, that of the 36
+    vectors (plain, forward and backward differences of 3 components by
+    4 terms). The Gram products run in einsum's own loop, never BLAS."""
+    first, second, weight = _PAIRS
+    t = np.arange(4)
+    prod = 1.0
+    for i, f in enumerate(factors):
+        x = f[:, 1:]
+        v = np.concatenate([x, _diff(x, 2, h), _diff(x, 2, h, backward=True)],
+                           axis=1).reshape(len(f), 36, -1)
+        g = np.einsum("sap,sbp->sab", v, v)
+        prod = prod * g[:, first[:, i, None, None] + t[:, None],
+                        second[:, i, None, None] + t]
+    return np.sqrt(prod.sum(axis=(2, 3)) @ weight * h**3)
+
+
 def estimate_constants(ops: OperatorSet, seed: int = 0) -> ConstantsBundle:
     """Estimate the bundle of norm constants on the domain of ops.
 
@@ -181,31 +243,38 @@ def estimate_constants(ops: OperatorSet, seed: int = 0) -> ConstantsBundle:
     three. CD doubles the largest sampled ||Du|| / ||u||_H1; Cu halves the
     smallest sampled ||Du||^2 / ||u||_H1^2 (a coercivity constant is a
     lower bound).
+
+    The samples are _SAMPLES pairs (u, B) of separable pure bump fields.
+    D+B, Sc(uD)u, the Lorentz force and the 5/4-norms are taken on the
+    lattice fields; ||u||_H1, ||B||_H1 and ||D+u|| come from the fields'
+    1-D factors (_separable_norms), equal to h1_norm and
+    l2_norm(dirac_fwd(.)) up to rounding.
     """
     lam = ops.lambda_min()
     C1 = 1.0 / lam
     k = ops.op_norm_TQT()
-    fields = _pure_bumps(ops.domain, np.random.default_rng(seed))
-    ratios_s, ratios_d, ratios_c = [], [], []
-    for _ in range(_SAMPLES):
-        u, B = next(fields), next(fields)
-        uh, Bh = h1_norm(u), h1_norm(B)
-        if uh == 0.0 or Bh == 0.0:
-            continue
+    fields = _samples(ops.domain, np.random.default_rng(seed), pure=True)
+    lattice = np.empty((_SAMPLES, 3))
+    norms = np.empty((_SAMPLES, 2, 2))
+    for n in range(_SAMPLES):
+        (u, fu), (B, fB) = next(fields), next(fields)
         DB = dirac_fwd(B)
-        ratios_s.append(lq_norm(convective(u, u), 1.25) / uh**2)
-        ratios_s.append(lq_norm(_lorentz_of(B, DB, 1.0), 1.25) / Bh**2)
-        ratios_s.append(l2_norm(DB) / Bh)
-        Du = l2_norm(dirac_fwd(u))
-        ratios_d.append(Du / uh)
-        ratios_c.append(Du**2 / uh**2)
-    if not ratios_s:
+        lattice[n] = (lq_norm(convective(u, u), 1.25),
+                      lq_norm(_lorentz_of(B, DB, 1.0), 1.25), l2_norm(DB))
+        norms[n] = _separable_norms([np.stack(f) for f in zip(fu, fB)],
+                                    ops.domain.h)
+    uh, Bh, Du = norms[:, 0, 0], norms[:, 1, 0], norms[:, 0, 1]
+    live = (uh != 0.0) & (Bh != 0.0)
+    if not live.any():
         raise ValueError("all samples degenerate")
+    uh, Bh, Du, lattice = uh[live], Bh[live], Du[live], lattice[live]
     bundle = ConstantsBundle(
         C1=C1,
-        Cs=2.0 * max(ratios_s),
-        CD=2.0 * max(ratios_d),
-        Cu=0.5 * min(ratios_c),
+        Cs=2.0 * float(max((lattice[:, 0] / uh**2).max(),
+                           (lattice[:, 1] / Bh**2).max(),
+                           (lattice[:, 2] / Bh).max())),
+        CD=2.0 * float((Du / uh).max()),
+        Cu=0.5 * float((Du**2 / uh**2).min()),
         k=k,
         lambda_min=lam,
         provenance={"C1": "analytic", "lambda_min": "analytic",

@@ -617,3 +617,22 @@ def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
                         ("u.csv", "B.csv", "p.csv", "convergence.csv",
                          "energy.csv")})
     assert outputs[0] == outputs[1]
+
+
+def test_constants_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The sample builder and the separable norms sum their terms in
+    # einsum's own loops, never in a GEMM, so one BLAS thread and two give
+    # the same constants; k and lambda_min are closed forms.
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=24)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads)
+        env.pop("OMP_NUM_THREADS", None)
+        out = tmp_path / f"out{threads}"
+        subprocess.run([sys.executable, "-m", "quatmhd.cli", "constants",
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        outputs.append((out / "constants.csv").read_bytes())
+    assert outputs[0] == outputs[1]

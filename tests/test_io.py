@@ -255,6 +255,86 @@ def test_readers_require_every_index_once(tmp_path, dom8, reader, header,
     assert np.array_equal(v3, np.arange(count))
 
 
+def _no_row_scan(monkeypatch):
+    """Make the row scan fail, so that a read that succeeds took loadtxt."""
+    def scan(path, count):
+        raise AssertionError("the row scan ran")
+    monkeypatch.setattr(qio, "_scan_indexed_rows", scan)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_loadtxt_rows_equal_the_row_scan(tmp_path, monkeypatch, newline):
+    # 17-digit values over many decades, -0 entries and shuffled rows: the
+    # loadtxt path returns the row scan's array byte for byte
+    rng = np.random.default_rng(3)
+    count = 512
+    vals = rng.standard_normal((count, 4)) * 10.0 ** rng.integers(
+        -300, 300, size=(count, 4))
+    vals[::7, 1] = -0.0
+    vals[::5, 2] = 0.0
+    order = rng.permutation(count)
+    lines = ["index,s,v1,v2,v3"] + [
+        f"{i}," + ",".join("%.17g" % v for v in vals[i]) for i in order]
+    path = tmp_path / "f.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    expect = qio._scan_indexed_rows(path, count)
+    assert expect.tobytes() == vals.tobytes()
+    _no_row_scan(monkeypatch)
+    assert qio._read_indexed_rows(path, count).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("rows, line, shown", [
+    (["1,0,0,0,0", "-1,0,1,2,3"], 3, "-1,0,1,2,3"),
+    (["1,0,0,0,0", "512,0,1,2,3"], 3, "512,0,1,2,3"),
+    (["1,0,0,0,0", "0,nan,1,2,3"], 3, "0,nan,1,2,3"),
+    (["1,0,0,0,0", "0,0,inf,2,3"], 3, "0,0,inf,2,3"),
+    (["1,0,0,0,0", "0,0,1,2"], 3, "0,0,1,2"),
+    (["1,0,0,0,0", "x,0,1,2,3"], 3, "x,0,1,2,3"),
+    (["0,0,1,2,3", "", "1,0,1,2,3"], 3, ""),
+    (["0,0,1,2,3", "3.0,0,1,2,3"], 3, "3.0,0,1,2,3"),
+    (["0,0,1,2,3", "1,0,1,2,3,"], 3, "1,0,1,2,3,"),
+], ids=["negative", "past_end", "nan", "inf", "short", "token", "blank",
+        "float_index", "trailing_comma"])
+def test_rejected_rows_keep_their_message(tmp_path, dom8, rows, line, shown):
+    # the whole message, as the row scan alone words it; a blank line, an
+    # index 3.0 and a trailing comma are rejected as before
+    path = _rows(tmp_path / "f.csv", "index,s,v1,v2,v3", rows)
+    with pytest.raises(ValueError) as err:
+        read_csv(path, dom8)
+    assert str(err.value) == (f"{path}: bad row on line {line}: {shown} "
+                              "(index in [0, 512), then four finite values)")
+
+
+def test_index_messages_are_whole(tmp_path, dom8):
+    header = "index,s,v1,v2,v3"
+    path = _write_rows(tmp_path / "x.csv", header, 512, drop=7)
+    with pytest.raises(ValueError) as err:
+        read_csv(path, dom8)
+    assert str(err.value) == f"{path}: index 7 missing (1 of 512 absent)"
+    path = _write_rows(tmp_path / "x.csv", header, 510)
+    with pytest.raises(ValueError) as err:
+        read_csv(path, dom8)
+    assert str(err.value) == f"{path}: index 510 missing (2 of 512 absent)"
+    path = _write_rows(tmp_path / "x.csv", header, 512, repeat=5)
+    with pytest.raises(ValueError) as err:
+        read_csv(path, dom8)
+    assert str(err.value) == f"{path}: index 5 repeated on line 8"
+
+
+def test_quoted_fields_still_read(tmp_path, dom8, monkeypatch):
+    # csv quoting, which loadtxt does not parse, goes to the row scan and
+    # reads as before: a quoted index "3" and a quoted value are accepted
+    rows = [f"{i},{i},0,0,0" for i in range(512)]
+    plain = read_csv(_rows(tmp_path / "a.csv", "index,s,v1,v2,v3", rows),
+                     dom8).values
+    rows[3], rows[4] = '"3",3,0,0,0', '4,"4",0,0,0'
+    path = _rows(tmp_path / "b.csv", "index,s,v1,v2,v3", rows)
+    assert read_csv(path, dom8).values.tobytes() == plain.tobytes()
+    _no_row_scan(monkeypatch)
+    with pytest.raises(AssertionError, match="the row scan ran"):
+        read_csv(path, dom8)
+
+
 def test_file_row_order_on_a_box(tmp_path):
     # values encode (i, j, k, c) on a box whose three axes differ, so an
     # i <-> k swap made alike in a writer and its reader shows in the rows

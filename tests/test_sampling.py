@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from quatmhd.grid import build_domain
-from quatmhd.sampling import (_bump, _unit_coords, random_bump,
-                              random_pure_bump, random_smooth)
+from quatmhd.sampling import (_unit_coords, random_bump, random_pure_bump,
+                              random_smooth)
 
 
 def _unit_coords_3d(dom):
@@ -29,8 +29,10 @@ def _fourier_scalar_3d(dom, rng, kmax):
     ((0.1, -0.2, 0.3), (0.6, 0.8, 1.0), (6, 8, 10)),
 ])
 def test_separable_sampling_matches_3d_formula(origin, extent, n):
-    # the 1-D factors and their broadcast products give bitwise the arrays
-    # of the full 3-D formula, so every seeded field is unchanged
+    # every seeded field is the full 3-D formula up to rounding: the
+    # builder folds the amplitude and the cutoff into the 1-D factors and
+    # sums the four terms in one product, which moves the last bits only
+    # (at most 5.6e-16 max|f| on these grids, seeds 0..19)
     dom = build_domain(origin, extent, n)
     s3 = _unit_coords_3d(dom)
     for i, s in enumerate(_unit_coords(dom)):
@@ -39,11 +41,13 @@ def test_separable_sampling_matches_3d_formula(origin, extent, n):
         assert np.array_equal(np.broadcast_to(s.reshape(shape), dom.shape),
                               s3[..., i])
     bump = np.prod((4.0 * s3 * (1.0 - s3)) ** 3, axis=-1)
-    assert np.array_equal(_bump(_unit_coords(dom)), bump)
     rng = np.random.default_rng(7)
     smooth = np.stack([_fourier_scalar_3d(dom, rng, 2) for _ in range(4)])
-    assert np.array_equal(random_smooth(dom, seed=7).values, smooth)
-    assert np.array_equal(random_bump(dom, seed=7).values, smooth * bump)
+    for got, ref in ((random_smooth(dom, seed=7), smooth),
+                     (random_bump(dom, seed=7), smooth * bump)):
+        for c in range(4):
+            err = np.abs(got.values[c] - ref[c]).max()
+            assert err <= 1e-15 * np.abs(ref[c]).max()
 
 
 @pytest.mark.parametrize("n", [(8, 8, 8), (6, 8, 10)])
