@@ -178,15 +178,12 @@ def _verify_checks(domain, ops, seed):
     yield ("leray_divfree",
            np.linalg.norm(div) * h**1.5 / max(l2_norm(w), 1e-30), 1e-10)
 
-    # right-inverse identity on the interior. The error falls as h^2 up to
+    # right-inverse identity on the cells at least 3h from every face,
+    # those outside the 3-cell collar. The error falls as h^2 up to
     # n ~ 48 (0.13 at n = 8, 0.036 at n = 16), so the tolerance grows as
     # (16/n)^2 below n = 16; above it stays 5%, because the cells 3h from a
     # face keep an error of about 0.005 that does not fall with h.
-    centers = domain.cell_centers()
-    lo = np.asarray(domain.origin)
-    hi = lo + np.asarray(domain.n) * h
-    dist = np.minimum(centers - lo, hi - centers).min(axis=-1)
-    mask = dist >= 3.0 * h
+    mask = ~domain.collar_mask(3)
     if mask.any():
         err = dirac_central(ops.teodorescu(f)) - f
         measured = np.abs(err.values[:, mask]).max() / np.abs(f.values).max()

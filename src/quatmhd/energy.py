@@ -50,7 +50,7 @@ def _energy_of(u: QField, B: QField, params: MHDParams, Cs: float | None,
     viscous_u = l2_norm(dirac_fwd(u)) ** 2 / params.Re
     viscous_B = d.DB_l2 ** 2 / params.Rm
     lor = sc_inner(d.lor, u)
-    ind = sc_inner(d.uB - d.Bu, B)
+    ind = sc_inner(d.ind, B)
     J = viscous_u - lor + viscous_B + ind
     if Cs is None:
         ok, rho = False, math.nan

@@ -2,18 +2,20 @@
 residuals, the TQT integral-form right-hand sides (each takes the fields it
 reads, not a state), the linearized map TQT Sc(u~D) of the Schauder scheme
 (_convect_solve), and the discrete Leray projection. convective and
-_convect_solve share one advection kernel, _advect, which reads the stored
-components-first arrays without a copy.
+_convect_solve share one advection kernel, _advect, which applies the
+centered-difference matrices of operators._centered_matrix to the stored
+components-first arrays, the matrices that solvers.convection_norm reads.
 
 The integral form's TQT is the collar-Dirichlet solve (poisson_dirichlet),
 and its Q T is D+_gz L^-1, so no right-hand side applies the Teodorescu,
 Cauchy or Bergman operators. _derive computes what the rows of a state
-(u, B) read, once: D+B, the Lorentz force from it, and the advections
-(u, u), (u, B) and (B, u). residual_strong and energy derive through it,
-and the outer loop shares one derivation between a state's residual and
-energy rows and the next step's bracket, momentum_bracket(lor, uu), which
-the velocity row and the pressure equation share. The boundary term of B
-is the vector part of the harmonic extension of the face data.
+(u, B) read, once: D+B, the Lorentz force from it, the advection (u, u)
+and the induction term Sc(uD)B - Sc(BD)u. residual_strong and energy
+derive through it, and the outer loop shares one derivation between a
+state's residual and energy rows and the next step's bracket,
+momentum_bracket(lor, uu), which the velocity row and the pressure
+equation share. The boundary term of B is the vector part of the
+harmonic extension of the face data.
 
 Conventions. States are cell-centered quaternion fields, values (4, n1, n2,
 n3), with u, B pure vectors (values[1:]) and p scalar (values[0]),
@@ -36,8 +38,8 @@ import numpy as np
 
 from .grid import (BoundaryData, QField, VoxelDomain, _finite, _first_live,
                    l2_norm, sc_inner)
-from .operators import (OperatorSet, _dcen, dirac_fwd, div_fwd, grad_bwd,
-                        laplacian)
+from .operators import (OperatorSet, _along_axis, _centered_matrix,
+                        dirac_fwd, div_fwd, grad_bwd, laplacian)
 from .quaternion import qmul_arr
 
 __all__ = [
@@ -159,10 +161,10 @@ def _advect(a: np.ndarray, v: np.ndarray, h: float,
     """sum_i a_i D^c_i v over the last three axes of v, leading axes
     batched, added to out (zeros if None): a the vector part of an
     advection field, shape (3,) + the domain's, and D^c_i the centered
-    difference _dcen."""
+    difference matrix along axis i (_centered_matrix)."""
     out = np.zeros(v.shape) if out is None else out
     for i in range(3):
-        out += a[i] * _dcen(v, i, h)
+        out += a[i] * _along_axis(v, _centered_matrix(v.shape, i, h), i)
     return out
 
 
@@ -204,8 +206,7 @@ class _Derived(NamedTuple):
     DB_l2: float  # l2_norm(dirac_fwd(B))
     lor: QField   # lorentz(B, mu0), from that D+B
     uu: QField    # convective(u, u)
-    uB: QField    # convective(u, B)
-    Bu: QField    # convective(B, u)
+    ind: QField   # convective(u, B) - convective(B, u)
 
 
 def _derive(u: QField, B: QField, mu0: float) -> _Derived:
@@ -213,7 +214,7 @@ def _derive(u: QField, B: QField, mu0: float) -> _Derived:
     norm and the Lorentz force, and not kept."""
     DB = dirac_fwd(B)
     return _Derived(l2_norm(DB), _lorentz_of(B, DB, mu0), convective(u, u),
-                    convective(u, B), convective(B, u))
+                    convective(u, B) - convective(B, u))
 
 
 def _interior_norm(arr: np.ndarray, domain: VoxelDomain,
@@ -249,8 +250,8 @@ def _residuals(state: MHDState, params: MHDParams,
                           + (1.0 / params.mu0) * d.uu
                           + (params.coeff_p() / cu_mu0) * grad_bwd(p)
                           - d.lor).values, dom, interior)
-    ind = _interior_norm((-(1.0 / params.coeff_B()) * laplacian(B) + d.uB
-                          - d.Bu).values, dom, interior)
+    ind = _interior_norm((-(1.0 / params.coeff_B()) * laplacian(B)
+                          + d.ind).values, dom, interior)
     return (mom, ind, _interior_norm(div_fwd(u), dom, interior),
             _interior_norm(div_fwd(B), dom, interior))
 

@@ -22,13 +22,13 @@ Every one-sided difference is grid._diff, forward or backward. The face
 layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
 grad_bwd, div_fwd and curl_bwd, and differences a zero ghost value in
 bergman_Q; pressure_S holds its ghost-zero differences inside per-axis
-matrices (_grad_factors). The centered difference (_dcen) and the second
-difference of the Laplacian are stencils of their own. These three take
-their interior rows along an axis in one subtraction over the flat C-order
-buffer, shifted by the axis's stride, and then overwrite the face layer,
-where the rows that wrap across a line land. The convection norm
-(solvers.convection_norm) applies _dcen and its transpose as per-axis
-matrices built from the stencil (_dcen_matrix, _along_axis). Every
+matrices (_grad_factors). The centered difference D^c and the second
+difference of the Laplacian are m x m per-axis matrices (_stencil_matrix),
+built once per (m, h) from their stencil rows, one-sided at the faces,
+and applied by the kernel of the sine transforms, _along_axis: the
+advections of mhd, dirac_central, laplacian and solvers.convection_norm
+read the same matrices. _diff stays a stencil: one subtraction over the
+flat C-order buffer, which at large n beats a matrix product. Every
 stencil acts on the last three axes of its array, leading axes (the four
 quaternion components, or a batch of them) batched. The Dirac operators,
 laplacian and grad_bwd skip the components, or the whole array, that
@@ -75,10 +75,11 @@ the three axes as matrix products, so the solves need NumPy alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .grid import (BoundaryData, QField, VoxelDomain, _diff, _first_live,
-                   _stride)
+from .grid import BoundaryData, QField, VoxelDomain, _diff, _first_live
 from .quaternion import LEFT_MUL, qmul_arr
 
 __all__ = [
@@ -109,38 +110,37 @@ _UNIT_MUL = [[(m[r].sum(), int(np.abs(m[r]).argmax())) for r in range(4)]
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _require_three_cells(vals: np.ndarray, axis: int) -> None:
-    """ValueError unless axis has the 3 cells a face stencil reads."""
-    if vals.shape[axis - 3] < 3:
+@functools.lru_cache(maxsize=64)
+def _stencil_matrix(m: int, h: float, second: bool = False) -> np.ndarray:
+    """The read-only m x m matrix of the centered difference along an axis
+    of m >= 3 cells, rows [-1, 0, 1] / 2h, or with `second` of the second
+    difference, rows [1, -2, 1] / h^2. The face rows are one-sided:
+    [-3, 4, -1] / 2h and [1, -4, 3] / 2h, and [1, -2, 1] / h^2 on the
+    three cells nearest the face. Built once per (m, h, second)."""
+    S = np.zeros((m, m))
+    k = np.arange(1, m - 1)
+    if second:
+        S[k, k - 1], S[k, k], S[k, k + 1] = 1.0, -2.0, 1.0
+        S[0, :3] = S[-1, -3:] = 1.0, -2.0, 1.0
+        S /= h**2
+    else:
+        S[k, k - 1], S[k, k + 1] = -1.0, 1.0
+        S[0, :3], S[-1, -3:] = (-3.0, 4.0, -1.0), (1.0, -4.0, 3.0)
+        S /= 2 * h
+    S.setflags(write=False)
+    return S
+
+
+def _centered_matrix(shape, axis: int, h: float,
+                     second: bool = False) -> np.ndarray:
+    """_stencil_matrix along `axis` of the last three axes of an array of
+    shape `shape`; ValueError unless that axis has the 3 cells a face row
+    reads."""
+    m = shape[axis - 3]
+    if m < 3:
         raise ValueError(f"the face stencils read 3 cells per axis; axis "
-                         f"{axis} has {vals.shape[axis - 3]}")
-
-
-def _dcen(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered difference; one-sided second-order stencils at the faces.
-    The centered rows are one subtraction over the flat buffers, as in
-    grid._diff: the rows that wrap across a line lie on the face layers,
-    which the one-sided stencils then overwrite."""
-    _require_three_cells(vals, axis)
-    out = np.empty(vals.shape)
-    s = _stride(vals, axis)
-    f = vals.reshape(-1)
-    np.subtract(f[2 * s:], f[:-2 * s], out=out.reshape(-1)[s:-s])
-    v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
-    d[0] = -3 * v[0] + 4 * v[1] - v[2]
-    d[-1] = 3 * v[-1] - 4 * v[-2] + v[-3]
-    out /= 2 * h
-    return out
-
-
-def _dcen_matrix(m: int, axis: int, h: float) -> np.ndarray:
-    """The m x m matrix of _dcen along `axis` of m cells, its one-sided
-    face rows included: its columns are _dcen of the m unit vectors, so
-    the stencil defines it. Returned as the transposed view of the
-    contiguous stack of those results."""
-    shape = [m, 1, 1, 1]
-    shape[axis + 1] = m
-    return _dcen(np.eye(m).reshape(shape), axis, h).reshape(m, m).T
+                         f"{axis} has {m}")
+    return _stencil_matrix(m, h, second)
 
 
 def _staggered(vals: np.ndarray, h: float, flip: bool = False,
@@ -148,13 +148,13 @@ def _staggered(vals: np.ndarray, h: float, flip: bool = False,
     """sum_j e_j d_j vals. d_j is the one-sided _diff, backward on the
     components that _BACKWARD[j] marks and forward on the others, every
     choice swapped by `flip`; `ghost` selects its zero-ghost edge rule and
-    `central` replaces it by _dcen on every component. The choice is
-    constant on the component pairs e_j swaps, so d_j commutes with the
-    multiplication. With ghost-zero differences (backward = -forward^T,
-    e_j^T = -e_j) the transpose of _staggered(., flip) is thus
-    _staggered(., not flip). A component 0 that is identically zero (a
-    pure field) is not differenced, nor is an array with no live entry
-    (grid._first_live)."""
+    `central` replaces it by the centered difference on every component
+    (_centered_matrix). The choice is constant on the component pairs e_j
+    swaps, so d_j commutes with the multiplication. With ghost-zero
+    differences (backward = -forward^T, e_j^T = -e_j) the transpose of
+    _staggered(., flip) is thus _staggered(., not flip). A component 0
+    that is identically zero (a pure field) is not differenced, nor is an
+    array with no live entry (grid._first_live)."""
     out = np.zeros_like(vals)
     lo = _first_live(vals)
     for j in range(3):
@@ -163,7 +163,7 @@ def _staggered(vals: np.ndarray, h: float, flip: bool = False,
                 continue
             v = vals[c]
             out[r] += sign * (
-                _dcen(v, j, h) if central
+                _along_axis(v, _centered_matrix(v.shape, j, h), j) if central
                 else _diff(v, j, h, _BACKWARD[j, c] != flip, ghost))
     return out
 
@@ -221,38 +221,18 @@ def curl_bwd(u: QField) -> QField:
 
 def laplacian(u: QField) -> QField:
     """Centered 7-point Laplacian applied to every component, with one-sided
-    second-difference stencils on the face layers. A component 0 that is
-    identically zero is not differenced, nor is an array with no live
+    second-difference rows on the face layers: the sum over the axes of
+    the second-difference matrices (_centered_matrix). A component 0 that
+    is identically zero is not differenced, nor is an array with no live
     entry (_first_live)."""
     out = np.zeros(u.values.shape)
     lo = _first_live(u.values)
     if lo < len(out):
-        _lap_interior(u.values[lo:], u.domain.h**2, out[lo:])
+        v, h = u.values[lo:], u.domain.h
+        for ax in range(3):
+            out[lo:] += _along_axis(
+                v, _centered_matrix(v.shape, ax, h, second=True), ax)
     return QField(u.domain, out)
-
-
-def _lap_interior(v: np.ndarray, h2: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The 7-point Laplacian of v, added to out (zeros if None). Along
-    each axis the centered rows (w[k+1] - 2 w[k]) + w[k-1] are taken over
-    the flat buffers, as in _dcen, before the face rows overwrite the
-    wrapped ones."""
-    out = np.zeros(v.shape) if out is None else out
-    second = np.empty(v.shape)
-    f, g = v.reshape(-1), second.reshape(-1)
-    for ax in range(3):
-        _require_three_cells(v, ax)
-        s = _stride(v, ax)
-        mid = g[s:-s]
-        np.multiply(f[s:-s], 2, out=mid)
-        np.subtract(f[2 * s:], mid, out=mid)
-        mid += f[:-2 * s]
-        w, e = v.swapaxes(0, ax - 3), second.swapaxes(0, ax - 3)
-        e[0] = w[0] - 2 * w[1] + w[2]
-        e[-1] = w[-1] - 2 * w[-2] + w[-3]
-        second /= h2
-        out += second
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,23 +505,26 @@ def _dst2(m: int) -> np.ndarray:
 
 def _along_axes(x: np.ndarray, mats) -> np.ndarray:
     """mats[a] applied along axis a of the last three axes of x, leading
-    axes batched: a GEMM, a batched matmul, and a GEMM from the right."""
-    shape = x.shape
-    m0, m1, m2 = shape[-3:]
-    x = np.matmul(mats[0], x.reshape(-1, m0, m1 * m2))
-    x = np.matmul(mats[1], x.reshape(-1, m1, m2))
-    return (x.reshape(-1, m2) @ mats[2].T).reshape(shape)
+    axes batched (_along_axis)."""
+    for a, M in enumerate(mats):
+        x = _along_axis(x, M, a)
+    return x
 
 
 def _along_axis(x: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
-    """M applied along `axis` of a three-axis array x: one GEMM for axes 0
-    and 2, a matmul batched over axis 0 for axis 1."""
-    m0, m1, m2 = x.shape
+    """M applied along `axis` of the last three axes of x, leading axes
+    batched: a matmul batched over the leading axes for axis 0, and over
+    those and axis 0 for axis 1, and one GEMM from the right for axis 2."""
+    shape = list(x.shape)
+    m0, m1, m2 = shape[-3:]
     if axis == 0:
-        return (M @ x.reshape(m0, m1 * m2)).reshape(-1, m1, m2)
-    if axis == 1:
-        return M @ x
-    return (x.reshape(m0 * m1, m2) @ M.T).reshape(m0, m1, -1)
+        y = M @ x.reshape(-1, m0, m1 * m2)
+    elif axis == 1:
+        y = M @ x.reshape(-1, m1, m2)
+    else:
+        y = x.reshape(-1, m2) @ M.T
+    shape[axis - 3] = len(M)
+    return y.reshape(shape)
 
 
 def _grad_factors(B: np.ndarray, axis: int, h: float,

@@ -32,8 +32,8 @@ per OperatorSet. Both loops, and the Neumann series, update their
 vectors in place.
 
 Both schemes run one outer loop, _outer_loop. It derives each state's
-D+B, Lorentz force and advections once (mhd._derive), for the state's
-residual and energy rows and for the next step's bracket
+D+B, Lorentz force, advection and induction term once (mhd._derive), for
+the state's residual and energy rows and for the next step's bracket
 Vec((DB)B) - Sc(uD)u. Each step recovers the pressure from that bracket,
 calls the scheme's update for (u, B), and writes the change, residual,
 energy and condition rows; the loop owns the tol stop and the
@@ -63,7 +63,7 @@ from .mhd import (MHDParams, MHDState, _convect_solve, _derive, _lorentz_of,
                   leray_project, lorentz, momentum_bracket, tqt_rhs_B,
                   tqt_rhs_p, tqt_rhs_u)
 from .operators import (_BACKWARD, _UNIT_MUL, OperatorSet, _along_axis,
-                        _dcen_matrix, dirac_fwd, grad_bwd)
+                        _centered_matrix, dirac_fwd, grad_bwd)
 from .sampling import _samples
 
 __all__ = [
@@ -513,11 +513,11 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     The map is the scalar map A of _convect_solve on each component, so
     its norm is ||A||, the square root of the largest eigenvalue of
     A^T A w = sum_i D^c_i^T (u~_i L^-2 sum_j u~_j D^c_j w) (L^-1 is
-    symmetric). D^c_i and its transpose are the m x m matrix of the
-    stencil _dcen along axis i (_dcen_matrix), each applied as one matrix
-    product (_along_axis), and L^-2 is one sine-transform pair with two
-    divides by the symbol (OperatorSet._collar_solve), not two collar
-    solves. So A equals _convect_solve's map to rounding. The Lanczos
+    symmetric). D^c_i and its transpose are the m x m centered-difference
+    matrix along axis i (operators._centered_matrix), the one that
+    _convect_solve applies, each applied by _along_axis, and L^-2 is one
+    sine-transform pair with two divides by the symbol
+    (OperatorSet._collar_solve), not two collar solves. The Lanczos
     recurrence of A^T A from a seeded random scalar field v_1 = v / ||v||,
 
         A^T A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1},
@@ -540,8 +540,8 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     if scale == 0.0:
         return 0.0
     a = a / scale
-    D = [_dcen_matrix(m, i, ops.domain.h)
-         for i, m in enumerate(ops.domain.shape)]
+    D = [_centered_matrix(ops.domain.shape, i, ops.domain.h)
+         for i in range(3)]
     v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
     v = v / float(np.sqrt((v * v).sum()))
     alpha, beta, top = [], [], 0.0
@@ -632,8 +632,8 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
                 update, conditions) -> tuple[MHDState, ConvergenceReport]:
     """The outer fixed-point iteration of both schemes.
 
-    Each new state's D+B, Lorentz force lor and advections uu, uB, Bu
-    are derived once (mhd._derive), for its residual and energy rows; of
+    Each new state's D+B, Lorentz force lor, advection uu and induction
+    term are derived once (mhd._derive), for its residual and energy rows; of
     the initial state only lor and uu are computed, before step 1. Step n
     builds bracket = momentum_bracket from the lor and uu of prev, the
     previous state, recovers p from the bracket and calls
@@ -690,7 +690,7 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
         res = _residuals(state, params, derived)
         erep = _energy_of(u, B, params, constants.Cs if constants else None,
                           derived, hist_B[-1])
-        # the next step reads lor and uu; uB and Bu are freed here
+        # the next step reads lor and uu; the induction term is freed here
         lor, uu = derived.lor, derived.uu
         del derived
         row.update(energy=erep, Jenergy=erep.J, res_mom=res[0],

@@ -347,3 +347,50 @@ def test_pressure_path_calls_detected():
 
 def test_pressure_path_is_matrix_chains():
     assert pressure_path_calls((SRC / "operators.py").read_text()) == []
+
+
+def name_readers(sources: dict[str, str], name: str) -> list[str]:
+    """"module.scope" for each read of `name` in the modules `sources`
+    (name -> source text): as a name, an attribute or an import, scope
+    being the enclosing module-level function or class, or <module>.
+    Definitions and docstrings do not count."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for top in tree.body:
+            scope = (top.name if isinstance(top, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef,
+                                                  ast.ClassDef))
+                     else "<module>")
+            for node in ast.walk(top):
+                read = (node.id if isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if read == name:
+                    found.append(f"{module}.{scope}")
+    return sorted(found)
+
+
+def test_name_readers_detected():
+    sources = {
+        "grid": ('def _stride(v, axis):\n    """_stride in prose."""\n'
+                 "    return 1\n"
+                 "def _diff(v, axis):\n    return _stride(v, axis)\n"
+                 "class Box:\n"
+                 "    def step(self, v):\n        return _stride(v, 0)\n"),
+        "operators": ("from .grid import _diff, _stride\n"
+                      "from . import grid\n"
+                      "def _dcen(v):\n    return grid._stride(v, 1)\n"),
+    }
+    assert name_readers(sources, "_stride") == [
+        "grid.Box", "grid._diff", "operators.<module>", "operators._dcen"]
+
+
+def test_stride_is_read_by_diff_alone():
+    # grid._diff is the one flat-buffer stencil; the centered and second
+    # differences are per-axis matrices (operators._stencil_matrix), so no
+    # other function reads the flat-buffer stride
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert name_readers(sources, "_stride") == ["grid._diff"]

@@ -8,10 +8,10 @@ from scipy.sparse.linalg import splu
 from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           l2_norm, sc_inner, trace_boundary, zero_boundary)
 from quatmhd.grid import _diff
-from quatmhd.mhd import _advect, convective
+from quatmhd.mhd import _advect, _convect_solve, convective
 from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _along_axes,
-                               _along_axis, _dcen, _dcen_matrix, _dst1, _dst2,
-                               _lap_interior, _pure, _staggered, curl_bwd,
+                               _along_axis, _centered_matrix, _dst1, _dst2,
+                               _pure, _staggered, curl_bwd,
                                dirac_bwd, dirac_central, dirac_fwd, div_fwd,
                                grad_bwd, laplacian, OperatorSet)
 from quatmhd.quaternion import LEFT_MUL, qmul_arr
@@ -228,14 +228,16 @@ def test_staggered_pair_matches_matrix(n):
     plus = _staggered_matrix(dom, "fwd0", "bwd0", False)
     minus = _staggered_matrix(dom, "fwd0", "bwd0", True)
     assert abs(minus - plus.T).max() <= 1e-12 * abs(plus).max()
-    # dirac_central, bit for bit the unit sum sum_j e_j d_j u of the
-    # centered difference of all four components
+    # dirac_central, to rounding the unit sum sum_j e_j d_j u of the
+    # slice-form centered difference of all four components
     ref = np.zeros_like(vals)
     for j in range(3):
-        ref += qmul_arr(np.eye(4)[1 + j], _dcen(vals, j, dom.h))
-    assert dirac_central(u).values.tobytes() == ref.tobytes()
+        ref += qmul_arr(np.eye(4)[1 + j], _dcen_slices(vals, j, dom.h))
+    got = dirac_central(u).values
+    assert np.abs(got - ref).max() <= ULP * np.abs(ref).max()
     # the stencils themselves, bit for bit their dense 1-D matrices, on
-    # integer data with -0.0 entries and h = 1/2, every row exact
+    # integer data with -0.0 entries and h = 1/2, every row exact; the
+    # matrix products give a zero as +0.0 where the rows may give -0.0
     v = _integer_data(rng, (4,) + dom.shape)
     for ax in range(3):
         for kind, backward, ghost0 in [("fwd", False, False),
@@ -245,29 +247,39 @@ def test_staggered_pair_matches_matrix(n):
             ref = _apply_rows(_diff_matrix(dom.n[ax], kind), v, ax) / 0.5
             got = _diff(v, ax, 0.5, backward, ghost0)
             assert got.tobytes() == ref.tobytes(), (kind, ax)
-        ref = _apply_rows(_diff_matrix(dom.n[ax], "cen"), v, ax) / 1.0
-        assert _dcen(v, ax, 0.5).tobytes() == ref.tobytes()
+        for second, kind, scale in [(False, "cen", 1.0),
+                                    (True, "second", 0.25)]:
+            ref = _apply_rows(_diff_matrix(dom.n[ax], kind), v, ax) / scale
+            got = _along_axis(
+                v, _centered_matrix(v.shape, ax, 0.5, second), ax)
+            assert np.array_equal(got, ref), (kind, ax)
+            assert not np.signbit(got[got == 0]).any()
 
 
 @pytest.mark.parametrize("m", [3, 4, 7])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_dcen_transpose_matches_dense_matrix(m, axis):
-    # the dense matrix of _dcen on the whole array, its one-sided face rows
-    # included, columns from unit arrays, against the per-axis matrix
-    # _dcen_matrix applied along the axis, and its transpose
+    # the dense matrix of the slice-form centered difference on the whole
+    # array, its one-sided face rows included, columns from unit arrays,
+    # against the per-axis matrix applied along the axis to a batch of
+    # two, and its transpose. The matrix is built once per (m, h) and is
+    # read-only
     shape = [4, 5, 3]
     shape[axis] = m
     shape = tuple(shape)
     eye = np.eye(math.prod(shape))
-    M = np.stack([_dcen(e.reshape(shape), axis, 0.3).ravel() for e in eye],
-                 axis=1)
-    D = _dcen_matrix(m, axis, 0.3)
-    assert D.shape == (m, m) and D.T.flags.c_contiguous
-    w = np.random.default_rng(m + 10 * axis).standard_normal(shape)
-    for got, ref in [(_along_axis(w, D, axis), M @ w.ravel()),
-                     (_along_axis(w, D.T, axis), M.T @ w.ravel())]:
-        assert got.shape == shape
-        assert np.abs(got.ravel() - ref).max() <= 1e-14 * np.abs(ref).max()
+    M = np.stack([_dcen_slices(e.reshape(shape), axis, 0.3).ravel()
+                  for e in eye], axis=1)
+    D = _centered_matrix(shape, axis, 0.3)
+    assert D.shape == (m, m) and not D.flags.writeable
+    assert _centered_matrix((2,) + shape, axis, 0.3) is D
+    w = np.random.default_rng(m + 10 * axis).standard_normal((2,) + shape)
+    flat = w.reshape(2, -1).T
+    for got, ref in [(_along_axis(w, D, axis), M @ flat),
+                     (_along_axis(w, D.T, axis), M.T @ flat)]:
+        assert got.shape == w.shape
+        got = got.reshape(2, -1).T
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _diff_slices(vals, axis, h, backward=False, ghost=False, out=None):
@@ -288,8 +300,14 @@ def _diff_slices(vals, axis, h, backward=False, ghost=False, out=None):
     return out
 
 
+# the rounding bound of a matrix product against the slice forms below:
+# a few units in the last place of the largest entry
+ULP = 4 * np.finfo(float).eps
+
+
 def _dcen_slices(vals, axis, h):
-    """_dcen in per-axis slice form."""
+    """The centered difference along `axis` in per-axis slice form, the
+    oracle of its matrix (_centered_matrix)."""
     out = np.empty(vals.shape)
     v, d = vals.swapaxes(0, axis - 3), out.swapaxes(0, axis - 3)
     np.subtract(v[2:], v[:-2], out=d[1:-1])
@@ -300,7 +318,8 @@ def _dcen_slices(vals, axis, h):
 
 
 def _lap_slices(v, h2):
-    """_lap_interior in per-axis slice form."""
+    """laplacian in per-axis slice form, the oracle of its second-difference
+    matrices."""
     out = np.zeros(v.shape)
     second = np.empty(v.shape)
     for ax in range(3):
@@ -353,13 +372,63 @@ def test_diff_rejects_non_contiguous_out():
 
 @pytest.mark.parametrize("shape", CONTIGUOUS_SHAPES)
 def test_dcen_and_laplacian_match_slice_form(shape):
+    # the centered-difference and second-difference matrices applied along
+    # each axis, leading axes batched, against the slice forms: equal on
+    # integer data at h = 1/2, where every row is exact (a zero may differ
+    # in sign), and to rounding at h = 0.3
     rng = np.random.default_rng(len(shape) + sum(shape))
-    for v in (_signed_data(rng, shape), _integer_data(rng, shape)):
+    for v, h in ((_signed_data(rng, shape), 0.3),
+                 (_integer_data(rng, shape), 0.5)):
         for axis in range(3):
-            assert (_dcen(v, axis, 0.3).tobytes()
-                    == _dcen_slices(v, axis, 0.3).tobytes())
-        assert (_lap_interior(v, 0.09).tobytes()
-                == _lap_slices(v, 0.09).tobytes())
+            got = _dcen_apply(v, axis, h)
+            ref = _dcen_slices(v, axis, h)
+            _assert_rounding(got, ref, exact=h == 0.5)
+        _assert_rounding(_laplacian_all(v, h), _lap_slices(v, h**2),
+                         exact=h == 0.5)
+
+
+def _assert_rounding(got, ref, exact):
+    """got equals ref (exact), or to ULP times the largest |ref|."""
+    if exact:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.abs(got - ref).max() <= ULP * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, h", [((8, 8, 8), 1 / 16), ((6, 8, 10), 0.05),
+                                  ((3, 9, 5), 0.1)],
+                         ids=["n8-h16th", "n6x8x10", "n3x9x5"])
+def test_centered_operators_match_slice_form(n, h):
+    # convective, _convect_solve, laplacian and dirac_central against the
+    # slice forms: bit for bit on integer data at h = 1/16, where every
+    # row and sum is exact and each result accumulates from +0.0, and to
+    # ULP times the largest |ref| on the (6, 8, 10) box of extent
+    # (0.3, 0.4, 0.5) and the (3, 9, 5) box
+    ops = OperatorSet(build_domain((0.1, -0.2, 0.3),
+                                   tuple(h * m for m in n), n))
+    dom = ops.domain
+    rng = np.random.default_rng(sum(n))
+    data = _integer_data if h == 1 / 16 else _signed_data
+    v = data(rng, (4,) + n)
+    a = data(rng, (4,) + n)
+    a[0] = 0.0
+    adv = np.zeros_like(v)
+    for i in range(3):
+        adv += a[1 + i] * _dcen_slices(v, i, h)
+    dirac = np.zeros_like(v)
+    for j in range(3):
+        dirac += qmul_arr(np.eye(4)[1 + j], _dcen_slices(v, j, h))
+    u, w = QField(dom, v), QField(dom, a)
+    cases = {"convective": (convective(w, u).values, adv),
+             "_convect_solve": (_convect_solve(a[1:], v, ops),
+                                ops.poisson_scalar(adv)),
+             "laplacian": (laplacian(u).values, _lap_slices(v, h**2)),
+             "dirac_central": (dirac_central(u).values, dirac)}
+    for name, (got, ref) in cases.items():
+        if h == 1 / 16:
+            assert got.tobytes() == ref.tobytes(), name
+        else:
+            assert np.abs(got - ref).max() <= ULP * np.abs(ref).max(), name
 
 
 def test_dirac_fwd_is_div_grad_curl(dom8):
@@ -453,7 +522,23 @@ def test_laplacian_matches_stencil(dom8):
         ref = np.zeros_like(v)
         for ax in range(3):
             ref += _apply_rows(_diff_matrix(n[ax], "second"), v, ax) / 0.25
-        assert _lap_interior(v, 0.25).tobytes() == ref.tobytes()
+        u = QField(build_domain((0.0, 0.0, 0.0),
+                                tuple(0.5 * m for m in n), n), v)
+        assert laplacian(u).values.tobytes() == ref.tobytes()
+
+
+def _dcen_apply(v, axis, h):
+    """The centered-difference matrix applied along `axis` of v."""
+    return _along_axis(v, _centered_matrix(v.shape, axis, h), axis)
+
+
+def _laplacian_all(v, h):
+    """laplacian's second-difference matrices on every component of v, the
+    zero ones too, accumulated from +0.0."""
+    out = np.zeros(v.shape)
+    for ax in range(3):
+        out += _along_axis(v, _centered_matrix(v.shape, ax, h, True), ax)
+    return out
 
 
 def _staggered_all(vals, h, flip=False, ghost=False, central=False):
@@ -462,7 +547,7 @@ def _staggered_all(vals, h, flip=False, ghost=False, central=False):
     for j in range(3):
         for r, (sign, c) in enumerate(_UNIT_MUL[j]):
             out[r] += sign * (
-                _dcen(vals[c], j, h) if central
+                _dcen_apply(vals[c], j, h) if central
                 else _diff(vals[c], j, h, _BACKWARD[j, c] != flip, ghost))
     return out
 
@@ -496,7 +581,7 @@ def test_pure_field_stencils_match_all_components(n):
         assert (dirac_bwd(u).values.tobytes()
                 == _staggered_all(v, h, flip=True).tobytes())
         assert (laplacian(u).values.tobytes()
-                == _lap_interior(v, h**2).tobytes())
+                == _laplacian_all(v, h).tobytes())
         for a in fields:
             ref = _advect(a.values[1:], v, h)
             assert convective(a, u).values.tobytes() == ref.tobytes()
@@ -516,8 +601,8 @@ def test_zero_operands_match_full_computation(n):
     # an identically zero operand gives, without differencing or solving,
     # the full computation's result bit for bit, signed zeros included:
     # +0.0 everywhere for an all-+0.0 operand. The full computations are
-    # the four-component _staggered, _lap_interior and _diff called
-    # directly
+    # the four-component _staggered, the second-difference matrices and
+    # _diff called directly
     ops = _box(n)
     dom, h = ops.domain, ops.domain.h
     for z in _zero_fields(dom):
@@ -533,7 +618,7 @@ def test_zero_operands_match_full_computation(n):
         w = ops.poisson_scalar(_staggered_all(v, h, flip=True, ghost=True))
         got["bergman_Q"] = (ops.bergman_Q(z), _staggered_all(w, h,
                                                              ghost=True))
-        got["laplacian"] = (laplacian(z), _lap_interior(v, h**2))
+        got["laplacian"] = (laplacian(z), _laplacian_all(v, h))
         grad = np.zeros_like(v)
         for i in range(3):
             _diff(v[0], i, h, backward=True, out=grad[1 + i])

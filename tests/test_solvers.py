@@ -7,7 +7,7 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           l2_norm, lq_norm, trace_boundary)
 from quatmhd.mhd import (MHDParams, MHDState, _convect_solve, convective,
                          leray_project, lorentz, residual_strong)
-from quatmhd.operators import (OperatorSet, _along_axis, _dcen_matrix,
+from quatmhd.operators import (OperatorSet, _along_axis, _centered_matrix,
                                dirac_fwd, grad_bwd)
 from quatmhd.sampling import _samples, random_pure_bump, random_smooth
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
@@ -453,10 +453,11 @@ def _lanczos(apply_A, v):
 
 def _normal_map(a, x, ops):
     """A^T A x = sum_i D^c_i^T (a_i L^-2 sum_j a_j D^c_j x), with the
-    per-axis matrices of _dcen and the one-pair L^-2 of convection_norm:
-    L^-1 is symmetric, and A is mhd._convect_solve on scalar arrays."""
-    D = [_dcen_matrix(m, i, ops.domain.h)
-         for i, m in enumerate(ops.domain.shape)]
+    per-axis centered-difference matrices and the one-pair L^-2 of
+    convection_norm: L^-1 is symmetric, and A is mhd._convect_solve on
+    scalar arrays."""
+    D = [_centered_matrix(ops.domain.shape, i, ops.domain.h)
+         for i in range(3)]
     s = sum(a[i] * _along_axis(x, D[i], i) for i in range(3))
     s = ops._collar_solve(s, 2)
     return sum(_along_axis(a[i] * s, D[i].T, i) for i in range(3))
@@ -514,19 +515,19 @@ def test_collar_solve_squared_is_two_poisson_solves(n, extent):
 @pytest.mark.parametrize("n, extent", [(8, (1.0, 1.0, 1.0)),
                                        ((5, 7, 6), (0.5, 0.7, 0.6))])
 def test_convection_norm_map_matches_convect_solve(n, extent):
-    # the map A of convection_norm, on the per-axis matrices of _dcen,
-    # against the stencils of mhd._convect_solve to rounding, and the map
-    # through the transposed matrices against A's adjoint
+    # the map A of convection_norm, on the per-axis centered-difference
+    # matrices, against mhd._convect_solve, which applies the same
+    # matrices in the same order, bit for bit; and the map through the
+    # transposed matrices against A's adjoint
     dom = build_domain((0.1, -0.2, 0.3), extent, n)
     ops = OperatorSet(dom)
     rng = np.random.default_rng(9)
     a, x, y = (rng.standard_normal(s) for s in
                ((3,) + dom.shape, dom.shape, dom.shape))
-    D = [_dcen_matrix(m, i, dom.h) for i, m in enumerate(dom.shape)]
+    D = [_centered_matrix(dom.shape, i, dom.h) for i in range(3)]
     Ax = ops.poisson_scalar(sum(a[i] * _along_axis(x, D[i], i)
                                 for i in range(3)))
-    ref = _convect_solve(a, x, ops)
-    assert np.abs(Ax - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert Ax.tobytes() == _convect_solve(a, x, ops).tobytes()
     ATy = sum(_along_axis(a[i] * ops.poisson_scalar(y), D[i].T, i)
               for i in range(3))
     assert float((Ax * y).sum()) == pytest.approx(float((x * ATy).sum()),
@@ -942,23 +943,39 @@ def test_apply_budget(dom8, monkeypatch):
 
 
 def _count_stencils(monkeypatch):
-    """Count the one-sided (grid._diff) and centered (operators._dcen)
-    differences and the collar solves (OperatorSet.poisson_scalar), under
-    the names their callers look them up by. Returns the counts and a list
-    that gets (_diff, _dcen, poisson_scalar) at the start of each outer
-    step, as in test_apply_budget."""
+    """Count the one-sided differences (grid._diff), the applies of a
+    centered first- or second-difference matrix (operators._stencil_matrix,
+    or its transpose, by operators._along_axis) and the collar solves
+    (OperatorSet.poisson_scalar), under the names their callers look them
+    up by. Returns the counts and a list that gets (_diff, stencil matrix
+    applies, poisson_scalar) at the start of each outer step, as in
+    test_apply_budget."""
     import quatmhd.grid as grid
     import quatmhd.mhd as mhd
     import quatmhd.operators as operators
     import quatmhd.solvers as solvers
-    counts = {"_diff": 0, "_dcen": 0, "poisson_scalar": 0}
-    for name, source, modules in (("_diff", grid, (grid, operators)),
-                                  ("_dcen", operators, (operators, mhd))):
-        def counted(*args, _name=name, _fn=getattr(source, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        for module in modules:
-            monkeypatch.setattr(module, name, counted)
+    counts = {"_diff": 0, "matrix": 0, "poisson_scalar": 0}
+    diff, stencil, along = grid._diff, operators._stencil_matrix, \
+        operators._along_axis
+    built = set()
+
+    def counted_diff(*args, **kwargs):
+        counts["_diff"] += 1
+        return diff(*args, **kwargs)
+
+    def recorded_stencil(*args):
+        S = stencil(*args)
+        built.add(id(S))
+        return S
+
+    def counted_along(x, M, axis):
+        counts["matrix"] += id(M if M.base is None else M.base) in built
+        return along(x, M, axis)
+    for module in (grid, operators):
+        monkeypatch.setattr(module, "_diff", counted_diff)
+    monkeypatch.setattr(operators, "_stencil_matrix", recorded_stencil)
+    for module in (operators, mhd, solvers):
+        monkeypatch.setattr(module, "_along_axis", counted_along)
     solve = OperatorSet.poisson_scalar
 
     def counted_solve(self, rhs):
@@ -975,19 +992,24 @@ def _count_stencils(monkeypatch):
 
 
 def test_stencil_budget(dom8, ops8, monkeypatch):
-    # the one-sided (grid._diff) and centered (operators._dcen)
-    # differences of warm n = 8 solves per outer step, read at the start of
-    # each step and at the end as in test_apply_budget, so that a field
-    # derived twice shows up here. A pure field's scalar part is not
-    # differenced: D+B takes 9 _diff, an advection 3 _dcen. A Banach step
-    # takes 48 _diff and 9 _dcen, plus 6 and 6 per inner B iteration (2 in
-    # step 1, then 1). Of those, the derived fields of the new state take
-    # 9 and 9 (one D+B, three advections) and its energy row's D+u 9
-    # _diff. Deriving them again for each row and for the bracket would
-    # take 90 and 18. The inner B loop reads the H1 norm of its start from
-    # the outer loop's history instead of differencing it again. A
-    # Schauder step's convection_norm takes 3 _dcen, the unit-vector
-    # columns of its per-axis matrices, and no more per Lanczos step
+    # the one-sided differences (grid._diff) and the stencil matrix
+    # applies (centered first and second differences) of warm n = 8 solves
+    # per outer step, read at the start of each step and at the end as in
+    # test_apply_budget, so that a field derived twice shows up here. A
+    # pure field's scalar part is not differenced, and its three vector
+    # components are one batch: D+B takes 9 _diff, an advection or a
+    # Laplacian 3 matrix applies. A Banach step takes 48 _diff and 15
+    # applies, plus 6 and 6 per inner B iteration (2 in step 1, then 1).
+    # Of those, the derived fields of the new state take 9 _diff and 9
+    # applies (one D+B, three advections, the last two kept as their
+    # difference), its residual row's two Laplacians 6 applies and its
+    # energy row's D+u 9 _diff. Deriving them again for each row and for
+    # the bracket would take 90 and 18 more. The inner B loop reads the H1
+    # norm of its start from the outer loop's history instead of
+    # differencing it again. A Schauder step takes the same 48 and 15,
+    # plus 3 applies for the magnetic right side convective(B, u), 3 per
+    # Neumann term (6, 4 and 2 terms in steps 1 to 3) and 6 per Lanczos
+    # step of convection_norm (9, 7 and 7 steps, as in test_apply_budget)
     counts, per_step = _count_stencils(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     got = {}
@@ -999,8 +1021,8 @@ def test_stencil_budget(dom8, ops8, monkeypatch):
         assert report.iterations == 3
         per_step.append(tuple(counts.values()))
         got[method] = np.diff(per_step, axis=0)[:, :2].tolist()
-    assert got == {"banach": [[60, 21], [54, 15], [54, 15]],
-                   "schauder_neumann": [[48, 33], [48, 27], [48, 21]]}
+    assert got == {"banach": [[60, 27], [54, 21], [54, 21]],
+                   "schauder_neumann": [[48, 90], [48, 72], [48, 66]]}
 
 
 def test_cold_start_budget(dom8, ops8, monkeypatch):
@@ -1009,13 +1031,14 @@ def test_cold_start_budget(dom8, ops8, monkeypatch):
     # operands (grid._first_live), so the zero state's H1 norms and
     # bracket difference nothing, and step 1 makes no u solve, no pressure
     # right side, no div u and no inner B advection or solve: B is the
-    # boundary term twice. Counted as (_diff, _dcen, poisson_scalar)
-    # before step 1, then per step. Step 1's 33 _diff are the inner loop's
-    # three nonzero H1 norms (9), the Leray step (6) and the rows of the
-    # new state (18: the H1 norm of B and of its change, D+B and div B),
-    # and its one collar solve is the Leray step's. Differencing the zero
-    # operands too would take (15, 3, 0) before step 1 and (60, 21, 4) in
-    # it, as in step 2
+    # boundary term twice. Counted as (_diff, stencil matrix applies,
+    # poisson_scalar) before step 1, then per step. Step 1's 33 _diff are
+    # the inner loop's three nonzero H1 norms (9), the Leray step (6) and
+    # the rows of the new state (18: the H1 norm of B and of its change,
+    # D+B and div B), its 3 applies the Laplacian of B in the residual
+    # row, and its one collar solve is the Leray step's. Differencing the
+    # zero operands too would take (15, 3, 0) before step 1 and (60, 27, 4)
+    # in it, as in step 2
     counts, per_step = _count_stencils(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed",
                        boundary_h=_small_boundary(dom8, 1e-5))
@@ -1023,8 +1046,8 @@ def test_cold_start_budget(dom8, ops8, monkeypatch):
     _, report = banach_solve(params, ops8, SolverConfig(tol=1e-10))
     assert report.converged
     per_step.append(tuple(counts.values()))
-    assert np.diff(per_step, axis=0).tolist() == [[0, 0, 0], [33, 0, 1],
-                                                  [60, 21, 4]]
+    assert np.diff(per_step, axis=0).tolist() == [[0, 0, 0], [33, 3, 1],
+                                                  [60, 27, 4]]
 
 
 @pytest.mark.parametrize("method", SOLVE)
