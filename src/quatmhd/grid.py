@@ -253,11 +253,11 @@ def _first_live(vals: np.ndarray) -> int:
     when it is identically zero (u, B and every other pure field), and
     len(vals) when no entry is live, every one being +0.0 (all bits zero,
     as in the zero state of a cold start). Skipping changes no bit of a
-    stencil's result: each output accumulates from +0.0, an accumulation
-    from +0.0 never reaches -0.0, and adding +-0.0 to any other value
-    leaves it unchanged; an output written by a difference of +0.0
-    values (grad_bwd) is +0.0 too. A zero array holding a -0.0 entry
-    returns 1 and is differenced."""
+    stencil's or a product's result (quaternion._add_unit, finite values
+    times +-0.0): each output accumulates from +0.0, which never reaches
+    -0.0, and adding +-0.0 to any other value leaves it unchanged; an
+    output written by a difference of +0.0 values (grad_bwd) is +0.0 too.
+    A zero array holding a -0.0 entry returns 1 and is differenced."""
     if vals[0].any():
         return 0
     bits = vals.view(np.uint64)

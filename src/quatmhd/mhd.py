@@ -40,7 +40,7 @@ from .grid import (BoundaryData, QField, VoxelDomain, _finite, _first_live,
                    l2_norm, sc_inner)
 from .operators import (OperatorSet, _along_axis, _centered_matrix,
                         dirac_fwd, div_fwd, grad_bwd, laplacian)
-from .quaternion import qmul_arr
+from .quaternion import _add_unit
 
 __all__ = [
     "MHDParams",
@@ -184,14 +184,20 @@ def lorentz(B: QField, mu0: float) -> QField:
 
 def _lorentz_of(B: QField, DB: QField, mu0: float) -> QField:
     """lorentz(B, mu0) from DB = dirac_fwd(B), for a caller that reads DB
-    too; +0.0 without the product when no entry of B is live
-    (_first_live)."""
+    too: sum_j DB_j e_j B in place (quaternion._add_unit), +0.0 when no
+    entry of B is live and without the terms of B's zero scalar part
+    (_first_live); so an inf in DB stays inf where a full product's
+    inf * 0 is NaN, which the divergence guards see either way."""
     _require_pure(B, "B")
-    if _first_live(B.values) == len(B.values):
+    lo = _first_live(B.values)
+    if lo == len(B.values):
         return QField.zeros(B.domain)
-    prod = qmul_arr(DB.values, B.values)
-    prod[0] = 0.0
-    return QField(B.domain, prod / mu0)
+    out = np.zeros(B.values.shape)
+    for j in range(4):
+        _add_unit(out, j, lambda c: DB.values[j] * B.values[c], lo)
+    out[0] = 0.0
+    out /= mu0
+    return QField(B.domain, out)
 
 
 def M_of(u: QField, B: QField, mu0: float) -> QField:

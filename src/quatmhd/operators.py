@@ -16,7 +16,8 @@ backward difference along axis j depending on the component it acts on
 D- is the same sum with the two differences swapped. The choice is the one
 of the staggered (Yee, discrete exterior calculus) Hodge-Dirac operator
 stored on cell arrays; it makes the cross terms e_i e_j of D- D+ cancel,
-which a forward difference on every component does not.
+which a forward difference on every component does not. Each e_j acts
+through quaternion._add_unit, as in the kernel products of T and F.
 
 Every one-sided difference is grid._diff, forward or backward. The face
 layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
@@ -80,7 +81,7 @@ import functools
 import numpy as np
 
 from .grid import BoundaryData, QField, VoxelDomain, _diff, _first_live
-from .quaternion import LEFT_MUL, qmul_arr
+from .quaternion import _add_unit
 
 __all__ = [
     "dirac_fwd",
@@ -99,11 +100,6 @@ __all__ = [
 _BACKWARD = np.array([[0, 0, 1, 1],
                       [0, 1, 0, 1],
                       [0, 1, 1, 0]], dtype=bool)
-
-# Left multiplication by e_j: component r of e_j q is sign * q[c], listed
-# as (sign, c) per r.
-_UNIT_MUL = [[(m[r].sum(), int(np.abs(m[r]).argmax())) for r in range(4)]
-             for m in LEFT_MUL[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +154,10 @@ def _staggered(vals: np.ndarray, h: float, flip: bool = False,
     out = np.zeros_like(vals)
     lo = _first_live(vals)
     for j in range(3):
-        for r, (sign, c) in enumerate(_UNIT_MUL[j]):
-            if c < lo:
-                continue
-            v = vals[c]
-            out[r] += sign * (
-                _along_axis(v, _centered_matrix(v.shape, j, h), j) if central
-                else _diff(v, j, h, _BACKWARD[j, c] != flip, ghost))
+        _add_unit(out, j + 1, lambda c: (
+            _along_axis(vals[c], _centered_matrix(vals.shape, j, h), j)
+            if central else _diff(vals[c], j, h, _BACKWARD[j, c] != flip,
+                                  ghost)), lo)
     return out
 
 
@@ -293,7 +286,9 @@ class OperatorSet:
         self._check(g)
         dom = self.domain
         n, h = dom.n, dom.h
-        ng = qmul_arr(_pure(dom.face_normal.T), g.values.T)  # (4, M)
+        ng = np.zeros((4, len(g.values)))  # normal * g, (4, M)
+        for j, nj in enumerate(dom.face_normal.T, 1):
+            _add_unit(ng, j, lambda c: nj * g.values[:, c])
         scale = self.sigma_F / (4.0 * np.pi) * dom.face_area
         out = np.zeros((4,) + dom.shape)
         start = 0
@@ -386,7 +381,7 @@ class OperatorSet:
         """Sc(Q(p e0)) for a scalar array p of the domain's shape, the
         pressure operator, computing only what that scalar needs.
 
-        e_j moves component 0 to component j + 1 (_UNIT_MUL), and
+        e_j moves component 0 to component j + 1 (quaternion.UNIT_MUL), and
         _BACKWARD[j, 0] and _BACKWARD[j, j + 1] are False. So the
         ghost-zero D- of p e0 is the pure field (0, grad- p), backward
         differences, and row 0 of the ghost-zero D+ of a field w is
@@ -435,13 +430,6 @@ class OperatorSet:
             raise ValueError("field domain does not match operator set")
 
 
-def _pure(vec: np.ndarray) -> np.ndarray:
-    """The pure quaternion array with vector part vec, shape (3, ...)."""
-    out = np.zeros((4,) + vec.shape[1:])
-    out[1:] = vec
-    return out
-
-
 def _wrapped(m: int) -> np.ndarray:
     """Cell offsets 0..m-1, -m..-1 in FFT order on a grid padded to 2m, so
     that a circular convolution of length 2m is linear over m cells."""
@@ -469,21 +457,10 @@ def _kernel_convolve(offsets, scale: float, f, axes) -> np.ndarray:
                  for a, o in enumerate(offsets))
     Kh = [np.fft.rfftn(Ki, s=pad, axes=axes) for Ki in _kernel(offsets, scale)]
     fh = [np.fft.rfftn(fc, s=pad, axes=axes) for fc in f]
-    return np.stack([np.fft.irfftn(c, s=pad, axes=axes)[crop]
-                     for c in _pure_left_mul(Kh, fh)])
-
-
-def _pure_left_mul(K, f) -> list:
-    """Components of the quaternion product pure(K) f, taken elementwise
-    over arrays (here Fourier coefficients of a kernel and a field)."""
-    K1, K2, K3 = K
-    f0, f1, f2, f3 = f
-    return [
-        -(K1 * f1 + K2 * f2 + K3 * f3),
-        K1 * f0 + K2 * f3 - K3 * f2,
-        K2 * f0 + K3 * f1 - K1 * f3,
-        K3 * f0 + K1 * f2 - K2 * f1,
-    ]
+    prod = np.zeros((4,) + np.broadcast(Kh[0], fh[0]).shape, complex)
+    for j, Kj in enumerate(Kh, 1):
+        _add_unit(prod, j, lambda c: Kj * fh[c])
+    return np.stack([np.fft.irfftn(c, s=pad, axes=axes)[crop] for c in prod])
 
 
 def _dst1(m: int) -> np.ndarray:

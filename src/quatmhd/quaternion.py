@@ -3,7 +3,9 @@
 Scalar `Quaternion` values plus vectorized helpers acting on ``(4, ...)``
 arrays, the components (s, v1, v2, v3) on the leading axis, the layout of
 grid fields. The basis satisfies e1*e2 = -e2*e1 = e3 and
-e1^2 = e2^2 = e3^2 = -1.
+e1^2 = e2^2 = e3^2 = -1. UNIT_MUL, derived from LEFT_MUL, lists how e_j
+permutes and signs the components; _add_unit applies it in place, for
+every product of the package.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "qmul_arr",
     "conj_arr",
     "LEFT_MUL",
+    "UNIT_MUL",
 ]
 
 
@@ -68,17 +71,30 @@ LEFT_MUL[2] = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
 LEFT_MUL[3] = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
 LEFT_MUL.flags.writeable = False
 
+# Component r of e_j q is sign * q[c]: (sign, c) per r, for 1, e1, e2, e3.
+UNIT_MUL = tuple(tuple((float(m[r].sum()), int(np.abs(m[r]).argmax()))
+                       for r in range(4)) for m in LEFT_MUL)
+
+
+def _add_unit(out: np.ndarray, j: int, term, lo: int = 0) -> None:
+    """out += e_j q in place, q[c] = term(c): out[r] += q[c] or -= q[c] as
+    UNIT_MUL[j][r] = (sign, c) says, one component of q held at a time.
+    The components c < lo are skipped, lo as grid._first_live gives it."""
+    for r, (sign, c) in enumerate(UNIT_MUL[j]):
+        if c >= lo and sign > 0:
+            out[r] += term(c)
+        elif c >= lo:
+            out[r] -= term(c)
+
 
 def qmul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product on (4, ...) arrays (broadcasting)."""
-    a0, a1, a2, a3 = np.asarray(a, dtype=float)
-    b0, b1, b2, b3 = np.asarray(b, dtype=float)
-    return np.stack([
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ])
+    """Hamilton product on (4, ...) arrays, the trailing axes broadcast:
+    sum_j a_j e_j b, accumulated from +0.0 in unit order (_add_unit)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros((4,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for j in range(4):
+        _add_unit(out, j, lambda c: a[j] * b[c])
+    return out
 
 
 def conj_arr(a: np.ndarray) -> np.ndarray:

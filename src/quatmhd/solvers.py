@@ -58,12 +58,13 @@ import numpy as np
 from .energy import _energy_of
 from .grid import (QField, _diff, _finite, _integer, h1_norm, l2_norm,
                    lq_norm)
-from .mhd import (MHDParams, MHDState, _convect_solve, _derive, _lorentz_of,
-                  _require_pure, _residuals, boundary_B_term, convective,
-                  leray_project, lorentz, momentum_bracket, tqt_rhs_B,
-                  tqt_rhs_p, tqt_rhs_u)
-from .operators import (_BACKWARD, _UNIT_MUL, OperatorSet, _along_axis,
+from .mhd import (MHDParams, MHDState, _advect, _convect_solve, _derive,
+                  _lorentz_of, _require_pure, _residuals, boundary_B_term,
+                  convective, leray_project, lorentz, momentum_bracket,
+                  tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
+from .operators import (_BACKWARD, OperatorSet, _along_axis,
                         _centered_matrix, dirac_fwd, grad_bwd)
+from .quaternion import UNIT_MUL
 from .sampling import _samples
 
 __all__ = [
@@ -189,7 +190,7 @@ def _gram_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     h1 = [[(1.0, c, 0, 0)] for c in (1, 2, 3)]
     h1 += [[(1.0, c, j, 1)] for c in (1, 2, 3) for j in range(3)]
     dplus = [[(sign, c, j, 2 if _BACKWARD[j, c] else 1)
-              for j in range(3) for sign, c in [_UNIT_MUL[j][r]] if c > 0]
+              for j in range(3) for sign, c in [UNIT_MUL[1 + j][r]] if c > 0]
              for r in range(4)]
 
     def first_rows(field):
@@ -513,9 +514,9 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     The map is the scalar map A of _convect_solve on each component, so
     its norm is ||A||, the square root of the largest eigenvalue of
     A^T A w = sum_i D^c_i^T (u~_i L^-2 sum_j u~_j D^c_j w) (L^-1 is
-    symmetric). D^c_i and its transpose are the m x m centered-difference
-    matrix along axis i (operators._centered_matrix), the one that
-    _convect_solve applies, each applied by _along_axis, and L^-2 is one
+    symmetric). The forward half is _convect_solve's mhd._advect, the
+    backward half the transposes of its matrices D^c_i
+    (operators._centered_matrix) by _along_axis, and L^-2 is one
     sine-transform pair with two divides by the symbol
     (OperatorSet._collar_solve), not two collar solves. The Lanczos
     recurrence of A^T A from a seeded random scalar field v_1 = v / ||v||,
@@ -546,8 +547,7 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     v = v / float(np.sqrt((v * v).sum()))
     alpha, beta, top = [], [], 0.0
     for _ in range(_NORM_MAXIT):
-        s = sum(a[i] * _along_axis(v, D[i], i) for i in range(3))
-        s = ops._collar_solve(s, 2)
+        s = ops._collar_solve(_advect(a, v, ops.domain.h), 2)
         w = sum(_along_axis(a[i] * s, D[i].T, i) for i in range(3))
         # s, read only by w, holds v.w, alpha v, beta v_prev and w.w in turn
         alpha.append(float(np.multiply(v, w, out=s).sum()))
@@ -646,7 +646,7 @@ def _outer_loop(params: MHDParams, ops: OperatorSet, cfg: SolverConfig,
     once the relative change falls below cfg.tol (report.converged) and
     raises DivergenceError on a 1e3-fold norm blow-up, before any row of
     the new fields, or on a state change that grew 5 steps in a row."""
-    state = init.copy() if init is not None else MHDState.zeros(ops.domain)
+    state = init if init is not None else MHDState.zeros(ops.domain)
     B_bd = (boundary_B_term(params, ops) if params.boundary_h is not None
             else None)
     report = ConvergenceReport()
@@ -727,7 +727,7 @@ def banach_inner_B(u_n: QField, B_init: QField, B_init_h1: float,
     Non-contraction (check via check_cond1) shows up as ratio >= 1; an H1
     norm above 1e3 max(1, B_init_h1) raises DivergenceError, B_init_h1
     being h1_norm(B_init), which the outer loop already holds."""
-    B = B_init.copy()
+    B = B_init
     limit = 1e3 * max(1.0, B_init_h1)
     prev_change = math.nan
     ratio = 0.0

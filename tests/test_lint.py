@@ -394,3 +394,14 @@ def test_stride_is_read_by_diff_alone():
     # other function reads the flat-buffer stride
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert name_readers(sources, "_stride") == ["grid._diff"]
+
+
+def test_one_unit_multiplication_table():
+    # quaternion.UNIT_MUL, derived from LEFT_MUL, is the one table of how
+    # e_j permutes and signs the components: every product goes through
+    # quaternion._add_unit, and _gram_pairs reads the table to list the
+    # terms of ||D+u||^2 (its import is solvers.<module>)
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert set(name_readers(sources, "LEFT_MUL")) == {"quaternion.<module>"}
+    assert name_readers(sources, "UNIT_MUL") == [
+        "quaternion._add_unit", "solvers.<module>", "solvers._gram_pairs"]

@@ -3,8 +3,8 @@ import pytest
 
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
-from quatmhd.mhd import (MHDParams, MHDState, M_of, _advect, _require_pure,
-                         _tqt_pure, boundary_B_term, convective,
+from quatmhd.mhd import (MHDParams, MHDState, M_of, _advect, _lorentz_of,
+                         _require_pure, _tqt_pure, boundary_B_term, convective,
                          harmonic_extension, leray_project, lorentz,
                          momentum_bracket, residual_strong, residual_weak,
                          tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
@@ -175,6 +175,20 @@ def test_lorentz_matches_cross_product_form(dom8):
     inner = _inner(dom8, 2)
     assert np.abs(out[1:][:, inner] - ref[:, inner]).max() <= 1e-10
     assert lorentz(B, mu0).is_pure()
+
+
+def test_lorentz_of_matches_hamilton_product(dom8):
+    # _lorentz_of accumulates Vec((DB) B) without the terms that read B's
+    # zero scalar part: on finite data the values are those of the full
+    # Hamilton product's vector part over mu0
+    mu0 = 1.7
+    DB = QField(dom8, np.random.default_rng(9).standard_normal(
+        (4,) + dom8.shape))
+    for B in (random_pure_bump(dom8, seed=3), _pure_coord(dom8, 0, 2)):
+        for D in (dirac_fwd(B), DB):
+            ref = qmul_arr(D.values, B.values)
+            ref[0] = 0.0
+            assert np.array_equal(_lorentz_of(B, D, mu0).values, ref / mu0)
 
 
 def test_M_of_recomposition(dom8):

@@ -9,12 +9,12 @@ from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           l2_norm, sc_inner, trace_boundary, zero_boundary)
 from quatmhd.grid import _diff
 from quatmhd.mhd import _advect, _convect_solve, convective
-from quatmhd.operators import (_BACKWARD, _UNIT_MUL, _along_axes,
-                               _along_axis, _centered_matrix, _dst1, _dst2,
-                               _pure, _staggered, curl_bwd,
-                               dirac_bwd, dirac_central, dirac_fwd, div_fwd,
-                               grad_bwd, laplacian, OperatorSet)
-from quatmhd.quaternion import LEFT_MUL, qmul_arr
+from quatmhd.operators import (_BACKWARD, _along_axes, _along_axis,
+                               _centered_matrix, _dst1, _dst2, _kernel,
+                               _kernel_convolve, _staggered, _wrapped,
+                               curl_bwd, dirac_bwd, dirac_central, dirac_fwd,
+                               div_fwd, grad_bwd, laplacian, OperatorSet)
+from quatmhd.quaternion import LEFT_MUL, UNIT_MUL, qmul_arr
 from quatmhd.sampling import random_bump, random_pure_bump, random_smooth
 
 
@@ -36,6 +36,13 @@ BOXES = [(8, 8, 8), (6, 8, 10), (3, 9, 5), (2, 6, 6)]
 def _box(n):
     return OperatorSet(build_domain((0.1, -0.2, 0.3),
                                     tuple(0.1 * m for m in n), n))
+
+
+def _pure(vec):
+    """The pure quaternion array with vector part vec, shape (3, ...)."""
+    out = np.zeros((4,) + vec.shape[1:])
+    out[1:] = vec
+    return out
 
 
 def _cauchy_dense(ops, g):
@@ -545,7 +552,7 @@ def _staggered_all(vals, h, flip=False, ghost=False, central=False):
     """_staggered differencing all four components, the zero ones too."""
     out = np.zeros_like(vals)
     for j in range(3):
-        for r, (sign, c) in enumerate(_UNIT_MUL[j]):
+        for r, (sign, c) in enumerate(UNIT_MUL[1 + j]):
             out[r] += sign * (
                 _dcen_apply(vals[c], j, h) if central
                 else _diff(vals[c], j, h, _BACKWARD[j, c] != flip, ghost))
@@ -687,6 +694,43 @@ def test_teodorescu_matches_dense_sum(n, part):
     ref = _teodorescu_dense(ops, f)
     got = ops.teodorescu(f).values
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _pure_left_mul(K, f):
+    """The components of pure(K) f written out term by term, elementwise
+    over arrays: the oracle of _kernel_convolve's product."""
+    K1, K2, K3 = K
+    f0, f1, f2, f3 = f
+    return [
+        -(K1 * f1 + K2 * f2 + K3 * f3),
+        K1 * f0 + K2 * f3 - K3 * f2,
+        K2 * f0 + K3 * f1 - K1 * f3,
+        K3 * f0 + K1 * f2 - K2 * f1,
+    ]
+
+
+@pytest.mark.parametrize("n", BOXES)
+def test_kernel_convolve_product_matches_expanded_form(n):
+    # the product of the kernel's and the field's Fourier coefficients
+    # accumulates in unit order (quaternion._add_unit): components 0 and 1
+    # keep the term-by-term form's order, bit for bit, and components 2
+    # and 3 regroup their sums, to a few rounding errors
+    ops = _box(n)
+    dom = ops.domain
+    f = np.random.default_rng(6).standard_normal((4,) + dom.shape)
+    offsets = [_wrapped(m) * dom.h for m in dom.n]
+    axes = (0, 1, 2)
+    pad = [len(o) for o in offsets]
+    Kh = [np.fft.rfftn(Ki, s=pad, axes=axes)
+          for Ki in _kernel(offsets, 0.3)]
+    fh = [np.fft.rfftn(fc, s=pad, axes=axes) for fc in f]
+    crop = tuple(slice(m) for m in dom.n)
+    ref = np.stack([np.fft.irfftn(c, s=pad, axes=axes)[crop]
+                    for c in _pure_left_mul(Kh, fh)])
+    got = _kernel_convolve(offsets, 0.3, f, axes)
+    assert np.array_equal(got[:2], ref[:2])
+    eps = np.finfo(float).eps
+    assert np.abs(got - ref).max() <= 4 * eps * np.abs(ref).max()
 
 
 def test_cauchy_zero(ops8):

@@ -107,6 +107,38 @@ def test_qmul_arr_broadcasts():
             assert np.allclose(out[:, i, j], ref.as_array(), atol=1e-14)
 
 
+def _hamilton(a, b):
+    """The Hamilton product on (4, ...) arrays written out term by term:
+    the oracle of qmul_arr."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack([
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    ])
+
+
+def test_qmul_arr_matches_expanded_product():
+    # qmul_arr accumulates sum_j a_j e_j b from +0.0 in unit order, the
+    # term order of the written-out product: equal values, NaN where it
+    # has NaN (inf - inf, inf * 0); only the sign of a zero may differ
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2, 4, 500))
+    for x in (a, b):
+        pick = rng.random(x.shape)
+        x[pick < 0.15] = 0.0
+        x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+        x[(pick >= 0.3) & (pick < 0.35)] = np.inf
+        x[(pick >= 0.35) & (pick < 0.4)] = -np.inf
+    # trailing axes broadcast, a single quaternion against an array too
+    with np.errstate(invalid="ignore"):
+        for x in (a, a[:, :1], a[:, 0]):
+            assert np.array_equal(qmul_arr(x, b), _hamilton(x, b),
+                                  equal_nan=True)
+
+
 def test_left_mul_matrices_match_qmul():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((10, 4))

@@ -1127,6 +1127,20 @@ def test_schauder_lorentz_once_per_step(dom8, ops8, monkeypatch):
     assert counts == {"convective_uu": 3 + 1, "lorentz": 3 + 1}
 
 
+@pytest.mark.parametrize("solve", [banach_solve, schauder_solve])
+def test_solve_leaves_init_unchanged(dom8, ops8, solve):
+    # the outer loop and the inner B loop start from the caller's state
+    # without copying it, so no step may write into it
+    init = _warm_state(dom8)
+    before = [f.values.tobytes() for f in (init.u, init.B, init.p)]
+    params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
+    method = "banach" if solve is banach_solve else "schauder_neumann"
+    _, report = solve(params, ops8, SolverConfig(method=method, tol=1e-10),
+                      init=init)
+    assert report.iterations == 3
+    assert [f.values.tobytes() for f in (init.u, init.B, init.p)] == before
+
+
 def _xyz_field(x, eps):
     """eps grad(xyz) at the points x, as pure quaternions."""
     out = np.zeros(x.shape[:-1] + (4,))
