@@ -52,6 +52,9 @@ _DOMAIN_KEYS = ("origin", "extent", "n")
 _PARAM_KEYS = tuple(f.name for f in fields(MHDParams)
                     if f.name != "boundary_h")  # boundary_h: a top-level key
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+# the constants' sampling stream has a 64-bit state, so a larger seed
+# would alias a smaller one
+_SEED_END = 2**64
 
 
 def _check_keys(spec, known, what: str) -> None:
@@ -91,7 +94,7 @@ def load_config(path) -> dict:
         "boundary_h": _path(raw.get("boundary_h", "zero"), "boundary_h"),
         "solver": SolverConfig(**raw.get("solver", {})),  # value checks
         "output": _path(raw.get("output", "out"), "output"),
-        "seed": _integer(raw.get("seed", 0), "seed", 0),
+        "seed": _integer(raw.get("seed", 0), "seed", 0, _SEED_END),
         "init_state": raw.get("init_state"),
         "norm_budget": _finite(raw.get("norm_budget", 0.0), "norm_budget",
                                low=0.0, inclusive=True),
@@ -326,7 +329,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = _integer(args.seed, "--seed", 0)
+            cfg["seed"] = _integer(args.seed, "--seed", 0, _SEED_END)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 1

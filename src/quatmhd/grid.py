@@ -88,11 +88,14 @@ class VoxelDomain:
                 and self.h == other.h)
 
 
-def _integer(value, name: str, low: int) -> int:
-    """value as an int; ValueError naming `name` unless it is an integer
-    >= low (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _integer(value, name: str, low: int, end: float = math.inf) -> int:
+    """value as an int; ValueError naming `name` unless it is an integer in
+    [low, end) (a bool is not)."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or not low <= value < end):
+        below = f" and < {end}" if end < math.inf else ""
+        raise ValueError(f"{name} must be an integer >= {low}{below}, "
+                         f"got {value!r}")
     return int(value)
 
 

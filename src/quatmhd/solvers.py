@@ -65,7 +65,7 @@ from .mhd import (MHDParams, MHDState, _advect, _convect_solve, _derive,
 from .operators import (_BACKWARD, OperatorSet, _along_axis,
                         _centered_matrix, dirac_fwd, grad_bwd)
 from .quaternion import UNIT_MUL
-from .sampling import _samples
+from .sampling import _draws, _gaussian, _samples, _uniforms
 
 __all__ = [
     "ConstantsBundle",
@@ -240,31 +240,32 @@ def estimate_constants(ops: OperatorSet, seed: int = 0) -> ConstantsBundle:
     ||Vec((DB)B)||_{5/4} / ||B||_H1^2 and ||D+B|| / ||B||_H1. The composed
     form ||T Sc(uD)u|| / ||u||_H1^2 of the paper is not sampled: the
     solvers' TQT is the lattice solve, and on cubes of side 0.01 to 100 at
-    n = 8..32 that ratio reached at most 1.1% of the largest of the other
+    n = 8..32 that ratio reached at most 1.4% of the largest of the other
     three. CD doubles the largest sampled ||Du|| / ||u||_H1; Cu halves the
     smallest sampled ||Du||^2 / ||u||_H1^2 (a coercivity constant is a
     lower bound).
 
-    The samples are _SAMPLES pairs (u, B) of separable pure bump fields.
-    D+B, Sc(uD)u, the Lorentz force and the 5/4-norms are taken on the
-    lattice fields; ||u||_H1, ||B||_H1 and ||D+u|| come from the fields'
-    1-D factors (_separable_norms), equal to h1_norm and
-    l2_norm(dirac_fwd(.)) up to rounding.
+    The samples are _SAMPLES pairs (u, B) of separable pure bump fields,
+    their numbers drawn in one call to the SplitMix64 stream of seed
+    (sampling._draws). D+B, Sc(uD)u, the Lorentz force and the 5/4-norms
+    are taken on the lattice fields, formed a pair at a time; ||u||_H1,
+    ||B||_H1 and ||D+u|| come from all the fields' 1-D factors in one
+    _separable_norms call, equal to h1_norm and l2_norm(dirac_fwd(.)) up
+    to rounding.
     """
     lam = ops.lambda_min()
     C1 = 1.0 / lam
     k = ops.op_norm_TQT()
-    fields = _samples(ops.domain, np.random.default_rng(seed), pure=True)
+    factors, fields = _samples(ops.domain, _draws(seed, 2 * _SAMPLES, kmax=2),
+                               pure=True)
     lattice = np.empty((_SAMPLES, 3))
-    norms = np.empty((_SAMPLES, 2, 2))
     for n in range(_SAMPLES):
-        (u, fu), (B, fB) = next(fields), next(fields)
+        u, B = next(fields), next(fields)
         DB = dirac_fwd(B)
         lattice[n] = (lq_norm(convective(u, u), 1.25),
                       lq_norm(_lorentz_of(B, DB, 1.0), 1.25), l2_norm(DB))
-        norms[n] = _separable_norms([np.stack(f) for f in zip(fu, fB)],
-                                    ops.domain.h)
-    uh, Bh, Du = norms[:, 0, 0], norms[:, 1, 0], norms[:, 0, 1]
+    norms = _separable_norms(factors, ops.domain.h)
+    uh, Bh, Du = norms[0::2, 0], norms[1::2, 0], norms[0::2, 1]
     live = (uh != 0.0) & (Bh != 0.0)
     if not live.any():
         raise ValueError("all samples degenerate")
@@ -519,7 +520,8 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     (operators._centered_matrix) by _along_axis, and L^-2 is one
     sine-transform pair with two divides by the symbol
     (OperatorSet._collar_solve), not two collar solves. The Lanczos
-    recurrence of A^T A from a seeded random scalar field v_1 = v / ||v||,
+    recurrence of A^T A from a random scalar field v_1 = v / ||v||, v the
+    standard normals of sampling's SplitMix64 stream of _NORM_SEED,
 
         A^T A v_k = beta_k v_{k-1} + alpha_k v_k + beta_{k+1} v_{k+1},
 
@@ -543,7 +545,7 @@ def convection_norm(ut: QField, ops: OperatorSet) -> float:
     a = a / scale
     D = [_centered_matrix(ops.domain.shape, i, ops.domain.h)
          for i in range(3)]
-    v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
+    v = _gaussian(_uniforms(_NORM_SEED, ops.domain.shape + (2,)))
     v = v / float(np.sqrt((v * v).sum()))
     alpha, beta, top = [], [], 0.0
     for _ in range(_NORM_MAXIT):

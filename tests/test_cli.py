@@ -468,6 +468,8 @@ def test_solve_exit_3_when_not_converged(tmp_path, capsys):
     (None, "output", ["out"]),
     (None, "boundary_h", 5),
     (None, "init_state", {"u": 5}),
+    (None, "seed", 2**64),                 # the stream's state is 64 bits
+    ("--seed", "seed", str(2**64)),
 ])
 def test_solve_rejects_bad_config(tmp_path, capsys, section, key, value):
     cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=8)
@@ -573,6 +575,30 @@ def _warm_config(tmp_path, n):
         cfg["init_state"][comp] = str(tmp_path / f"{comp}0.csv")
     cfg_path.write_text(json.dumps(cfg))
     return cfg_path
+
+
+def test_solve_and_constants_do_not_import_numpy_random(tmp_path):
+    # numpy.random costs a process about 15 ms and 5 MiB to import; the
+    # constants' samples and the convection norm's start vector draw from
+    # sampling's SplitMix64 stream, so neither command loads it, with
+    # either method (the Schauder one takes a nonzero convection norm)
+    schauder = _warm_config(tmp_path, 8)
+    cfg = json.loads(schauder.read_text())
+    cfg["solver"]["method"] = "banach"
+    banach = tmp_path / "banach.json"
+    banach.write_text(json.dumps(cfg))
+    argvs = [[command, "--config", str(path), "--out", str(tmp_path / out)]
+             for command, path, out in (("constants", schauder, "c"),
+                                        ("solve", schauder, "s"),
+                                        ("solve", banach, "b"))]
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from quatmhd import cli; "
+            f"print([cli.main(a) for a in {argvs!r}], "
+            "'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0] False"
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4")

@@ -405,3 +405,48 @@ def test_one_unit_multiplication_table():
     assert set(name_readers(sources, "LEFT_MUL")) == {"quaternion.<module>"}
     assert name_readers(sources, "UNIT_MUL") == [
         "quaternion._add_unit", "solvers.<module>", "solvers._gram_pairs"]
+
+
+def numpy_random_refs(source: str) -> list[str]:
+    """The reads of numpy's random module in a module: an attribute
+    `random` of a name (np.random), an import of numpy.random or from it,
+    and the name default_rng anywhere; docstrings and comments do not
+    count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name == "default_rng":
+            found.append(name)
+        elif (isinstance(node, ast.Attribute) and name == "random"
+              and isinstance(node.value, ast.Name)):
+            found.append(f"{node.value.id}.random")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "numpy.random":
+                found.append("numpy.random")
+            elif node.module == "numpy":
+                found += [a.name for a in node.names if a.name == "random"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.startswith("numpy.random")]
+    return sorted(found)
+
+
+def test_numpy_random_refs_detected():
+    src = ('"""Draws from np.random in prose only."""\n'
+           "import numpy as np\n"
+           "import numpy.random\n"
+           "from numpy import random\n"
+           "from numpy.random import default_rng\n"
+           "# np.random.default_rng(0) in a comment\n"
+           "x = np.random.standard_normal(3) + default_rng(1).random()\n")
+    assert numpy_random_refs(src) == ["default_rng", "np.random",
+                                      "numpy.random", "numpy.random", "random"]
+
+
+@pytest.mark.parametrize("name", ["solvers.py", "mhd.py", "cli.py"])
+def test_solve_path_names_no_numpy_random(name):
+    # importing numpy.random costs a solve process about 15 ms and 5 MiB;
+    # the constants and the convection norm's start vector draw from
+    # sampling's SplitMix64 stream instead
+    assert numpy_random_refs((SRC / name).read_text()) == []

@@ -9,7 +9,8 @@ from quatmhd.mhd import (MHDParams, MHDState, _convect_solve, convective,
                          leray_project, lorentz, residual_strong)
 from quatmhd.operators import (OperatorSet, _along_axis, _centered_matrix,
                                dirac_fwd, grad_bwd)
-from quatmhd.sampling import _samples, random_pure_bump, random_smooth
+from quatmhd.sampling import (_draws, _gaussian, _samples, _uniforms,
+                              random_pure_bump, random_smooth)
 from quatmhd.solvers import (ConditionViolation, ConstantsBundle,
                              DivergenceError, SolverConfig, banach_inner_B,
                              banach_solve,
@@ -63,15 +64,32 @@ def test_estimate_constants(ops12):
     assert (c.Cs, c.CD, c.Cu, c.k) == (c2.Cs, c2.CD, c2.Cu, c2.k)
 
 
+def _stream_bumps(dom, seed, count):
+    """The pure bump fields of the first `count` fields' draws of the
+    SplitMix64 stream of seed (sampling._draws), each from the 3-D formula
+    of sampling._samples, one cosine product per term, not from 1-D
+    factors."""
+    k, phase, amp = _draws(seed, count, kmax=2)
+    s = (dom.cell_centers() - dom.origin) / (np.asarray(dom.n) * dom.h)
+    bump = np.prod((4.0 * s * (1.0 - s)) ** 3, axis=-1)
+    for f in range(count):
+        vals = np.zeros((4,) + dom.shape)
+        for c, t in np.ndindex(4, 4):
+            vals[c] += (c > 0) * amp[f, c, t] * bump * np.prod(
+                [np.cos(2 * np.pi * k[f, c, t, i] * s[..., i]
+                        + phase[f, c, t, i]) for i in range(3)], axis=0)
+        yield QField(dom, vals)
+
+
 def _unpruned_ratios(ops, seed, samples=30):
     """(Cs, CD, Cu) of the sampling loop with all four Cs families, the
     composed ||T Sc(uD)u|| / ||u||_H1^2 included (T applied on every
-    sample), and D+B computed twice."""
-    rng = np.random.default_rng(seed)
+    sample), and D+B computed twice, on the fields of the stream that
+    estimate_constants draws, u and B taking turns."""
+    fields = _stream_bumps(ops.domain, seed, 2 * samples)
     ratios_s, ratios_d, ratios_c = [], [], []
     for _ in range(samples):
-        u = random_pure_bump(ops.domain, rng)
-        B = random_pure_bump(ops.domain, rng)
+        u, B = next(fields), next(fields)
         uh, Bh = h1_norm(u), h1_norm(B)
         conv = convective(u, u)
         ratios_s += [lq_norm(conv, 1.25) / uh**2,
@@ -88,9 +106,9 @@ def _unpruned_ratios(ops, seed, samples=30):
     (8, 1.0, 0), (8, 1.0, 3), (12, 1.0, 0), (12, 1.0, 3), (8, 10.0, 3)])
 def test_constants_skip_matches_unpruned_loop(n, extent, seed):
     # the composed T ratio, which estimate_constants does not sample, never
-    # sets Cs: the bundle is that of the four-family loop, up to the
-    # rounding of the separable H1 and D+ norms (at most 3.4e-16 relative
-    # on these cases)
+    # sets Cs: the bundle is that of the four-family loop on the 3-D
+    # formula's fields, up to the rounding of the 1-D factors and of the
+    # separable H1 and D+ norms (at most 4.6e-16 relative on these cases)
     ops = OperatorSet(build_domain((0.0, 0.0, 0.0), (extent,) * 3, n))
     c = estimate_constants(ops, seed=seed)
     ref = _unpruned_ratios(ops, seed)
@@ -108,13 +126,26 @@ def test_separable_norms_match_the_lattice_norms(origin, extent, n):
     # the Gram-matrix norms of estimate_constants against h1_norm and
     # l2_norm(dirac_fwd(.)) of the lattice fields of the same samples
     dom = build_domain(origin, extent, n)
-    samples = _samples(dom, np.random.default_rng(11), pure=True)
-    drawn = [next(samples) for _ in range(8)]
-    norms = _separable_norms([np.stack(f) for f in zip(*(f for _, f in drawn))],
-                             dom.h)
-    ref = np.array([[h1_norm(u), l2_norm(dirac_fwd(u))] for u, _ in drawn])
+    factors, fields = _samples(dom, _draws(11, 8, kmax=2), pure=True)
+    norms = _separable_norms(factors, dom.h)
+    ref = np.array([[h1_norm(u), l2_norm(dirac_fwd(u))] for u in fields])
     assert norms.shape == (8, 2)
     assert np.abs(norms - ref).max() <= 1e-13 * ref.min()
+
+
+@pytest.mark.parametrize("extent, n", [((1.0, 1.0, 1.0), 8),
+                                       ((0.6, 0.8, 1.0), (6, 8, 10)),
+                                       ((1.0, 1.0, 1.0), 16)])
+def test_separable_norms_of_all_samples_match_per_pair_calls(extent, n):
+    # estimate_constants takes the norms of its 60 fields in one call; the
+    # Gram products and their sums run per sample, so that call gives the
+    # 30 calls of two fields each bit for bit (measured difference 0)
+    dom = build_domain((0.0, 0.0, 0.0), extent, n)
+    factors, _ = _samples(dom, _draws(0, 60, kmax=2), pure=True)
+    pairs = [_separable_norms([f[j:j + 2] for f in factors], dom.h)
+             for j in range(0, 60, 2)]
+    assert np.array_equal(_separable_norms(factors, dom.h),
+                          np.concatenate(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +500,7 @@ def _convection_norm_oracle(ut, ops):
     a = ut.values[1:]
     scale = float(np.abs(a).max(initial=0.0))
     a = a / scale
-    v = np.random.default_rng(_NORM_SEED).standard_normal(ops.domain.shape)
+    v = _gaussian(_uniforms(_NORM_SEED, ops.domain.shape + (2,)))
     steps = _lanczos(lambda x: _normal_map(a, x, ops), v)
     alpha, beta, top = [], [], 0.0
     for _, (_, al, _, b) in zip(range(_NORM_MAXIT), steps):
@@ -890,7 +921,7 @@ def test_apply_budget(dom8, monkeypatch):
     # Warm Banach and Schauder solves (3 outer steps each): TQT is the
     # collar solve and QT is D+_gz L^-1, so neither T nor Q is applied.
     # The sine-transform solves of each Schauder step are pinned too: 9, 7
-    # and 7 L^-2 solves (_collar_solve(., 2)), one a Lanczos step of
+    # and 6 L^-2 solves (_collar_solve(., 2)), one a Lanczos step of
     # convection_norm, and 9, 7 and 5 collar solves (poisson_scalar) for
     # 4 + 4, 3 + 3 and 2 + 2 Neumann terms and the one projection, of B.
     # The pressure right side and the pressure operator make none: their
@@ -939,7 +970,7 @@ def test_apply_budget(dom8, monkeypatch):
     per_step.append((counts["poisson_scalar"], counts["L^-2"],
                      counts["pressure_S"]))
     assert np.diff(per_step, axis=0).tolist() == [[9, 9, 41], [7, 7, 41],
-                                                  [5, 7, 41]]
+                                                  [5, 6, 41]]
 
 
 def _count_stencils(monkeypatch):
@@ -1009,7 +1040,7 @@ def test_stencil_budget(dom8, ops8, monkeypatch):
     # differencing it again. A Schauder step takes the same 48 and 15,
     # plus 3 applies for the magnetic right side convective(B, u), 3 per
     # Neumann term (6, 4 and 2 terms in steps 1 to 3) and 6 per Lanczos
-    # step of convection_norm (9, 7 and 7 steps, as in test_apply_budget)
+    # step of convection_norm (9, 7 and 6 steps, as in test_apply_budget)
     counts, per_step = _count_stencils(monkeypatch)
     params = MHDParams(Re=1.0, Rm=1.0, exponent_mode="mixed")
     got = {}
@@ -1022,7 +1053,7 @@ def test_stencil_budget(dom8, ops8, monkeypatch):
         per_step.append(tuple(counts.values()))
         got[method] = np.diff(per_step, axis=0)[:, :2].tolist()
     assert got == {"banach": [[60, 27], [54, 21], [54, 21]],
-                   "schauder_neumann": [[48, 90], [48, 72], [48, 66]]}
+                   "schauder_neumann": [[48, 90], [48, 72], [48, 60]]}
 
 
 def test_cold_start_budget(dom8, ops8, monkeypatch):

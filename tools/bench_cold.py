@@ -12,7 +12,8 @@ exp(sqrt(2) pi (z - 1)) is harmonic on the unit cube, so u = p = 0 and
 B* = eps grad psi solve the stationary MHD system with face data B*. The
 run takes eps = 1e-5, Re = Rm = mu0 = 1, exponent_mode "mixed", tol 1e-10,
 the face data B* at the face centres and a cold start (u = B = p = 0). It
-times OperatorSet plus estimate_constants (seed 0) as constants_s, then
+times the child's import of quatmhd.cli (NumPy with it) as import_s,
+OperatorSet plus estimate_constants (seed 0) as constants_s, then
 banach_solve as solve_s, and records:
 
 - peak_mib: ru_maxrss of the process, after banach_solve;
@@ -72,7 +73,9 @@ def run_one(n: int) -> dict:
     CLI sets up its own: quatmhd imported before NumPy, so that its BLAS
     default applies, and the CLI's allocator setting."""
     sys.path.insert(0, str(ROOT / "src"))
+    t_import = time.perf_counter()
     import quatmhd.cli
+    import_s = time.perf_counter() - t_import
     import numpy as np
     from quatmhd.grid import BoundaryData, QField, build_domain, h1_norm
     from quatmhd.mhd import MHDParams, MHDState
@@ -106,7 +109,8 @@ def run_one(n: int) -> dict:
         SolverConfig(method="schauder_neumann", tol=TOL),
         init=MHDState(u0, B0, QField.zeros(dom)), constants=constants)
     t4 = time.perf_counter()
-    return {"n": n, "constants_s": round(t1 - t0, 4),
+    return {"n": n, "import_s": round(import_s, 4),
+            "constants_s": round(t1 - t0, 4),
             "solve_s": round(t2 - t1, 4),
             "peak_mib": round(peak, 1),
             "res_ind_over_eps": float(f"{report.rows[-1]['res_ind'] / EPS:.4g}"),
