@@ -5,6 +5,10 @@ isotropic spacing h; values are C-contiguous (4, n1, n2, n3) arrays, the
 components (s, v1, v2, v3) first, as every operator acts on one component
 at a time; boundary data are one (M, 4) row per face. Volume integrals use
 the midpoint rule, surface integrals the face-midpoint rule.
+
+The grid's layout is stated here alone: where a cell sits on an axis
+(_cell_center), the non-collar block of cells (_inner) and the order of
+the boundary faces, one block per box side (_face_blocks).
 """
 
 from __future__ import annotations
@@ -67,18 +71,14 @@ class VoxelDomain:
 
     def cell_centers(self) -> np.ndarray:
         """(n1, n2, n3, 3) array of cell-center coordinates."""
-        axes = [self.origin[i] + (np.arange(self.n[i]) + 0.5) * self.h
-                for i in range(3)]
-        X, Y, Z = np.meshgrid(*axes, indexing="ij")
-        return np.stack([X, Y, Z], axis=-1)
+        axes = [_cell_center(self.origin[i], np.arange(m), self.h)
+                for i, m in enumerate(self.n)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def collar_mask(self, width: int = 1) -> np.ndarray:
-        """Cells within `width` cells of the boundary."""
-        m = np.zeros(self.n, dtype=bool)
-        w = width
-        m[:w], m[-w:] = True, True
-        m[:, :w], m[:, -w:] = True, True
-        m[:, :, :w], m[:, :, -w:] = True, True
+        """Cells within `width` cells of the boundary: all but _inner(width)."""
+        m = np.ones(self.n, dtype=bool)
+        m[_inner(width)] = False
         return m
 
     def same_grid(self, other: "VoxelDomain") -> bool:
@@ -97,6 +97,29 @@ def _integer(value, name: str, low: int, end: float = math.inf) -> int:
         raise ValueError(f"{name} must be an integer >= {low}{below}, "
                          f"got {value!r}")
     return int(value)
+
+
+def _inner(width: int = 1) -> tuple:
+    """The index (..., w:-w, w:-w, w:-w) of the cells more than w = `width`
+    cells from every face, the non-collar block of an array's last three
+    axes; ValueError unless width is an integer >= 1."""
+    w = _integer(width, "width", 1)
+    return (Ellipsis,) + (slice(w, -w),) * 3
+
+
+def _cell_center(origin, k, h: float):
+    """origin + (k + 1/2) h, the coordinate of cell k (an index or an
+    integer array) along an axis whose first cell starts at `origin`."""
+    return origin + (k + 0.5) * h
+
+
+def _face_blocks(n):
+    """(axis, side, shape) of each block of boundary faces, one per box
+    side, axis by axis, side 0 (normal -e_axis) first; a block lists its
+    faces in C order over shape, n with a 1 on the axis."""
+    for ax in range(3):
+        for side in (0, 1):
+            yield ax, side, tuple(1 if a == ax else n[a] for a in range(3))
 
 
 def _finite(value, name: str, low: float | None = None,
@@ -134,32 +157,16 @@ def build_domain(origin, physical_extent, n) -> VoxelDomain:
         raise ValueError("anisotropic spacing not supported: extent/n must match per axis")
     h = float(spacings[0])
 
-    cells, normals, centers = [], [], []
-    for ax in range(3):
-        for side in (0, 1):
-            uax, vax = [a for a in range(3) if a != ax]
-            iu, iv = np.meshgrid(np.arange(n[uax]), np.arange(n[vax]), indexing="ij")
-            cell = np.zeros(iu.shape + (3,), dtype=int)
-            cell[..., uax] = iu
-            cell[..., vax] = iv
-            cell[..., ax] = 0 if side == 0 else n[ax] - 1
-            nrm = np.zeros(3)
-            nrm[ax] = -1.0 if side == 0 else 1.0
-            cent = np.zeros(iu.shape + (3,))
-            cent[..., uax] = origin[uax] + (iu + 0.5) * h
-            cent[..., vax] = origin[vax] + (iv + 0.5) * h
-            cent[..., ax] = origin[ax] + (0.0 if side == 0 else n[ax] * h)
-            cells.append(cell.reshape(-1, 3))
-            normals.append(np.broadcast_to(nrm, cell.reshape(-1, 3).shape).copy())
-            centers.append(cent.reshape(-1, 3))
-    return VoxelDomain(
-        origin=origin,
-        n=n,
-        h=h,
-        face_cell=np.concatenate(cells),
-        face_normal=np.concatenate(normals),
-        face_center=np.concatenate(centers),
-    )
+    blocks = []
+    for ax, side, shape in _face_blocks(n):
+        cell = np.stack(np.indices(shape), axis=-1).reshape(-1, 3)
+        cell[:, ax] = side * (n[ax] - 1)
+        cent = _cell_center(origin, cell, h)
+        cent[:, ax] = origin[ax] + side * n[ax] * h  # on the box side
+        nrm = np.zeros(cell.shape)
+        nrm[:, ax] = 2 * side - 1
+        blocks.append((cell, nrm, cent))
+    return VoxelDomain(origin, n, h, *map(np.concatenate, zip(*blocks)))
 
 
 @dataclass
@@ -334,7 +341,9 @@ def trace_boundary(u: QField) -> BoundaryData:
 
 
 def zero_boundary(u: QField, width: int = 1) -> QField:
-    """Zero the boundary collar (discrete membership in H^1 with zero trace)."""
-    out = u.copy()
-    out.values[:, u.domain.collar_mask(width)] = 0.0
+    """Zero the boundary collar of `width` cells (discrete membership in H^1
+    with zero trace): u on _inner(width), +0.0 elsewhere."""
+    inner = _inner(width)
+    out = QField.zeros(u.domain)
+    out.values[inner] = u.values[inner]
     return out

@@ -17,7 +17,8 @@ import warnings
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, build_domain
+from .grid import (BoundaryData, QField, VoxelDomain, _cell_center,
+                   build_domain)
 
 __all__ = [
     "write_vtk",
@@ -54,7 +55,7 @@ def write_vtk(path, field: QField, name: str = "q") -> None:
         f.write("ASCII\n")
         f.write("DATASET STRUCTURED_POINTS\n")
         f.write(f"DIMENSIONS {n1} {n2} {n3}\n")
-        org = dom.origin + 0.5 * dom.h
+        org = _cell_center(dom.origin, 0, dom.h)
         f.write("ORIGIN " + " ".join(_FMT % v for v in org) + "\n")
         f.write("SPACING " + " ".join(_FMT % dom.h for _ in range(3)) + "\n")
         f.write(f"POINT_DATA {dom.num_cells}\n")

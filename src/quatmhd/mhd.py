@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (BoundaryData, QField, VoxelDomain, _finite, _first_live,
-                   l2_norm, sc_inner)
+                   _inner, l2_norm, sc_inner)
 from .operators import (OperatorSet, _along_axis, _centered_matrix,
                         dirac_fwd, div_fwd, grad_bwd, laplacian)
 from .quaternion import _add_unit
@@ -223,15 +223,10 @@ def _derive(u: QField, B: QField, mu0: float) -> _Derived:
                     convective(u, B) - convective(B, u))
 
 
-def _interior_norm(arr: np.ndarray, domain: VoxelDomain,
-                   interior: np.ndarray | None = None) -> float:
-    """L2 norm over the non-collar cells, the boolean mask `interior`
-    (~domain.collar_mask(1), built if None): the one-sided fallback layers
-    are excluded from residual measurements."""
-    if interior is None:
-        interior = ~domain.collar_mask(1)
-    return float(np.sqrt((arr[..., interior] ** 2).sum()
-                         * domain.cell_volume))
+def _interior_norm(arr: np.ndarray, domain: VoxelDomain) -> float:
+    """L2 norm over the non-collar cells (grid._inner), read in place: the
+    one-sided fallback layers are excluded from residual measurements."""
+    return float(np.sqrt((arr[_inner()] ** 2).sum() * domain.cell_volume))
 
 
 def residual_strong(state: MHDState,
@@ -249,17 +244,16 @@ def _residuals(state: MHDState, params: MHDParams,
     """residual_strong(state, params) from the state's _derive fields d."""
     u, B, p = state.u, state.B, state.p
     dom = u.domain
-    interior = ~dom.collar_mask(1)
     cu_mu0 = params.coeff_u() * params.mu0
     # each residual field is freed once its norm is taken
     mom = _interior_norm((-(1.0 / cu_mu0) * laplacian(u)
                           + (1.0 / params.mu0) * d.uu
                           + (params.coeff_p() / cu_mu0) * grad_bwd(p)
-                          - d.lor).values, dom, interior)
+                          - d.lor).values, dom)
     ind = _interior_norm((-(1.0 / params.coeff_B()) * laplacian(B)
-                          + d.ind).values, dom, interior)
-    return (mom, ind, _interior_norm(div_fwd(u), dom, interior),
-            _interior_norm(div_fwd(B), dom, interior))
+                          + d.ind).values, dom)
+    return (mom, ind, _interior_norm(div_fwd(u), dom),
+            _interior_norm(div_fwd(B), dom))
 
 
 def residual_weak(state: MHDState, params: MHDParams, test_v: QField,

@@ -20,8 +20,8 @@ which a forward difference on every component does not. Each e_j acts
 through quaternion._add_unit, as in the kernel products of T and F.
 
 Every one-sided difference is grid._diff, forward or backward. The face
-layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd,
-grad_bwd, div_fwd and curl_bwd, and differences a zero ghost value in
+layer it leaves over repeats its neighbour in dirac_fwd/dirac_bwd (so
+curl_bwd), grad_bwd and div_fwd, and differences a zero ghost value in
 bergman_Q; pressure_S holds its ghost-zero differences inside per-axis
 matrices (_grad_factors). The centered difference D^c and the second
 difference of the Laplacian are m x m per-axis matrices (_stencil_matrix),
@@ -80,7 +80,8 @@ import functools
 
 import numpy as np
 
-from .grid import BoundaryData, QField, VoxelDomain, _diff, _first_live
+from .grid import (BoundaryData, QField, VoxelDomain, _diff, _face_blocks,
+                   _first_live, _inner)
 from .quaternion import _add_unit
 
 __all__ = [
@@ -200,15 +201,13 @@ def div_fwd(u: QField) -> np.ndarray:
 
 
 def curl_bwd(u: QField) -> QField:
-    """Backward-difference curl of the vector part; its backward (not
-    forward) divergence vanishes away from the one-sided fallback layers."""
-    h = u.domain.h
-    v = u.values
-    d = lambda c, ax: _diff(v[1 + c], ax, h, backward=True)
-    out = np.zeros_like(v)
-    out[1] = d(2, 1) - d(1, 2)
-    out[2] = d(0, 2) - d(2, 0)
-    out[3] = d(1, 0) - d(0, 1)
+    """Backward-difference curl of the vector part v: the vector part of
+    D+ v = (-div+ v, curl- v). Its backward (not forward) divergence
+    vanishes away from the one-sided fallback layers."""
+    v = u.values.copy()
+    v[0] = 0.0
+    out = _staggered(v, u.domain.h)
+    out[0] = 0.0
     return QField(u.domain, out)
 
 
@@ -275,12 +274,12 @@ class OperatorSet:
     def cauchy(self, g: BoundaryData) -> QField:
         """Boundary potential F g evaluated at the cell centers.
 
-        build_domain lists the faces block by block, one block per box side
-        (axis, side), in ij order over the two tangential axes u < v. From
-        a cell center to a face midpoint of one block the offset is
+        The faces come in the blocks of grid._face_blocks, one per box side
+        (axis, side), a block's faces those of normal (2 side - 1) e_axis.
+        From a cell center to a face midpoint of one block the offset is
         (i + 1/2 - side * n_axis) h along the normal and a whole number of
-        cells along u and v, so the block's share of F is, for every normal
-        layer i, a 2-D convolution over (u, v) done by FFT."""
+        cells along the tangential axes, so the block's share of F is, for
+        every normal layer i, a 2-D convolution over them done by FFT."""
         if not isinstance(g, BoundaryData):
             raise TypeError("cauchy expects BoundaryData")
         self._check(g)
@@ -291,17 +290,13 @@ class OperatorSet:
             _add_unit(ng, j, lambda c: nj * g.values[:, c])
         scale = self.sigma_F / (4.0 * np.pi) * dom.face_area
         out = np.zeros((4,) + dom.shape)
-        start = 0
-        for ax in range(3):
-            tang = tuple(a for a in range(3) if a != ax)
-            block_shape = tuple(1 if a == ax else n[a] for a in range(3))
-            for side in (0, 1):
-                stop = start + n[tang[0]] * n[tang[1]]
-                block = ng[:, start:stop].reshape((4,) + block_shape)
-                start = stop
-                offsets = [_wrapped(m) * h for m in n]
-                offsets[ax] = (np.arange(n[ax]) + 0.5 - side * n[ax]) * h
-                out += _kernel_convolve(offsets, scale, block, tang)
+        for ax, side, shape in _face_blocks(n):
+            faces = dom.face_normal[:, ax] == 2 * side - 1
+            offsets = [_wrapped(m) * h for m in n]
+            offsets[ax] = (np.arange(n[ax]) + 0.5 - side * n[ax]) * h
+            out += _kernel_convolve(offsets, scale,
+                                    ng[:, faces].reshape((4,) + shape),
+                                    tuple(a for a in range(3) if a != ax))
         return QField(dom, out)
 
     # -- Poisson / eigenvalues --------------------------------------------
@@ -320,7 +315,7 @@ class OperatorSet:
         poisson_scalar applied twice to rounding, without the inverse and
         forward transforms between the two solves."""
         out = np.zeros(rhs.shape)
-        inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))
+        inner = _inner()
         if out[inner].size:  # an axis of two cells leaves no non-collar cell
             out[inner] = _sine_solve(rhs[inner], self._collar_bases,
                                      self._collar_symbol, power)
@@ -405,7 +400,7 @@ class OperatorSet:
         Lambda^-1 Phi R g_j in the notation of pressure_S, the sine
         transform of the non-collar block of g followed by pressure_S's
         second pass."""
-        y = g[:, 1:-1, 1:-1, 1:-1]
+        y = g[_inner()]
         if y.size:  # an axis of two cells leaves no non-collar cell
             y = _along_axes(y, self._collar_bases)
         return _chain_T(y / self._collar_symbol, self._grad_factors,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import QField, VoxelDomain
+from .grid import QField, VoxelDomain, _cell_center
 
 __all__ = [
     "random_smooth",
@@ -63,7 +63,7 @@ def _draws(seed: int, fields: int, kmax: int) -> tuple[np.ndarray, ...]:
 
 def _unit_coords(domain: VoxelDomain) -> list[np.ndarray]:
     """Cell centers mapped to [0, 1], one 1-D array per axis."""
-    return [(domain.origin[i] + (np.arange(m) + 0.5) * domain.h
+    return [(_cell_center(domain.origin[i], np.arange(m), domain.h)
              - domain.origin[i]) / (m * domain.h)
             for i, m in enumerate(domain.n)]
 

@@ -4,6 +4,7 @@ import pytest
 from quatmhd.grid import (BoundaryData, QField, build_domain, h1_norm,
                           l2_inner, l2_norm, lq_norm, sc_inner,
                           trace_boundary, zero_boundary)
+from quatmhd.grid import _inner
 from quatmhd.quaternion import Quaternion
 from quatmhd.sampling import random_smooth
 
@@ -135,3 +136,116 @@ def test_boundary_data_shape_checked(dom8):
     with pytest.raises(ValueError):
         BoundaryData(dom8, np.zeros((10, 4)))
     assert BoundaryData.zeros(dom8).values.shape == (384, 4)
+
+
+# ---------------------------------------------------------------------------
+# the layout helpers against the constructions they replaced
+# ---------------------------------------------------------------------------
+
+# cubes, unequal boxes and a 2-cell axis, at origins up to +-1e4 (a -0.0
+# entry checks the zero sign of the face centers on the side at the origin)
+LAYOUT_BOXES = [((0.0, 0.0, 0.0), 2), ((-0.0, 1.5, -2.5), 3),
+                ((1e4, -1e4, 0.3), 8), ((0.1, -0.2, 0.3), (6, 8, 10)),
+                ((-1e4, -0.0, 1e4), (2, 3, 2)),
+                ((3.7, -1e4, 9999.5), (17, 9, 33))]
+
+
+def _layout_domain(origin, n):
+    counts = (n,) * 3 if isinstance(n, int) else n
+    return build_domain(origin, tuple(0.37 * m for m in counts), n)
+
+
+def _collar_mask_slices(shape, w):
+    """The collar as six slices, one per box side."""
+    m = np.zeros(shape, dtype=bool)
+    m[:w], m[-w:] = True, True
+    m[:, :w], m[:, -w:] = True, True
+    m[:, :, :w], m[:, :, -w:] = True, True
+    return m
+
+
+def _zero_boundary_masked(u, w):
+    """A copy of u with the six-slice collar set to 0.0."""
+    out = u.values.copy()
+    out[:, _collar_mask_slices(u.domain.shape, w)] = 0.0
+    return out
+
+
+def _faces_meshgrid(origin, n, h):
+    """Face cells, normals and centers, block by block from two meshgrids
+    of the tangential indices."""
+    cells, normals, centers = [], [], []
+    for ax in range(3):
+        for side in (0, 1):
+            uax, vax = [a for a in range(3) if a != ax]
+            iu, iv = np.meshgrid(np.arange(n[uax]), np.arange(n[vax]),
+                                 indexing="ij")
+            cell = np.zeros(iu.shape + (3,), dtype=int)
+            cell[..., uax], cell[..., vax] = iu, iv
+            cell[..., ax] = 0 if side == 0 else n[ax] - 1
+            nrm = np.zeros(3)
+            nrm[ax] = -1.0 if side == 0 else 1.0
+            cent = np.zeros(iu.shape + (3,))
+            cent[..., uax] = origin[uax] + (iu + 0.5) * h
+            cent[..., vax] = origin[vax] + (iv + 0.5) * h
+            cent[..., ax] = origin[ax] + (0.0 if side == 0 else n[ax] * h)
+            cells.append(cell.reshape(-1, 3))
+            normals.append(np.broadcast_to(nrm, (iu.size, 3)).copy())
+            centers.append(cent.reshape(-1, 3))
+    return [np.concatenate(a) for a in (cells, normals, centers)]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("origin, n", LAYOUT_BOXES)
+def test_build_domain_faces_match_meshgrid_oracle(origin, n):
+    dom = _layout_domain(origin, n)
+    cell, normal, center = _faces_meshgrid(dom.origin, dom.n, dom.h)
+    assert _same_bits(dom.face_cell, cell)
+    assert _same_bits(dom.face_normal, normal)
+    assert _same_bits(dom.face_center, center)
+    assert all(a.flags.c_contiguous
+               for a in (dom.face_cell, dom.face_normal, dom.face_center))
+
+
+@pytest.mark.parametrize("origin, n", LAYOUT_BOXES)
+def test_cell_centers_are_the_cell_center_formula(origin, n):
+    dom = _layout_domain(origin, n)
+    x = dom.cell_centers()
+    for i, m in enumerate(dom.n):
+        ref = dom.origin[i] + (np.arange(m) + 0.5) * dom.h
+        line = np.moveaxis(x[..., i], i, 0).reshape(m, -1)
+        assert _same_bits(line[:, 0], ref)
+        assert (line == line[:, :1]).all()
+
+
+@pytest.mark.parametrize("origin, n", LAYOUT_BOXES)
+@pytest.mark.parametrize("width", [1, 2, 3, 17])
+def test_collar_and_zero_boundary_match_slice_oracles(origin, n, width):
+    dom = _layout_domain(origin, n)
+    assert _same_bits(dom.collar_mask(width),
+                      _collar_mask_slices(dom.shape, width))
+    vals = random_smooth(dom, seed=width).values.copy()
+    vals[:, ::3] = -0.0  # signed zeros inside and on the collar
+    u = QField(dom, vals)
+    z = zero_boundary(u, width)
+    assert _same_bits(z.values, _zero_boundary_masked(u, width))
+    assert not np.shares_memory(z.values, u.values)
+    block = np.zeros(dom.shape)
+    block[_inner(width)] = 1.0
+    assert _same_bits(block == 0.0, dom.collar_mask(width))
+
+
+@pytest.mark.parametrize("width", [0, -1, 2.5, True, "1", None])
+def test_collar_width_must_be_a_positive_integer(dom8, width):
+    # width 0 used to mark every cell: slice(0, -0) is empty
+    u = random_smooth(dom8, seed=1)
+    for call in (lambda: dom8.collar_mask(width),
+                 lambda: zero_boundary(u, width), lambda: _inner(width)):
+        with pytest.raises(ValueError, match="width must be an integer"):
+            call()
+    assert zero_boundary(u, np.int64(2)).values.tobytes() == (
+        zero_boundary(u, 2).values.tobytes())

@@ -407,6 +407,76 @@ def test_one_unit_multiplication_table():
         "quaternion._add_unit", "solvers.<module>", "solvers._gram_pairs"]
 
 
+def test_face_order_is_read_from_face_blocks():
+    # grid._face_blocks is the one face order: build_domain lists the faces
+    # by it and OperatorSet.cauchy walks the same blocks
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert name_readers(sources, "_face_blocks") == [
+        "grid.build_domain", "operators.<module>", "operators.OperatorSet"]
+
+
+def _is_collar_slice(node) -> bool:
+    """Whether node spells the one-cell collar slice: 1:-1 or slice(1, -1)."""
+    def const(n):
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+            inner = const(n.operand)
+            return None if inner is None else -inner
+        return n.value if isinstance(n, ast.Constant) else None
+
+    if isinstance(node, ast.Slice):
+        return (node.step is None and const(node.lower) == 1
+                and const(node.upper) == -1)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "slice" and not node.keywords
+            and [const(a) for a in node.args] == [1, -1])
+
+
+def collar_slices(source: str) -> list[int]:
+    """The line of each three-axis collar index a module spells: a tuple
+    (a subscript's index included) holding three 1:-1 or slice(1, -1)
+    entries, or such a one-entry tuple times 3. grid._inner is the one
+    statement of the non-collar block."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Tuple):
+            hits = sum(map(_is_collar_slice, node.elts))
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+              and isinstance(node.left, ast.Tuple)
+              and isinstance(node.right, ast.Constant)
+              and type(node.right.value) is int):
+            hits = sum(map(_is_collar_slice, node.left.elts)) * node.right.value
+        else:
+            continue
+        if hits >= 3:
+            found.append(node.lineno)
+    return found
+
+
+def test_collar_slices_detected():
+    src = ("inner = (Ellipsis, slice(1, -1), slice(1, -1), slice(1, -1))\n"
+           "def f(g, w):\n"
+           "    # g[:, 1:-1, 1:-1, 1:-1] in a comment\n"
+           "    a = g[:, 1:-1, 1:-1, 1:-1]\n"
+           "    b = g[(slice(1, -1),) * 3]\n"
+           "    c = g[1:-1, 1:-1] + g[:, 1:-2, 1:-1, 1:-1] + g[w:-w, w:-w, w:-w]\n"
+           "    return g[1:-1:2, 1:-1, 1:-1, 1:-1], (1, -1, 1, -1, 1, -1)\n")
+    assert collar_slices(src) == [1, 4, 5, 7]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_no_collar_slices_outside_grid(path):
+    assert collar_slices(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml requires Python >= 3.10, and CI runs 3.11
+    ast.parse(path.read_text(), feature_version=(3, 10))
+
+
 def numpy_random_refs(source: str) -> list[str]:
     """The reads of numpy's random module in a module: an attribute
     `random` of a name (np.random), an import of numpy.random or from it,

@@ -252,6 +252,22 @@ def test_residual_strong_matches_classical_assembly(dom12):
                                      rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 8, (6, 8, 10), (17, 9, 33)])
+def test_interior_norm_matches_masked_norm(n):
+    # _interior_norm reads the non-collar block in place; the boolean-mask
+    # gather it replaced sums the same squares in another order
+    from quatmhd.mhd import _interior_norm
+    counts = (n,) * 3 if isinstance(n, int) else n
+    dom = build_domain((0.1, -0.2, 0.3), tuple(0.1 * m for m in counts), n)
+    mask = ~dom.collar_mask(1)
+    for seed, comps in ((0, ()), (1, (4,)), (2, (3,))):
+        arr = np.random.default_rng(seed).standard_normal(comps + dom.shape)
+        ref = float(np.sqrt((arr[..., mask] ** 2).sum() * dom.cell_volume))
+        got = _interior_norm(arr, dom)
+        assert abs(got - ref) <= 4 * np.finfo(float).eps * ref
+        assert (got == 0.0) == (ref == 0.0)
+
+
 def test_residual_weak_zero_state(dom8):
     params = MHDParams(Re=1.0, Rm=1.0)
     v = zero_boundary(random_pure_bump(dom8, seed=9), width=1)
