@@ -31,7 +31,7 @@ from .grid import (QField, _finite, _inner, _integer, build_domain, l2_norm,
 from .io import (fmt_value, read_boundary_csv, read_state_file,
                  write_convergence_csv, write_csv, write_manifest, write_table,
                  write_vtk)
-from .mhd import MHDParams, MHDState, leray_project
+from .mhd import MHDParams, MHDState, _interior_norm, leray_project
 from .operators import (OperatorSet, dirac_bwd, dirac_central, dirac_fwd,
                         div_fwd, laplacian)
 from .sampling import random_bump, random_smooth
@@ -177,7 +177,7 @@ def _verify_checks(domain, ops, seed):
     fv = f.values.copy()
     fv[0] = 0.0
     w = leray_project(QField(domain, fv), ops)
-    yield ("leray_divfree", np.linalg.norm(div_fwd(w)[_inner()]) * h**1.5
+    yield ("leray_divfree", _interior_norm(div_fwd(w), domain)
            / max(l2_norm(w), 1e-30), 1e-10)
 
     # right-inverse identity on the cells at least 3h from every face,
@@ -241,16 +241,8 @@ def cmd_solve(cfg, out_dir: Path) -> int:
     bundle = estimate_constants(ops, seed=cfg["seed"])
     solve = (banach_solve if solver_cfg.method == "banach"
              else schauder_solve)
-    try:
-        state, report = solve(params, ops, solver_cfg, init=init,
-                              constants=bundle)
-    except ConditionViolation as exc:
-        print(f"condition violation: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"divergence abort: {exc}", file=sys.stderr)
-        return 3
-
+    state, report = solve(params, ops, solver_cfg, init=init,
+                          constants=bundle)
     for comp, fld in (("u", state.u), ("B", state.B), ("p", state.p)):
         write_vtk(out_dir / f"{comp}.vtk", fld, name=comp)
         write_csv(out_dir / f"{comp}.csv", fld)
@@ -344,9 +336,15 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        # numerical failures outside the solver's own ConditionViolation
-        # and DivergenceError handling, e.g. pressure recovery
+    except ConditionViolation as exc:
+        print(f"condition violation: {exc}", file=sys.stderr)
+        return 2
+    except DivergenceError as exc:
+        print(f"divergence abort: {exc}", file=sys.stderr)
+        return 3
+    except (RuntimeError, ArithmeticError) as exc:
+        # every other numerical failure: pressure recovery, or an overflow
+        # or a division by zero in a threshold formula
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -14,6 +14,7 @@ the boundary faces, one block per box side (_face_blocks).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -142,10 +143,24 @@ def _per_axis(value, name: str, check, **kw) -> tuple:
     return tuple(check(v, f"{name}[{i}]", **kw) for i, v in enumerate(value))
 
 
+def _spacing(h: float) -> float:
+    """h; ValueError unless the face area h^2 and the cell volume h^3 are
+    positive, normal, finite floats, as the operators and norms need."""
+    try:
+        ok = min(h**2, h**3) >= sys.float_info.min
+    except OverflowError:  # a float power raises where it would be inf
+        ok = False
+    if not ok:
+        raise ValueError(f"spacing h = {h!r} out of range: h^2 and h^3 must "
+                         "be positive, normal, finite floats")
+    return h
+
+
 def build_domain(origin, physical_extent, n) -> VoxelDomain:
     """Build a full-box voxel domain with isotropic spacing from 3 finite
     origin coordinates, 3 finite positive extents and the cells per axis,
-    3 integers >= 2 or one for all three axes."""
+    3 integers >= 2 or one for all three axes (_spacing checks the
+    spacing they give)."""
     origin = np.array(_per_axis(origin, "origin", _finite))
     ext = np.array(_per_axis(physical_extent, "extent", _finite, low=0.0))
     if isinstance(n, (list, tuple, np.ndarray)):
@@ -155,7 +170,7 @@ def build_domain(origin, physical_extent, n) -> VoxelDomain:
     spacings = ext / np.asarray(n)
     if not np.allclose(spacings, spacings[0], rtol=1e-12, atol=0.0):
         raise ValueError("anisotropic spacing not supported: extent/n must match per axis")
-    h = float(spacings[0])
+    h = _spacing(float(spacings[0]))
 
     blocks = []
     for ax, side, shape in _face_blocks(n):

@@ -292,30 +292,22 @@ def tqt_rhs_u(bracket: QField, p: QField, params: MHDParams,
     """Right-hand side of the velocity row of the integral form:
     c_u TQT bracket - c_p TQT D p, bracket = Vec((DB)B) - Sc(uD)u
     (momentum_bracket), D p = grad_bwd(p). TQT is linear, so it is applied
-    once, to the pure field c_u bracket - c_p D p (_tqt_pure). For the p of
-    pressure_recover the result is div+-free on the non-collar cells."""
-    return _tqt_pure(params.coeff_u() * bracket
-                     - params.coeff_p() * grad_bwd(p), ops)
+    once, to the pure field c_u bracket - c_p D p, and solves its three
+    vector components (poisson_dirichlet). For the p of pressure_recover
+    the result is div+-free on the non-collar cells."""
+    f = params.coeff_u() * bracket - params.coeff_p() * grad_bwd(p)
+    _require_pure(f, "TQT right side")
+    return ops.poisson_dirichlet(f)
 
 
 def tqt_rhs_B(u: QField, B: QField, params: MHDParams,
               ops: OperatorSet) -> QField:
     """Right-hand side of the magnetic row: c_B TQT[Sc(BD)u - Sc(uD)B],
-    the bracket pure for pure u and B (_tqt_pure)."""
+    the bracket pure for pure u and B, so its three vector components
+    are solved (poisson_dirichlet)."""
     bracket = convective(B, u) - convective(u, B)
-    return params.coeff_B() * _tqt_pure(bracket, ops)
-
-
-def _tqt_pure(f: QField, ops: OperatorSet) -> QField:
-    """TQT f for a pure f. TQT solves each component alone, so only the
-    three vector components are solved, in one batch, as the Neumann
-    series do; the scalar part stays zero. An f with no live entry
-    (_first_live) gives +0.0 without the solve."""
-    _require_pure(f, "TQT right side")
-    out = np.zeros(f.values.shape)
-    if _first_live(f.values) < len(out):
-        out[1:] = ops.poisson_scalar(f.values[1:])
-    return QField(f.domain, out)
+    _require_pure(bracket, "TQT right side")
+    return params.coeff_B() * ops.poisson_dirichlet(bracket)
 
 
 def tqt_rhs_p(bracket: QField, params: MHDParams,

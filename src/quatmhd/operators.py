@@ -324,7 +324,8 @@ class OperatorSet:
     def poisson_dirichlet(self, rhs: QField) -> QField:
         """Componentwise solve of laplacian(w) = -rhs with a zero boundary
         collar; the stencil equation holds on the non-collar cells. The
-        four components are solved in one batch.
+        live components (_first_live) are solved in one batch, the others
+        left +0.0: three for a pure rhs, none when no entry is live.
 
         This is the composition T Q T of the integral form. With G the
         lattice Green function of the 7-point -Lap_h and A f = h^2 G*f on
@@ -337,7 +338,11 @@ class OperatorSet:
         is the discrete form of TQT = (-Lap)^-1; the tests check it to
         rounding against T+ and T- built from G."""
         self._check(rhs)
-        return QField(self.domain, self.poisson_scalar(rhs.values))
+        out = np.zeros(rhs.values.shape)
+        lo = _first_live(rhs.values)
+        if lo < len(out):
+            out[lo:] = self.poisson_scalar(rhs.values[lo:])
+        return QField(self.domain, out)
 
     def poisson_faces(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the cell-centered -Lap w = rhs with zero Dirichlet data on

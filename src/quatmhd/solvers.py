@@ -579,7 +579,7 @@ def _neumann_solve(ut: QField, c: float, norm: float, f: QField,
     raises ConditionViolation, before any solve, naming the unknown and q
     by `names`, e.g. ("u", "q1"). The map acts on each component alike
     (_convect_solve), so the series runs on the three vector components
-    as one batch."""
+    of TQT f (poisson_dirichlet) as one batch, summing in place."""
     q = c * norm
     if q >= 1.0:
         raise ConditionViolation(f"Neumann series for {names[0]} refused: "
@@ -587,8 +587,8 @@ def _neumann_solve(ut: QField, c: float, norm: float, f: QField,
     _require_pure(f, "Neumann right side")
     _require_pure(ut, "advection field u~")
     a = ut.values[1:]
-    term = ops.poisson_scalar(f.values[1:])
-    x = term.copy()  # the sum, in place; term is overwritten below
+    out = ops.poisson_dirichlet(f)
+    x = term = out.values[1:]  # the sum, in place from the first term
     rnorm = np.sqrt((x * x).sum())
     used = 1
     for used in range(2, cfg.neumann_max_terms + 1):
@@ -598,9 +598,7 @@ def _neumann_solve(ut: QField, c: float, norm: float, f: QField,
         if (np.sqrt((term * term).sum())
                 < cfg.neumann_term_tol * max(rnorm, 1e-300)):
             break
-    out = np.zeros(f.values.shape)
-    out[1:] = x
-    return QField(f.domain, out), q, used
+    return out, q, used
 
 
 def neumann_apply_u(ut: QField, lor: QField, p: QField, params: MHDParams,

@@ -510,6 +510,50 @@ def test_solve_rejects_coefficients_outside_float_range(tmp_path, capsys, Re,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extent, command", [
+    (1e200, "constants"),   # h^2 overflows in the Poisson symbols
+    (1e120, "verify"),      # h^3 overflows in the cell volume
+    (1e-200, "constants"),  # h^2 underflows to 0
+    (1e-110, "verify"),     # h^3 underflows to 0
+    (1e-110, "constants"),
+])
+def test_spacing_outside_float_range_refused(tmp_path, capsys, extent,
+                                             command):
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=4)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["domain"]["extent"] = [extent] * 3
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main([command, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("bad config: domain: spacing h = ")
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("constants", "Re", 1e100),           # Re^4 overflows in theorem 4
+    ("solve", "Re", 1e100),
+    ("constants", "norm_budget", 1e200),  # its square overflows
+])
+def test_arithmetic_failure_exits_3(tmp_path, capsys, command, key, value):
+    cfg_path = _write_config(tmp_path / "run.json", tmp_path / "out", n=4)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["params"]["exponent_mode"] = "linear"
+    if key == "Re":
+        cfg["params"]["Re"] = value
+    else:
+        cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main([command, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("bad", ["boundary", "init_state", "vtk_grid"])
 def test_solve_rejects_bad_input_file(tmp_path, capsys, bad):
     # input files are read and checked before the output directory exists

@@ -4,7 +4,7 @@ import pytest
 from quatmhd.grid import (BoundaryData, QField, build_domain, l2_norm,
                           sc_inner, trace_boundary, zero_boundary)
 from quatmhd.mhd import (MHDParams, MHDState, M_of, _advect, _lorentz_of,
-                         _require_pure, _tqt_pure, boundary_B_term, convective,
+                         _require_pure, boundary_B_term, convective,
                          harmonic_extension, leray_project, lorentz,
                          momentum_bracket, residual_strong, residual_weak,
                          tqt_rhs_B, tqt_rhs_p, tqt_rhs_u)
@@ -404,7 +404,7 @@ def test_tqt_rhs_p_matches_stencil_path(n, stencil_pressure):
 @pytest.mark.parametrize("mode", ["linear", "squared", "mixed"])
 def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
     # the velocity and magnetic rows solve the three vector components of
-    # their pure brackets: byte for byte the 4-component TQT
+    # their pure brackets: byte for byte the 4-component collar solve
     params = MHDParams(Re=1.7, Rm=0.6, mu0=1.3, exponent_mode=mode)
     pv = np.zeros((4,) + dom8.shape)
     pv[0] = random_pure_bump(dom8, seed=27).values[2]
@@ -412,19 +412,19 @@ def test_tqt_rhs_solve_vector_part(dom8, ops8, mode):
                   random_pure_bump(dom8, seed=29), QField(dom8, pv))
     bracket = momentum_bracket(lorentz(st.B, params.mu0),
                                convective(st.u, st.u), params)
-    ref = ops8.poisson_dirichlet(params.coeff_u() * bracket
-                                 - params.coeff_p() * grad_bwd(st.p))
+    f = params.coeff_u() * bracket - params.coeff_p() * grad_bwd(st.p)
+    ref = QField(dom8, ops8.poisson_scalar(f.values))
     got = tqt_rhs_u(bracket, st.p, params, ops8)
     assert got.values.tobytes() == ref.values.tobytes()
-    ref = params.coeff_B() * ops8.poisson_dirichlet(
-        convective(st.B, st.u) - convective(st.u, st.B))
+    f = convective(st.B, st.u) - convective(st.u, st.B)
+    ref = params.coeff_B() * QField(dom8, ops8.poisson_scalar(f.values))
     got = tqt_rhs_B(st.u, st.B, params, ops8)
     assert got.values.tobytes() == ref.values.tobytes()
 
 
 def _zero_pure_fields(dom):
     """Identically zero pure fields: every entry +0.0, which convective and
-    _tqt_pure skip, and one with -0.0 on about a third of the cells of its
+    poisson_dirichlet skip, and one with -0.0 on about a third of the cells of its
     vector part, which they compute."""
     signed = np.zeros((4,) + dom.shape)
     signed[1:][np.random.default_rng(8).random((3,) + dom.shape) < 0.3] = -0.0
@@ -449,7 +449,7 @@ def test_zero_operands_match_full_computation(dom8, ops8):
         inner = (slice(1, None),) + (slice(1, -1),) * 3
         ref[inner] = _sine_solve(z.values[inner], ops8._collar_bases,
                                  ops8._collar_symbol)
-        assert _tqt_pure(z, ops8).values.tobytes() == ref.tobytes()
+        assert ops8.poisson_dirichlet(z).values.tobytes() == ref.tobytes()
         assert not np.signbit(ref).any()
         # the Lorentz product and the pressure right side of a zero B and
         # a zero bracket

@@ -855,6 +855,30 @@ def test_poisson_dirichlet_is_componentwise(ops12):
         assert np.abs(got[c] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+def test_poisson_dirichlet_solves_live_components(ops12, monkeypatch):
+    # one collar solve of the live components (_first_live): a (3, ...)
+    # batch for a pure field, a (4, ...) batch for a full quaternion, and
+    # none for an all-+0.0 field, whose skipped rows stay +0.0
+    shapes = []
+    solve = OperatorSet.poisson_scalar
+
+    def recorded(self, rhs):
+        shapes.append(rhs.shape)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(OperatorSet, "poisson_scalar", recorded)
+    dom = ops12.domain
+    pure = random_pure_bump(dom, seed=17)
+    got = ops12.poisson_dirichlet(pure).values
+    assert shapes == [(3,) + dom.shape]
+    assert not got[0].any() and not np.signbit(got[0]).any()
+    ops12.poisson_dirichlet(random_smooth(dom, seed=18, kmax=2))
+    assert shapes[1:] == [(4,) + dom.shape]
+    got = ops12.poisson_dirichlet(QField.zeros(dom)).values
+    assert len(shapes) == 2
+    assert not got.any() and not np.signbit(got).any()
+
+
 def test_poisson_eigenfunction(ops16):
     # discrete Dirichlet eigenfunction of the 7-point stencil on the
     # non-collar block: sin-product with analytic eigenvalue
